@@ -56,7 +56,6 @@ fn controller(max_states: usize, depth: usize, minimal: bool, cache: bool) -> Co
             },
             ..SearchConfig::default()
         },
-        // Explicit so the bench ignores the CB_PRED_CACHE env default.
         prediction_cache: cache,
         ..ControllerConfig::default()
     }

@@ -1,8 +1,10 @@
 //! Env-driven knobs for the CI determinism matrix.
 //!
-//! `tests/parallel_equivalence.rs` and `tests/checker_pool_equivalence.rs`
-//! both read these; keeping the parsing (and the defaults the matrix legs
-//! rely on) in one place stops the two test binaries from drifting apart.
+//! The equivalence suites under `tests/` read these and pass the values
+//! on as explicit configuration; keeping the parsing (and the defaults
+//! the matrix legs rely on) in one place stops the test binaries from
+//! drifting apart. Nothing outside this module parses a matrix variable —
+//! the library crates take no defaults from the environment.
 
 /// Worker counts under test: `CB_EQ_WORKERS=2` or `CB_EQ_WORKERS=1,2,4`
 /// (default `1,4`).
@@ -17,9 +19,7 @@ pub fn workers() -> Vec<usize> {
 }
 
 /// Merge-shard counts under test: `CB_MERGE_SHARDS=4` or
-/// `CB_MERGE_SHARDS=1,2,4` (default `1,2`). Note the parallel engine
-/// itself also reads this env var, but as a single integer only — the
-/// comma form is the test matrix's.
+/// `CB_MERGE_SHARDS=1,2,4` (default `1,2`).
 pub fn merge_shards() -> Vec<usize> {
     match std::env::var("CB_MERGE_SHARDS") {
         Ok(v) => v
@@ -40,6 +40,18 @@ pub fn seed() -> u64 {
     }
 }
 
+/// Whether parallel engines under test use the compacted explored-set
+/// layout: `CB_COMPACT_EXPLORED=1` (also `true`/`on`; default off).
+pub fn compact_explored() -> bool {
+    std::env::var("CB_COMPACT_EXPLORED").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"))
+}
+
+/// Whether controllers under test memoize rounds: on unless
+/// `CB_PRED_CACHE` is `0`/`off`/`false`.
+pub fn prediction_cache() -> bool {
+    std::env::var("CB_PRED_CACHE").map_or(true, |v| !matches!(v.trim(), "0" | "off" | "false"))
+}
+
 #[cfg(test)]
 mod tests {
     // Reading real env vars in tests races other tests' processes, so
@@ -54,6 +66,12 @@ mod tests {
         }
         if std::env::var("CB_MERGE_SHARDS").is_err() {
             assert_eq!(super::merge_shards(), vec![1, 2]);
+        }
+        if std::env::var("CB_COMPACT_EXPLORED").is_err() {
+            assert!(!super::compact_explored());
+        }
+        if std::env::var("CB_PRED_CACHE").is_err() {
+            assert!(super::prediction_cache());
         }
     }
 }

@@ -27,8 +27,8 @@
 //! Because the key covers every input of the round, a hit returns a
 //! result byte-identical to what a cold run would compute — the
 //! determinism contract of the sharded checker survives memoization, and
-//! the `CB_PRED_CACHE` CI leg proves it. The same property is what makes
-//! **optimistic execution** safe: a round run speculatively on a partial
+//! the cache-off leg of the CI fleet run proves it. The same property is
+//! what makes **optimistic execution** safe: a round run speculatively on a partial
 //! gather (see `Predictor::speculate_round` in `crate::service`) just
 //! pre-warms the cache under the partial state's key; if the completed
 //! snapshot hashes to the speculated base the real round hits (the
@@ -44,16 +44,6 @@ use std::sync::{Arc, Mutex};
 /// entry holds one violation path plus a couple of filters, so this is
 /// small change next to the search's explored sets).
 pub const DEFAULT_PREDICTION_CACHE_CAPACITY: usize = 1024;
-
-/// Reads the `CB_PRED_CACHE` toggle: unset / `1` / `on` / `true` enable
-/// memoization, `0` / `off` / `false` disable it (the CI determinism
-/// matrix runs both legs).
-pub fn prediction_cache_env_default() -> bool {
-    match std::env::var("CB_PRED_CACHE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
 
 /// Per-client memoization and speculation counters (atomics; shards of
 /// one pool bump the same set concurrently).
@@ -430,13 +420,5 @@ mod tests {
             v.get("hit_rate").and_then(cb_obs::json::Value::as_f64),
             Some(0.5)
         );
-    }
-
-    #[test]
-    fn env_default_parses() {
-        // Only the unset default is asserted (env mutation races tests).
-        if std::env::var("CB_PRED_CACHE").is_err() {
-            assert!(prediction_cache_env_default());
-        }
     }
 }

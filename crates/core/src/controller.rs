@@ -7,11 +7,10 @@
 //! installed filters, the immediate safety check, statistics, and the
 //! `Hook` wiring — and decides where prediction rounds run: inline
 //! ([`CheckerMode::Synchronous`]) or on the background sharded
-//! `crate::service::CheckerPool` ([`CheckerMode::Background`] /
-//! [`CheckerMode::Sharded`]), in which case the simulated system keeps
-//! executing while the checker works, submissions are diff-shipped
-//! instead of cloned, and the checker latency is measured rather than
-//! modeled.
+//! `crate::service::CheckerPool` ([`CheckerMode::Sharded`]), in which
+//! case the simulated system keeps executing while the checker works,
+//! submissions are diff-shipped instead of cloned, and the checker
+//! latency is measured rather than modeled.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,7 +58,7 @@ pub struct ControllerConfig {
     /// time T activates at T + `mc_latency` ("After running the model
     /// checker for 6 seconds, C successfully predicts...", §5.4.2). The
     /// immediate safety check covers the gap. In
-    /// [`CheckerMode::Background`] the latency is whatever the checker
+    /// [`CheckerMode::Sharded`] the latency is whatever the checker
     /// thread actually takes (recorded in
     /// [`ControllerStats::measured_mc_latencies`]).
     pub mc_latency: SimDuration,
@@ -90,9 +89,8 @@ pub struct ControllerConfig {
     /// Memoize completed round outcomes in the (host-shared)
     /// [`crate::PredictionCache`], answering repeated neighborhood states
     /// without re-searching. A hit reproduces the cold round's result
-    /// byte for byte, so this trades only CPU, never outcomes. Defaults
-    /// to the `CB_PRED_CACHE` environment toggle (on unless set to
-    /// `0`/`off`/`false` — the CI determinism matrix runs both legs).
+    /// byte for byte, so this trades only CPU, never outcomes. On by
+    /// default (the CI determinism matrix runs both legs).
     pub prediction_cache: bool,
     /// Entry bound for a *privately* spawned prediction cache (synchronous
     /// backend, or a background pool given no shared `CheckerHost`).
@@ -119,7 +117,7 @@ impl Default for ControllerConfig {
             reset_connection_on_block: true,
             max_known_paths: 16,
             poll_in_hooks: true,
-            prediction_cache: crate::cache::prediction_cache_env_default(),
+            prediction_cache: true,
             prediction_cache_capacity: crate::cache::DEFAULT_PREDICTION_CACHE_CAPACITY,
         }
     }
@@ -216,10 +214,10 @@ pub struct Controller<P: Protocol> {
 
 impl<P: Protocol> Controller<P> {
     /// Creates a controller checking `props` over `protocol`. With
-    /// [`CheckerMode::Background`] or [`CheckerMode::Sharded`] this spawns
-    /// the checker shard threads. Every independent search the controller
-    /// runs — the main prediction, known-path replays, filter-safety
-    /// re-checks, across every shard — shares one [`WorkerPool`].
+    /// [`CheckerMode::Sharded`] this spawns the checker shard threads.
+    /// Every independent search the controller runs — the main
+    /// prediction, known-path replays, filter-safety re-checks, across
+    /// every shard — shares one [`WorkerPool`].
     pub fn new(protocol: P, props: PropertySet<P>, config: ControllerConfig) -> Self {
         // The scope owner always participates, so a parallel engine with
         // w workers needs w-1 pool threads; keep at least one so replays
@@ -904,7 +902,7 @@ mod tests {
             proto,
             randtree::properties::all(),
             ControllerConfig {
-                checker: CheckerMode::Background,
+                checker: CheckerMode::Sharded { shards: 1 },
                 ..steering_config()
             },
         );

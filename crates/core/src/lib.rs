@@ -38,7 +38,7 @@ pub mod cache;
 pub mod controller;
 pub mod service;
 
-pub use cache::{prediction_cache_env_default, CacheStats, PredictionCache};
+pub use cache::{CacheStats, PredictionCache};
 pub use controller::{Controller, ControllerConfig, ControllerStats, Mode, PredictionReport};
 pub use service::{CheckerHost, CheckerMode, WireChecker, WireRound};
 

@@ -19,8 +19,7 @@
 //! node *n* always execute on shard `n mod shards`, which keeps each
 //! node's remembered error paths (`known_paths`) on the shard that will
 //! replay them while letting snapshots from *different* nodes check in
-//! parallel. One shard reproduces the old single-thread background
-//! service ([`CheckerMode::Background`] is exactly that special case).
+//! parallel. One shard is the single-thread background service.
 //! All shards draw their search parallelism from one shared worker pool,
 //! so a shard running a big prediction borrows the workers an idle shard
 //! is not using.
@@ -81,16 +80,14 @@ pub enum CheckerMode {
     /// experiments.
     #[default]
     Synchronous,
-    /// Rounds run on a background `CheckerPool` with a single shard —
-    /// the live system keeps stepping, results are drained from the
-    /// controller's hook entry points, and filters activate when their
-    /// round actually completes, so `mc_latency` becomes a measurement
-    /// instead of a model.
-    Background,
     /// Rounds run on a background `CheckerPool` with `shards` shard
-    /// threads: rounds are sharded by node (per-node `known_paths`
-    /// affinity), so snapshots from different nodes check concurrently.
-    /// `Sharded { shards: 1 }` ≡ [`CheckerMode::Background`].
+    /// threads — the live system keeps stepping, results are drained from
+    /// the controller's hook entry points, and filters activate when
+    /// their round actually completes, so `mc_latency` becomes a
+    /// measurement instead of a model. Rounds are sharded by node
+    /// (per-node `known_paths` affinity), so snapshots from different
+    /// nodes check concurrently; `shards: 1` is the single background
+    /// checker thread of §4.
     ///
     /// Affinity granularity, by design: each shard remembers only the
     /// error paths its *own* nodes' rounds discovered, so a node's
@@ -111,7 +108,6 @@ impl CheckerMode {
     pub(crate) fn shard_count(self) -> usize {
         match self {
             CheckerMode::Synchronous => 0,
-            CheckerMode::Background => 1,
             CheckerMode::Sharded { shards } => shards.max(1),
         }
     }

@@ -316,21 +316,6 @@ pub struct LiveDeployment<P: Protocol> {
 }
 
 impl<P: Protocol> LiveDeployment<P> {
-    /// Boots the checker process and one reactor (thread) per node id —
-    /// PR 5's deployment shape.
-    #[deprecated(note = "use `DeploymentBuilder::new(..).nodes(..).config(..).boot()`")]
-    pub fn boot(
-        protocol: P,
-        props: PropertySet<P>,
-        nodes: &[NodeId],
-        config: LiveConfig,
-    ) -> std::io::Result<Self> {
-        DeploymentBuilder::new(protocol, props)
-            .nodes(nodes)
-            .config(config)
-            .boot()
-    }
-
     /// Binds + registers a listener for `id` and hands the node seed to
     /// its reactor (placement: `id mod threads`).
     fn spawn(&mut self, id: NodeId) -> std::io::Result<()> {

@@ -52,14 +52,12 @@ pub use adapters::{
 pub use cb_net::{FaultDecision, LiveFault};
 pub use checker::{spawn_checker, CheckerHandle};
 pub use deployment::{wait_until, DeploymentBuilder, LiveConfig, LiveDeployment, LiveReport};
-#[allow(deprecated)]
-pub use node::spawn_node;
 pub use node::{
-    ExitKind, IoReadiness, LinkMode, LinkTable, LiveNode, LiveNodeConfig, NodeCtl, NodeHandle,
-    NodeReport, NodeSeed, PollStatus, Registry,
+    ExitKind, IoReadiness, LinkTable, LiveNode, LiveNodeConfig, NodeCtl, NodeReport, NodeSeed,
+    PollStatus, Registry,
 };
 pub use peer::{PeerConfig, PeerManager, SendOutcome};
-pub use reactor::{run_single, spawn_reactor, ReactorCtl, ReactorHandle};
+pub use reactor::{spawn_reactor, ReactorCtl, ReactorHandle};
 pub use registry::{Addressing, RegistryServer, RemoteRegistry};
 pub use stats::{CheckerProcessStats, LatencySummary, LiveStats, NodeStats};
 pub use wire::{CtrlMsg, InstallBody, SubmitBody};

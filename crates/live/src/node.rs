@@ -22,10 +22,9 @@
 //! of nodes never stalls on one node's goodbye.
 
 use std::collections::HashMap;
-use std::net::{IpAddr, SocketAddr, TcpListener};
+use std::net::{IpAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cb_mc::EventFilter;
@@ -56,16 +55,6 @@ static M_GATHER_INSTALL_US: cb_obs::metrics::Hist = cb_obs::metrics::Hist::new(
     "cb_node_gather_install_us",
     "microseconds from gather start to the matching install receipt",
 );
-
-/// Fault state of one (unordered) node pair — PR 5's two-mode vocabulary,
-/// kept as a shim over the full [`LiveFault`] stack.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LinkMode {
-    /// Partitioned: every frame between the pair is dropped at the sender.
-    Drop,
-    /// Degraded: each frame is dropped with this probability.
-    Loss(f64),
-}
 
 /// The deployment-wide fault table: socket-level injector stacks keyed by
 /// node pair. This is where `cb-fleet`'s abstract fault model lands in
@@ -105,27 +94,6 @@ impl LinkTable {
             .get(&pair(a, b))
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// Installs (`Some`) or heals (`None`) a fault on the pair.
-    #[deprecated(note = "use `set_faults` with a `LiveFault` stack")]
-    pub fn set(&self, a: NodeId, b: NodeId, mode: Option<LinkMode>) {
-        let faults = match mode {
-            Some(LinkMode::Drop) => vec![LiveFault::Drop],
-            Some(LinkMode::Loss(p)) => vec![LiveFault::Loss(p)],
-            None => Vec::new(),
-        };
-        self.set_faults(a, b, faults);
-    }
-
-    /// The pair's fault in PR 5 vocabulary, when it maps onto it.
-    #[deprecated(note = "use `faults_for`")]
-    pub fn mode(&self, a: NodeId, b: NodeId) -> Option<LinkMode> {
-        self.faults_for(a, b).iter().find_map(|f| match f {
-            LiveFault::Drop => Some(LinkMode::Drop),
-            LiveFault::Loss(p) => Some(LinkMode::Loss(*p)),
-            _ => None,
-        })
     }
 }
 
@@ -296,73 +264,6 @@ pub struct NodeSeed<P: Protocol> {
     pub alive: Arc<AtomicBool>,
 }
 
-/// The driver-side handle of one spawned node (PR 5 shape, kept for the
-/// deprecated [`spawn_node`] path).
-pub struct NodeHandle<P: Protocol> {
-    /// The node's id.
-    pub id: NodeId,
-    /// Control channel into the event loop.
-    pub ctl: mpsc::Sender<NodeCtl<P>>,
-    /// The driving thread; yields the node's final report.
-    pub join: JoinHandle<NodeReport<P>>,
-    /// The listener address this incarnation owns.
-    pub addr: SocketAddr,
-}
-
-impl<P: Protocol> NodeHandle<P> {
-    /// Probes the running node (blocking up to `timeout`).
-    pub fn probe(&self, timeout: Duration) -> Option<NodeReport<P>> {
-        let (tx, rx) = mpsc::channel();
-        self.ctl.send(NodeCtl::Probe(tx)).ok()?;
-        rx.recv_timeout(timeout).ok()
-    }
-}
-
-/// Boots one live node on a dedicated OS thread — the `threads = nodes`
-/// degenerate case, driven through the same [`LiveNode::poll`] API the
-/// reactor uses.
-#[deprecated(note = "use `DeploymentBuilder` (or `reactor::spawn_reactor`) instead")]
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_node<P: Protocol>(
-    protocol: P,
-    props: PropertySet<P>,
-    id: NodeId,
-    incarnation: u32,
-    config: LiveNodeConfig,
-    registry: Arc<Registry>,
-    links: Arc<LinkTable>,
-    seed: u64,
-) -> std::io::Result<NodeHandle<P>> {
-    let listener = TcpListener::bind((config.bind_ip, 0))?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    registry.register(id, addr);
-    let (ctl_tx, ctl_rx) = mpsc::channel();
-    let seed_box = NodeSeed {
-        protocol,
-        props,
-        id,
-        incarnation,
-        config,
-        registry: registry as Arc<dyn Addressing>,
-        links,
-        listener,
-        ctl: ctl_rx,
-        seed,
-        alive: Arc::new(AtomicBool::new(true)),
-    };
-    let join = std::thread::Builder::new()
-        .name(format!("cb-live-{id}"))
-        .spawn(move || crate::reactor::run_single(LiveNode::new(seed_box)))
-        .expect("spawn live node thread");
-    Ok(NodeHandle {
-        id,
-        ctl: ctl_tx,
-        join,
-        addr,
-    })
-}
-
 enum LoopOutcome {
     Continue,
     Graceful,
@@ -503,12 +404,6 @@ impl<P: Protocol> LiveNode<P> {
     /// The node's id.
     pub fn id(&self) -> NodeId {
         self.me
-    }
-
-    /// The node's scheduling tick (the ceiling on how long its driver may
-    /// sleep between polls).
-    pub fn tick(&self) -> Duration {
-        self.cfg.tick
     }
 
     /// Appends every fd the reactor should watch for this node, paired

@@ -15,7 +15,7 @@
 //! is exactly the thread-per-node cost model.
 //!
 //! `threads = nodes` (each reactor owning one node) reproduces PR 5's
-//! deployment shape through the same code path — see [`run_single`].
+//! thread-per-node deployment shape through the same code path.
 
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -277,24 +277,4 @@ fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadi
 fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadiness> {
     std::thread::sleep(timeout);
     vec![IoReadiness::all(); nodes.len()]
-}
-
-/// Drives one node to completion on the calling thread — the
-/// `threads = nodes` degenerate case (PR 5's deployment shape) expressed
-/// through the same poll API the reactor uses.
-pub fn run_single<P: Protocol>(mut node: LiveNode<P>) -> NodeReport<P> {
-    let tick = node.tick();
-    loop {
-        match node.poll(Instant::now(), IoReadiness::all()) {
-            PollStatus::Exited { report, .. } => return *report,
-            PollStatus::Running { next_wake } => {
-                let timeout = next_wake
-                    .saturating_duration_since(Instant::now())
-                    .min(tick);
-                if !timeout.is_zero() {
-                    std::thread::sleep(timeout);
-                }
-            }
-        }
-    }
 }

@@ -1,11 +1,8 @@
-//! Exploration frontiers and the concurrent explored-set.
+//! The concurrent explored-set and the work-stealing index queues.
 //!
-//! The search engines share three building blocks:
+//! The parallel engine's building blocks (the sequential loop's frontier
+//! is a plain `VecDeque` inside `Searcher::run`):
 //!
-//! * [`Frontier`] — the queue discipline that decides which reached state
-//!   is expanded next. The sequential engine uses [`FifoFrontier`] (plain
-//!   BFS, the order of Fig. 5/Fig. 8); the parallel engine processes one
-//!   BFS level at a time and distributes it over per-job pool tasks.
 //! * [`LockFreeExplored`] — the `explored` set of Fig. 5 as a lock-free
 //!   open-addressing hash table: CAS-published entries over pre-sized
 //!   segment arrays, growable by chaining larger segments. Exactly one
@@ -33,62 +30,6 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use cb_model::{GlobalState, Protocol};
-
-/// One reached-but-unexpanded state: the payload queued on a frontier.
-pub struct FrontierItem<P: Protocol> {
-    /// The reached global state.
-    pub state: GlobalState<P>,
-    /// Arena index of the edge that reached it (`None` for the start state).
-    pub rec: Option<usize>,
-    /// Path length from the start state.
-    pub depth: usize,
-}
-
-/// The order in which reached states are expanded.
-pub trait Frontier<P: Protocol> {
-    /// Queues a newly reached state.
-    fn push(&mut self, item: FrontierItem<P>);
-    /// Takes the next state to expand, or `None` when exploration is done.
-    fn pop(&mut self) -> Option<FrontierItem<P>>;
-    /// Number of states waiting for expansion.
-    fn len(&self) -> usize;
-    /// True if nothing is waiting.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// First-in-first-out frontier: breadth-first order, the discipline of
-/// Fig. 5 and Fig. 8. Expansion order doubles as the *canonical* order —
-/// the parallel engine reproduces exactly the violation set and paths this
-/// order yields.
-#[derive(Default)]
-pub struct FifoFrontier<P: Protocol> {
-    items: VecDeque<FrontierItem<P>>,
-}
-
-impl<P: Protocol> FifoFrontier<P> {
-    /// An empty frontier.
-    pub fn new() -> Self {
-        FifoFrontier {
-            items: VecDeque::new(),
-        }
-    }
-}
-
-impl<P: Protocol> Frontier<P> for FifoFrontier<P> {
-    fn push(&mut self, item: FrontierItem<P>) {
-        self.items.push_back(item);
-    }
-    fn pop(&mut self) -> Option<FrontierItem<P>> {
-        self.items.pop_front()
-    }
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
 
 /// Outcome of a leveled insert into [`LockFreeExplored`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -999,33 +940,8 @@ impl StealQueues {
 mod tests {
     use super::*;
     use crate::pool::WorkerPool;
-    use cb_model::testproto::Ping;
-    use cb_model::NodeId;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn fifo_frontier_is_fifo() {
-        let cfg = Ping {
-            kick_target: NodeId(0),
-            kick_enabled: false,
-        };
-        let gs = GlobalState::init(&cfg, [NodeId(0)]);
-        let mut f: FifoFrontier<Ping> = FifoFrontier::new();
-        assert!(f.is_empty());
-        for depth in 0..4 {
-            f.push(FrontierItem {
-                state: gs.clone(),
-                rec: None,
-                depth,
-            });
-        }
-        assert_eq!(f.len(), 4);
-        for depth in 0..4 {
-            assert_eq!(f.pop().expect("item").depth, depth);
-        }
-        assert!(f.pop().is_none());
-    }
 
     #[test]
     fn lock_free_set_basic() {

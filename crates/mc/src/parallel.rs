@@ -29,31 +29,35 @@
 //!    segment-chain walk and length updates are batched per task via
 //!    [`ExploredBatch`], so a task's burst of inserts costs one acquire
 //!    edge and one shared-counter update instead of one per state). The
-//!    task streams its edge batch into an order-preserving reorder
-//!    buffer; the coordinator consumes batches in canonical job order
-//!    *while later jobs are still expanding*, so the canonical
-//!    dedup/merge no longer waits for — or buffers — the whole level.
-//!    When the next in-order batch is not ready, the coordinator helps by
-//!    executing one of its own queued jobs instead of sleeping.
+//!    task routes each successor edge by a hash of its explored-table key
+//!    to one of `k` merge shards ([`ParallelConfig::merge_shards`]) and
+//!    deposits the per-shard slices into order-preserving reorder
+//!    buffers, one per shard. Each shard's consumer takes batches in
+//!    canonical job order *while later jobs are still expanding*, so the
+//!    canonical dedup/merge never waits for — or buffers — the whole
+//!    level. Shard 0's consumer is the coordinator; when its next
+//!    in-order batch is not ready it helps by executing one of the
+//!    level's queued tasks instead of sleeping. A level with at most one
+//!    job skips all of this and expands and merges inline.
 //!
-//! # Sharded merge
+//! # One merge, `k` shards
 //!
-//! Above one merge shard ([`ParallelConfig::merge_shards`]), the phase-3
-//! merge itself is parallelized: each successor edge is routed by a hash
-//! of its explored-table key to one of `k` shards, each with its own
-//! reorder buffer and its own dedup set. Equal hashes always land in the
-//! same shard, so every per-hash decision — first-canonical-edge wins,
-//! admitted-this-level vs earlier-duplicate, canonical-clone re-derivation
-//! — is taken with exactly the inputs the single coordinator would use;
-//! shards only interleave decisions about *different* hashes. Shard 0 is
-//! streamed by the coordinator as before; shards 1..k run as pool tasks
-//! spawned after every expand task (the pool queue is FIFO, so a blocked
-//! shard only ever waits on expansions that are already running — no
-//! deadlock at any pool size, including zero threads). Each shard emits
-//! its admitted edges tagged with their canonical (job, event) position,
-//! and a sequential k-way recombine merges the per-shard streams —
-//! each already canonically ordered — back into the exact sequential
-//! enqueue order, so arena layout, violations and shallowest paths stay
+//! Equal hashes always land in the same shard, so every per-hash decision
+//! — first-canonical-edge wins, admitted-this-level vs earlier-duplicate,
+//! canonical-clone re-derivation — is taken by one consumer with the same
+//! inputs at every `k`; shards only interleave decisions about
+//! *different* hashes. Shards 1..k run as pool tasks spawned after every
+//! expand task (the pool queue is FIFO, so a blocked shard only ever
+//! waits on expansions that are already running — no deadlock at any pool
+//! size, including zero threads).
+//!
+//! At `k = 1` the single consumer sees every admitted edge in canonical
+//! order, so it enqueues straight into the arena and the next level as
+//! batches arrive. Above one, each shard collects its admitted edges
+//! tagged with their canonical (job, event) position, and a sequential
+//! k-way recombine merges the per-shard streams — each already
+//! canonically ordered — back into the exact sequential enqueue order.
+//! Either way arena layout, violations and shallowest paths stay
 //! bit-identical to the sequential engine for every shard count.
 //!
 //! The explored set itself can be compacted to 8-byte entries and spilled
@@ -77,10 +81,11 @@
 //! exactly. Wall-clock-dependent outcomes (deadline stops) are the only
 //! nondeterminism that survives.
 //!
-//! At one worker the engine runs a fully inline fast path: expand and
-//! merge interleave per job with no channel, no reorder buffer and no
-//! edge buffering at all — the only overhead over the sequential loop is
-//! the level vector itself.
+//! At one worker the engine runs a fused pass instead of the three
+//! phases: check, visit, expand and merge one item at a time with no
+//! channel, no reorder buffer and no edge buffering at all — the
+//! sequential loop over a level vector, on the lock-free table (which is
+//! what lets one worker honour `compact_explored`/`explored_spill_bytes`).
 //!
 //! Differences from the sequential engine, all stats-level: `elapsed` and
 //! `peak_frontier_bytes` reflect this engine's level-at-a-time residency
@@ -105,27 +110,6 @@ use crate::search::{
 };
 use crate::stats::SearchStats;
 
-// Scrapeable search-layer families: the explored set's memory shape
-// (gauges reflect the most recently finished search — what "is the
-// checker's memory budget holding" means mid-deployment) and cumulative
-// visit/spill counters.
-static M_EXPLORED_RESIDENT: cb_obs::metrics::Gauge = cb_obs::metrics::Gauge::new(
-    "cb_mc_explored_resident_bytes",
-    "explored-set bytes resident in memory after the last search",
-);
-static M_EXPLORED_SPILLED: cb_obs::metrics::Gauge = cb_obs::metrics::Gauge::new(
-    "cb_mc_explored_spilled_bytes",
-    "explored-set bytes spilled to disk by the last search",
-);
-static M_SPILLS: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_mc_explored_spills_total",
-    "explored-set spill flushes across all searches",
-);
-static M_STATES_VISITED: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_mc_states_visited_total",
-    "states visited across all searches",
-);
-
 /// Hard cap on merge shards: past this, per-shard reorder buffers cost
 /// more than the dedup work they split.
 pub const MAX_MERGE_SHARDS: usize = 16;
@@ -141,22 +125,20 @@ pub struct ParallelConfig {
     /// Merge shards for phase 3: the canonical dedup/merge is partitioned
     /// by successor-hash key range and the shards run concurrently, with
     /// a deterministic recombine reconstituting the exact sequential
-    /// enqueue order. 0 (the default) picks `workers.min(4)`; 1 disables
-    /// sharding (the PR 3 single-coordinator streamed merge). Any value
-    /// yields bit-identical results — this knob trades merge parallelism
-    /// against per-shard buffer overhead. Defaults from `CB_MERGE_SHARDS`
-    /// (a single integer) when set.
+    /// enqueue order. 0 (the default) picks `workers.min(4)`; 1 is the
+    /// single coordinator stream, which enqueues directly and has nothing
+    /// to recombine. Any value yields bit-identical results — this knob
+    /// trades merge parallelism against per-shard buffer overhead.
     pub merge_shards: usize,
     /// Use the compacted explored-set slot layout (8 bytes/entry instead
     /// of 16: 48-bit fingerprint + 16-bit level in one word). Halves
     /// resident bytes per state; widens the accepted hash-collision class
-    /// from 2^-64 to 2^-48 per pair. Defaults from `CB_COMPACT_EXPLORED`
-    /// (`1`/`true`/`on`).
+    /// from 2^-64 to 2^-48 per pair. Off by default.
     pub compact_explored: bool,
     /// When set, spill the explored set to a sorted on-disk run whenever
     /// its resident footprint exceeds this many bytes (checked at level
     /// boundaries), so `max_states` can grow 10–100x without proportional
-    /// RAM. Defaults from `CB_EXPLORED_SPILL_BYTES`.
+    /// RAM. `None` (the default) never spills.
     pub explored_spill_bytes: Option<usize>,
 }
 
@@ -167,9 +149,9 @@ impl Default for ParallelConfig {
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .min(8),
-            merge_shards: env_usize("CB_MERGE_SHARDS").unwrap_or(0),
-            compact_explored: env_flag("CB_COMPACT_EXPLORED"),
-            explored_spill_bytes: env_usize("CB_EXPLORED_SPILL_BYTES"),
+            merge_shards: 0,
+            compact_explored: false,
+            explored_spill_bytes: None,
         }
     }
 }
@@ -188,14 +170,6 @@ impl ParallelConfig {
     }
 }
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"))
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
-
 /// The merge shard a successor hash belongs to. Mixed before reducing
 /// (the same Fibonacci decorrelation the explored table's probe start
 /// uses) so structured hashes spread; equal hashes always co-locate,
@@ -204,8 +178,16 @@ fn shard_of(hash: u64, shards: usize) -> usize {
     ((hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize) % shards
 }
 
-/// One successor edge emitted by the expand phase.
-struct EdgeOut<P: Protocol> {
+/// One level's states, each with the arena record of the edge that
+/// reached it — all items of one level share a depth.
+type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
+
+/// One successor edge emitted by the expand phase, routed to the merge
+/// shard owning its hash.
+struct Edge<P: Protocol> {
+    /// Index within the job's event-enumeration order (what the recombine
+    /// sorts on, after the job index).
+    ord: u32,
     /// The successor state — carried only by the edge whose worker won the
     /// explored-table insertion race for `hash`.
     ///
@@ -226,38 +208,7 @@ struct EdgeOut<P: Protocol> {
     step: TraceStep,
 }
 
-/// Everything a worker produced for one expansion job.
-struct JobOut<P: Protocol> {
-    edges: Vec<EdgeOut<P>>,
-    filtered: usize,
-}
-
-impl<P: Protocol> Default for JobOut<P> {
-    fn default() -> Self {
-        JobOut {
-            edges: Vec::new(),
-            filtered: 0,
-        }
-    }
-}
-
-/// One successor edge routed to a merge shard (sharded phase 3). Same
-/// payload as [`EdgeOut`] plus the edge's position in its job's canonical
-/// enumeration order, which the recombine sorts on.
-struct ShardEdge<P: Protocol> {
-    /// Index within the job's event-enumeration order.
-    ord: u32,
-    /// See [`EdgeOut::state`] — carried iff this edge won the insert race.
-    state: Option<GlobalState<P>>,
-    hash: u64,
-    /// See [`EdgeOut::prior_level`].
-    prior_level: u64,
-    event: Event<P>,
-    step: TraceStep,
-}
-
-/// An edge a merge shard admitted, tagged with its canonical coordinates
-/// for the deterministic recombine.
+/// An edge the merge admitted, tagged with its canonical coordinates.
 struct AdmittedEdge<P: Protocol> {
     /// Canonical job index within the level.
     job: u32,
@@ -268,23 +219,40 @@ struct AdmittedEdge<P: Protocol> {
     step: TraceStep,
 }
 
-/// One merge shard's output: the edges it admitted (already in canonical
-/// (job, ord) order for its key range) plus its timing split.
-struct ShardMerged<P: Protocol> {
-    admitted: Vec<AdmittedEdge<P>>,
+/// What one merge consumer counted while draining its channel.
+#[derive(Default)]
+struct MergeTally {
     duplicates: usize,
     busy: Duration,
     wait: Duration,
 }
 
-impl<P: Protocol> ShardMerged<P> {
-    fn new() -> Self {
-        ShardMerged {
-            admitted: Vec::new(),
-            duplicates: 0,
-            busy: Duration::ZERO,
-            wait: Duration::ZERO,
-        }
+/// The level under construction: admitted successors in canonical
+/// enqueue order, with their byte footprint accumulated while each state
+/// is cache-hot.
+struct NextLevel<P: Protocol> {
+    states: Level<P>,
+    bytes: usize,
+}
+
+impl<P: Protocol> NextLevel<P> {
+    /// Enqueues a successor reached from `parent` — the arena record and
+    /// the next-level slot every engine path writes for an admitted edge.
+    fn push(
+        &mut self,
+        arena: &mut Vec<ArenaRec<P>>,
+        parent: Option<usize>,
+        state: GlobalState<P>,
+        event: Event<P>,
+        step: TraceStep,
+    ) {
+        arena.push(ArenaRec {
+            parent,
+            event,
+            step,
+        });
+        self.bytes += approx_state_bytes(&state);
+        self.states.push((state, Some(arena.len() - 1)));
     }
 }
 
@@ -322,12 +290,40 @@ enum VisitClaims {
     Inline,
 }
 
-/// The order-preserving channel between expand tasks and a merge
-/// consumer: a reorder buffer indexed by job, consumed as a contiguous
-/// prefix. Peak residency is the out-of-order window (how far completed
-/// jobs run ahead of the canonical cursor), not the whole level. Generic
-/// over the payload: whole [`JobOut`] batches in the unsharded merge,
-/// per-shard [`ShardEdge`] slices in the sharded one.
+/// The search deadline as every phase and task shares it: whichever
+/// thread first sees the clock pass it raises the flag, and everyone else
+/// stops at their next look.
+struct Deadline {
+    search_t0: Instant,
+    limit: Option<Duration>,
+    hit: AtomicBool,
+}
+
+impl Deadline {
+    /// True once the deadline has passed (checking the clock only until
+    /// some thread has seen it pass).
+    fn passed(&self) -> bool {
+        if self.hit() {
+            return true;
+        }
+        let over = self.limit.is_some_and(|d| self.search_t0.elapsed() >= d);
+        if over {
+            self.hit.store(true, Ordering::Relaxed);
+        }
+        over
+    }
+
+    /// Whether some thread has already seen the deadline pass.
+    fn hit(&self) -> bool {
+        self.hit.load(Ordering::Relaxed)
+    }
+}
+
+/// The order-preserving channel between expand tasks and one merge
+/// shard's consumer: a reorder buffer indexed by job, consumed as a
+/// contiguous prefix. Peak residency is the out-of-order window (how far
+/// completed jobs run ahead of the canonical cursor), not the whole
+/// level.
 struct MergeChannel<T> {
     inner: Mutex<MergeBuf<T>>,
     ready: Condvar,
@@ -397,25 +393,10 @@ impl<T> MergeBuf<T> {
     }
 }
 
-/// Ensures a batch lands for job `j` even if the expand task unwinds:
-/// without a deposit a merge consumer would wait forever on a job whose
-/// panic the pool has already captured for re-raising at scope exit.
-struct DepositGuard<'a, T: Default> {
-    chan: &'a MergeChannel<T>,
-    j: usize,
-    armed: bool,
-}
-
-impl<T: Default> Drop for DepositGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.chan.deposit(self.j, T::default());
-        }
-    }
-}
-
-/// [`DepositGuard`] for the sharded merge: every shard's channel must see
-/// a deposit for job `j`, or its consumer would stall on the gap.
+/// Ensures every shard's channel sees a deposit for job `j` even if the
+/// expand task unwinds: without one a merge consumer would wait forever
+/// on a job whose panic the pool has already captured for re-raising at
+/// scope exit.
 struct ShardDepositGuard<'a, T: Default> {
     chans: &'a [MergeChannel<T>],
     j: usize,
@@ -444,7 +425,7 @@ impl<P: Protocol> Searcher<'_, P> {
     pub fn run_parallel(&self, start: &GlobalState<P>, par: &ParallelConfig) -> SearchOutcome<P> {
         // The scope owner participates, so `workers` logical workers need
         // `workers - 1` pool threads; at 1 worker the pool is threadless
-        // and the engine's inline phase paths never touch it.
+        // and the fused pass never touches it.
         let pool = WorkerPool::new(par.workers.saturating_sub(1));
         self.run_parallel_pooled(start, par, &pool)
     }
@@ -462,11 +443,17 @@ impl<P: Protocol> Searcher<'_, P> {
     ) -> SearchOutcome<P> {
         let workers = par.workers.max(1);
         let shards = par.effective_merge_shards();
-        // Per-level phase timing on stderr, for perf investigation:
-        // CB_PAR_TRACE=1 cargo bench -p cb-bench --bench parallel_scaling
-        let trace = std::env::var_os("CB_PAR_TRACE").is_some();
         let t0 = Instant::now();
+        let deadline = Deadline {
+            search_t0: t0,
+            limit: self.config.deadline,
+            hit: AtomicBool::new(false),
+        };
         let mut stats = SearchStats::default();
+        if workers > 1 {
+            stats.merge_shards = shards;
+            stats.merge_shard_busy = vec![Duration::ZERO; shards];
+        }
         let mut violations: Vec<FoundViolation<P>> = Vec::new();
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         // Pre-size the table from the state budget: successor inserts run
@@ -489,15 +476,11 @@ impl<P: Protocol> Searcher<'_, P> {
         }
         let mut explored = LockFreeExplored::with_options(cap_slots, par.compact_explored);
         let mut local_explored = std::collections::HashSet::new();
-        // Hashes already decided (admitted or duplicate) by the merge in
-        // the current level; allocation reused across levels.
-        let mut seen_level: HashSet<u64> = HashSet::new();
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
         explored.insert_leveled(start.state_hash(), 0);
-        // (state, parent arena rec) — all items of one level share a depth.
-        let mut level: Vec<(GlobalState<P>, Option<usize>)> = vec![(start.clone(), None)];
+        let mut level: Level<P> = vec![(start.clone(), None)];
         // Byte footprint of `level`, accumulated when the level was built
         // (while each state was cache-hot) instead of re-scanned here.
         let mut level_bytes = approx_state_bytes(start);
@@ -505,10 +488,7 @@ impl<P: Protocol> Searcher<'_, P> {
         let mut depth = 0usize;
 
         'levels: while !level.is_empty() {
-            let over_deadline =
-                |deadline: Option<std::time::Duration>| deadline.is_some_and(|d| t0.elapsed() >= d);
-            if over_deadline(self.config.deadline) {
-                stopped = Some(StopReason::Deadline);
+            if deadline.passed() {
                 break 'levels;
             }
             // Level boundaries are the engine's quiescent points: every
@@ -533,13 +513,12 @@ impl<P: Protocol> Searcher<'_, P> {
                 .map_or(level.len(), |max| max.saturating_sub(stats.states_visited))
                 .min(level.len());
             let stamp = depth as u64 + 1;
-            seen_level.clear();
-            // Levels rarely shrink: the previous level's size is a cheap
-            // floor that skips most of the growth reallocations.
-            let mut next_level: Vec<(GlobalState<P>, Option<usize>)> =
-                Vec::with_capacity(level.len());
-            let mut next_bytes = 0usize;
-            let pt = Instant::now();
+            let mut next = NextLevel {
+                // Levels rarely shrink: the previous level's size is a
+                // cheap floor that skips most of the growth reallocations.
+                states: Vec::with_capacity(level.len()),
+                bytes: 0,
+            };
 
             if workers == 1 {
                 // Fused single-worker pass: check, visit, expand and
@@ -551,7 +530,6 @@ impl<P: Protocol> Searcher<'_, P> {
                 // memory rhythm instead of holding two full levels.
                 // Inserts run through one batched handle for the whole
                 // level (one segment-snapshot acquire, one len update).
-                let items = level.len();
                 let mut batch = explored.batch();
                 for (i, item) in std::mem::take(&mut level).into_iter().enumerate() {
                     if i >= budget_left {
@@ -561,8 +539,7 @@ impl<P: Protocol> Searcher<'_, P> {
                         stopped = Some(StopReason::StateLimit);
                         break;
                     }
-                    if over_deadline(self.config.deadline) {
-                        stopped = Some(StopReason::Deadline);
+                    if deadline.passed() {
                         break 'levels;
                     }
                     let check = self.props.check(&item.0);
@@ -588,23 +565,15 @@ impl<P: Protocol> Searcher<'_, P> {
                             stamp,
                             &mut local_explored,
                             &mut arena,
-                            &mut next_level,
-                            &mut next_bytes,
+                            &mut next,
                             &mut stats,
                         ),
                     }
                 }
-                drop(batch);
-                if trace {
-                    eprintln!("level d={} items={} fused={:?}", depth, items, pt.elapsed(),);
-                }
             } else {
                 // Phase 1: parallel property check over the budget prefix.
-                let (checks, deadline_hit) =
-                    self.check_level(&level[..budget_left], workers, t0, pool);
-                let t_check = pt.elapsed();
-                if deadline_hit {
-                    stopped = Some(StopReason::Deadline);
+                let checks = self.check_level(&level[..budget_left], workers, &deadline, pool);
+                if deadline.hit() {
                     break 'levels;
                 }
 
@@ -644,64 +613,26 @@ impl<P: Protocol> Searcher<'_, P> {
                 // level, so the canonical merge can tell "admitted this
                 // level by a non-canonical edge" from "duplicate of an
                 // earlier level" batch by batch.
-                let pt3 = Instant::now();
-                let deadline_hit = if shards > 1 && workers > 1 && jobs.len() > 1 {
-                    self.expand_and_merge_level_sharded(
-                        &level,
-                        &jobs,
-                        &explored,
-                        stamp,
-                        shards,
-                        t0,
-                        pool,
-                        &mut arena,
-                        &mut next_level,
-                        &mut next_bytes,
-                        &mut stats,
-                    )
-                } else {
-                    self.expand_and_merge_level(
-                        &level,
-                        &jobs,
-                        &explored,
-                        stamp,
-                        workers,
-                        t0,
-                        pool,
-                        &mut seen_level,
-                        &mut arena,
-                        &mut next_level,
-                        &mut next_bytes,
-                        &mut stats,
-                    )
-                };
-                if deadline_hit {
-                    stopped = Some(StopReason::Deadline);
-                    break 'levels;
-                }
-
-                if trace {
-                    eprintln!(
-                        "level d={} items={} jobs={} check={:?} stream={:?} (merge busy={:?} wait={:?} cum)",
-                        depth,
-                        level.len(),
-                        jobs.len(),
-                        t_check,
-                        pt3.elapsed(),
-                        stats.merge_busy,
-                        stats.merge_wait,
-                    );
+                self.expand_and_merge_level(
+                    &level, &jobs, &explored, stamp, shards, &deadline, pool, &mut arena,
+                    &mut next, &mut stats,
+                );
+                if deadline.hit() {
+                    break 'levels; // the partial level is discarded
                 }
             }
+            stats.states_enqueued += next.states.len();
             if stopped.is_some() {
                 break 'levels;
             }
-            level = next_level;
-            level_bytes = next_bytes;
+            level = next.states;
+            level_bytes = next.bytes;
             depth += 1;
         }
 
         let stopped = match stopped {
+            // Whatever else was decided, a raised deadline cut work short.
+            _ if deadline.hit() => StopReason::Deadline,
             Some(r) => r,
             None if depth_truncated => StopReason::DepthLimit,
             None => StopReason::Exhausted,
@@ -710,15 +641,10 @@ impl<P: Protocol> Searcher<'_, P> {
         stats.explored_resident_bytes = explored.resident_bytes();
         stats.explored_spilled_bytes = explored.spilled_bytes();
         stats.explored_spills = explored.spill_count();
-        // Search-layer metrics: last-search gauges (explored-set memory
-        // shape) and a cumulative visit counter, one bump per search.
-        M_EXPLORED_RESIDENT.set(stats.explored_resident_bytes as u64);
-        M_EXPLORED_SPILLED.set(stats.explored_spilled_bytes);
-        M_SPILLS.add(stats.explored_spills as u64);
-        M_STATES_VISITED.add(stats.states_visited as u64);
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
             + explored.len() * explored.entry_bytes()
             + local_explored.len() * 2 * size_of::<u64>();
+        stats.publish();
         SearchOutcome {
             violations,
             stats,
@@ -782,7 +708,7 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Fused single-worker expansion: enumerate (making the
-    /// `localExplored` claims through the gate closure, exactly like the
+    /// `localExplored` claims through the gate, exactly like the
     /// sequential loop), clone, apply, hash, insert — and merge each
     /// successor on the spot. Canonical order is the execution order, so
     /// the race winner is always the canonical edge and nothing is
@@ -795,85 +721,42 @@ impl<P: Protocol> Searcher<'_, P> {
         stamp: u64,
         local_explored: &mut std::collections::HashSet<u64>,
         arena: &mut Vec<ArenaRec<P>>,
-        next_level: &mut Vec<(GlobalState<P>, Option<usize>)>,
-        next_bytes: &mut usize,
+        next: &mut NextLevel<P>,
         stats: &mut SearchStats,
     ) {
         let state = &item.0;
-        let mut filtered = 0usize;
-        let mut prunes = 0usize;
-        let events = if self.config.prune_local {
-            enumerate_gated(
-                self.protocol,
-                &self.config,
-                state,
-                |node| {
-                    let lh = state.local_hash(node).expect("node exists");
-                    if local_explored.insert(lh) {
-                        true
-                    } else {
-                        prunes += 1;
-                        false
-                    }
-                },
-                &mut filtered,
-            )
-        } else {
-            enumerate_gated(self.protocol, &self.config, state, |_| true, &mut filtered)
-        };
-        stats.filtered_events += filtered;
-        stats.local_prunes += prunes;
-        for event in events {
-            let mut next = state.clone();
-            let step = apply_event(self.protocol, &mut next, &event);
-            let hash = next.state_hash();
-            match batch.insert_leveled(hash, stamp) {
-                Admission::Fresh => {
-                    arena.push(ArenaRec {
-                        parent: item.1,
-                        event,
-                        step,
-                    });
-                    *next_bytes += approx_state_bytes(&next);
-                    next_level.push((next, Some(arena.len() - 1)));
-                    stats.states_enqueued += 1;
-                }
+        for event in self.enumerate_claiming(state, local_explored, stats) {
+            let mut succ = state.clone();
+            let step = apply_event(self.protocol, &mut succ, &event);
+            match batch.insert_leveled(succ.state_hash(), stamp) {
+                Admission::Fresh => next.push(arena, item.1, succ, event, step),
                 Admission::Seen { .. } => stats.duplicates_hit += 1,
             }
         }
     }
 
     /// Phase 1: property-checks every level item, fanning out over
-    /// `workers` threads (inline when 1). `search_t0` is the clock the
-    /// whole search runs on; returns the checks plus whether the
-    /// deadline fired mid-phase.
+    /// `workers` threads. The checks are incomplete (and to be discarded)
+    /// when the deadline fired mid-phase.
     fn check_level(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
         workers: usize,
-        search_t0: Instant,
+        deadline: &Deadline,
         pool: &WorkerPool,
-    ) -> (Vec<Option<Violation>>, bool) {
-        let over =
-            |limit: Option<std::time::Duration>| limit.is_some_and(|d| search_t0.elapsed() >= d);
-        if workers == 1 || level.len() <= 1 {
-            let mut checks = Vec::with_capacity(level.len());
-            for (s, _) in level {
-                if over(self.config.deadline) {
-                    return (checks, true);
-                }
-                checks.push(self.props.check(s));
-            }
-            return (checks, false);
+    ) -> Vec<Option<Violation>> {
+        if level.len() <= 1 {
+            return level
+                .iter()
+                .map_while(|(s, _)| (!deadline.passed()).then(|| self.props.check(s)))
+                .collect();
         }
         let slots: Vec<Mutex<Option<Option<Violation>>>> =
             level.iter().map(|_| Mutex::new(None)).collect();
         let queues = StealQueues::split(workers, level.len());
-        let deadline_hit = AtomicBool::new(false);
         let worker_loop = |w: usize| {
             while let Some(i) = queues.next(w) {
-                if over(self.config.deadline) {
-                    deadline_hit.store(true, Ordering::Relaxed);
+                if deadline.passed() {
                     return;
                 }
                 let v = self.props.check(&level[i].0);
@@ -887,92 +770,48 @@ impl<P: Protocol> Searcher<'_, P> {
             }
             worker_loop(0);
         });
-        if deadline_hit.load(Ordering::Relaxed) {
-            return (Vec::new(), true);
+        if deadline.hit() {
+            return Vec::new();
         }
-        (
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("check slot poisoned")
-                        .expect("checked")
-                })
-                .collect(),
-            false,
-        )
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("check slot poisoned")
+                    .expect("checked")
+            })
+            .collect()
     }
 
     /// Executes one expansion job: enumerate, clone, apply, hash, and
     /// race each successor into the explored table — one CAS per
     /// successor through a per-job [`ExploredBatch`], so the segment
     /// snapshot and the shared-length update cost one synchronization
-    /// edge per batch instead of one per state.
-    fn expand_one(
-        &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        job: &ExpandJob,
-        explored: &LockFreeExplored,
-        stamp: u64,
-    ) -> JobOut<P> {
-        let state = &level[job.item].0;
-        let mut filtered = 0usize;
-        let events = match &job.allowed {
-            Some(nodes) => enumerate_gated(
-                self.protocol,
-                &self.config,
-                state,
-                |n| nodes.contains(&n),
-                &mut filtered,
-            ),
-            None => enumerate_gated(self.protocol, &self.config, state, |_| true, &mut filtered),
-        };
-        let mut batch = explored.batch();
-        let mut edges = Vec::with_capacity(events.len());
-        for event in events {
-            let mut next = state.clone();
-            let step = apply_event(self.protocol, &mut next, &event);
-            let hash = next.state_hash();
-            let (state, prior_level) = match batch.insert_leveled(hash, stamp) {
-                Admission::Fresh => (Some(next), 0),
-                Admission::Seen { level } => (None, level),
-            };
-            edges.push(EdgeOut {
-                state,
-                hash,
-                prior_level,
-                event,
-                step,
-            });
-        }
-        JobOut { edges, filtered }
-    }
-
-    /// [`Self::expand_one`] for the sharded merge: identical expansion,
-    /// but each successor edge is routed to the merge shard owning its
-    /// hash (tagged with its in-job order for the recombine). Returns the
-    /// per-shard edge lists plus the job's filtered-event count.
-    fn expand_one_sharded(
+    /// edge per batch instead of one per state. Each successor edge is
+    /// routed to the merge shard owning its hash, tagged with its in-job
+    /// order. Returns the per-shard edge lists plus the job's
+    /// filtered-event count.
+    fn expand_job(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
         job: &ExpandJob,
         explored: &LockFreeExplored,
         stamp: u64,
         shards: usize,
-    ) -> (Vec<Vec<ShardEdge<P>>>, usize) {
+    ) -> (Vec<Vec<Edge<P>>>, usize) {
         let state = &level[job.item].0;
         let mut filtered = 0usize;
-        let events = match &job.allowed {
-            Some(nodes) => enumerate_gated(
-                self.protocol,
-                &self.config,
-                state,
-                |n| nodes.contains(&n),
-                &mut filtered,
-            ),
-            None => enumerate_gated(self.protocol, &self.config, state, |_| true, &mut filtered),
-        };
-        let mut per: Vec<Vec<ShardEdge<P>>> = (0..shards).map(|_| Vec::new()).collect();
+        let events = enumerate_gated(
+            self.protocol,
+            &self.config,
+            state,
+            |n| job.allowed.as_ref().is_none_or(|nodes| nodes.contains(&n)),
+            &mut filtered,
+        );
+        // A lone shard takes every edge, so its list is sized exactly; a
+        // hash split is uneven and mostly short, so those grow on demand.
+        let cap = if shards == 1 { events.len() } else { 0 };
+        let mut per: Vec<Vec<Edge<P>>> = (0..shards).map(|_| Vec::with_capacity(cap)).collect();
         let mut batch = explored.batch();
         for (ord, event) in events.into_iter().enumerate() {
             let mut next = state.clone();
@@ -982,7 +821,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 Admission::Fresh => (Some(next), 0),
                 Admission::Seen { level } => (None, level),
             };
-            per[shard_of(hash, shards)].push(ShardEdge {
+            per[shard_of(hash, shards)].push(Edge {
                 ord: ord as u32,
                 state,
                 hash,
@@ -994,36 +833,33 @@ impl<P: Protocol> Searcher<'_, P> {
         (per, filtered)
     }
 
-    /// Applies the canonical enqueue-time dedup to one job's edge batch,
-    /// in canonical order. Exactly the bookkeeping the sequential loop
-    /// performs at its `explored.insert`: the canonically-first edge to a
-    /// hash admitted this level becomes its parent (with the canonical
-    /// clone — re-derived when the insert race went to a non-canonical
-    /// edge); everything else is a duplicate.
+    /// Applies the canonical enqueue-time dedup to one shard's share of
+    /// one job's edges, in canonical order, emitting every admitted edge
+    /// into `sink` and returning the duplicates it discarded. Exactly the
+    /// bookkeeping the sequential loop performs at its `explored.insert`:
+    /// the canonically-first edge to a hash admitted this level becomes
+    /// its parent; everything else is a duplicate. Equal hashes always
+    /// land in the same shard, so the decision is taken with the same
+    /// inputs at every shard count.
     #[allow(clippy::too_many_arguments)]
-    fn merge_job(
+    fn admit(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
         item: usize,
-        out: JobOut<P>,
+        job: usize,
+        edges: Vec<Edge<P>>,
         stamp_cmp: u64,
-        seen_level: &mut HashSet<u64>,
-        arena: &mut Vec<ArenaRec<P>>,
-        next_level: &mut Vec<(GlobalState<P>, Option<usize>)>,
-        next_bytes: &mut usize,
-        stats: &mut SearchStats,
-    ) {
-        stats.filtered_events += out.filtered;
-        for edge in out.edges {
-            if !seen_level.insert(edge.hash) {
-                // A canonically-earlier edge this level already decided
-                // this hash (admitted it or proved it a duplicate).
-                stats.duplicates_hit += 1;
-                continue;
-            }
-            let admitted_this_level = edge.state.is_some() || edge.prior_level == stamp_cmp;
-            if !admitted_this_level {
-                stats.duplicates_hit += 1;
+        seen: &mut HashSet<u64>,
+        mut sink: impl FnMut(AdmittedEdge<P>),
+    ) -> usize {
+        let mut duplicates = 0usize;
+        for edge in edges {
+            // `seen`: a canonically-earlier edge this level already
+            // decided this hash (admitted it or proved it a duplicate).
+            // Otherwise the level stamp tells this level's admissions
+            // from duplicates of an earlier level.
+            if !seen.insert(edge.hash) || !(edge.state.is_some() || edge.prior_level == stamp_cmp) {
+                duplicates += 1;
                 continue;
             }
             // This edge is canonically first to a hash first reached this
@@ -1032,261 +868,94 @@ impl<P: Protocol> Searcher<'_, P> {
             // equal hashes guarantee equal node states and equal in-flight
             // *multisets*, but not equal in-flight `Vec` order, and that
             // order steers downstream event enumeration.
-            let state = match edge.state {
-                Some(state) => state,
-                None => {
-                    let mut s = level[item].0.clone();
-                    apply_event(self.protocol, &mut s, &edge.event);
-                    s
-                }
-            };
-            arena.push(ArenaRec {
-                parent: level[item].1,
-                event: edge.event,
-                step: edge.step,
+            let state = edge.state.unwrap_or_else(|| {
+                let mut s = level[item].0.clone();
+                apply_event(self.protocol, &mut s, &edge.event);
+                s
             });
-            *next_bytes += approx_state_bytes(&state);
-            next_level.push((state, Some(arena.len() - 1)));
-            stats.states_enqueued += 1;
-        }
-    }
-
-    /// Phase 3: expands every job and merges the resulting edge batches
-    /// in canonical job order, overlapped. Returns whether the deadline
-    /// fired mid-phase (in which case the partial merge results are
-    /// discarded by the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn expand_and_merge_level(
-        &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        jobs: &[ExpandJob],
-        explored: &LockFreeExplored,
-        stamp: u64,
-        workers: usize,
-        search_t0: Instant,
-        pool: &WorkerPool,
-        seen_level: &mut HashSet<u64>,
-        arena: &mut Vec<ArenaRec<P>>,
-        next_level: &mut Vec<(GlobalState<P>, Option<usize>)>,
-        next_bytes: &mut usize,
-        stats: &mut SearchStats,
-    ) -> bool {
-        let _span = cb_obs::span("mc.expand", "mc");
-        let over =
-            |limit: Option<std::time::Duration>| limit.is_some_and(|d| search_t0.elapsed() >= d);
-        // The stamp as the table stores it (compact layouts saturate the
-        // level field): what `prior_level` readbacks must be compared to.
-        let stamp_cmp = explored.stored_level(stamp);
-
-        if workers == 1 || jobs.len() <= 1 {
-            // Inline fast path: expand and merge interleave per job. The
-            // canonical order *is* the execution order, so the race
-            // winner is always the canonical edge and nothing needs
-            // buffering — this is the sequential loop minus the frontier.
-            for job in jobs {
-                if over(self.config.deadline) {
-                    return true;
-                }
-                let out = self.expand_one(level, job, explored, stamp);
-                self.merge_job(
-                    level, job.item, out, stamp_cmp, seen_level, arena, next_level, next_bytes,
-                    stats,
-                );
-            }
-            return false;
-        }
-
-        let chan: MergeChannel<JobOut<P>> = MergeChannel::new(jobs.len());
-        let stop = AtomicBool::new(false);
-        let deadline_hit = AtomicBool::new(false);
-        pool.scope(|scope: &PoolScope<'_, '_>| {
-            for (j, job) in jobs.iter().enumerate() {
-                let chan = &chan;
-                let stop = &stop;
-                let deadline_hit = &deadline_hit;
-                scope.spawn(move || {
-                    let mut guard = DepositGuard {
-                        chan,
-                        j,
-                        armed: true,
-                    };
-                    if stop.load(Ordering::Relaxed) {
-                        return; // guard deposits an empty batch
-                    }
-                    if over(self.config.deadline) {
-                        deadline_hit.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let out = self.expand_one(level, job, explored, stamp);
-                    guard.armed = false;
-                    chan.deposit(j, out);
-                });
-            }
-
-            // The coordinator: merge batches in canonical order while the
-            // remaining jobs expand. Starvation never blocks progress —
-            // if the next canonical batch is missing and one of our jobs
-            // is still queued, the coordinator runs it itself
-            // (`help_one`), which also preserves canonical-completion
-            // order on a zero-thread pool.
-            let mut merged = 0usize;
-            while merged < jobs.len() {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let got = match chan.try_next() {
-                    Some(got) => Some(got),
-                    None => {
-                        if scope.help_one() {
-                            // Ran one of our own queued jobs instead of
-                            // sleeping — expansion work, attributed to
-                            // neither merge timer.
-                            continue;
-                        }
-                        // The needed job is running on another thread:
-                        // wait for its deposit (deposits of the awaited
-                        // index notify).
-                        let tw = Instant::now();
-                        let got = chan.wait_next(&stop);
-                        stats.merge_wait += tw.elapsed();
-                        got
-                    }
-                };
-                let Some((j, out)) = got else {
-                    break; // stop raised (deadline in a task)
-                };
-                let tb = Instant::now();
-                self.merge_job(
-                    level,
-                    jobs[j].item,
-                    out,
-                    stamp_cmp,
-                    seen_level,
-                    arena,
-                    next_level,
-                    next_bytes,
-                    stats,
-                );
-                stats.merge_busy += tb.elapsed();
-                merged += 1;
-                if over(self.config.deadline) {
-                    deadline_hit.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            // Scope exit runs any still-queued tasks (they observe `stop`
-            // and deposit empty batches) and waits for in-flight ones.
-        });
-        deadline_hit.load(Ordering::Relaxed)
-    }
-
-    /// The per-shard slice of [`Self::merge_job`]: applies the canonical
-    /// enqueue-time dedup to the shard's share of one job's edges, in
-    /// canonical (job, ord) order. Equal hashes always land in the same
-    /// shard, so every per-hash decision — first-canonical-edge wins,
-    /// admitted-this-level vs earlier-duplicate, canonical-clone
-    /// re-derivation — is taken with exactly the same inputs the
-    /// single-coordinator merge would use; only decisions about
-    /// *different* hashes run concurrently.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_shard_batch(
-        &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        item: usize,
-        job: u32,
-        edges: Vec<ShardEdge<P>>,
-        stamp_cmp: u64,
-        seen: &mut HashSet<u64>,
-        out: &mut ShardMerged<P>,
-    ) {
-        for edge in edges {
-            if !seen.insert(edge.hash) {
-                out.duplicates += 1;
-                continue;
-            }
-            let admitted_this_level = edge.state.is_some() || edge.prior_level == stamp_cmp;
-            if !admitted_this_level {
-                out.duplicates += 1;
-                continue;
-            }
-            // Canonically first to a hash first reached this level: keep
-            // its clone if it also won the insert race, else re-derive
-            // the canonical clone (see `merge_job` — the rule survives
-            // per shard because the race loser's hash equality guarantee
-            // is shard-independent).
-            let state = match edge.state {
-                Some(state) => state,
-                None => {
-                    let mut s = level[item].0.clone();
-                    apply_event(self.protocol, &mut s, &edge.event);
-                    s
-                }
-            };
-            out.admitted.push(AdmittedEdge {
-                job,
+            sink(AdmittedEdge {
+                job: job as u32,
                 ord: edge.ord,
                 state,
                 event: edge.event,
                 step: edge.step,
             });
         }
+        duplicates
     }
 
-    /// A tail merge shard: consumes its channel in canonical job order
-    /// and merges its key range. Runs as a pool task spawned *after* all
-    /// expand tasks of the level (see `expand_and_merge_level_sharded`
-    /// for why that ordering makes blocking here deadlock-free).
+    /// One merge shard's consumer: takes the shard's channel in canonical
+    /// job order and admits its key range into `sink`. The coordinator
+    /// passes its pool scope, so a missing batch makes it run one of the
+    /// level's queued tasks instead of sleeping — starvation never blocks
+    /// progress, and canonical-completion order holds even on a
+    /// zero-thread pool; tail shards pass `None` and just wait.
+    #[allow(clippy::too_many_arguments)]
     fn merge_shard(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
         jobs: &[ExpandJob],
-        chan: &MergeChannel<Vec<ShardEdge<P>>>,
+        chan: &MergeChannel<Vec<Edge<P>>>,
         stamp_cmp: u64,
-        stop: &AtomicBool,
-    ) -> ShardMerged<P> {
+        deadline: &Deadline,
+        helper: Option<&PoolScope<'_, '_>>,
+        mut sink: impl FnMut(AdmittedEdge<P>),
+    ) -> MergeTally {
         let _span = cb_obs::span("mc.merge_shard", "mc");
-        let mut out = ShardMerged::new();
+        let mut tally = MergeTally::default();
+        // Hashes this shard already decided this level.
         let mut seen: HashSet<u64> = HashSet::new();
         let mut merged = 0usize;
         while merged < jobs.len() {
-            if stop.load(Ordering::Relaxed) {
-                break; // partial results are discarded on deadline stops
+            // Partial results are discarded on deadline stops.
+            if deadline.passed() {
+                break;
             }
             let got = match chan.try_next() {
                 Some(got) => Some(got),
                 None => {
+                    if helper.is_some_and(|scope| scope.help_one()) {
+                        // Ran a queued task instead of sleeping —
+                        // expansion work, attributed to neither timer.
+                        continue;
+                    }
+                    // The needed job is running on another thread: wait
+                    // for its deposit (deposits of the awaited index
+                    // notify).
                     let tw = Instant::now();
-                    let got = chan.wait_next(stop);
-                    out.wait += tw.elapsed();
+                    let got = chan.wait_next(&deadline.hit);
+                    tally.wait += tw.elapsed();
                     got
                 }
             };
             let Some((j, edges)) = got else {
-                break;
+                break; // deadline raised by another task
             };
             let tb = Instant::now();
-            self.merge_shard_batch(
+            tally.duplicates += self.admit(
                 level,
                 jobs[j].item,
-                j as u32,
+                j,
                 edges,
                 stamp_cmp,
                 &mut seen,
-                &mut out,
+                &mut sink,
             );
-            out.busy += tb.elapsed();
+            tally.busy += tb.elapsed();
             merged += 1;
         }
-        out
+        tally
     }
 
-    /// Phase 3, sharded: expansion tasks route each successor edge to the
-    /// merge shard owning its hash; the shards dedup/merge their key
-    /// ranges concurrently (shard 0 streamed by the coordinator, shards
-    /// 1..k as pool tasks), and a sequential recombine k-way-merges the
-    /// admitted edges back into the exact sequential enqueue order.
+    /// Phase 3: expands every job and merges the resulting edges in
+    /// canonical order, overlapped. Expansion tasks route each successor
+    /// edge to the merge shard owning its hash; the shards dedup/merge
+    /// their key ranges concurrently (shard 0 streamed by the
+    /// coordinator, shards 1..k as pool tasks). One shard enqueues as it
+    /// admits; more buffer their admitted edges for a sequential recombine
+    /// that k-way-merges them back into the exact sequential enqueue
+    /// order. When the deadline fires mid-phase the merge is left partial,
+    /// for the caller to discard.
     ///
     /// Deadlock freedom: tail merge tasks block on deposits, so they are
     /// spawned *after* every expand task. The pool queue is FIFO — by the
@@ -1298,37 +967,60 @@ impl<P: Protocol> Searcher<'_, P> {
     /// `help_one` (FIFO again: expands drain first, and a merge task run
     /// inline then finds all its deposits already present).
     #[allow(clippy::too_many_arguments)]
-    fn expand_and_merge_level_sharded(
+    fn expand_and_merge_level(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
         jobs: &[ExpandJob],
         explored: &LockFreeExplored,
         stamp: u64,
         shards: usize,
-        search_t0: Instant,
+        deadline: &Deadline,
         pool: &WorkerPool,
         arena: &mut Vec<ArenaRec<P>>,
-        next_level: &mut Vec<(GlobalState<P>, Option<usize>)>,
-        next_bytes: &mut usize,
+        next: &mut NextLevel<P>,
         stats: &mut SearchStats,
-    ) -> bool {
+    ) {
         let _span = cb_obs::span("mc.expand", "mc");
-        let over =
-            |limit: Option<std::time::Duration>| limit.is_some_and(|d| search_t0.elapsed() >= d);
+        // The stamp as the table stores it (compact layouts saturate the
+        // level field): what `prior_level` readbacks must be compared to.
         let stamp_cmp = explored.stored_level(stamp);
-        let chans: Vec<MergeChannel<Vec<ShardEdge<P>>>> =
-            (0..shards).map(|_| MergeChannel::new(jobs.len())).collect();
-        let stop = AtomicBool::new(false);
-        let deadline_hit = AtomicBool::new(false);
-        let filtered = AtomicUsize::new(0);
-        let tail_out: Vec<Mutex<Option<ShardMerged<P>>>> =
-            (1..shards).map(|_| Mutex::new(None)).collect();
-        let mut out0 = ShardMerged::new();
-        pool.scope(|scope: &PoolScope<'_, '_>| {
+        let parent = |job: u32| level[jobs[job as usize].item].1;
+
+        if jobs.len() <= 1 {
+            // Nothing to overlap: expand and merge inline, no scope or
+            // channel. Canonical order *is* the execution order.
             for (j, job) in jobs.iter().enumerate() {
-                let chans = &chans;
-                let stop = &stop;
-                let deadline_hit = &deadline_hit;
+                if deadline.passed() {
+                    return;
+                }
+                let (mut per, filtered) = self.expand_job(level, job, explored, stamp, 1);
+                stats.filtered_events += filtered;
+                let edges = per.pop().expect("one shard");
+                stats.duplicates_hit += self.admit(
+                    level,
+                    job.item,
+                    j,
+                    edges,
+                    stamp_cmp,
+                    &mut HashSet::new(),
+                    |e| next.push(arena, parent(e.job), e.state, e.event, e.step),
+                );
+            }
+            return;
+        }
+
+        let chans: Vec<MergeChannel<Vec<Edge<P>>>> =
+            (0..shards).map(|_| MergeChannel::new(jobs.len())).collect();
+        let filtered = AtomicUsize::new(0);
+        // What each buffering shard admitted (canonically ordered within
+        // its key range) and counted; unused at one shard.
+        type ShardOut<P> = (Vec<AdmittedEdge<P>>, MergeTally);
+        let tail_out: Vec<Mutex<Option<ShardOut<P>>>> =
+            (1..shards).map(|_| Mutex::new(None)).collect();
+        let mut admitted0: Vec<AdmittedEdge<P>> = Vec::new();
+        let tally0 = pool.scope(|scope: &PoolScope<'_, '_>| {
+            for (j, job) in jobs.iter().enumerate() {
+                let chans = &chans[..];
                 let filtered = &filtered;
                 scope.spawn(move || {
                     let mut guard = ShardDepositGuard {
@@ -1336,132 +1028,90 @@ impl<P: Protocol> Searcher<'_, P> {
                         j,
                         armed: true,
                     };
-                    if stop.load(Ordering::Relaxed) {
+                    if deadline.passed() {
                         return; // guard deposits empty slices to every shard
                     }
-                    if over(self.config.deadline) {
-                        deadline_hit.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let (per, f) = self.expand_one_sharded(level, job, explored, stamp, shards);
+                    let (per, f) = self.expand_job(level, job, explored, stamp, shards);
                     filtered.fetch_add(f, Ordering::Relaxed);
                     guard.armed = false;
-                    for (s, edges) in per.into_iter().enumerate() {
-                        chans[s].deposit(j, edges);
+                    for (chan, edges) in chans.iter().zip(per) {
+                        chan.deposit(j, edges);
                     }
                 });
             }
             // Tail mergers — spawned after every expand task; the FIFO
             // queue order is load-bearing (see the method docs).
-            for (s, slot) in tail_out.iter().enumerate() {
-                let chans = &chans;
-                let stop = &stop;
+            for (chan, slot) in chans[1..].iter().zip(&tail_out) {
                 scope.spawn(move || {
-                    let merged = self.merge_shard(level, jobs, &chans[s + 1], stamp_cmp, stop);
-                    *slot.lock().expect("shard output slot poisoned") = Some(merged);
+                    let mut admitted = Vec::new();
+                    let tally =
+                        self.merge_shard(level, jobs, chan, stamp_cmp, deadline, None, |e| {
+                            admitted.push(e)
+                        });
+                    *slot.lock().expect("shard output slot poisoned") = Some((admitted, tally));
                 });
             }
-            // The coordinator streams shard 0, helping with queued work
-            // (expands first, FIFO) when its next batch is not ready.
-            let mut seen: HashSet<u64> = HashSet::new();
-            let mut merged = 0usize;
-            while merged < jobs.len() {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let got = match chans[0].try_next() {
-                    Some(got) => Some(got),
-                    None => {
-                        if scope.help_one() {
-                            continue;
-                        }
-                        let tw = Instant::now();
-                        let got = chans[0].wait_next(&stop);
-                        out0.wait += tw.elapsed();
-                        got
-                    }
-                };
-                let Some((j, edges)) = got else {
-                    break;
-                };
-                let tb = Instant::now();
-                self.merge_shard_batch(
-                    level,
-                    jobs[j].item,
-                    j as u32,
-                    edges,
-                    stamp_cmp,
-                    &mut seen,
-                    &mut out0,
-                );
-                out0.busy += tb.elapsed();
-                merged += 1;
-                if over(self.config.deadline) {
-                    deadline_hit.store(true, Ordering::Relaxed);
-                    stop.store(true, Ordering::Relaxed);
-                    break;
-                }
+            // The coordinator streams shard 0. Alone, it sees every
+            // admitted edge in canonical order and enqueues directly.
+            let (chan, helper) = (&chans[0], Some(scope));
+            if shards == 1 {
+                self.merge_shard(level, jobs, chan, stamp_cmp, deadline, helper, |e| {
+                    next.push(arena, parent(e.job), e.state, e.event, e.step)
+                })
+            } else {
+                self.merge_shard(level, jobs, chan, stamp_cmp, deadline, helper, |e| {
+                    admitted0.push(e)
+                })
             }
+            // Scope exit runs any still-queued tasks (after a deadline
+            // they deposit empty batches) and waits for in-flight ones.
         });
-        if deadline_hit.load(Ordering::Relaxed) {
-            return true;
+        if deadline.hit() {
+            return;
         }
         stats.filtered_events += filtered.load(Ordering::Relaxed);
+        stats.merge_wait += tally0.wait;
+        let mut outs = vec![(admitted0, tally0)];
+        outs.extend(tail_out.into_iter().map(|slot| {
+            slot.into_inner()
+                .expect("shard output slot poisoned")
+                .expect("tail shard merged (scope joined)")
+        }));
+        for (s, (_, tally)) in outs.iter().enumerate() {
+            stats.duplicates_hit += tally.duplicates;
+            stats.merge_busy += tally.busy;
+            stats.merge_shard_busy[s] += tally.busy;
+        }
+        if shards == 1 {
+            return;
+        }
 
         // Deterministic recombine: every shard's admitted list is already
         // sorted by (job, ord) — the canonical order restricted to its
         // key range — so a k-way merge on (job, ord) reconstitutes the
         // exact sequential enqueue order, and arena indices / next-level
-        // positions come out bit-identical to the unsharded merge.
+        // positions come out bit-identical to the single-stream merge.
         let _rec_span = cb_obs::span("mc.recombine", "mc");
         let t_rec = Instant::now();
-        let mut outs: Vec<ShardMerged<P>> = Vec::with_capacity(shards);
-        outs.push(out0);
-        for slot in tail_out {
-            outs.push(
-                slot.into_inner()
-                    .expect("shard output slot poisoned")
-                    .expect("tail shard merged (scope joined)"),
-            );
-        }
-        if stats.merge_shard_busy.len() < shards {
-            stats.merge_shard_busy.resize(shards, Duration::ZERO);
-        }
-        for (s, merged) in outs.iter().enumerate() {
-            stats.duplicates_hit += merged.duplicates;
-            stats.merge_busy += merged.busy;
-            stats.merge_shard_busy[s] += merged.busy;
-        }
-        stats.merge_wait += outs[0].wait;
-        stats.merge_shards = shards;
-        let mut iters: Vec<_> = outs
+        let mut streams: Vec<_> = outs
             .into_iter()
-            .map(|m| m.admitted.into_iter().peekable())
+            .map(|(admitted, _)| admitted.into_iter().peekable())
             .collect();
         loop {
-            let mut best: Option<(usize, (u32, u32))> = None;
-            for (s, it) in iters.iter_mut().enumerate() {
-                if let Some(edge) = it.peek() {
-                    let key = (edge.job, edge.ord);
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((s, key));
+            let mut best: Option<((u32, u32), usize)> = None;
+            for (s, it) in streams.iter_mut().enumerate() {
+                if let Some(e) = it.peek() {
+                    let key = (e.job, e.ord);
+                    if best.is_none_or(|(bk, _)| key < bk) {
+                        best = Some((key, s));
                     }
                 }
             }
-            let Some((s, _)) = best else { break };
-            let edge = iters[s].next().expect("peeked edge");
-            arena.push(ArenaRec {
-                parent: level[jobs[edge.job as usize].item].1,
-                event: edge.event,
-                step: edge.step,
-            });
-            *next_bytes += approx_state_bytes(&edge.state);
-            next_level.push((edge.state, Some(arena.len() - 1)));
-            stats.states_enqueued += 1;
+            let Some((_, s)) = best else { break };
+            let e = streams[s].next().expect("peeked edge");
+            next.push(arena, parent(e.job), e.state, e.event, e.step);
         }
         stats.merge_recombine += t_rec.elapsed();
-        false
     }
 }
 
@@ -1508,8 +1158,8 @@ mod tests {
     use super::*;
     use crate::search::{find_consequences, find_errors};
     use crate::SearchConfig;
-    use cb_model::testproto::{max_pings_property, Ping};
-    use cb_model::{ExploreOptions, NodeId, PropertySet};
+    use cb_model::testproto::{max_pings_property, Ping, PingAction, PingMsg, PingState};
+    use cb_model::{ExploreOptions, NodeId, Outbox, PropertySet};
 
     fn sys(n: u32) -> (Ping, GlobalState<Ping>) {
         let cfg = Ping {
@@ -1754,16 +1404,112 @@ mod tests {
                 "shards={shards}"
             );
             assert_eq!(seq.stats.per_depth, par.stats.per_depth, "shards={shards}");
-            if shards > 1 {
-                assert_eq!(par.stats.merge_shards, shards, "sharded path ran");
+            assert_eq!(par.stats.merge_shards, shards, "shards={shards}");
+            assert_eq!(
+                par.stats.merge_shard_busy.len(),
+                shards,
+                "one busy entry per shard (shards={shards})"
+            );
+            if shards == 1 {
                 assert_eq!(
-                    par.stats.merge_shard_busy.len(),
-                    shards,
-                    "per-shard busy recorded"
+                    par.stats.merge_recombine,
+                    Duration::ZERO,
+                    "a single stream has nothing to recombine"
                 );
-            } else {
-                assert_eq!(par.stats.merge_shards, 0, "unsharded path at 1 shard");
             }
+        }
+    }
+
+    /// [`Ping`], except that receiving a `Pong` panics — a handler bug no
+    /// path shorter than kick, ping delivery, pong delivery reaches, so it
+    /// first fires while a depth-2 level is expanding.
+    #[derive(Clone, Debug)]
+    struct PongPanics(Ping);
+
+    impl Protocol for PongPanics {
+        type State = PingState;
+        type Message = PingMsg;
+        type Action = PingAction;
+        fn name(&self) -> &'static str {
+            "pong-panics"
+        }
+        fn init(&self, node: NodeId) -> PingState {
+            self.0.init(node)
+        }
+        fn on_message(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            from: NodeId,
+            msg: &PingMsg,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            assert!(*msg != PingMsg::Pong, "handler bug behind a pong");
+            self.0.on_message(node, state, from, msg, out)
+        }
+        fn on_error(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            peer: NodeId,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            self.0.on_error(node, state, peer, out)
+        }
+        fn enabled_actions(&self, node: NodeId, state: &PingState, acts: &mut Vec<PingAction>) {
+            self.0.enabled_actions(node, state, acts)
+        }
+        fn on_action(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            action: &PingAction,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            self.0.on_action(node, state, action, out)
+        }
+        fn message_kind(msg: &PingMsg) -> &'static str {
+            Ping::message_kind(msg)
+        }
+        fn action_kind(action: &PingAction) -> &'static str {
+            Ping::action_kind(action)
+        }
+    }
+
+    /// A panicking expand task must not strand a merge consumer on the
+    /// batch it never deposited: the deposit guard fills the gap on every
+    /// shard's channel, the level drains, and the pool re-raises the
+    /// panic out of `run_parallel`.
+    #[test]
+    fn handler_panic_in_expand_task_leaves_the_engine() {
+        let (p, gs) = sys(4);
+        let proto = PongPanics(p);
+        let gs = GlobalState::init(&proto, gs.nodes.keys().copied());
+        for shards in [1, 2, 4] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (proto, gs) = (proto.clone(), gs.clone());
+            let search = std::thread::spawn(move || {
+                let panicked = std::panic::catch_unwind(|| {
+                    find_errors_parallel(
+                        &proto,
+                        &PropertySet::new(),
+                        &gs,
+                        cfg(),
+                        &ParallelConfig {
+                            workers: 4,
+                            merge_shards: shards,
+                            ..ParallelConfig::default()
+                        },
+                    )
+                })
+                .is_err();
+                let _ = done_tx.send(panicked);
+            });
+            let panicked = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("engine hung on a panicked task (shards={shards})"));
+            assert!(panicked, "the handler panic propagates (shards={shards})");
+            search.join().expect("search thread exits");
         }
     }
 

@@ -29,32 +29,19 @@
 //!   and replay), and spending the runtime budget on post-violation suffixes
 //!   would only delay finding distinct violations.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::mem::size_of;
 use std::time::{Duration, Instant};
 
 use cb_model::{
-    apply_event, Event, ExploreOptions, GlobalState, NodeId, PropertySet, Protocol, TraceStep,
+    apply_event, enumerate_events_gated, Event, ExploreOptions, GlobalState, NodeId, PropertySet,
+    Protocol, TraceStep,
 };
 
 use crate::filter::FilterSet;
-use crate::frontier::{FifoFrontier, Frontier, FrontierItem};
 use crate::parallel::ParallelConfig;
 use crate::report::{FoundViolation, PathStep, SearchOutcome, StopReason};
 use crate::stats::SearchStats;
-
-// The same scrapeable families the parallel engine records (the registry
-// deduplicates by name, so both engines feed one core): live deployments
-// default to the sequential engine, and its searches must show up on the
-// metrics plane too.
-static M_STATES_VISITED: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_mc_states_visited_total",
-    "states visited across all searches",
-);
-static M_EXPLORED_RESIDENT: cb_obs::metrics::Gauge = cb_obs::metrics::Gauge::new(
-    "cb_mc_explored_resident_bytes",
-    "explored-set bytes resident in memory after the last search",
-);
 
 /// Stop criteria and exploration options for one search run — the paper's
 /// `StopCriterion` plus CrystalBall-specific knobs.
@@ -165,79 +152,29 @@ pub struct Searcher<'a, P: Protocol> {
     pub config: SearchConfig,
 }
 
-/// Enumerates the events to explore from `state` under `config`, in the
-/// canonical deterministic order every engine shares: in-flight items by
-/// index (delivery before drop), then nodes in id order (actions in
-/// `enabled_actions` order, then resets, then peer errors).
-///
-/// `allow_node` is the `localExplored` gate of Fig. 8: when it returns
-/// false for a node, that node's *entire* per-node block (actions, resets,
-/// peer errors) is skipped. Exhaustive search passes a constant-true gate.
-/// Events suppressed by installed filters are tallied into `filtered`.
+/// [`cb_model::enumerate_events_gated`] — the canonical event order every
+/// engine shares — with this search's installed filters as the keep test:
+/// events a filter blocks are dropped and tallied into `filtered`.
+/// `allow_node` is the `localExplored` gate of Fig. 8; exhaustive search
+/// passes a constant-true gate.
 pub(crate) fn enumerate_gated<P: Protocol>(
     protocol: &P,
     config: &SearchConfig,
     state: &GlobalState<P>,
-    mut allow_node: impl FnMut(NodeId) -> bool,
+    allow_node: impl FnMut(NodeId) -> bool,
     filtered: &mut usize,
 ) -> Vec<Event<P>> {
-    let mut events: Vec<Event<P>> = Vec::new();
-    let mut push = |ev: Event<P>, filtered: &mut usize| {
-        if let Some(key) = ev.key(state) {
-            if config.filters.blocks(&key) {
-                *filtered += 1;
-                return;
-            }
-        }
-        events.push(ev);
-    };
-
-    // Message deliveries are always explored (Fig. 8 line 13).
-    for index in 0..state.inflight.len() {
-        push(Event::Deliver { index }, filtered);
-        if config.explore.drops {
-            push(Event::Drop { index }, filtered);
-        }
-    }
-
-    // Local actions: only for fresh local states under consequence
-    // prediction (Fig. 8 lines 17–20).
-    let mut acts = Vec::new();
-    for (&node, slot) in &state.nodes {
-        if !allow_node(node) {
-            continue;
-        }
-        acts.clear();
-        protocol.enabled_actions(node, &slot.state, &mut acts);
-        for action in acts.drain(..) {
-            push(Event::Action { node, action }, filtered);
-        }
-        if config.explore.resets {
-            push(
-                Event::Reset {
-                    node,
-                    notify: false,
-                },
-                filtered,
-            );
-            if !slot.conns.is_empty() {
-                push(Event::Reset { node, notify: true }, filtered);
-            }
-        }
-        if config.explore.peer_errors {
-            for &peer in slot.conns.keys() {
-                push(Event::PeerError { node, peer }, filtered);
-            }
-        }
-    }
-    events
+    enumerate_events_gated(protocol, state, &config.explore, allow_node, |ev| {
+        let blocked = ev.key(state).is_some_and(|key| config.filters.blocks(&key));
+        *filtered += usize::from(blocked);
+        !blocked
+    })
 }
 
 impl<'a, P: Protocol> Searcher<'a, P> {
     /// Creates a searcher.
     pub fn new(protocol: &'a P, props: &'a PropertySet<P>, config: SearchConfig) -> Self {
-        M_STATES_VISITED.touch();
-        M_EXPLORED_RESIDENT.touch();
+        SearchStats::touch_metrics();
         Searcher {
             protocol,
             props,
@@ -287,23 +224,22 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         let mut explored: HashSet<u64> = HashSet::new();
         let mut local_explored: HashSet<u64> = HashSet::new();
-        let mut frontier: FifoFrontier<P> = FifoFrontier::new();
+        // (state, arena rec of the edge that reached it, depth). FIFO order
+        // is breadth-first order, and doubles as the *canonical* order the
+        // parallel engine reproduces.
+        let mut frontier: VecDeque<(GlobalState<P>, Option<usize>, usize)> = VecDeque::new();
         let mut frontier_bytes = 0usize;
         let mut depth_truncated = false;
 
         explored.insert(start.state_hash());
         frontier_bytes += approx_state_bytes(start);
         stats.peak_frontier_bytes = frontier_bytes;
-        frontier.push(FrontierItem {
-            state: start.clone(),
-            rec: None,
-            depth: 0,
-        });
+        frontier.push_back((start.clone(), None, 0));
         stats.states_enqueued += 1;
 
         let mut stopped = StopReason::Exhausted;
 
-        'search: while let Some(FrontierItem { state, rec, depth }) = frontier.pop() {
+        'search: while let Some((state, rec, depth)) = frontier.pop_front() {
             frontier_bytes = frontier_bytes.saturating_sub(approx_state_bytes(&state));
             if let Some(deadline) = self.config.deadline {
                 if t0.elapsed() >= deadline {
@@ -340,32 +276,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                 continue;
             }
 
-            // Expand: enumerate events, honoring filters and (optionally)
-            // the localExplored pruning of Fig. 8.
-            let mut filtered = 0usize;
-            let mut prunes = 0usize;
-            let events = if self.config.prune_local {
-                enumerate_gated(
-                    self.protocol,
-                    &self.config,
-                    &state,
-                    |node| {
-                        let lh = state.local_hash(node).expect("node exists");
-                        if local_explored.insert(lh) {
-                            true
-                        } else {
-                            prunes += 1;
-                            false
-                        }
-                    },
-                    &mut filtered,
-                )
-            } else {
-                enumerate_gated(self.protocol, &self.config, &state, |_| true, &mut filtered)
-            };
-            stats.filtered_events += filtered;
-            stats.local_prunes += prunes;
-            for event in events {
+            for event in self.enumerate_claiming(&state, &mut local_explored, &mut stats) {
                 let mut next = state.clone();
                 let step = apply_event(self.protocol, &mut next, &event);
                 let h = next.state_hash();
@@ -381,11 +292,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                 let child_rec = Some(arena.len() - 1);
                 frontier_bytes += approx_state_bytes(&next);
                 stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
-                frontier.push(FrontierItem {
-                    state: next,
-                    rec: child_rec,
-                    depth: depth + 1,
-                });
+                frontier.push_back((next, child_rec, depth + 1));
                 stats.states_enqueued += 1;
             }
         }
@@ -394,16 +301,49 @@ impl<'a, P: Protocol> Searcher<'a, P> {
             stopped = StopReason::DepthLimit;
         }
         stats.elapsed = t0.elapsed();
+        stats.explored_resident_bytes = explored.len() * 2 * size_of::<u64>();
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
-            + (explored.len() + local_explored.len()) * 2 * size_of::<u64>();
-        M_STATES_VISITED.add(stats.states_visited as u64);
-        M_EXPLORED_RESIDENT
-            .set(((explored.len() + local_explored.len()) * 2 * size_of::<u64>()) as u64);
+            + stats.explored_resident_bytes
+            + local_explored.len() * 2 * size_of::<u64>();
+        stats.publish();
         SearchOutcome {
             violations,
             stats,
             stopped,
         }
+    }
+
+    /// Enumerates the events to expand from `state` the way the canonical
+    /// dequeue does: filters honored, and — under consequence prediction —
+    /// each node's local-action block gated through a `localExplored`
+    /// claim made *now*, in node-id order (Fig. 8 lines 16–20). Tallies
+    /// `filtered_events` and `local_prunes`.
+    pub(crate) fn enumerate_claiming(
+        &self,
+        state: &GlobalState<P>,
+        local_explored: &mut HashSet<u64>,
+        stats: &mut SearchStats,
+    ) -> Vec<Event<P>> {
+        let mut filtered = 0usize;
+        let mut prunes = 0usize;
+        let events = enumerate_gated(
+            self.protocol,
+            &self.config,
+            state,
+            |node| {
+                if !self.config.prune_local {
+                    return true;
+                }
+                let lh = state.local_hash(node).expect("node exists");
+                let fresh = local_explored.insert(lh);
+                prunes += usize::from(!fresh);
+                fresh
+            },
+            &mut filtered,
+        );
+        stats.filtered_events += filtered;
+        stats.local_prunes += prunes;
+        events
     }
 
     /// The MaceMC random-walk baseline (§5.3): repeatedly walks a random
@@ -467,7 +407,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
             }
         }
         stats.elapsed = t0.elapsed();
-        M_STATES_VISITED.add(stats.states_visited as u64);
+        stats.publish();
         SearchOutcome {
             violations,
             stats,

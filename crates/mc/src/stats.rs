@@ -8,6 +8,30 @@
 
 use std::time::Duration;
 
+use cb_obs::metrics::{Counter, Gauge};
+
+// The scrapeable search-layer families, fed by every engine through
+// [`SearchStats::publish`]: the explored set's memory shape (gauges
+// reflect the most recently finished search — what "is the checker's
+// memory budget holding" means mid-deployment) and cumulative visit/spill
+// counters.
+static M_STATES_VISITED: Counter = Counter::new(
+    "cb_mc_states_visited_total",
+    "states visited across all searches",
+);
+static M_EXPLORED_RESIDENT: Gauge = Gauge::new(
+    "cb_mc_explored_resident_bytes",
+    "explored-set bytes resident in memory after the last search",
+);
+static M_EXPLORED_SPILLED: Gauge = Gauge::new(
+    "cb_mc_explored_spilled_bytes",
+    "explored-set bytes spilled to disk by the last search",
+);
+static M_SPILLS: Counter = Counter::new(
+    "cb_mc_explored_spills_total",
+    "explored-set spill flushes across all searches",
+);
+
 /// Counters and memory estimates collected during one search run.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
@@ -40,10 +64,11 @@ pub struct SearchStats {
     /// the coordinator spends *helping* expand is attributed to neither
     /// counter — it is expansion work, not merge cost.
     pub merge_wait: Duration,
-    /// Parallel engine only: number of merge shards the level-3 phase ran
-    /// with (0 when the unsharded/fused path was taken). Sharding splits
-    /// the canonical merge by explored-key range so shards dedup
-    /// concurrently; a deterministic recombine restores sequential order.
+    /// Parallel engine only: number of merge shards the streamed phase 3
+    /// ran with (0 on the fused pass, i.e. at one worker). Above one,
+    /// sharding splits the canonical merge by explored-key range so
+    /// shards dedup concurrently and a deterministic recombine restores
+    /// sequential order; at one the single stream enqueues directly.
     pub merge_shards: usize,
     /// Parallel engine only: per-shard busy time (index = shard). The sum
     /// equals `merge_busy`; the spread shows how evenly `shard_of` split
@@ -51,10 +76,12 @@ pub struct SearchStats {
     pub merge_shard_busy: Vec<Duration>,
     /// Parallel engine only: time spent in the sequential k-way recombine
     /// that merges per-shard admitted edges back into canonical enqueue
-    /// order. This is the sharded design's residual serial section.
+    /// order. This is the sharded design's residual serial section (zero
+    /// at one merge shard, which has nothing to recombine).
     pub merge_recombine: Duration,
-    /// Resident bytes of the explored set at search end (open-addressing
-    /// segments plus any spill-tier block index and bloom filter).
+    /// Resident bytes of the explored set at search end (the parallel
+    /// engine's open-addressing segments plus any spill-tier block index
+    /// and bloom filter; the sequential loop's hash-set entries).
     pub explored_resident_bytes: usize,
     /// Bytes of explored entries currently parked in the on-disk spill
     /// run (0 unless `explored_spill_bytes` was set and exceeded).
@@ -117,6 +144,23 @@ impl SearchStats {
             .field_usize("bytes_per_state", self.bytes_per_state())
             .field_f64("states_per_sec", self.states_per_sec(), 1);
         w.finish()
+    }
+
+    /// Exposes the search families at zero before any search finishes.
+    pub(crate) fn touch_metrics() {
+        M_STATES_VISITED.touch();
+        M_EXPLORED_RESIDENT.touch();
+        M_EXPLORED_SPILLED.touch();
+        M_SPILLS.touch();
+    }
+
+    /// Feeds a finished search into the metrics plane — the one exit
+    /// every engine shares, so a gauge is always the stat it mirrors.
+    pub(crate) fn publish(&self) {
+        M_STATES_VISITED.add(self.states_visited as u64);
+        M_EXPLORED_RESIDENT.set(self.explored_resident_bytes as u64);
+        M_EXPLORED_SPILLED.set(self.explored_spilled_bytes);
+        M_SPILLS.add(self.explored_spills as u64);
     }
 
     /// Records a visit at `depth`, growing the per-depth table as needed.

@@ -304,39 +304,68 @@ impl ExploreOptions {
     }
 }
 
-/// Enumerates every event explorable from `gs` under `opts`, in a
-/// deterministic order.
+/// Enumerates every event explorable from `gs` under `opts`, in the
+/// canonical order (see [`enumerate_events_gated`]).
 pub fn enumerate_events<P: Protocol>(
     config: &P,
     gs: &GlobalState<P>,
     opts: &ExploreOptions,
 ) -> Vec<Event<P>> {
+    enumerate_events_gated(config, gs, opts, |_| true, |_| true)
+}
+
+/// The one definition of the canonical event order every search engine,
+/// replay and exported schedule shares: in-flight items by index (delivery
+/// before drop), then nodes in id order (actions in `enabled_actions`
+/// order, then resets, then peer errors).
+///
+/// `allow_node` is the `localExplored` gate of Fig. 8: when it returns
+/// false for a node, that node's *entire* per-node block (actions, resets,
+/// peer errors) is skipped; it is asked once per node, in id order.
+/// Message deliveries are never gated (Fig. 8 line 13). `keep` then sees
+/// every surviving event in order and drops the ones it rejects — the
+/// hook installed event filters use.
+pub fn enumerate_events_gated<P: Protocol>(
+    config: &P,
+    gs: &GlobalState<P>,
+    opts: &ExploreOptions,
+    mut allow_node: impl FnMut(NodeId) -> bool,
+    mut keep: impl FnMut(&Event<P>) -> bool,
+) -> Vec<Event<P>> {
     let mut events = Vec::new();
+    let mut push = |ev: Event<P>| {
+        if keep(&ev) {
+            events.push(ev);
+        }
+    };
     for index in 0..gs.inflight.len() {
-        events.push(Event::Deliver { index });
+        push(Event::Deliver { index });
         if opts.drops {
-            events.push(Event::Drop { index });
+            push(Event::Drop { index });
         }
     }
     let mut acts = Vec::new();
     for (&node, slot) in &gs.nodes {
+        if !allow_node(node) {
+            continue;
+        }
         acts.clear();
         config.enabled_actions(node, &slot.state, &mut acts);
         for action in acts.drain(..) {
-            events.push(Event::Action { node, action });
+            push(Event::Action { node, action });
         }
         if opts.resets {
-            events.push(Event::Reset {
+            push(Event::Reset {
                 node,
                 notify: false,
             });
             if !slot.conns.is_empty() {
-                events.push(Event::Reset { node, notify: true });
+                push(Event::Reset { node, notify: true });
             }
         }
         if opts.peer_errors {
             for &peer in slot.conns.keys() {
-                events.push(Event::PeerError { node, peer });
+                push(Event::PeerError { node, peer });
             }
         }
     }

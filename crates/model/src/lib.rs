@@ -45,7 +45,10 @@ pub mod testproto;
 pub mod time;
 
 pub use codec::{Decode, DecodeError, Encode, Reader};
-pub use event::{apply_event, enumerate_events, Event, EventKey, ExploreOptions, TraceStep};
+pub use event::{
+    apply_event, enumerate_events, enumerate_events_gated, Event, EventKey, ExploreOptions,
+    TraceStep,
+};
 pub use frame::{
     push_frame, read_frame, write_frame, FrameBuffer, FrameKind, WireFrame, MAX_FRAME_LEN,
 };

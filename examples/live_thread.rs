@@ -4,9 +4,9 @@
 //! inconsistencies to the runtime. ... On a multi-core machine this
 //! CPU-intensive process will likely be scheduled on a separate core" (§4).
 //!
-//! This arrangement is now built into the controller: constructing it with
-//! `CheckerMode::Background` spawns a 1-shard `CheckerPool`, snapshots
-//! ship to it over a channel, and completed prediction rounds are drained
+//! This arrangement is built into the controller: constructing it with
+//! `CheckerMode::Sharded { shards: 1 }` spawns a 1-shard `CheckerPool`,
+//! snapshots ship to it over a channel, and completed prediction rounds are drained
 //! from the controller's hook entry points while the live simulation keeps
 //! stepping. The prediction itself runs on the parallel work-stealing
 //! engine, so the "separate thread" is really a worker pool. The checker
@@ -29,7 +29,7 @@ fn main() {
         randtree::properties::all(),
         ControllerConfig {
             mode: Mode::DeepOnlineDebugging,
-            checker: CheckerMode::Background,
+            checker: CheckerMode::Sharded { shards: 1 },
             engine: Engine::Parallel(ParallelConfig::default()),
             search: SearchConfig {
                 max_states: Some(15_000),

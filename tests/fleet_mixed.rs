@@ -63,6 +63,9 @@ fn controller(
             },
             ..SearchConfig::default()
         },
+        // Both legs of the CI matrix's CB_PRED_CACHE toggle must trace
+        // identically.
+        prediction_cache: cb_bench::matrix::prediction_cache(),
         ..ControllerConfig::default()
     }
 }

@@ -9,8 +9,11 @@
 use crystalball_suite::mc::{find_consequences, find_errors, SearchConfig};
 use crystalball_suite::model::testproto::{max_pings_property, Ping};
 use crystalball_suite::model::{
-    apply_event, enumerate_events, Event, ExploreOptions, GlobalState, NodeId, PropertySet,
+    apply_event, enumerate_events, enumerate_events_gated, Event, ExploreOptions, GlobalState,
+    NodeId, PropertySet, Protocol,
 };
+use crystalball_suite::protocols::chord::ChordBugs;
+use crystalball_suite::protocols::paxos::PaxosBugs;
 use crystalball_suite::protocols::randtree::{self, RandTree, RandTreeBugs};
 
 fn ping_system(n: u32) -> (Ping, GlobalState<Ping>) {
@@ -160,4 +163,93 @@ fn random_walks_keep_the_model_sane() {
             );
         }
     }
+}
+
+/// The canonical event order has one definition: `enumerate_events` is
+/// the gated enumerator under an always-true gate and keep test, and a
+/// real gate or keep test only ever *removes* events from that order —
+/// a gated node loses its whole block (deliveries are never gated), a
+/// rejected event just itself.
+fn assert_one_event_order<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
+    // `Event<P>` is only `PartialEq` when the config type `P` is; compare
+    // the rendered events instead.
+    fn render<'a, P: Protocol>(evs: impl IntoIterator<Item = &'a Event<P>>) -> Vec<String> {
+        evs.into_iter().map(|e| format!("{e:?}")).collect()
+    }
+    for opts in [
+        ExploreOptions::minimal(),
+        ExploreOptions::default(),
+        ExploreOptions::full(),
+    ] {
+        let all = enumerate_events(proto, gs, &opts);
+        assert!(
+            !all.is_empty(),
+            "{}: scenario state has events",
+            proto.name()
+        );
+        assert_eq!(
+            render(&all),
+            render(&enumerate_events_gated(
+                proto,
+                gs,
+                &opts,
+                |_| true,
+                |_| true
+            )),
+            "{}: ungated call is the plain enumeration",
+            proto.name()
+        );
+        for blocked in gs.nodes.keys().copied() {
+            let mut asked = Vec::new();
+            let gated = enumerate_events_gated(
+                proto,
+                gs,
+                &opts,
+                |n| {
+                    asked.push(n);
+                    n != blocked
+                },
+                |_| true,
+            );
+            let expect = all.iter().filter(|e| e.local_node() != Some(blocked));
+            assert_eq!(
+                render(&gated),
+                render(expect),
+                "{}: gate on {blocked}",
+                proto.name()
+            );
+            let ids: Vec<NodeId> = gs.nodes.keys().copied().collect();
+            assert_eq!(asked, ids, "gate asked once per node, in id order");
+        }
+        let mut flip = false;
+        let every_other = enumerate_events_gated(
+            proto,
+            gs,
+            &opts,
+            |_| true,
+            |_| {
+                flip = !flip;
+                flip
+            },
+        );
+        assert_eq!(
+            render(&every_other),
+            render(all.iter().step_by(2)),
+            "{}: keep test",
+            proto.name()
+        );
+    }
+}
+
+#[test]
+fn event_order_is_defined_once_on_all_four_protocols() {
+    use cb_bench::scenarios;
+    let (p, gs) = scenarios::randtree_fig2(RandTreeBugs::as_shipped());
+    assert_one_event_order(&p, &gs);
+    let (p, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
+    assert_one_event_order(&p, &gs);
+    let (p, gs) = scenarios::paxos_near_violation(PaxosBugs::only("P1"));
+    assert_one_event_order(&p, &gs);
+    let (p, gs) = scenarios::bullet_b3_live();
+    assert_one_event_order(&p, &gs);
 }

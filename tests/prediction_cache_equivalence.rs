@@ -74,7 +74,6 @@ fn controller<P: Protocol>(
             engine,
             mc_latency: SimDuration::from_millis(500),
             search: search.clone(),
-            // Explicit, so the test ignores the CB_PRED_CACHE env default.
             prediction_cache: cache,
             ..ControllerConfig::default()
         },
@@ -134,7 +133,7 @@ fn assert_cache_invisible<P, F>(
 {
     let mut backends = vec![
         (CheckerMode::Synchronous, Engine::Sequential),
-        (CheckerMode::Background, Engine::Sequential),
+        (CheckerMode::Sharded { shards: 1 }, Engine::Sequential),
         (CheckerMode::Sharded { shards: 2 }, Engine::Sequential),
         (CheckerMode::Sharded { shards: 4 }, Engine::Sequential),
     ];
@@ -143,6 +142,8 @@ fn assert_cache_invisible<P, F>(
             CheckerMode::Sharded { shards: 2 },
             Engine::Parallel(ParallelConfig {
                 workers,
+                // The CI leg with the 8-byte packed explored set.
+                compact_explored: cb_bench::matrix::compact_explored(),
                 ..ParallelConfig::default()
             }),
         ));

@@ -100,7 +100,7 @@ fn async_checker_service_steers_without_blocking_the_system() {
         randtree::properties::all(),
         ControllerConfig {
             mode: Mode::ExecutionSteering,
-            checker: CheckerMode::Background,
+            checker: CheckerMode::Sharded { shards: 1 },
             engine: Engine::Parallel(ParallelConfig {
                 workers: 4,
                 ..ParallelConfig::default()
@@ -140,7 +140,7 @@ fn async_checker_service_steers_without_blocking_the_system() {
         "CrystalBall intervened: {:?}",
         ctl.stats
     );
-    // No trajectory comparison here: in Background mode filter
+    // No trajectory comparison here: in background mode filter
     // activation times depend on wall-clock checker completion, so the
     // steered run's violation count is machine/load-dependent. The
     // deterministic synchronous tests own the "steering reduces
