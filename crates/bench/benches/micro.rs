@@ -3,6 +3,8 @@
 //! * `consequence_prediction` — states/second of the online checker;
 //! * `ablation/local_explored` — the one-line pruning of Fig. 8 vs plain
 //!   BFS (states visited to the same depth);
+//! * `successor` — the checker's inner step (clone + apply + hash), per
+//!   event, on the four canonical live states;
 //! * `lzw` / `diff` / `codec` — checkpoint-pipeline throughput;
 //! * `snapshot_gather` — full request/response round over the manager.
 //!
@@ -14,7 +16,11 @@ use std::hint::black_box;
 use cb_bench::harness::microbench;
 use cb_bench::scenarios;
 use cb_mc::{find_consequences, find_errors, SearchConfig};
-use cb_model::{Encode, ExploreOptions, NodeId};
+use cb_model::{
+    apply_event, enumerate_events, Encode, ExploreOptions, GlobalState, NodeId, Protocol,
+};
+use cb_protocols::chord::ChordBugs;
+use cb_protocols::paxos::PaxosBugs;
 use cb_protocols::randtree::{self, RandTreeBugs};
 use cb_snapshot::{encode_diff, lzw, CheckpointManager, SnapshotConfig};
 
@@ -74,11 +80,42 @@ fn bench_ablation_local_explored() {
     });
 }
 
-fn bench_checkpoint_pipeline() {
-    let (_, gs) = scenarios::chord_ring(
-        &[1, 5, 9, 12, 17, 23],
-        cb_protocols::chord::ChordBugs::none(),
+/// What one successor costs the search: clone the state, apply one event,
+/// hash the result — averaged over every event enabled in `gs`. The state
+/// is hashed first, as a dequeued frontier state always has been.
+fn bench_successor_of<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
+    let events = enumerate_events(proto, gs, &ExploreOptions::default());
+    black_box(gs.state_hash());
+    let per_pass = microbench(
+        &format!("successor/{} x{} events", proto.name(), events.len()),
+        || {
+            for event in &events {
+                let mut next = black_box(gs).clone();
+                apply_event(proto, &mut next, event);
+                black_box(next.state_hash());
+            }
+        },
     );
+    println!(
+        "{:<45} {:>8} ns/successor",
+        "",
+        per_pass.as_nanos() / events.len().max(1) as u128
+    );
+}
+
+fn bench_successor() {
+    let (p, gs) = scenarios::randtree_fig2(RandTreeBugs::as_shipped());
+    bench_successor_of(&p, &gs);
+    let (p, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
+    bench_successor_of(&p, &gs);
+    let (p, gs) = scenarios::paxos_near_violation(PaxosBugs::only("P1"));
+    bench_successor_of(&p, &gs);
+    let (p, gs) = scenarios::bullet_b3_live();
+    bench_successor_of(&p, &gs);
+}
+
+fn bench_checkpoint_pipeline() {
+    let (_, gs) = scenarios::chord_ring(&[1, 5, 9, 12, 17, 23], ChordBugs::none());
     let raw = gs.slot(NodeId(9)).unwrap().to_bytes();
     let slot = gs.slot(NodeId(9)).unwrap();
     microbench("codec/encode_chord_slot", || black_box(slot.to_bytes()));
@@ -119,6 +156,7 @@ fn bench_snapshot_gather() {
 fn main() {
     bench_consequence_prediction();
     bench_ablation_local_explored();
+    bench_successor();
     bench_checkpoint_pipeline();
     bench_snapshot_gather();
 }

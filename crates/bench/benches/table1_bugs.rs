@@ -229,7 +229,7 @@ fn main() {
         // Deliver joins handshakes with Ai-2's UpdatePred first.
         let deliver = |gs: &mut GlobalState<chord::Chord>,
                        f: &dyn Fn(&cb_model::InFlight<chord::Msg>) -> bool| {
-            if let Some(i) = gs.inflight.iter().position(f) {
+            if let Some(i) = gs.inflight.iter().position(|m| f(m)) {
                 cb_model::apply_event(&proto, gs, &cb_model::Event::Deliver { index: i });
             }
         };

@@ -106,7 +106,7 @@ use crate::frontier::{Admission, ExploredBatch, LockFreeExplored, StealQueues};
 use crate::pool::{PoolScope, WorkerPool};
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
-    approx_state_bytes, enumerate_gated, reconstruct, ArenaRec, SearchConfig, Searcher,
+    approx_state_bytes, enumerate_gated, reconstruct, ArenaRec, DigestSet, SearchConfig, Searcher,
 };
 use crate::stats::SearchStats;
 
@@ -475,7 +475,7 @@ impl<P: Protocol> Searcher<'_, P> {
             cap_slots = cap_slots.min(fit.max(16));
         }
         let mut explored = LockFreeExplored::with_options(cap_slots, par.compact_explored);
-        let mut local_explored = std::collections::HashSet::new();
+        let mut local_explored = DigestSet::default();
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
@@ -664,7 +664,7 @@ impl<P: Protocol> Searcher<'_, P> {
         item: &(GlobalState<P>, Option<usize>),
         depth: usize,
         claims: VisitClaims,
-        local_explored: &mut std::collections::HashSet<u64>,
+        local_explored: &mut DigestSet,
         arena: &[ArenaRec<P>],
         violations: &mut Vec<FoundViolation<P>>,
         stats: &mut SearchStats,
@@ -719,7 +719,7 @@ impl<P: Protocol> Searcher<'_, P> {
         item: &(GlobalState<P>, Option<usize>),
         batch: &mut ExploredBatch<'_>,
         stamp: u64,
-        local_explored: &mut std::collections::HashSet<u64>,
+        local_explored: &mut DigestSet,
         arena: &mut Vec<ArenaRec<P>>,
         next: &mut NextLevel<P>,
         stats: &mut SearchStats,

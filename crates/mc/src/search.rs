@@ -30,6 +30,7 @@
 //!   would only delay finding distinct violations.
 
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 use std::time::{Duration, Instant};
 
@@ -115,6 +116,33 @@ impl SearchConfig {
     pub fn with_filters(mut self, f: FilterSet) -> Self {
         self.filters = f;
         self
+    }
+}
+
+/// A set of 64-bit state digests (`state_hash`/`local_hash` values).
+///
+/// The keys are already FNV digests, so SipHashing them again buys
+/// nothing: the set's hasher is one multiply and a rotate. These sets are
+/// only inserted into and counted, never iterated, so the bucket layout
+/// cannot reach a search outcome.
+pub(crate) type DigestSet = HashSet<u64, BuildHasherDefault<DigestHasher>>;
+
+#[derive(Default)]
+pub(crate) struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a DigestSet holds u64 keys only");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        // Multiply pushes entropy up, rotate brings the well-mixed top
+        // bits down to where the table takes its bucket index.
+        self.0 = digest.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -222,25 +250,26 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         let mut violations = Vec::new();
 
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
-        let mut explored: HashSet<u64> = HashSet::new();
-        let mut local_explored: HashSet<u64> = HashSet::new();
-        // (state, arena rec of the edge that reached it, depth). FIFO order
-        // is breadth-first order, and doubles as the *canonical* order the
-        // parallel engine reproduces.
-        let mut frontier: VecDeque<(GlobalState<P>, Option<usize>, usize)> = VecDeque::new();
+        let mut explored = DigestSet::default();
+        let mut local_explored = DigestSet::default();
+        // (state, arena rec of the edge that reached it, depth, the bytes
+        // it was counted as when pushed). FIFO order is breadth-first
+        // order, and doubles as the *canonical* order the parallel engine
+        // reproduces.
+        let mut frontier: VecDeque<(GlobalState<P>, Option<usize>, usize, usize)> = VecDeque::new();
         let mut frontier_bytes = 0usize;
         let mut depth_truncated = false;
 
         explored.insert(start.state_hash());
         frontier_bytes += approx_state_bytes(start);
         stats.peak_frontier_bytes = frontier_bytes;
-        frontier.push_back((start.clone(), None, 0));
+        frontier.push_back((start.clone(), None, 0, frontier_bytes));
         stats.states_enqueued += 1;
 
         let mut stopped = StopReason::Exhausted;
 
-        'search: while let Some((state, rec, depth)) = frontier.pop_front() {
-            frontier_bytes = frontier_bytes.saturating_sub(approx_state_bytes(&state));
+        'search: while let Some((state, rec, depth, bytes)) = frontier.pop_front() {
+            frontier_bytes -= bytes;
             if let Some(deadline) = self.config.deadline {
                 if t0.elapsed() >= deadline {
                     stopped = StopReason::Deadline;
@@ -290,9 +319,10 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                     step,
                 });
                 let child_rec = Some(arena.len() - 1);
-                frontier_bytes += approx_state_bytes(&next);
+                let bytes = approx_state_bytes(&next);
+                frontier_bytes += bytes;
                 stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
-                frontier.push_back((next, child_rec, depth + 1));
+                frontier.push_back((next, child_rec, depth + 1, bytes));
                 stats.states_enqueued += 1;
             }
         }
@@ -321,7 +351,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
     pub(crate) fn enumerate_claiming(
         &self,
         state: &GlobalState<P>,
-        local_explored: &mut HashSet<u64>,
+        local_explored: &mut DigestSet,
         stats: &mut SearchStats,
     ) -> Vec<Event<P>> {
         let mut filtered = 0usize;
@@ -481,7 +511,9 @@ pub(crate) fn reconstruct<P: Protocol>(
     path
 }
 
-/// Rough heap footprint of a global state held on the frontier.
+/// Rough heap footprint of a global state held on the frontier, as if it
+/// shared no slot with any other state (see
+/// [`SearchStats::peak_frontier_bytes`]).
 pub(crate) fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
     let per_node = size_of::<cb_model::NodeSlot<P::State>>() + 2 * size_of::<u64>();
     let conns: usize = gs.nodes.values().map(|s| s.conns.len() * 12).sum();

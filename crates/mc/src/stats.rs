@@ -91,7 +91,11 @@ pub struct SearchStats {
     /// Bytes of the search tree: parent-pointer arena entries plus the
     /// explored/localExplored hash entries (what Fig. 15 plots).
     pub tree_bytes: usize,
-    /// Peak bytes held by frontier states (full clones awaiting expansion).
+    /// Peak *logical* bytes of the frontier: every state awaiting
+    /// expansion counted at its full, unshared size. Frontier states share
+    /// the node slots their events did not write (`cb_model::SharedSlot`),
+    /// so resident memory is below this; the figure stays comparable
+    /// across engines and with earlier runs.
     pub peak_frontier_bytes: usize,
     /// Number of property violations discovered.
     pub violations_found: usize,

@@ -397,7 +397,7 @@ pub fn apply_event<P: Protocol>(
         }
         Event::Action { node, action } => {
             let mut out = Outbox::new();
-            if let Some(slot) = gs.nodes.get_mut(node) {
+            if let Some(slot) = gs.slot_mut(*node) {
                 config.on_action(*node, &mut slot.state, action, &mut out);
             }
             gs.apply_outbox(*node, out);
@@ -408,7 +408,7 @@ pub fn apply_event<P: Protocol>(
         }
         Event::Reset { node, notify } => {
             let mut rsts = Vec::new();
-            if let Some(slot) = gs.nodes.get_mut(node) {
+            if let Some(slot) = gs.slot_mut(*node) {
                 let old_inc = slot.incarnation;
                 let old_conns = std::mem::take(&mut slot.conns);
                 slot.incarnation += 1;
@@ -434,18 +434,17 @@ pub fn apply_event<P: Protocol>(
             }
         }
         Event::PeerError { node, peer } => {
-            let mut out = Outbox::new();
-            let mut stamp = None;
-            let mut node_inc = 0;
-            if let Some(slot) = gs.nodes.get_mut(node) {
-                node_inc = slot.incarnation;
-                stamp = slot.conns.remove(peer);
-                if stamp.is_some() {
-                    config.on_error(*node, &mut slot.state, *peer, &mut out);
-                }
-            }
-            gs.apply_outbox(*node, out);
-            if let Some(peer_inc) = stamp {
+            // A break of a connection that is not open writes nothing.
+            let open = gs.slot(*node).and_then(|slot| {
+                let peer_inc = *slot.conns.get(peer)?;
+                Some((slot.incarnation, peer_inc))
+            });
+            if let Some((node_inc, peer_inc)) = open {
+                let slot = gs.slot_mut(*node).expect("slot was just read");
+                slot.conns.remove(peer);
+                let mut out = Outbox::new();
+                config.on_error(*node, &mut slot.state, *peer, &mut out);
+                gs.apply_outbox(*node, out);
                 // The other endpoint eventually observes the break too.
                 route(
                     gs,
@@ -472,7 +471,7 @@ fn take_inflight<P: Protocol>(gs: &mut GlobalState<P>, index: usize) -> InFlight
         "event index {index} out of range ({} in flight)",
         gs.inflight.len()
     );
-    gs.inflight.swap_remove(index)
+    gs.inflight.swap_remove(index).into_item()
 }
 
 fn route<P: Protocol>(gs: &mut GlobalState<P>, item: InFlight<P::Message>) {
@@ -484,7 +483,9 @@ fn deliver<P: Protocol>(
     gs: &mut GlobalState<P>,
     item: InFlight<P::Message>,
 ) -> TraceStep {
-    let Some(slot) = gs.nodes.get_mut(&item.dst) else {
+    // Read first: the slot is written (unshared from the states it is
+    // shared with) only on the paths where a handler runs.
+    let Some(slot) = gs.slot(item.dst) else {
         // Destination vanished between enqueue and delivery (possible in
         // partial snapshots): park on the dummy node.
         gs.parked.push(item);
@@ -508,6 +509,7 @@ fn deliver<P: Protocol>(
                 route(gs, rst);
                 return TraceStep::Bounced { src, dst };
             }
+            let slot = gs.slot_mut(item.dst).expect("slot was just read");
             // Accept side: refresh/establish the connection back to the
             // sender's current incarnation.
             slot.conns.insert(item.src, item.src_inc);
@@ -526,13 +528,15 @@ fn deliver<P: Protocol>(
                 return TraceStep::Stale;
             }
             // Only tear down the connection the error is actually about.
-            match slot.conns.get(&item.src) {
-                Some(&inc) if inc == item.src_inc => {
-                    slot.conns.remove(&item.src);
-                }
-                Some(_) => return TraceStep::Stale,
-                None => {}
+            if slot
+                .conns
+                .get(&item.src)
+                .is_some_and(|&inc| inc != item.src_inc)
+            {
+                return TraceStep::Stale;
             }
+            let slot = gs.slot_mut(item.dst).expect("slot was just read");
+            slot.conns.remove(&item.src);
             let mut out = Outbox::new();
             config.on_error(item.dst, &mut slot.state, item.src, &mut out);
             gs.apply_outbox(item.dst, out);

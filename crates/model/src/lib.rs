@@ -58,5 +58,5 @@ pub use property::{
     global_property, node_property, pairwise_property, Property, PropertySet, Violation,
 };
 pub use protocol::{Outbox, Protocol, Schedule};
-pub use state::{GlobalState, InFlight, NodeSlot, Payload};
+pub use state::{GlobalState, InFlight, NodeSlot, Payload, Queued, SharedSlot};
 pub use time::{SimDuration, SimTime};

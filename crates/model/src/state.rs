@@ -24,6 +24,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::hashing::{combine, combine_unordered, stable_hash};
@@ -68,6 +70,76 @@ impl<S: crate::codec::Decode> crate::codec::Decode for NodeSlot<S> {
             incarnation: u32::decode(r)?,
             conns: BTreeMap::decode(r)?,
         })
+    }
+}
+
+/// A read-only, shared handle on one node's [`NodeSlot`] — the value type
+/// of [`GlobalState::nodes`].
+///
+/// Cloning a state bumps one reference count per node instead of copying
+/// the slots, and the handle memoizes `stable_hash(&(id, slot))`, so a
+/// successor re-hashes only the slot its event wrote. The handle only
+/// [`Deref`]s: the one way to a `&mut NodeSlot` is
+/// [`GlobalState::slot_mut`], which unshares the slot and drops the memo.
+#[derive(Clone)]
+pub struct SharedSlot<S>(Arc<Memoized<S>>);
+
+#[derive(Clone)]
+struct Memoized<S> {
+    slot: NodeSlot<S>,
+    /// `(id, stable_hash(&(id, slot)))` as first asked for since the last
+    /// write. A pure function of the immutable `slot`, so threads racing
+    /// to fill it can only agree.
+    memo: OnceLock<(NodeId, u64)>,
+}
+
+impl<S> SharedSlot<S> {
+    /// True when both handles point at the same slot allocation (no write
+    /// has separated them).
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl<S: Hash> SharedSlot<S> {
+    /// `stable_hash(&(id, slot))`, memoized for the id it is first asked
+    /// under (the slot's map key; any other id is hashed from scratch).
+    fn hash_as(&self, id: NodeId) -> u64 {
+        let fresh = || stable_hash(&(id, &self.0.slot));
+        match *self.0.memo.get_or_init(|| (id, fresh())) {
+            (memo_id, hash) if memo_id == id => hash,
+            _ => fresh(),
+        }
+    }
+}
+
+impl<S> From<NodeSlot<S>> for SharedSlot<S> {
+    fn from(slot: NodeSlot<S>) -> Self {
+        SharedSlot(Arc::new(Memoized {
+            slot,
+            memo: OnceLock::new(),
+        }))
+    }
+}
+
+impl<S> Deref for SharedSlot<S> {
+    type Target = NodeSlot<S>;
+    fn deref(&self) -> &NodeSlot<S> {
+        &self.0.slot
+    }
+}
+
+impl<S: PartialEq> PartialEq for SharedSlot<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || **self == **other
+    }
+}
+
+impl<S: Eq> Eq for SharedSlot<S> {}
+
+impl<S: fmt::Debug> fmt::Debug for SharedSlot<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -150,15 +222,65 @@ impl<M: Decode> Decode for InFlight<M> {
     }
 }
 
+/// An [`InFlight`] item queued in [`GlobalState::inflight`], carrying its
+/// `stable_hash` — taken once, when queued, because a queued item is never
+/// written again (the handle only [`Deref`]s).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Queued<M> {
+    item: InFlight<M>,
+    hash: u64,
+}
+
+impl<M> Queued<M> {
+    /// Takes the item back off the wire.
+    pub fn into_item(self) -> InFlight<M> {
+        self.item
+    }
+}
+
+impl<M: Hash> From<InFlight<M>> for Queued<M> {
+    fn from(item: InFlight<M>) -> Self {
+        let hash = stable_hash(&item);
+        Queued { item, hash }
+    }
+}
+
+impl<M> Deref for Queued<M> {
+    type Target = InFlight<M>;
+    fn deref(&self) -> &InFlight<M> {
+        &self.item
+    }
+}
+
+impl<M: fmt::Debug> fmt::Debug for Queued<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.item.fmt(f)
+    }
+}
+
+impl<M: Encode> Encode for Queued<M> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.item.encode(buf);
+    }
+}
+
+impl<M: Decode + Hash> Decode for Queued<M> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        InFlight::decode(r).map(Queued::from)
+    }
+}
+
 /// The global state `(L, I)` of the distributed system.
 #[derive(Clone, Debug)]
 pub struct GlobalState<P: Protocol> {
     /// `L`: local node states, keyed by node id (absent key = node unknown
-    /// to this — possibly partial — snapshot).
-    pub nodes: BTreeMap<NodeId, NodeSlot<P::State>>,
+    /// to this — possibly partial — snapshot). Slots are shared between a
+    /// state and its clones until written through
+    /// [`GlobalState::slot_mut`].
+    pub nodes: BTreeMap<NodeId, SharedSlot<P::State>>,
     /// `I`: in-flight messages between known nodes. Vec order is an
     /// implementation artifact; hashing treats it as a multiset.
-    pub inflight: Vec<InFlight<P::Message>>,
+    pub inflight: Vec<Queued<P::Message>>,
     /// Messages redirected to the dummy node (§4). Never delivered, never
     /// hashed.
     pub parked: Vec<InFlight<P::Message>>,
@@ -170,7 +292,7 @@ impl<P: Protocol> GlobalState<P> {
     pub fn init(config: &P, nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let nodes = nodes
             .into_iter()
-            .map(|n| (n, NodeSlot::new(config.init(n))))
+            .map(|n| (n, NodeSlot::new(config.init(n)).into()))
             .collect();
         GlobalState {
             nodes,
@@ -182,9 +304,11 @@ impl<P: Protocol> GlobalState<P> {
     /// Builds a state from externally collected `(node, slot)` checkpoints —
     /// the entry point used when feeding a neighborhood snapshot to the
     /// checker.
-    pub fn from_slots(slots: impl IntoIterator<Item = (NodeId, NodeSlot<P::State>)>) -> Self {
+    pub fn from_slots<S: Into<SharedSlot<P::State>>>(
+        slots: impl IntoIterator<Item = (NodeId, S)>,
+    ) -> Self {
         GlobalState {
-            nodes: slots.into_iter().collect(),
+            nodes: slots.into_iter().map(|(n, s)| (n, s.into())).collect(),
             inflight: Vec::new(),
             parked: Vec::new(),
         }
@@ -197,12 +321,17 @@ impl<P: Protocol> GlobalState<P> {
 
     /// Immutable access to a node slot.
     pub fn slot(&self, node: NodeId) -> Option<&NodeSlot<P::State>> {
-        self.nodes.get(&node)
+        self.nodes.get(&node).map(|shared| &**shared)
     }
 
-    /// Mutable access to a node slot.
+    /// Mutable access to a node slot — the single write door. The slot is
+    /// copied first if another state still shares it, and its memoized
+    /// hash is dropped, so no other holder can observe the write and no
+    /// stale hash can outlive it.
     pub fn slot_mut(&mut self, node: NodeId) -> Option<&mut NodeSlot<P::State>> {
-        self.nodes.get_mut(&node)
+        let own = Arc::make_mut(&mut self.nodes.get_mut(&node)?.0);
+        own.memo = OnceLock::new();
+        Some(&mut own.slot)
     }
 
     /// Deterministic hash of the whole global state, used by the checker's
@@ -211,17 +340,17 @@ impl<P: Protocol> GlobalState<P> {
     /// deliberately excluded.
     pub fn state_hash(&self) -> u64 {
         let mut h = 0u64;
-        for (id, slot) in &self.nodes {
-            h = combine(h, stable_hash(&(id, slot)));
+        for (&id, slot) in &self.nodes {
+            h = combine(h, slot.hash_as(id));
         }
-        let bag = combine_unordered(self.inflight.iter().map(stable_hash));
+        let bag = combine_unordered(self.inflight.iter().map(|queued| queued.hash));
         combine(h, bag)
     }
 
     /// Deterministic hash of `(n, s)` — the key of consequence prediction's
     /// `localExplored` set (Fig. 8 lines 17/20).
     pub fn local_hash(&self, node: NodeId) -> Option<u64> {
-        self.nodes.get(&node).map(|slot| stable_hash(&(node, slot)))
+        self.nodes.get(&node).map(|slot| slot.hash_as(node))
     }
 
     /// Applies the output of a handler execution at `from`: stamps each send
@@ -236,7 +365,7 @@ impl<P: Protocol> GlobalState<P> {
         for peer in closes {
             // Close tears down our side immediately; the peer learns via an
             // in-flight error notification about the connection *as it was*.
-            let (src_inc, stamp) = match self.nodes.get_mut(&from) {
+            let (src_inc, stamp) = match self.slot_mut(from) {
                 Some(slot) => (slot.incarnation, slot.conns.remove(&peer)),
                 None => (0, None),
             };
@@ -260,15 +389,15 @@ impl<P: Protocol> GlobalState<P> {
     pub fn push_payload(&mut self, src: NodeId, dst: NodeId, payload: Payload<P::Message>) {
         let src_inc = self.nodes.get(&src).map_or(0, |s| s.incarnation);
         let dst_cur = self.nodes.get(&dst).map_or(0, |s| s.incarnation);
-        let dst_inc = match self.nodes.get_mut(&src) {
-            Some(slot) => {
-                if payload.is_error() {
-                    slot.conns.get(&dst).copied().unwrap_or(dst_cur)
-                } else {
-                    *slot.conns.entry(dst).or_insert(dst_cur)
-                }
+        let dst_inc = match self.slot(src).map(|slot| slot.conns.get(&dst).copied()) {
+            Some(Some(stamp)) => stamp,
+            // First application message to `dst`: connect (a slot write).
+            Some(None) if !payload.is_error() => {
+                let slot = self.slot_mut(src).expect("src slot was just read");
+                slot.conns.insert(dst, dst_cur);
+                dst_cur
             }
-            None => dst_cur,
+            _ => dst_cur,
         };
         self.route_item(InFlight {
             src,
@@ -283,7 +412,7 @@ impl<P: Protocol> GlobalState<P> {
     /// dummy node if the destination is unknown to this snapshot).
     pub fn route_item(&mut self, item: InFlight<P::Message>) {
         if self.nodes.contains_key(&item.dst) {
-            self.inflight.push(item);
+            self.inflight.push(item.into());
         } else {
             self.parked.push(item);
         }

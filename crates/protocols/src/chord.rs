@@ -786,7 +786,7 @@ mod tests {
         let index = gs
             .inflight
             .iter()
-            .position(pred)
+            .position(|m| pred(m))
             .expect("matching message in flight");
         apply_event(cfg, gs, &Event::Deliver { index });
     }

@@ -217,9 +217,8 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
         let nodes: Vec<NodeId> = start.nodes.keys().copied().collect();
         let mut sim = Self::new(protocol, &nodes, props, hook, config);
         sim.gs = start;
-        let outgoing: Vec<InFlight<P::Message>> = sim.gs.inflight.drain(..).collect();
-        for item in outgoing {
-            sim.transmit(item);
+        for item in std::mem::take(&mut sim.gs.inflight) {
+            sim.transmit(item.into_item());
         }
         for &n in &nodes {
             sim.reconcile_timers(n);
@@ -550,9 +549,8 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
             }
         }
         // New sends (and RSTs) leave through the simulated network.
-        let outgoing: Vec<InFlight<P::Message>> = self.gs.inflight.drain(..).collect();
-        for item in outgoing {
-            self.transmit(item);
+        for item in std::mem::take(&mut self.gs.inflight) {
+            self.transmit(item.into_item());
         }
         if self.track_violations {
             if let Some(v) = self.props.check(&self.gs) {

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use cb_model::codec::varint_len;
 use cb_model::{
-    Decode, DecodeError, Encode, GlobalState, InFlight, NodeId, NodeSlot, Protocol, Reader,
+    Decode, DecodeError, Encode, GlobalState, InFlight, NodeId, NodeSlot, Protocol, Queued, Reader,
 };
 
 use crate::diff::{apply_diff, encode_against, BaseEncoding, Diff};
@@ -273,7 +273,7 @@ fn apply_entry(base: Option<&Vec<u8>>, delta: &SlotDelta) -> Result<Vec<u8>, Ent
 }
 
 type Bags<P> = (
-    Vec<InFlight<<P as Protocol>::Message>>,
+    Vec<Queued<<P as Protocol>::Message>>,
     Vec<InFlight<<P as Protocol>::Message>>,
 );
 

@@ -242,7 +242,7 @@ fn snapshots_decode_to_live_states() {
             // Decoded snapshot states must be internally consistent enough
             // to hash and re-encode identically.
             for (n, slot) in &gs.nodes {
-                let bytes = cb_model::Encode::to_bytes(slot);
+                let bytes = cb_model::Encode::to_bytes(&**slot);
                 assert_eq!(&bytes, snap.states.get(n).unwrap());
             }
             self.checked += 1;

@@ -390,7 +390,7 @@ fn chord_c2_ordering() {
     // UpdatePreds with Ai-2's first.
     let deliver_where =
         |gs: &mut GlobalState<Chord>, pred: &dyn Fn(&cb_model::InFlight<chord::Msg>) -> bool| {
-            let i = gs.inflight.iter().position(pred).expect("message");
+            let i = gs.inflight.iter().position(|m| pred(m)).expect("message");
             apply_event(&proto, gs, &Event::Deliver { index: i });
         };
     let kind = |m: &cb_model::InFlight<chord::Msg>, k: &str| matches!(&m.payload, cb_model::Payload::Msg(msg) if Chord::message_kind(msg) == k);
