@@ -121,7 +121,9 @@ fn main() {
     // Scrape dumps for `tools/metrics-check`: `CB_METRICS_DUMP=prefix`
     // writes `prefix.1.prom` mid-run and `prefix.2.prom` at the end, so
     // CI can assert counter monotonicity between two live scrapes.
-    let dump_prefix = std::env::var("CB_METRICS_DUMP").ok().filter(|_| metrics.is_some());
+    let dump_prefix = std::env::var("CB_METRICS_DUMP")
+        .ok()
+        .filter(|_| metrics.is_some());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -200,11 +200,15 @@ fn main() {
         let explored_bytes_per_state = (par.stats.explored_resident_bytes as u64
             + par.stats.explored_spilled_bytes)
             / par.stats.states_enqueued.max(1) as u64;
+        // Mean range tasks per visited level (0 on the fused pass): how
+        // finely phase 3 cut this search's levels.
+        let ranges_per_level =
+            par.stats.expand_ranges as f64 / par.stats.per_depth.len().max(1) as f64;
         rows.push(format!(
             "{{\"workers\":{workers},\"states\":{},\"elapsed_s\":{:.6},\"states_per_sec\":{rate:.0},\
              \"speedup_vs_sequential\":{speedup:.3},\"overhead_factor\":{overhead_factor:.4},\
              \"merge_busy_s\":{:.6},\"merge_wait_s\":{:.6},\"merge_shards\":{},\
-             \"merge_shard_busy_s\":[{}],\"merge_recombine_s\":{:.6},\
+             \"ranges_per_level\":{ranges_per_level:.1},\"merge_shard_busy_s\":[{}],\"merge_recombine_s\":{:.6},\
              \"explored_resident_bytes\":{},\"explored_bytes_per_state\":{explored_bytes_per_state}}}",
             par.stats.states_visited,
             elapsed.as_secs_f64(),

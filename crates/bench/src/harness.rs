@@ -75,7 +75,10 @@ pub fn metrics_arg() -> Option<cb_obs::MetricsServer> {
     }
     let bind = bind.or_else(cb_obs::metrics::env_metrics_bind)?;
     let server = cb_obs::MetricsServer::bind(bind.as_str()).expect("bind metrics endpoint");
-    println!("(metrics: serving Prometheus text on http://{})", server.addr());
+    println!(
+        "(metrics: serving Prometheus text on http://{})",
+        server.addr()
+    );
     Some(server)
 }
 

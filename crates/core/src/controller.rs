@@ -47,7 +47,7 @@ pub struct ControllerConfig {
     /// Budget and event options for each consequence-prediction run.
     pub search: SearchConfig,
     /// Which engine runs prediction: [`Engine::Sequential`] or the
-    /// parallel work-stealing engine ([`Engine::Parallel`]) — both produce
+    /// parallel level-synchronous engine ([`Engine::Parallel`]) — both produce
     /// identical predictions; parallel produces them sooner.
     pub engine: Engine,
     /// Where rounds execute: inline (blocking, deterministic) or on the

@@ -1,6 +1,6 @@
-//! The concurrent explored-set and the work-stealing index queues.
+//! The concurrent explored set.
 //!
-//! The parallel engine's building blocks (the sequential loop's frontier
+//! The parallel engine's shared structure (the sequential loop's frontier
 //! is a plain `VecDeque` inside `Searcher::run`):
 //!
 //! * [`LockFreeExplored`] — the `explored` set of Fig. 5 as a lock-free
@@ -19,16 +19,12 @@
 //!   resident footprint stays bounded while `max_states` grows.
 //!   [`ExploredBatch`] amortizes the synchronization cost of a burst of
 //!   inserts from one task.
-//! * [`StealQueues`] — per-worker deques of work-item indices with
-//!   work stealing: a worker drains its own deque from the front and, when
-//!   empty, steals from the back of a sibling, so stragglers with cheap
-//!   items finish a phase instead of idling.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+#[cfg(not(unix))]
 use std::sync::Mutex;
 
 /// Outcome of a leveled insert into [`LockFreeExplored`].
@@ -891,57 +887,13 @@ impl Drop for ExploredBatch<'_> {
     }
 }
 
-/// Per-worker work queues with stealing, distributing indices `0..n`.
-pub struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Splits `0..n` into `workers` contiguous chunks (locality within a
-    /// worker, stealing across workers when load skews).
-    pub fn split(workers: usize, n: usize) -> Self {
-        let workers = workers.max(1);
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let chunk = n.div_ceil(workers).max(1);
-        for i in 0..n {
-            queues[(i / chunk).min(workers - 1)].push_back(i);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next index for worker `w`: its own queue front first, then a steal
-    /// from the back of the first non-empty sibling.
-    pub fn next(&self, w: usize) -> Option<usize> {
-        if let Some(i) = self.queues[w]
-            .lock()
-            .expect("work queue poisoned")
-            .pop_front()
-        {
-            return Some(i);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            if let Some(i) = self.queues[victim]
-                .lock()
-                .expect("work queue poisoned")
-                .pop_back()
-            {
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::WorkerPool;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn lock_free_set_basic() {
@@ -1239,34 +1191,5 @@ mod tests {
                 assert!(set.contains(h));
             }
         }
-    }
-
-    #[test]
-    fn steal_queues_cover_all_work_exactly_once() {
-        let q = StealQueues::split(4, 103);
-        let seen = Mutex::new(vec![0usize; 103]);
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let q = &q;
-                let seen = &seen;
-                s.spawn(move || {
-                    while let Some(i) = q.next(w) {
-                        seen.lock().unwrap()[i] += 1;
-                    }
-                });
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn steal_queues_let_idle_workers_steal() {
-        // All work lands in worker 0's chunk range when n < workers.
-        let q = StealQueues::split(8, 3);
-        // Worker 7 owns nothing but can still obtain work.
-        assert!(q.next(7).is_some());
-        assert!(q.next(7).is_some());
-        assert!(q.next(7).is_some());
-        assert!(q.next(0).is_none());
     }
 }

@@ -45,7 +45,7 @@ pub mod search;
 pub mod stats;
 
 pub use filter::{EventFilter, FilterSet};
-pub use frontier::{Admission, ExploredBatch, LockFreeExplored, StealQueues};
+pub use frontier::{Admission, ExploredBatch, LockFreeExplored};
 pub use parallel::{
     find_consequences_parallel, find_errors_parallel, ParallelConfig, MAX_MERGE_SHARDS,
 };

@@ -1,4 +1,4 @@
-//! The parallel work-stealing search engine.
+//! The parallel level-synchronous search engine.
 //!
 //! CrystalBall's checker runs *concurrently with the deployed system*; its
 //! usefulness is bounded by how many states per second it can explore
@@ -9,36 +9,49 @@
 //! bit-identical to the sequential engine, even though thread scheduling
 //! is nondeterministic.
 //!
-//! # Design: level-synchronous BFS with a streamed deterministic merge
+//! # Design: level-synchronous BFS, range tasks, a streamed deterministic merge
 //!
 //! The engine processes the state graph one BFS level at a time. Each
 //! level runs three phases:
 //!
-//! 1. **Check** (parallel): property-check every state of the level.
-//!    Workers pull item indices from [`StealQueues`].
+//! 1. **Check** (parallel): property-check every state of the level, one
+//!    pool task per contiguous range of items, each writing its own
+//!    chunk of one pre-sized result vector.
 //! 2. **Visit** (sequential, cheap): walk the level in canonical order
 //!    (the order the sequential engine would dequeue), applying stop
 //!    criteria, recording violations, and — under consequence prediction —
 //!    performing the `localExplored` claims of Fig. 8 in exactly the order
 //!    the sequential loop would, which pins down *which* state gets to
 //!    expand each fresh local state. Produces the list of expansion jobs.
-//! 3. **Expand + merge** (overlapped): every job becomes one pool task —
-//!    enumerate events, clone the state, run the handler, hash the
-//!    successor, and race a single CAS per successor into the
-//!    [`LockFreeExplored`] table (stamped with the successor level; the
-//!    segment-chain walk and length updates are batched per task via
-//!    [`ExploredBatch`], so a task's burst of inserts costs one acquire
-//!    edge and one shared-counter update instead of one per state). The
-//!    task routes each successor edge by a hash of its explored-table key
-//!    to one of `k` merge shards ([`ParallelConfig::merge_shards`]) and
-//!    deposits the per-shard slices into order-preserving reorder
-//!    buffers, one per shard. Each shard's consumer takes batches in
-//!    canonical job order *while later jobs are still expanding*, so the
-//!    canonical dedup/merge never waits for — or buffers — the whole
-//!    level. Shard 0's consumer is the coordinator; when its next
-//!    in-order batch is not ready it helps by executing one of the
-//!    level's queued tasks instead of sleeping. A level with at most one
-//!    job skips all of this and expands and merges inline.
+//! 3. **Expand + merge** (overlapped): the job list is cut into
+//!    contiguous ranges and every *range* becomes one pool task — for
+//!    each of its jobs enumerate events, clone the state, run the
+//!    handler, hash the successor, and race a single CAS per successor
+//!    into the [`LockFreeExplored`] table (stamped with the successor
+//!    level, through one [`ExploredBatch`] per range). The task tags each
+//!    successor edge with its canonical (job, event) position, routes it
+//!    by a hash of its explored-table key to one of `k` merge shards
+//!    ([`ParallelConfig::merge_shards`]), and deposits one flat,
+//!    canonically ordered edge list per shard into order-preserving
+//!    reorder buffers indexed by range. Each shard's consumer takes
+//!    ranges in canonical order *while later ranges are still expanding*,
+//!    so the canonical dedup/merge never waits for — or buffers — the
+//!    whole level. Shard 0's consumer is the coordinator; when its next
+//!    in-order range is not ready it helps by executing one of the
+//!    level's queued ranges instead of sleeping.
+//!
+//! # Ranges, not jobs
+//!
+//! One job is a few microseconds of work on states that share most of
+//! their `Arc`'d node slots with their siblings and parent; a pool task
+//! per job costs more than the job and scatters siblings over the cores.
+//! A range pays the task, the deposit guard and the explored batch once
+//! and keeps neighbours on one core. The cut is one fixed rule
+//! (`range_len`); a level that fits one range — the short levels every
+//! search starts with, all of a shallow search — is expanded and merged
+//! on the caller with no scope, channel or worker wake-up. Ranges are
+//! contiguous in job order and consumed in order, so where the cuts fall
+//! cannot reach a result.
 //!
 //! # One merge, `k` shards
 //!
@@ -47,18 +60,19 @@
 //! canonical-clone re-derivation — is taken by one consumer with the same
 //! inputs at every `k`; shards only interleave decisions about
 //! *different* hashes. Shards 1..k run as pool tasks spawned after every
-//! expand task (the pool queue is FIFO, so a blocked shard only ever
+//! range task (the pool queue is FIFO, so a blocked shard only ever
 //! waits on expansions that are already running — no deadlock at any pool
 //! size, including zero threads).
 //!
-//! At `k = 1` the single consumer sees every admitted edge in canonical
-//! order, so it enqueues straight into the arena and the next level as
-//! batches arrive. Above one, each shard collects its admitted edges
-//! tagged with their canonical (job, event) position, and a sequential
-//! k-way recombine merges the per-shard streams — each already
-//! canonically ordered — back into the exact sequential enqueue order.
-//! Either way arena layout, violations and shallowest paths stay
-//! bit-identical to the sequential engine for every shard count.
+//! At `k = 1` — what auto picks below 4 workers — the single consumer
+//! sees every admitted edge in canonical order, so it enqueues straight
+//! into the arena and the next level as ranges arrive. Above one, each
+//! shard collects its admitted edges with their canonical (job, event)
+//! position, and a sequential k-way recombine merges the per-shard
+//! streams — each already canonically ordered — back into the exact
+//! sequential enqueue order. Either way arena layout, violations and
+//! shallowest paths stay bit-identical to the sequential engine for every
+//! shard count.
 //!
 //! The explored set itself can be compacted to 8-byte entries and spilled
 //! to a sorted on-disk run when a resident-byte budget is exceeded
@@ -94,15 +108,15 @@
 //! coordinator's reorder-buffer stalls are not double-counted as merge
 //! cost — see [`SearchStats`]).
 
-use std::collections::HashSet;
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cb_model::{apply_event, Event, GlobalState, NodeId, Protocol, TraceStep, Violation};
 
-use crate::frontier::{Admission, ExploredBatch, LockFreeExplored, StealQueues};
+use crate::frontier::{Admission, ExploredBatch, LockFreeExplored};
 use crate::pool::{PoolScope, WorkerPool};
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
@@ -117,17 +131,20 @@ pub const MAX_MERGE_SHARDS: usize = 16;
 /// Tuning for the parallel engine.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Worker threads for the check and expand phases. 1 runs the same
-    /// algorithm inline (useful as a determinism control in tests); above
-    /// 1, a search on a shared pool streams its per-job tasks to however
-    /// many workers the pool provides.
+    /// Logical workers for the check and expand phases. 1 runs the fused
+    /// pass inline (useful as a determinism control in tests); above 1 it
+    /// sizes the range tasks a level is cut into (`range_len`), which a
+    /// search on a shared pool streams to however many threads the pool
+    /// provides.
     pub workers: usize,
     /// Merge shards for phase 3: the canonical dedup/merge is partitioned
     /// by successor-hash key range and the shards run concurrently, with
     /// a deterministic recombine reconstituting the exact sequential
-    /// enqueue order. 0 (the default) picks `workers.min(4)`; 1 is the
-    /// single coordinator stream, which enqueues directly and has nothing
-    /// to recombine. Any value yields bit-identical results — this knob
+    /// enqueue order. 1 is the single coordinator stream, which enqueues
+    /// directly and has nothing to buffer or recombine. 0 (the default)
+    /// picks 1 below 4 workers — where one stream keeps up with the
+    /// expansion and the recombine only adds a serial section — and 4
+    /// from there on. Any value yields bit-identical results — this knob
     /// trades merge parallelism against per-shard buffer overhead.
     pub merge_shards: usize,
     /// Use the compacted explored-set slot layout (8 bytes/entry instead
@@ -158,15 +175,14 @@ impl Default for ParallelConfig {
 
 impl ParallelConfig {
     /// The merge-shard count a search will actually run with: the
-    /// explicit setting, or `workers.min(4)` when auto (0), clamped to
-    /// [`MAX_MERGE_SHARDS`].
+    /// explicit setting clamped to [`MAX_MERGE_SHARDS`], or when auto (0)
+    /// one stream below 4 workers and 4 shards from there on.
     pub fn effective_merge_shards(&self) -> usize {
-        let shards = if self.merge_shards == 0 {
-            self.workers.min(4)
-        } else {
-            self.merge_shards
-        };
-        shards.clamp(1, MAX_MERGE_SHARDS)
+        match self.merge_shards {
+            0 if self.workers < 4 => 1,
+            0 => 4,
+            k => k.min(MAX_MERGE_SHARDS),
+        }
     }
 }
 
@@ -178,13 +194,37 @@ fn shard_of(hash: u64, shards: usize) -> usize {
     ((hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize) % shards
 }
 
+/// Range tasks a level is cut into per worker: a few, so the coordinator
+/// — which also merges — sheds expansion to the pool range by range
+/// instead of being dealt a fixed share up front.
+const RANGES_PER_WORKER: usize = 4;
+/// Fewest jobs worth a pool task. A level no longer than this runs
+/// inline on the caller: waking a worker would cost more than the
+/// expansion it takes over.
+const MIN_RANGE_JOBS: usize = 64;
+/// Most jobs per range: a range's edges are still cache-resident when
+/// the merge takes them, and the merge never waits long for range 0.
+const MAX_RANGE_JOBS: usize = 256;
+
+/// Length of the contiguous ranges a level of `n` items is cut into at
+/// `workers` workers: [`RANGES_PER_WORKER`] per worker within the
+/// [`MIN_RANGE_JOBS`]..=[`MAX_RANGE_JOBS`] band, evened out so the last
+/// range is no sliver. The level fits one range iff `n <= range_len`.
+fn range_len(n: usize, workers: usize) -> usize {
+    let target = (n / (workers * RANGES_PER_WORKER)).clamp(MIN_RANGE_JOBS, MAX_RANGE_JOBS);
+    n.div_ceil(n.div_ceil(target).max(1)).max(1)
+}
+
 /// One level's states, each with the arena record of the edge that
 /// reached it — all items of one level share a depth.
 type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
 
 /// One successor edge emitted by the expand phase, routed to the merge
-/// shard owning its hash.
+/// shard owning its hash; the merge passes the edges it admits on as they
+/// are, with `state` filled in.
 struct Edge<P: Protocol> {
+    /// Canonical job index within the level.
+    job: u32,
     /// Index within the job's event-enumeration order (what the recombine
     /// sorts on, after the job index).
     ord: u32,
@@ -198,23 +238,15 @@ struct Edge<P: Protocol> {
     /// therefore keeps the winner's clone only when the winner *is* the
     /// canonical edge, and re-derives the canonical clone otherwise.
     state: Option<GlobalState<P>>,
+    /// Byte footprint of `state`, taken by whoever built it while it was
+    /// cache-hot.
+    bytes: usize,
     hash: u64,
     /// When the insert race was lost: the level stamp the winner carried.
     /// Equal to the current successor stamp iff the hash was admitted
     /// *this* level (by a later-canonical edge); smaller means a true
     /// duplicate of an earlier level.
     prior_level: u64,
-    event: Event<P>,
-    step: TraceStep,
-}
-
-/// An edge the merge admitted, tagged with its canonical coordinates.
-struct AdmittedEdge<P: Protocol> {
-    /// Canonical job index within the level.
-    job: u32,
-    /// Canonical event index within the job.
-    ord: u32,
-    state: GlobalState<P>,
     event: Event<P>,
     step: TraceStep,
 }
@@ -228,8 +260,8 @@ struct MergeTally {
 }
 
 /// The level under construction: admitted successors in canonical
-/// enqueue order, with their byte footprint accumulated while each state
-/// is cache-hot.
+/// enqueue order, with their byte footprints (each taken where the state
+/// was built) summed.
 struct NextLevel<P: Protocol> {
     states: Level<P>,
     bytes: usize,
@@ -243,6 +275,7 @@ impl<P: Protocol> NextLevel<P> {
         arena: &mut Vec<ArenaRec<P>>,
         parent: Option<usize>,
         state: GlobalState<P>,
+        bytes: usize,
         event: Event<P>,
         step: TraceStep,
     ) {
@@ -251,7 +284,7 @@ impl<P: Protocol> NextLevel<P> {
             event,
             step,
         });
-        self.bytes += approx_state_bytes(&state);
+        self.bytes += bytes;
         self.states.push((state, Some(arena.len() - 1)));
     }
 }
@@ -319,10 +352,10 @@ impl Deadline {
     }
 }
 
-/// The order-preserving channel between expand tasks and one merge
-/// shard's consumer: a reorder buffer indexed by job, consumed as a
+/// The order-preserving channel between range tasks and one merge
+/// shard's consumer: a reorder buffer indexed by range, consumed as a
 /// contiguous prefix. Peak residency is the out-of-order window (how far
-/// completed jobs run ahead of the canonical cursor), not the whole
+/// completed ranges run ahead of the canonical cursor), not the whole
 /// level.
 struct MergeChannel<T> {
     inner: Mutex<MergeBuf<T>>,
@@ -331,27 +364,27 @@ struct MergeChannel<T> {
 
 struct MergeBuf<T> {
     slots: Vec<Option<T>>,
-    /// Next canonical job index the consumer needs.
+    /// Next canonical range index the consumer needs.
     next: usize,
 }
 
 impl<T> MergeChannel<T> {
-    fn new(jobs: usize) -> Self {
+    fn new(ranges: usize) -> Self {
         MergeChannel {
             inner: Mutex::new(MergeBuf {
-                slots: (0..jobs).map(|_| None).collect(),
+                slots: (0..ranges).map(|_| None).collect(),
                 next: 0,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Deposits job `j`'s batch; wakes the consumer iff `j` is the batch
-    /// it is waiting on.
-    fn deposit(&self, j: usize, out: T) {
+    /// Deposits range `r`'s batch; wakes the consumer iff `r` is the
+    /// batch it is waiting on.
+    fn deposit(&self, r: usize, out: T) {
         let mut b = self.inner.lock().expect("merge buffer poisoned");
-        let wake = j == b.next;
-        b.slots[j] = Some(out);
+        let wake = r == b.next;
+        b.slots[r] = Some(out);
         drop(b);
         if wake {
             self.ready.notify_all();
@@ -359,14 +392,14 @@ impl<T> MergeChannel<T> {
     }
 
     /// Takes the next in-canonical-order batch if it is already there.
-    fn try_next(&self) -> Option<(usize, T)> {
+    fn try_next(&self) -> Option<T> {
         let mut b = self.inner.lock().expect("merge buffer poisoned");
         b.take_next()
     }
 
     /// Blocks until the next in-order batch arrives (deposits of that
     /// index notify) or `stop` is raised by a deadline-hitting task.
-    fn wait_next(&self, stop: &AtomicBool) -> Option<(usize, T)> {
+    fn wait_next(&self, stop: &AtomicBool) -> Option<T> {
         let mut b = self.inner.lock().expect("merge buffer poisoned");
         loop {
             if let Some(out) = b.take_next() {
@@ -381,25 +414,20 @@ impl<T> MergeChannel<T> {
 }
 
 impl<T> MergeBuf<T> {
-    fn take_next(&mut self) -> Option<(usize, T)> {
-        let j = self.next;
-        if j < self.slots.len() {
-            if let Some(out) = self.slots[j].take() {
-                self.next += 1;
-                return Some((j, out));
-            }
-        }
-        None
+    fn take_next(&mut self) -> Option<T> {
+        let out = self.slots.get_mut(self.next)?.take()?;
+        self.next += 1;
+        Some(out)
     }
 }
 
-/// Ensures every shard's channel sees a deposit for job `j` even if the
-/// expand task unwinds: without one a merge consumer would wait forever
-/// on a job whose panic the pool has already captured for re-raising at
-/// scope exit.
+/// Ensures every shard's channel sees a deposit for range `r` even if
+/// the range task unwinds: without one a merge consumer would wait
+/// forever on a range whose panic the pool has already captured for
+/// re-raising at scope exit.
 struct ShardDepositGuard<'a, T: Default> {
     chans: &'a [MergeChannel<T>],
-    j: usize,
+    r: usize,
     armed: bool,
 }
 
@@ -407,10 +435,25 @@ impl<T: Default> Drop for ShardDepositGuard<'_, T> {
     fn drop(&mut self) {
         if self.armed {
             for chan in self.chans {
-                chan.deposit(self.j, T::default());
+                chan.deposit(self.r, T::default());
             }
         }
     }
+}
+
+/// What the range tasks and merge consumers of one level's phase 3 all
+/// read.
+struct Phase3<'a, P: Protocol> {
+    level: &'a [(GlobalState<P>, Option<usize>)],
+    jobs: &'a [ExpandJob],
+    explored: &'a LockFreeExplored,
+    /// The successor level every insert of this phase is stamped with.
+    stamp: u64,
+    /// `stamp` as the table stores it (compact layouts saturate the level
+    /// field): what `prior_level` readbacks must be compared to.
+    stamp_cmp: u64,
+    shards: usize,
+    deadline: &'a Deadline,
 }
 
 impl<P: Protocol> Searcher<'_, P> {
@@ -614,7 +657,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 // level by a non-canonical edge" from "duplicate of an
                 // earlier level" batch by batch.
                 self.expand_and_merge_level(
-                    &level, &jobs, &explored, stamp, shards, &deadline, pool, &mut arena,
+                    &level, &jobs, &explored, stamp, workers, shards, &deadline, pool, &mut arena,
                     &mut next, &mut stats,
                 );
                 if deadline.hit() {
@@ -729,15 +772,20 @@ impl<P: Protocol> Searcher<'_, P> {
             let mut succ = state.clone();
             let step = apply_event(self.protocol, &mut succ, &event);
             match batch.insert_leveled(succ.state_hash(), stamp) {
-                Admission::Fresh => next.push(arena, item.1, succ, event, step),
+                Admission::Fresh => {
+                    let bytes = approx_state_bytes(&succ);
+                    next.push(arena, item.1, succ, bytes, event, step)
+                }
                 Admission::Seen { .. } => stats.duplicates_hit += 1,
             }
         }
     }
 
-    /// Phase 1: property-checks every level item, fanning out over
-    /// `workers` threads. The checks are incomplete (and to be discarded)
-    /// when the deadline fired mid-phase.
+    /// Phase 1: property-checks every level item, one pool task per
+    /// contiguous range ([`range_len`]), each writing its own chunk of the
+    /// result; a level that fits one range is checked on the caller. The
+    /// checks are incomplete (and to be discarded) when the deadline fired
+    /// mid-phase.
     fn check_level(
         &self,
         level: &[(GlobalState<P>, Option<usize>)],
@@ -745,120 +793,108 @@ impl<P: Protocol> Searcher<'_, P> {
         deadline: &Deadline,
         pool: &WorkerPool,
     ) -> Vec<Option<Violation>> {
-        if level.len() <= 1 {
-            return level
-                .iter()
-                .map_while(|(s, _)| (!deadline.passed()).then(|| self.props.check(s)))
-                .collect();
-        }
-        let slots: Vec<Mutex<Option<Option<Violation>>>> =
-            level.iter().map(|_| Mutex::new(None)).collect();
-        let queues = StealQueues::split(workers, level.len());
-        let worker_loop = |w: usize| {
-            while let Some(i) = queues.next(w) {
+        let mut checks: Vec<Option<Violation>> = Vec::new();
+        checks.resize_with(level.len(), || None);
+        let check_range = |items: &[(GlobalState<P>, Option<usize>)],
+                           out: &mut [Option<Violation>]| {
+            for ((state, _), slot) in items.iter().zip(out) {
                 if deadline.passed() {
                     return;
                 }
-                let v = self.props.check(&level[i].0);
-                *slots[i].lock().expect("check slot poisoned") = Some(v);
+                *slot = self.props.check(state);
             }
         };
-        pool.scope(|scope| {
-            for w in 1..workers {
-                let worker_loop = &worker_loop;
-                scope.spawn(move || worker_loop(w));
-            }
-            worker_loop(0);
-        });
-        if deadline.hit() {
-            return Vec::new();
+        let len = range_len(level.len(), workers);
+        if level.len() <= len {
+            check_range(level, &mut checks);
+        } else {
+            pool.scope(|scope| {
+                for (items, out) in level.chunks(len).zip(checks.chunks_mut(len)) {
+                    let check_range = &check_range;
+                    scope.spawn(move || check_range(items, out));
+                }
+            });
         }
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("check slot poisoned")
-                    .expect("checked")
-            })
-            .collect()
+        checks
     }
 
-    /// Executes one expansion job: enumerate, clone, apply, hash, and
-    /// race each successor into the explored table — one CAS per
-    /// successor through a per-job [`ExploredBatch`], so the segment
-    /// snapshot and the shared-length update cost one synchronization
-    /// edge per batch instead of one per state. Each successor edge is
-    /// routed to the merge shard owning its hash, tagged with its in-job
-    /// order. Returns the per-shard edge lists plus the job's
-    /// filtered-event count.
-    fn expand_job(
-        &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        job: &ExpandJob,
-        explored: &LockFreeExplored,
-        stamp: u64,
-        shards: usize,
-    ) -> (Vec<Vec<Edge<P>>>, usize) {
-        let state = &level[job.item].0;
+    /// Executes the contiguous `range` of the level's expansion jobs:
+    /// enumerate, clone, apply, hash, and race each successor into the
+    /// explored table — one CAS per successor through one
+    /// [`ExploredBatch`] for the whole range, so the segment snapshot and
+    /// the shared-length update cost one synchronization edge per range.
+    /// Each successor edge is routed to the merge shard owning its hash,
+    /// tagged with its canonical (job, ord) position, so every per-shard
+    /// list comes out in canonical order. Returns those lists plus the
+    /// range's filtered-event count; cut short (to be discarded) once the
+    /// deadline has passed.
+    fn expand_range(&self, cx: &Phase3<'_, P>, range: Range<usize>) -> (Vec<Vec<Edge<P>>>, usize) {
+        let mut per: Vec<Vec<Edge<P>>> = (0..cx.shards).map(|_| Vec::new()).collect();
         let mut filtered = 0usize;
-        let events = enumerate_gated(
-            self.protocol,
-            &self.config,
-            state,
-            |n| job.allowed.as_ref().is_none_or(|nodes| nodes.contains(&n)),
-            &mut filtered,
-        );
-        // A lone shard takes every edge, so its list is sized exactly; a
-        // hash split is uneven and mostly short, so those grow on demand.
-        let cap = if shards == 1 { events.len() } else { 0 };
-        let mut per: Vec<Vec<Edge<P>>> = (0..shards).map(|_| Vec::with_capacity(cap)).collect();
-        let mut batch = explored.batch();
-        for (ord, event) in events.into_iter().enumerate() {
-            let mut next = state.clone();
-            let step = apply_event(self.protocol, &mut next, &event);
-            let hash = next.state_hash();
-            let (state, prior_level) = match batch.insert_leveled(hash, stamp) {
-                Admission::Fresh => (Some(next), 0),
-                Admission::Seen { level } => (None, level),
-            };
-            per[shard_of(hash, shards)].push(Edge {
-                ord: ord as u32,
+        let mut batch = cx.explored.batch();
+        for j in range {
+            if cx.deadline.passed() {
+                break;
+            }
+            let job = &cx.jobs[j];
+            let state = &cx.level[job.item].0;
+            let events = enumerate_gated(
+                self.protocol,
+                &self.config,
                 state,
-                hash,
-                prior_level,
-                event,
-                step,
-            });
+                |n| job.allowed.as_ref().is_none_or(|nodes| nodes.contains(&n)),
+                &mut filtered,
+            );
+            for (ord, event) in events.into_iter().enumerate() {
+                let mut next = state.clone();
+                let step = apply_event(self.protocol, &mut next, &event);
+                let hash = next.state_hash();
+                let (state, bytes, prior_level) = match batch.insert_leveled(hash, cx.stamp) {
+                    Admission::Fresh => {
+                        let bytes = approx_state_bytes(&next);
+                        (Some(next), bytes, 0)
+                    }
+                    Admission::Seen { level } => (None, 0, level),
+                };
+                per[shard_of(hash, cx.shards)].push(Edge {
+                    job: j as u32,
+                    ord: ord as u32,
+                    state,
+                    bytes,
+                    hash,
+                    prior_level,
+                    event,
+                    step,
+                });
+            }
         }
         (per, filtered)
     }
 
     /// Applies the canonical enqueue-time dedup to one shard's share of
-    /// one job's edges, in canonical order, emitting every admitted edge
-    /// into `sink` and returning the duplicates it discarded. Exactly the
-    /// bookkeeping the sequential loop performs at its `explored.insert`:
-    /// the canonically-first edge to a hash admitted this level becomes
-    /// its parent; everything else is a duplicate. Equal hashes always
-    /// land in the same shard, so the decision is taken with the same
-    /// inputs at every shard count.
-    #[allow(clippy::too_many_arguments)]
+    /// one range's edges, in canonical order, emitting every admitted
+    /// edge — its state filled in — into `sink` and returning the
+    /// duplicates it discarded. Exactly the bookkeeping the sequential
+    /// loop performs at its `explored.insert`: the canonically-first edge
+    /// to a hash admitted this level becomes its parent; everything else
+    /// is a duplicate. Equal hashes always land in the same shard, so the
+    /// decision is taken with the same inputs at every shard count.
     fn admit(
         &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        item: usize,
-        job: usize,
+        cx: &Phase3<'_, P>,
         edges: Vec<Edge<P>>,
-        stamp_cmp: u64,
-        seen: &mut HashSet<u64>,
-        mut sink: impl FnMut(AdmittedEdge<P>),
+        seen: &mut DigestSet,
+        mut sink: impl FnMut(Edge<P>),
     ) -> usize {
         let mut duplicates = 0usize;
-        for edge in edges {
+        for mut edge in edges {
             // `seen`: a canonically-earlier edge this level already
             // decided this hash (admitted it or proved it a duplicate).
             // Otherwise the level stamp tells this level's admissions
             // from duplicates of an earlier level.
-            if !seen.insert(edge.hash) || !(edge.state.is_some() || edge.prior_level == stamp_cmp) {
+            if !seen.insert(edge.hash)
+                || !(edge.state.is_some() || edge.prior_level == cx.stamp_cmp)
+            {
                 duplicates += 1;
                 continue;
             }
@@ -868,103 +904,81 @@ impl<P: Protocol> Searcher<'_, P> {
             // equal hashes guarantee equal node states and equal in-flight
             // *multisets*, but not equal in-flight `Vec` order, and that
             // order steers downstream event enumeration.
-            let state = edge.state.unwrap_or_else(|| {
-                let mut s = level[item].0.clone();
+            if edge.state.is_none() {
+                let mut s = cx.level[cx.jobs[edge.job as usize].item].0.clone();
                 apply_event(self.protocol, &mut s, &edge.event);
-                s
-            });
-            sink(AdmittedEdge {
-                job: job as u32,
-                ord: edge.ord,
-                state,
-                event: edge.event,
-                step: edge.step,
-            });
+                edge.bytes = approx_state_bytes(&s);
+                edge.state = Some(s);
+            }
+            sink(edge);
         }
         duplicates
     }
 
     /// One merge shard's consumer: takes the shard's channel in canonical
-    /// job order and admits its key range into `sink`. The coordinator
+    /// range order and admits its key range into `sink`. The coordinator
     /// passes its pool scope, so a missing batch makes it run one of the
     /// level's queued tasks instead of sleeping — starvation never blocks
     /// progress, and canonical-completion order holds even on a
     /// zero-thread pool; tail shards pass `None` and just wait.
-    #[allow(clippy::too_many_arguments)]
     fn merge_shard(
         &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        jobs: &[ExpandJob],
+        cx: &Phase3<'_, P>,
         chan: &MergeChannel<Vec<Edge<P>>>,
-        stamp_cmp: u64,
-        deadline: &Deadline,
         helper: Option<&PoolScope<'_, '_>>,
-        mut sink: impl FnMut(AdmittedEdge<P>),
+        mut sink: impl FnMut(Edge<P>),
     ) -> MergeTally {
         let _span = cb_obs::span("mc.merge_shard", "mc");
         let mut tally = MergeTally::default();
         // Hashes this shard already decided this level.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut merged = 0usize;
-        while merged < jobs.len() {
-            // Partial results are discarded on deadline stops.
-            if deadline.passed() {
-                break;
-            }
-            let got = match chan.try_next() {
-                Some(got) => Some(got),
-                None => {
-                    if helper.is_some_and(|scope| scope.help_one()) {
-                        // Ran a queued task instead of sleeping —
-                        // expansion work, attributed to neither timer.
-                        continue;
-                    }
-                    // The needed job is running on another thread: wait
-                    // for its deposit (deposits of the awaited index
-                    // notify).
+        let mut seen = DigestSet::default();
+        // Partial results are discarded on deadline stops.
+        while !cx.deadline.passed() {
+            let got = loop {
+                if let Some(edges) = chan.try_next() {
+                    break Some(edges);
+                }
+                // Run a queued range instead of sleeping — expansion
+                // work, attributed to neither timer.
+                if !helper.is_some_and(|scope| scope.help_one()) {
+                    // The needed range is running on another thread (wait
+                    // for its deposit, which notifies), or every range
+                    // has been merged.
                     let tw = Instant::now();
-                    let got = chan.wait_next(&deadline.hit);
+                    let got = chan.wait_next(&cx.deadline.hit);
                     tally.wait += tw.elapsed();
-                    got
+                    break got;
                 }
             };
-            let Some((j, edges)) = got else {
-                break; // deadline raised by another task
+            let Some(edges) = got else {
+                break; // level drained, or deadline raised by another task
             };
             let tb = Instant::now();
-            tally.duplicates += self.admit(
-                level,
-                jobs[j].item,
-                j,
-                edges,
-                stamp_cmp,
-                &mut seen,
-                &mut sink,
-            );
+            tally.duplicates += self.admit(cx, edges, &mut seen, &mut sink);
             tally.busy += tb.elapsed();
-            merged += 1;
         }
         tally
     }
 
-    /// Phase 3: expands every job and merges the resulting edges in
-    /// canonical order, overlapped. Expansion tasks route each successor
-    /// edge to the merge shard owning its hash; the shards dedup/merge
-    /// their key ranges concurrently (shard 0 streamed by the
-    /// coordinator, shards 1..k as pool tasks). One shard enqueues as it
-    /// admits; more buffer their admitted edges for a sequential recombine
-    /// that k-way-merges them back into the exact sequential enqueue
-    /// order. When the deadline fires mid-phase the merge is left partial,
-    /// for the caller to discard.
+    /// Phase 3: expands the level's jobs range by range and merges the
+    /// resulting edges in canonical order, overlapped. Each range task
+    /// routes its successor edges to the merge shard owning their hash;
+    /// the shards dedup/merge their key ranges concurrently (shard 0
+    /// streamed by the coordinator, shards 1..k as pool tasks). One shard
+    /// enqueues as it admits; more buffer their admitted edges for a
+    /// sequential recombine that k-way-merges them back into the exact
+    /// sequential enqueue order. A level that fits one range is expanded
+    /// and merged on the caller. When the deadline fires mid-phase the
+    /// merge is left partial, for the caller to discard.
     ///
     /// Deadlock freedom: tail merge tasks block on deposits, so they are
-    /// spawned *after* every expand task. The pool queue is FIFO — by the
+    /// spawned *after* every range task. The pool queue is FIFO — by the
     /// time any worker (or the helping coordinator) pops a merge task,
-    /// every expand task has already been popped, so a blocked merger
+    /// every range task has already been popped, so a blocked merger
     /// only ever waits on tasks that are running or finished, never on
     /// one queued behind it. This holds at any pool size, including a
     /// zero-thread pool where the coordinator runs everything via
-    /// `help_one` (FIFO again: expands drain first, and a merge task run
+    /// `help_one` (FIFO again: ranges drain first, and a merge task run
     /// inline then finds all its deposits already present).
     #[allow(clippy::too_many_arguments)]
     fn expand_and_merge_level(
@@ -973,6 +987,7 @@ impl<P: Protocol> Searcher<'_, P> {
         jobs: &[ExpandJob],
         explored: &LockFreeExplored,
         stamp: u64,
+        workers: usize,
         shards: usize,
         deadline: &Deadline,
         pool: &WorkerPool,
@@ -981,90 +996,91 @@ impl<P: Protocol> Searcher<'_, P> {
         stats: &mut SearchStats,
     ) {
         let _span = cb_obs::span("mc.expand", "mc");
-        // The stamp as the table stores it (compact layouts saturate the
-        // level field): what `prior_level` readbacks must be compared to.
-        let stamp_cmp = explored.stored_level(stamp);
-        let parent = |job: u32| level[jobs[job as usize].item].1;
+        let len = range_len(jobs.len(), workers);
+        let ranges = jobs.len().div_ceil(len);
+        stats.expand_ranges += ranges;
+        // A lone range is merged where it was expanded: nothing to route.
+        let shards = if ranges > 1 { shards } else { 1 };
+        let cx = &Phase3 {
+            level,
+            jobs,
+            explored,
+            stamp,
+            stamp_cmp: explored.stored_level(stamp),
+            shards,
+            deadline,
+        };
+        // Where every admitted edge ends up, in canonical order.
+        let mut enqueue = |e: Edge<P>| {
+            let state = e.state.expect("admitted edges carry their state");
+            next.push(
+                arena,
+                level[jobs[e.job as usize].item].1,
+                state,
+                e.bytes,
+                e.event,
+                e.step,
+            )
+        };
 
-        if jobs.len() <= 1 {
-            // Nothing to overlap: expand and merge inline, no scope or
-            // channel. Canonical order *is* the execution order.
-            for (j, job) in jobs.iter().enumerate() {
-                if deadline.passed() {
-                    return;
-                }
-                let (mut per, filtered) = self.expand_job(level, job, explored, stamp, 1);
-                stats.filtered_events += filtered;
-                let edges = per.pop().expect("one shard");
-                stats.duplicates_hit += self.admit(
-                    level,
-                    job.item,
-                    j,
-                    edges,
-                    stamp_cmp,
-                    &mut HashSet::new(),
-                    |e| next.push(arena, parent(e.job), e.state, e.event, e.step),
-                );
-            }
+        if ranges <= 1 {
+            // Nothing to overlap: expand and merge on the caller, no
+            // scope, channel or worker wake-up. Canonical order *is* the
+            // execution order.
+            let (mut per, filtered) = self.expand_range(cx, 0..jobs.len());
+            stats.filtered_events += filtered;
+            let edges = per.pop().expect("one shard");
+            stats.duplicates_hit += self.admit(cx, edges, &mut DigestSet::default(), enqueue);
             return;
         }
 
         let chans: Vec<MergeChannel<Vec<Edge<P>>>> =
-            (0..shards).map(|_| MergeChannel::new(jobs.len())).collect();
+            (0..shards).map(|_| MergeChannel::new(ranges)).collect();
         let filtered = AtomicUsize::new(0);
         // What each buffering shard admitted (canonically ordered within
         // its key range) and counted; unused at one shard.
-        type ShardOut<P> = (Vec<AdmittedEdge<P>>, MergeTally);
+        type ShardOut<P> = (Vec<Edge<P>>, MergeTally);
         let tail_out: Vec<Mutex<Option<ShardOut<P>>>> =
             (1..shards).map(|_| Mutex::new(None)).collect();
-        let mut admitted0: Vec<AdmittedEdge<P>> = Vec::new();
+        let mut admitted0: Vec<Edge<P>> = Vec::new();
         let tally0 = pool.scope(|scope: &PoolScope<'_, '_>| {
-            for (j, job) in jobs.iter().enumerate() {
-                let chans = &chans[..];
-                let filtered = &filtered;
+            for r in 0..ranges {
+                let (chans, filtered) = (&chans[..], &filtered);
                 scope.spawn(move || {
+                    // Disarmed once the range has lists of its own to
+                    // deposit.
                     let mut guard = ShardDepositGuard {
                         chans,
-                        j,
+                        r,
                         armed: true,
                     };
-                    if deadline.passed() {
-                        return; // guard deposits empty slices to every shard
-                    }
-                    let (per, f) = self.expand_job(level, job, explored, stamp, shards);
+                    let (per, f) = self.expand_range(cx, r * len..jobs.len().min((r + 1) * len));
                     filtered.fetch_add(f, Ordering::Relaxed);
                     guard.armed = false;
                     for (chan, edges) in chans.iter().zip(per) {
-                        chan.deposit(j, edges);
+                        chan.deposit(r, edges);
                     }
                 });
             }
-            // Tail mergers — spawned after every expand task; the FIFO
+            // Tail mergers — spawned after every range task; the FIFO
             // queue order is load-bearing (see the method docs).
             for (chan, slot) in chans[1..].iter().zip(&tail_out) {
                 scope.spawn(move || {
                     let mut admitted = Vec::new();
-                    let tally =
-                        self.merge_shard(level, jobs, chan, stamp_cmp, deadline, None, |e| {
-                            admitted.push(e)
-                        });
+                    let tally = self.merge_shard(cx, chan, None, |e| admitted.push(e));
                     *slot.lock().expect("shard output slot poisoned") = Some((admitted, tally));
                 });
             }
             // The coordinator streams shard 0. Alone, it sees every
             // admitted edge in canonical order and enqueues directly.
-            let (chan, helper) = (&chans[0], Some(scope));
             if shards == 1 {
-                self.merge_shard(level, jobs, chan, stamp_cmp, deadline, helper, |e| {
-                    next.push(arena, parent(e.job), e.state, e.event, e.step)
-                })
+                self.merge_shard(cx, &chans[0], Some(scope), &mut enqueue)
             } else {
-                self.merge_shard(level, jobs, chan, stamp_cmp, deadline, helper, |e| {
-                    admitted0.push(e)
-                })
+                self.merge_shard(cx, &chans[0], Some(scope), |e| admitted0.push(e))
             }
             // Scope exit runs any still-queued tasks (after a deadline
-            // they deposit empty batches) and waits for in-flight ones.
+            // they deposit what little they expanded) and waits for
+            // in-flight ones.
         });
         if deadline.hit() {
             return;
@@ -1108,8 +1124,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 }
             }
             let Some((_, s)) = best else { break };
-            let e = streams[s].next().expect("peeked edge");
-            next.push(arena, parent(e.job), e.state, e.event, e.step);
+            enqueue(streams[s].next().expect("peeked edge"));
         }
         stats.merge_recombine += t_rec.elapsed();
     }
@@ -1192,6 +1207,18 @@ mod tests {
         )
     }
 
+    /// A 5-node exhaustive search to depth 7: its levels grow to ~500
+    /// jobs, so every worker count above one cuts them into several
+    /// ranges (the 4-node systems above never leave the inline path).
+    fn wide() -> (Ping, GlobalState<Ping>, PropertySet<Ping>, SearchConfig) {
+        let (p, gs) = sys(5);
+        let base = SearchConfig {
+            max_depth: Some(7),
+            ..cfg()
+        };
+        (p, gs, props(u32::MAX), base)
+    }
+
     #[test]
     fn parallel_bfs_matches_sequential_exactly() {
         let (p, gs) = sys(3);
@@ -1248,12 +1275,10 @@ mod tests {
 
     #[test]
     fn parallel_exhaustion_matches_without_violations() {
-        let (p, gs) = sys(4);
-        let pr = props(u32::MAX);
+        let (p, gs, pr, base) = wide();
         let base = SearchConfig {
-            max_depth: Some(5),
             max_states: Some(1_000_000),
-            ..cfg()
+            ..base
         };
         let seq = find_errors(&p, &pr, &gs, base.clone());
         let par = find_errors_parallel(
@@ -1341,12 +1366,7 @@ mod tests {
 
     #[test]
     fn merge_timers_populated_only_in_streamed_mode() {
-        let (p, gs) = sys(4);
-        let pr = props(u32::MAX);
-        let base = SearchConfig {
-            max_depth: Some(5),
-            ..cfg()
-        };
+        let (p, gs, pr, base) = wide();
         let seq = find_errors(&p, &pr, &gs, base.clone());
         assert_eq!(seq.stats.merge_busy, std::time::Duration::ZERO);
         assert_eq!(seq.stats.merge_wait, std::time::Duration::ZERO);
@@ -1361,6 +1381,10 @@ mod tests {
             },
         );
         assert_eq!(inline.stats.merge_busy, std::time::Duration::ZERO);
+        assert_eq!(
+            inline.stats.expand_ranges, 0,
+            "the fused pass cuts no ranges"
+        );
         let streamed = find_errors_parallel(
             &p,
             &pr,
@@ -1375,16 +1399,15 @@ mod tests {
             streamed.stats.merge_busy > std::time::Duration::ZERO,
             "streamed coordinator recorded merge work"
         );
+        assert!(
+            streamed.stats.expand_ranges > streamed.stats.per_depth.len(),
+            "some level was cut into several ranges"
+        );
     }
 
     #[test]
     fn merge_shard_matrix_matches_sequential() {
-        let (p, gs) = sys(4);
-        let pr = props(u32::MAX);
-        let base = SearchConfig {
-            max_depth: Some(5),
-            ..cfg()
-        };
+        let (p, gs, pr, base) = wide();
         let seq = find_errors(&p, &pr, &gs, base.clone());
         for shards in [1, 2, 4, 7] {
             let par = find_errors_parallel(
@@ -1420,11 +1443,16 @@ mod tests {
         }
     }
 
-    /// [`Ping`], except that receiving a `Pong` panics — a handler bug no
-    /// path shorter than kick, ping delivery, pong delivery reaches, so it
-    /// first fires while a depth-2 level is expanding.
+    /// [`Ping`], except that receiving a `Pong` panics once the node has
+    /// already seen `spare` of them — a handler bug no path shorter than
+    /// `spare + 1` rounds of kick, ping delivery, pong delivery reaches, so
+    /// it first fires while a depth-2 (`spare` 0) or depth-5 (`spare` 1)
+    /// level is expanding.
     #[derive(Clone, Debug)]
-    struct PongPanics(Ping);
+    struct PongPanics {
+        ping: Ping,
+        spare: u32,
+    }
 
     impl Protocol for PongPanics {
         type State = PingState;
@@ -1434,7 +1462,7 @@ mod tests {
             "pong-panics"
         }
         fn init(&self, node: NodeId) -> PingState {
-            self.0.init(node)
+            self.ping.init(node)
         }
         fn on_message(
             &self,
@@ -1444,8 +1472,11 @@ mod tests {
             msg: &PingMsg,
             out: &mut Outbox<PingMsg>,
         ) {
-            assert!(*msg != PingMsg::Pong, "handler bug behind a pong");
-            self.0.on_message(node, state, from, msg, out)
+            assert!(
+                *msg != PingMsg::Pong || state.pongs_seen < self.spare,
+                "handler bug behind a pong"
+            );
+            self.ping.on_message(node, state, from, msg, out)
         }
         fn on_error(
             &self,
@@ -1454,10 +1485,10 @@ mod tests {
             peer: NodeId,
             out: &mut Outbox<PingMsg>,
         ) {
-            self.0.on_error(node, state, peer, out)
+            self.ping.on_error(node, state, peer, out)
         }
         fn enabled_actions(&self, node: NodeId, state: &PingState, acts: &mut Vec<PingAction>) {
-            self.0.enabled_actions(node, state, acts)
+            self.ping.enabled_actions(node, state, acts)
         }
         fn on_action(
             &self,
@@ -1466,7 +1497,7 @@ mod tests {
             action: &PingAction,
             out: &mut Outbox<PingMsg>,
         ) {
-            self.0.on_action(node, state, action, out)
+            self.ping.on_action(node, state, action, out)
         }
         fn message_kind(msg: &PingMsg) -> &'static str {
             Ping::message_kind(msg)
@@ -1476,51 +1507,125 @@ mod tests {
         }
     }
 
-    /// A panicking expand task must not strand a merge consumer on the
+    /// A panicking range task must not strand a merge consumer on the
     /// batch it never deposited: the deposit guard fills the gap on every
     /// shard's channel, the level drains, and the pool re-raises the
-    /// panic out of `run_parallel`.
+    /// panic out of `run_parallel`. Four nodes hit the bug in a 9-job
+    /// level (inline, no task at all); six nodes with one pong to spare
+    /// hit it in a 476-job level cut into 8 ranges.
     #[test]
     fn handler_panic_in_expand_task_leaves_the_engine() {
-        let (p, gs) = sys(4);
-        let proto = PongPanics(p);
-        let gs = GlobalState::init(&proto, gs.nodes.keys().copied());
-        for shards in [1, 2, 4] {
-            let (done_tx, done_rx) = std::sync::mpsc::channel();
-            let (proto, gs) = (proto.clone(), gs.clone());
-            let search = std::thread::spawn(move || {
-                let panicked = std::panic::catch_unwind(|| {
-                    find_errors_parallel(
-                        &proto,
-                        &PropertySet::new(),
+        for (nodes, spare) in [(4, 0), (6, 1)] {
+            let (ping, gs) = sys(nodes);
+            let proto = PongPanics { ping, spare };
+            let gs = GlobalState::init(&proto, gs.nodes.keys().copied());
+            for shards in [1, 2, 4] {
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                let (proto, gs) = (proto.clone(), gs.clone());
+                let search = std::thread::spawn(move || {
+                    let panicked = std::panic::catch_unwind(|| {
+                        find_errors_parallel(
+                            &proto,
+                            &PropertySet::new(),
+                            &gs,
+                            cfg(),
+                            &ParallelConfig {
+                                workers: 4,
+                                merge_shards: shards,
+                                ..ParallelConfig::default()
+                            },
+                        )
+                    })
+                    .is_err();
+                    let _ = done_tx.send(panicked);
+                });
+                let panicked = done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| {
+                        panic!("engine hung on a panicked task ({nodes} nodes, shards={shards})")
+                    });
+                assert!(
+                    panicked,
+                    "the handler panic propagates ({nodes} nodes, shards={shards})"
+                );
+                search.join().expect("search thread exits");
+            }
+        }
+    }
+
+    #[test]
+    fn range_len_cuts_even_contiguous_ranges() {
+        for workers in [2, 3, 4, 8] {
+            for n in [0, 1, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097, 100_000] {
+                let len = range_len(n, workers);
+                let ranges = n.div_ceil(len);
+                assert!((1..=MAX_RANGE_JOBS).contains(&len), "n={n} w={workers}");
+                assert_eq!(ranges <= 1, n <= MIN_RANGE_JOBS, "n={n} w={workers}");
+                if ranges > 1 {
+                    let last = n - (ranges - 1) * len;
+                    assert!(
+                        2 * len >= MIN_RANGE_JOBS,
+                        "n={n} w={workers}: ranges too short"
+                    );
+                    assert!(
+                        len - last < ranges,
+                        "n={n} w={workers}: last range is a sliver"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Range boundaries through awkward places: the state budget cuts the
+    /// 6-node search's last expanded level to exactly one job under, at
+    /// and over the inline limit and the two-range limit, and to the whole
+    /// 1135-job level — whose commuting ping/pong deliveries reach one
+    /// hash from parents in different ranges, so under real threads the
+    /// insert-race winner and the canonical edge of a same-level
+    /// duplicate sit in different ranges.
+    #[test]
+    fn range_boundaries_match_sequential() {
+        let (p, gs) = sys(6);
+        let pr = props(u32::MAX);
+        let below: usize = [1, 5, 20, 65, 185, 476].iter().sum();
+        let g = MIN_RANGE_JOBS;
+        for last_level in [g - 1, g, g + 1, 2 * g - 1, 2 * g, 2 * g + 1, 1135] {
+            let base = SearchConfig {
+                max_depth: Some(7),
+                max_states: Some(below + last_level),
+                ..cfg()
+            };
+            let seq = find_errors(&p, &pr, &gs, base.clone());
+            assert_eq!(seq.stats.per_depth[6], last_level, "the level sizes moved");
+            for workers in [2, 3, 4] {
+                for shards in [1, 2, 4] {
+                    let par = find_errors_parallel(
+                        &p,
+                        &pr,
                         &gs,
-                        cfg(),
+                        base.clone(),
                         &ParallelConfig {
-                            workers: 4,
+                            workers,
                             merge_shards: shards,
                             ..ParallelConfig::default()
                         },
-                    )
-                })
-                .is_err();
-                let _ = done_tx.send(panicked);
-            });
-            let panicked = done_rx
-                .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("engine hung on a panicked task (shards={shards})"));
-            assert!(panicked, "the handler panic propagates (shards={shards})");
-            search.join().expect("search thread exits");
+                    );
+                    let what = format!("{last_level} jobs, workers={workers}, shards={shards}");
+                    assert_eq!(
+                        outcome_fingerprint(&seq),
+                        outcome_fingerprint(&par),
+                        "{what}"
+                    );
+                    assert_eq!(seq.stats.per_depth, par.stats.per_depth, "{what}");
+                    assert_eq!(seq.stopped, par.stopped, "{what}");
+                }
+            }
         }
     }
 
     #[test]
     fn compact_and_spill_engine_matches_sequential() {
-        let (p, gs) = sys(4);
-        let pr = props(u32::MAX);
-        let base = SearchConfig {
-            max_depth: Some(5),
-            ..cfg()
-        };
+        let (p, gs, pr, base) = wide();
         let seq = find_errors(&p, &pr, &gs, base.clone());
         for workers in [1, 4] {
             // A 1 KiB budget is crossed within the first few levels even
@@ -1559,6 +1664,13 @@ mod tests {
             ..ParallelConfig::default()
         };
         assert_eq!(auto.effective_merge_shards(), 4, "auto caps at 4");
+        for workers in [1, 2, 3] {
+            let few = ParallelConfig {
+                workers,
+                ..auto.clone()
+            };
+            assert_eq!(few.effective_merge_shards(), 1, "one stream below 4");
+        }
         let wide = ParallelConfig {
             merge_shards: 99,
             ..ParallelConfig::default()

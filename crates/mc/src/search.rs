@@ -1,5 +1,5 @@
 //! The search engines: exhaustive BFS (Fig. 5), consequence prediction
-//! (Fig. 8), the random-walk baseline, and the parallel work-stealing
+//! (Fig. 8), the random-walk baseline, and the parallel level-synchronous
 //! engine (`crate::parallel`).
 //!
 //! Both BFS variants share one loop; the *only* semantic difference is the
@@ -152,7 +152,7 @@ pub enum Engine {
     /// The single-threaded FIFO loop of Fig. 5 / Fig. 8.
     #[default]
     Sequential,
-    /// The level-synchronous work-stealing engine: same violation set and
+    /// The level-synchronous parallel engine: same violation set and
     /// canonical paths, expansion fanned out over a worker pool.
     Parallel(ParallelConfig),
     /// The MaceMC random-walk baseline (§5.3).

@@ -53,16 +53,20 @@ pub struct SearchStats {
     pub per_depth: Vec<usize>,
     /// Wall-clock time spent searching.
     pub elapsed: Duration,
-    /// Parallel engine only: coordinator time spent *performing* the
-    /// canonical dedup/merge on received edge batches. Now that merging
-    /// overlaps expansion, busy time must be split from wait time — a
-    /// single "merge phase" timer would double-count the coordinator's
-    /// idle waits (for the next canonical batch) as merge cost.
+    /// Parallel engine only: time spent *performing* the canonical
+    /// dedup/merge on received edge batches, summed over **every** merge
+    /// shard's consumer (the sum of `merge_shard_busy`) — CPU time that
+    /// can exceed the merge's wall time above one shard. Split from wait
+    /// time because merging overlaps expansion: a single "merge phase"
+    /// timer would count a consumer's idle waits (for the next canonical
+    /// batch) as merge cost.
     pub merge_busy: Duration,
-    /// Parallel engine only: coordinator time spent blocked waiting for
-    /// the next in-canonical-order batch (reorder-buffer stalls). Time
-    /// the coordinator spends *helping* expand is attributed to neither
-    /// counter — it is expansion work, not merge cost.
+    /// Parallel engine only: time the **coordinator** (shard 0's
+    /// consumer, alone) spent blocked waiting for the next
+    /// in-canonical-order batch (reorder-buffer stalls); tail shards'
+    /// waits are not added. Time the coordinator spends *helping* expand
+    /// is attributed to neither counter — it is expansion work, not merge
+    /// cost.
     pub merge_wait: Duration,
     /// Parallel engine only: number of merge shards the streamed phase 3
     /// ran with (0 on the fused pass, i.e. at one worker). Above one,
@@ -70,6 +74,10 @@ pub struct SearchStats {
     /// shards dedup concurrently and a deterministic recombine restores
     /// sequential order; at one the single stream enqueues directly.
     pub merge_shards: usize,
+    /// Parallel engine only: contiguous job ranges phase 3 expanded,
+    /// summed over levels — one pool task each, or one inline pass for a
+    /// level that fits a single range (0 on the fused pass).
+    pub expand_ranges: usize,
     /// Parallel engine only: per-shard busy time (index = shard). The sum
     /// equals `merge_busy`; the spread shows how evenly `shard_of` split
     /// the key space — the scaling bench reports it as merge utilization.
@@ -138,6 +146,7 @@ impl SearchStats {
             .field_f64("merge_busy_s", self.merge_busy.as_secs_f64(), 6)
             .field_f64("merge_wait_s", self.merge_wait.as_secs_f64(), 6)
             .field_usize("merge_shards", self.merge_shards)
+            .field_usize("expand_ranges", self.expand_ranges)
             .field_f64("merge_recombine_s", self.merge_recombine.as_secs_f64(), 6)
             .field_usize("explored_resident_bytes", self.explored_resident_bytes)
             .field_u64("explored_spilled_bytes", self.explored_spilled_bytes)

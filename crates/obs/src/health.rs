@@ -360,7 +360,11 @@ fn emit(line: String) {
     let mut s = sink().lock().expect("alert sink poisoned");
     if let Some(path) = &s.path {
         use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
+        if let Ok(mut f) = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+        {
             let _ = writeln!(f, "{line}");
         }
     }
@@ -443,15 +447,21 @@ mod tests {
             },
         });
         // Growth streak: 1 → 2 → 3 fires once at the second growth.
-        assert!(m.evaluate(&snap(vec![gauge("b", 1), gauge("d", 0)])).is_empty());
-        assert!(m.evaluate(&snap(vec![gauge("b", 2), gauge("d", 0)])).is_empty());
+        assert!(m
+            .evaluate(&snap(vec![gauge("b", 1), gauge("d", 0)]))
+            .is_empty());
+        assert!(m
+            .evaluate(&snap(vec![gauge("b", 2), gauge("d", 0)]))
+            .is_empty());
         let fired = m.evaluate(&snap(vec![gauge("b", 3), gauge("d", 0)]));
         assert_eq!(fired.len(), 1);
         let v = parse(&fired[0]).expect("alert parses");
         assert_eq!(v.get("rule").and_then(Value::as_str), Some("backlog"));
         assert_eq!(v.get("value").and_then(Value::as_u64), Some(3));
         // Still growing: already firing, no re-emit.
-        assert!(m.evaluate(&snap(vec![gauge("b", 4), gauge("d", 0)])).is_empty());
+        assert!(m
+            .evaluate(&snap(vec![gauge("b", 4), gauge("d", 0)]))
+            .is_empty());
         // Clears, then drops fire independently.
         let fired = m.evaluate(&snap(vec![gauge("b", 4), gauge("d", 5)]));
         assert_eq!(fired.len(), 1);
@@ -479,7 +489,9 @@ mod tests {
             },
         });
         // Under min_lookups: quiet even at 0% hit rate.
-        assert!(m.evaluate(&snap(vec![counter("h", 0), counter("mi", 5)])).is_empty());
+        assert!(m
+            .evaluate(&snap(vec![counter("h", 0), counter("mi", 5)]))
+            .is_empty());
         let hist = FamilySample {
             name: "lat",
             help: "",
@@ -509,7 +521,10 @@ mod tests {
             v.get("rule").and_then(Value::as_str),
             Some("predicted_violation")
         );
-        assert_eq!(v.get("round").and_then(Value::as_u64), Some((7u64 << 32) | 3));
+        assert_eq!(
+            v.get("round").and_then(Value::as_u64),
+            Some((7u64 << 32) | 3)
+        );
         assert_eq!(v.get("node").and_then(Value::as_u64), Some(7));
         assert_eq!(v.get("property").and_then(Value::as_str), Some("NoLoop"));
         assert_eq!(v.get("path_len").and_then(Value::as_u64), Some(4));

@@ -271,7 +271,10 @@ pub fn env_metrics_bind() -> Option<String> {
 }
 
 fn register(name: &'static str, help: &'static str, make: impl FnOnce() -> FamilyData) -> usize {
-    let mut fams = registry().families.lock().expect("metrics registry poisoned");
+    let mut fams = registry()
+        .families
+        .lock()
+        .expect("metrics registry poisoned");
     if let Some(ix) = fams.iter().position(|f| f.name == name) {
         return ix;
     }
@@ -316,7 +319,10 @@ impl Counter {
             register(self.name, self.help, || FamilyData::Counter(core));
             // Re-resolve through the registry so two statics declaring the
             // same family name share one core.
-            let fams = registry().families.lock().expect("metrics registry poisoned");
+            let fams = registry()
+                .families
+                .lock()
+                .expect("metrics registry poisoned");
             match fams.iter().find(|f| f.name == self.name).map(|f| &f.data) {
                 Some(FamilyData::Counter(c)) => c,
                 _ => core,
@@ -374,7 +380,10 @@ impl Gauge {
         self.cell.get_or_init(|| {
             let core: &'static GaugeCore = Box::leak(Box::new(GaugeCore(AtomicU64::new(0))));
             register(self.name, self.help, || FamilyData::Gauge(core));
-            let fams = registry().families.lock().expect("metrics registry poisoned");
+            let fams = registry()
+                .families
+                .lock()
+                .expect("metrics registry poisoned");
             match fams.iter().find(|f| f.name == self.name).map(|f| &f.data) {
                 Some(FamilyData::Gauge(g)) => g,
                 _ => core,
@@ -422,7 +431,10 @@ impl Hist {
         self.cell.get_or_init(|| {
             let core: &'static HistCore = Box::leak(Box::new(HistCore::new()));
             register(self.name, self.help, || FamilyData::Hist(core));
-            let fams = registry().families.lock().expect("metrics registry poisoned");
+            let fams = registry()
+                .families
+                .lock()
+                .expect("metrics registry poisoned");
             match fams.iter().find(|f| f.name == self.name).map(|f| &f.data) {
                 Some(FamilyData::Hist(h)) => h,
                 _ => core,
@@ -514,32 +526,44 @@ pub struct Snapshot {
 impl Snapshot {
     /// The named counter family's total, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.families.iter().find(|f| f.name == name).and_then(|f| match f.value {
-            SampleValue::Counter(v) => Some(v),
-            _ => None,
-        })
+        self.families
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| match f.value {
+                SampleValue::Counter(v) => Some(v),
+                _ => None,
+            })
     }
 
     /// The named gauge family's value, if registered.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.families.iter().find(|f| f.name == name).and_then(|f| match f.value {
-            SampleValue::Gauge(v) => Some(v),
-            _ => None,
-        })
+        self.families
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| match f.value {
+                SampleValue::Gauge(v) => Some(v),
+                _ => None,
+            })
     }
 
     /// The named histogram family's state, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistSample> {
-        self.families.iter().find(|f| f.name == name).and_then(|f| match &f.value {
-            SampleValue::Hist(h) => Some(h),
-            _ => None,
-        })
+        self.families
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| match &f.value {
+                SampleValue::Hist(h) => Some(h),
+                _ => None,
+            })
     }
 }
 
 /// Samples every registered family.
 pub fn snapshot() -> Snapshot {
-    let fams = registry().families.lock().expect("metrics registry poisoned");
+    let fams = registry()
+        .families
+        .lock()
+        .expect("metrics registry poisoned");
     let mut families: Vec<FamilySample> = fams
         .iter()
         .map(|f| FamilySample {
@@ -859,9 +883,7 @@ mod tests {
             LAT.observe(v);
         }
         // Cross-thread: stripes aggregate into one family total.
-        let threads: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(|| HITS.inc()))
-            .collect();
+        let threads: Vec<_> = (0..4).map(|_| std::thread::spawn(|| HITS.inc())).collect();
         for t in threads {
             t.join().expect("join");
         }

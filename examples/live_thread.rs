@@ -8,7 +8,7 @@
 //! `CheckerMode::Sharded { shards: 1 }` spawns a 1-shard `CheckerPool`,
 //! snapshots ship to it over a channel, and completed prediction rounds are drained
 //! from the controller's hook entry points while the live simulation keeps
-//! stepping. The prediction itself runs on the parallel work-stealing
+//! stepping. The prediction itself runs on the parallel level-synchronous
 //! engine, so the "separate thread" is really a worker pool. The checker
 //! latency the paper models as `mc_latency` is *measured* here.
 //!

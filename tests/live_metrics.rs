@@ -311,8 +311,7 @@ fn live_metrics_scrape_under_faults_and_alert_joins_trace() {
             trace
                 .events
                 .iter()
-                .any(|e| e.name == "alert.predicted_violation"
-                    && alert_rounds.contains(&e.id)),
+                .any(|e| e.name == "alert.predicted_violation" && alert_rounds.contains(&e.id)),
             "the alert.predicted_violation instant was mirrored into the trace"
         );
         obs::metrics::disable();

@@ -14,21 +14,31 @@
 
 use cb_bench::scenarios;
 use crystalball_suite::mc::{
-    find_consequences, find_consequences_parallel, find_errors, find_errors_parallel,
-    ParallelConfig, SearchConfig, SearchOutcome,
+    find_consequences, find_consequences_parallel, find_errors, find_errors_parallel, EventFilter,
+    FilterSet, ParallelConfig, SearchConfig, SearchOutcome,
 };
 use crystalball_suite::model::Protocol;
+use crystalball_suite::protocols::bullet;
+use crystalball_suite::protocols::chord::{self, ChordBugs};
 use crystalball_suite::protocols::paxos::{self, PaxosBugs};
 use crystalball_suite::protocols::randtree::{self, RandTreeBugs};
 
 /// Everything content-level a search produces: every violation with its
-/// full rendered path, plus the visit accounting.
-fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> (Vec<String>, Vec<usize>, usize, usize) {
+/// full rendered path, plus the visit accounting — including the three
+/// counters the parallel engine tallies somewhere else than the
+/// sequential loop does (duplicates in the merge consumers, prunes in the
+/// visit, filtered events in the range tasks).
+fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> (Vec<String>, Vec<usize>, [usize; 5]) {
     (
         out.violations.iter().map(|v| v.scenario()).collect(),
         out.violations.iter().map(|v| v.depth).collect(),
-        out.stats.states_visited,
-        out.stats.states_enqueued,
+        [
+            out.stats.states_visited,
+            out.stats.states_enqueued,
+            out.stats.duplicates_hit,
+            out.stats.local_prunes,
+            out.stats.filtered_events,
+        ],
     )
 }
 
@@ -73,10 +83,6 @@ fn assert_engines_agree<P: Protocol>(
                 seq_cp.stopped, par_cp.stopped,
                 "{what}: stop reason (cp, {workers}w/{merge_shards}s)"
             );
-            assert_eq!(
-                seq_cp.stats.local_prunes, par_cp.stats.local_prunes,
-                "{what}: localExplored pruning count ({workers}w/{merge_shards}s)"
-            );
         }
     }
 }
@@ -110,6 +116,34 @@ fn randtree_clean_exhaustion_matches() {
         ..SearchConfig::default()
     };
     assert_engines_agree(&proto, &props, &gs, config, "randtree/fixed");
+}
+
+/// The same clean search with every node's recovery timer filtered out,
+/// as the controller's filter-safety re-check runs it: the filtered-event
+/// count is tallied per range task and must sum to the sequential one.
+#[test]
+fn randtree_filtered_search_matches() {
+    let (proto, gs) = scenarios::randtree_fig2(RandTreeBugs::none());
+    let props = randtree::properties::all();
+    let mut filters = FilterSet::new();
+    for &node in gs.nodes.keys() {
+        filters.install(EventFilter::Handler {
+            kind: "RecoveryTimer",
+            node,
+        });
+    }
+    let config = SearchConfig {
+        max_depth: Some(4),
+        max_states: Some(60_000),
+        filters,
+        ..SearchConfig::default()
+    };
+    let seq = find_errors(&proto, &props, &gs, config.clone());
+    assert!(
+        seq.stats.filtered_events > 0,
+        "the filters blocked something"
+    );
+    assert_engines_agree(&proto, &props, &gs, config, "randtree/filtered");
 }
 
 /// Paxos from the round-1 live state (value chosen on {A,B} while C was
@@ -162,6 +196,23 @@ fn paxos_commuting_deliveries_keep_canonical_paths() {
             "paxos/commuting: parallel diverged from sequential (run {run})"
         );
     }
+    // The same state searched exhaustively grows levels of several
+    // ranges, so a commuting pair's canonical edge and its insert-race
+    // winner come from different range tasks.
+    let seq = find_errors(&proto, &props, &gs, config.clone());
+    for (workers, merge_shards) in [(2, 1), (2, 2), (3, 1), (3, 4), (4, 2), (4, 4)] {
+        let par = ParallelConfig {
+            workers,
+            merge_shards,
+            ..ParallelConfig::default()
+        };
+        let par = find_errors_parallel(&proto, &props, &gs, config.clone(), &par);
+        assert_eq!(
+            fingerprint(&seq),
+            fingerprint(&par),
+            "paxos/commuting: exhaustive search diverged at {workers}w/{merge_shards}s"
+        );
+    }
 }
 
 /// The seeded determinism-matrix leg: a RandTree neighborhood that lived
@@ -199,4 +250,33 @@ fn paxos_clean_exhaustion_matches() {
         ..SearchConfig::default()
     };
     assert_engines_agree(&proto, &props, &gs, config, "paxos/fixed");
+}
+
+/// Chord as shipped, from a stabilized four-node ring.
+#[test]
+fn chord_ring_matches() {
+    let (proto, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
+    let props = chord::properties::all();
+    let config = SearchConfig {
+        max_depth: Some(5),
+        max_states: Some(30_000),
+        max_violations: 3,
+        ..SearchConfig::default()
+    };
+    assert_engines_agree(&proto, &props, &gs, config, "chord/ring");
+}
+
+/// Bullet' with B3 armed, from the live state where n2 has outstanding
+/// requests while a second sender is about to re-announce one of them.
+#[test]
+fn bullet_b3_live_matches() {
+    let (proto, gs) = scenarios::bullet_b3_live();
+    let props = bullet::properties::all();
+    let config = SearchConfig {
+        max_depth: Some(6),
+        max_states: Some(30_000),
+        max_violations: 25,
+        ..SearchConfig::default()
+    };
+    assert_engines_agree(&proto, &props, &gs, config, "bullet/B3");
 }
