@@ -10,13 +10,11 @@
 //! (`CB_BENCH_JSON=scaling.json cargo bench -p cb-bench --bench
 //! parallel_scaling`; see `tools/bench-check`).
 //!
-//! Gated metric: the **1-worker overhead factor** — the *median over
-//! repetition rounds* of elapsed(parallel, 1 worker) /
-//! elapsed(sequential), each ratio taken within one round (the two runs
-//! execute back-to-back) so scheduler noise cancels. This is the
-//! engine's serial tax (level bookkeeping + the streamed merge machinery
-//! at its degenerate size); it is a *ratio*, so the committed baseline
-//! transfers across hosts of different speeds.
+//! The sweep starts at 2 workers: `Engine::Parallel` at one worker *is*
+//! the sequential engine, so a 1-worker row would time `Searcher::run`
+//! against itself. Gated: result content equal to the sequential run's,
+//! one busy entry per merge shard, and — on a host with more than one
+//! core — 2 workers at ≥ 0.75× the sequential engine.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -91,28 +89,19 @@ fn main() {
     section(&format!(
         "states/sec over a {budget}-state budget (min of {reps} interleaved reps)"
     ));
-    // All configurations are repeated round-robin (seq, 1w, 2w, ... —
+    // All configurations are repeated round-robin (seq, 2w, 4w, ... —
     // then again) and each reports its min: background-load drift hits
     // every configuration instead of whichever happened to run during the
     // noisy window, so the overhead *ratios* stay stable.
-    let worker_counts = [1usize, 2, 4, 8];
+    let worker_counts = [2usize, 4, 8];
     let mut seq_elapsed = Duration::MAX;
     let mut seq = None;
-    let mut par_elapsed = [Duration::MAX; 4];
-    let mut par_out = [const { None }; 4];
-    // The gated overhead factor is the *median* over rounds of the
-    // within-round 1-worker/sequential ratio: the two runs each ratio
-    // divides executed back-to-back, so a load spike spanning a round
-    // inflates both sides and cancels, and the median then discards the
-    // rounds a spike split — lucky and unlucky outliers alike — where a
-    // min-elapsed/min-elapsed quotient would pair timings from different
-    // load regimes and drift run to run.
-    let mut round_ratios: Vec<f64> = Vec::with_capacity(reps);
+    let mut par_elapsed = [Duration::MAX; 3];
+    let mut par_out = [const { None }; 3];
     for _ in 0..reps {
         let t0 = Instant::now();
         let out = find_consequences(&proto, &props, &gs, config.clone());
-        let round_seq = t0.elapsed();
-        seq_elapsed = seq_elapsed.min(round_seq);
+        seq_elapsed = seq_elapsed.min(t0.elapsed());
         seq = Some(out);
         for (slot, &workers) in worker_counts.iter().enumerate() {
             let t0 = Instant::now();
@@ -134,13 +123,8 @@ fn main() {
                 par_elapsed[slot] = elapsed;
                 par_out[slot] = Some(out);
             }
-            if workers == 1 {
-                round_ratios.push(elapsed.as_secs_f64() / round_seq.as_secs_f64());
-            }
         }
     }
-    round_ratios.sort_by(f64::total_cmp);
-    let one_worker_overhead_factor = round_ratios[round_ratios.len() / 2];
     let seq = seq.expect("sequential run");
     let seq_rate = seq.stats.states_visited as f64 / seq_elapsed.as_secs_f64();
     println!(
@@ -177,11 +161,7 @@ fn main() {
         );
         let rate = par.stats.states_visited as f64 / elapsed.as_secs_f64();
         let speedup = rate / seq_rate;
-        let overhead_factor = if workers == 1 {
-            one_worker_overhead_factor
-        } else {
-            elapsed.as_secs_f64() / seq_elapsed.as_secs_f64()
-        };
+        let overhead_factor = elapsed.as_secs_f64() / seq_elapsed.as_secs_f64();
         println!(
             "{workers:>8} {:>10} {:>12} {rate:>14.0} {speedup:>8.2}x {:>12} {:>12}",
             par.stats.states_visited,
@@ -190,7 +170,7 @@ fn main() {
             fmt_duration(par.stats.merge_wait),
         );
         // Per-shard merge utilization: how evenly the hash routing split
-        // the dedup work (empty above means the unsharded/fused path ran).
+        // the dedup work.
         let shard_busy: Vec<String> = par
             .stats
             .merge_shard_busy
@@ -200,8 +180,8 @@ fn main() {
         let explored_bytes_per_state = (par.stats.explored_resident_bytes as u64
             + par.stats.explored_spilled_bytes)
             / par.stats.states_enqueued.max(1) as u64;
-        // Mean range tasks per visited level (0 on the fused pass): how
-        // finely phase 3 cut this search's levels.
+        // Mean range tasks per visited level: how finely phase 3 cut
+        // this search's levels.
         let ranges_per_level =
             par.stats.expand_ranges as f64 / par.stats.per_depth.len().max(1) as f64;
         rows.push(format!(
@@ -220,10 +200,6 @@ fn main() {
             par.stats.explored_resident_bytes,
         ));
     }
-    println!(
-        "\n1-worker overhead vs sequential: {:.1}%",
-        (one_worker_overhead_factor - 1.0) * 100.0
-    );
 
     // The compacted + spillable explored set at a 10x state budget: the
     // run must complete with bounded resident bytes per state — the knob
@@ -285,7 +261,7 @@ fn main() {
 
     let json = format!(
         "{{\"bench\":\"parallel_scaling\",\"scenario\":\"randtree_under_churn\",\"host_cores\":{cores},\"budget_states\":{budget},\
-         \"reps\":{reps},\"one_worker_overhead_factor\":{one_worker_overhead_factor:.4},\
+         \"reps\":{reps},\
          \"sequential\":{{\"states\":{},\"elapsed_s\":{:.6},\"states_per_sec\":{seq_rate:.0}}},\
          \"parallel\":[{}],\"compact_spill\":{compact_spill}}}",
         seq.stats.states_visited,

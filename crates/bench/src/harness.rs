@@ -30,10 +30,9 @@ pub fn fast_mode() -> bool {
 }
 
 /// Resolves this bench run's trace destination: a `--trace PATH` CLI flag
-/// (cargo passes post-`--` args through to `harness = false` benches) or
-/// the `CB_TRACE=path` environment fallback. Enables the `cb-obs`
-/// recorder when a destination is set; otherwise the run pays one relaxed
-/// atomic load per instrumentation point.
+/// (cargo passes post-`--` args through to `harness = false` benches).
+/// Enables the `cb-obs` recorder when a destination is set; otherwise the
+/// run pays one relaxed atomic load per instrumentation point.
 pub fn trace_arg() -> Option<std::path::PathBuf> {
     let mut args = std::env::args().skip(1);
     let mut path = None;
@@ -46,7 +45,6 @@ pub fn trace_arg() -> Option<std::path::PathBuf> {
             path = Some(std::path::PathBuf::from(p));
         }
     }
-    let path = path.or_else(cb_obs::env_trace_path);
     if path.is_some() {
         cb_obs::enable();
     }
@@ -54,10 +52,11 @@ pub fn trace_arg() -> Option<std::path::PathBuf> {
 }
 
 /// Resolves this bench run's metrics bind address: a `--metrics ADDR`
-/// (or `--metrics` alone, defaulting to a free loopback port) CLI flag,
-/// or the `CB_METRICS=addr` environment fallback. Starts the scrape
-/// server — which enables the metrics registry — when an address is set;
-/// the returned server carries the bound address and stops on drop.
+/// (or `--metrics` alone, defaulting to a free loopback port) CLI flag.
+/// Starts the scrape server — which enables the metrics registry — when
+/// an address is set; the returned server carries the bound address and
+/// stops on drop. `--alerts PATH` routes the plane's alerts (health
+/// rules, predicted violations) to a JSONL file as well.
 pub fn metrics_arg() -> Option<cb_obs::MetricsServer> {
     let mut args = std::env::args().skip(1).peekable();
     let mut bind: Option<String> = None;
@@ -71,9 +70,13 @@ pub fn metrics_arg() -> Option<cb_obs::MetricsServer> {
             });
         } else if let Some(addr) = a.strip_prefix("--metrics=") {
             bind = Some(addr.to_string());
+        } else if a == "--alerts" {
+            cb_obs::health::set_alert_path(args.next().expect("--alerts needs a file path"));
+        } else if let Some(path) = a.strip_prefix("--alerts=") {
+            cb_obs::health::set_alert_path(path);
         }
     }
-    let bind = bind.or_else(cb_obs::metrics::env_metrics_bind)?;
+    let bind = bind?;
     let server = cb_obs::MetricsServer::bind(bind.as_str()).expect("bind metrics endpoint");
     println!(
         "(metrics: serving Prometheus text on http://{})",

@@ -176,9 +176,8 @@ impl<P: Protocol> DeploymentBuilder<P> {
     /// Enables the `cb-obs` recorder for this deployment and exports the
     /// collected trace to `path` (chrome trace-event JSON, plus a
     /// `.jsonl` event log next to it) at [`LiveDeployment::shutdown`].
-    /// Without this knob (or the `CB_TRACE=path` environment fallback)
-    /// the recorder stays disabled and every instrumentation point
-    /// degrades to one relaxed atomic load.
+    /// Without this knob the recorder stays disabled and every
+    /// instrumentation point degrades to one relaxed atomic load.
     pub fn trace(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.trace = Some(path.into());
         self
@@ -188,10 +187,10 @@ impl<P: Protocol> DeploymentBuilder<P> {
     /// (`"127.0.0.1:0"` picks a free port — read it back through
     /// [`LiveDeployment::metrics_addr`]). Any HTTP GET against the bound
     /// port answers with a Prometheus text-format 0.0.4 exposition of
-    /// every family the deployment touches. Without this knob (or the
-    /// `CB_METRICS=addr` environment fallback) the registry stays
-    /// disabled and every recording point degrades to one relaxed atomic
-    /// load — the deterministic surfaces are byte-identical either way.
+    /// every family the deployment touches. Without this knob the
+    /// registry stays disabled and every recording point degrades to one
+    /// relaxed atomic load — the deterministic surfaces are
+    /// byte-identical either way.
     pub fn metrics(mut self, bind: impl Into<String>) -> Self {
         self.metrics = Some(bind.into());
         self
@@ -211,11 +210,10 @@ impl<P: Protocol> DeploymentBuilder<P> {
             trace,
             metrics,
         } = self;
-        let trace = trace.or_else(cb_obs::env_trace_path);
         if trace.is_some() {
             cb_obs::enable();
         }
-        let metrics_server = match metrics.or_else(cb_obs::metrics::env_metrics_bind) {
+        let metrics_server = match metrics {
             Some(bind) => Some(cb_obs::MetricsServer::bind(bind.as_str())?),
             None => None,
         };
@@ -386,9 +384,8 @@ impl<P: Protocol> LiveDeployment<P> {
     }
 
     /// The metrics endpoint's bound address, when this deployment was
-    /// built with [`DeploymentBuilder::metrics`] (or `CB_METRICS`) — what
-    /// an operator curls, or a test passes to
-    /// [`cb_obs::metrics::fetch`].
+    /// built with [`DeploymentBuilder::metrics`] — what an operator
+    /// curls, or a test passes to [`cb_obs::metrics::fetch`].
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_server.as_ref().map(|s| s.addr())
     }

@@ -95,11 +95,12 @@
 //! exactly. Wall-clock-dependent outcomes (deadline stops) are the only
 //! nondeterminism that survives.
 //!
-//! At one worker the engine runs a fused pass instead of the three
-//! phases: check, visit, expand and merge one item at a time with no
-//! channel, no reorder buffer and no edge buffering at all — the
-//! sequential loop over a level vector, on the lock-free table (which is
-//! what lets one worker honour `compact_explored`/`explored_spill_bytes`).
+//! There is no single-threaded rendering of these phases: one worker (or
+//! none) with neither memory option set *is* [`Searcher::run`], and one
+//! worker with `compact_explored`/`explored_spill_bytes` runs the phases
+//! above as they are — on [`Searcher::run_parallel`]'s own pool, which
+//! then has no threads, the coordinator executes every range itself
+//! through `help_one`.
 //!
 //! Differences from the sequential engine, all stats-level: `elapsed` and
 //! `peak_frontier_bytes` reflect this engine's level-at-a-time residency
@@ -107,6 +108,8 @@
 //! and `merge_busy`/`merge_wait` are populated (split so the
 //! coordinator's reorder-buffer stalls are not double-counted as merge
 //! cost — see [`SearchStats`]).
+//!
+//! [`ExploredBatch`]: crate::ExploredBatch
 
 use std::mem::size_of;
 use std::ops::Range;
@@ -116,7 +119,7 @@ use std::time::{Duration, Instant};
 
 use cb_model::{apply_event, Event, GlobalState, NodeId, Protocol, TraceStep, Violation};
 
-use crate::frontier::{Admission, ExploredBatch, LockFreeExplored};
+use crate::frontier::{Admission, LockFreeExplored};
 use crate::pool::{PoolScope, WorkerPool};
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
@@ -131,11 +134,17 @@ pub const MAX_MERGE_SHARDS: usize = 16;
 /// Tuning for the parallel engine.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Logical workers for the check and expand phases. 1 runs the fused
-    /// pass inline (useful as a determinism control in tests); above 1 it
-    /// sizes the range tasks a level is cut into (`range_len`), which a
-    /// search on a shared pool streams to however many threads the pool
-    /// provides.
+    /// Logical workers for the check and expand phases: sizes the range
+    /// tasks a level is cut into (`range_len`), which a search on a shared
+    /// pool streams to however many threads the pool provides.
+    ///
+    /// `<= 1` with neither `compact_explored` nor `explored_spill_bytes`
+    /// set is the sequential engine: the search returns
+    /// [`Searcher::run`]'s outcome, stats included, and touches no pool.
+    /// `<= 1` with either memory option runs the phased engine as one
+    /// worker (every range on the caller, unless a shared pool lends
+    /// threads) — those options belong to the lock-free explored table,
+    /// which only the phased engine has.
     pub workers: usize,
     /// Merge shards for phase 3: the canonical dedup/merge is partitioned
     /// by successor-hash key range and the shards run concurrently, with
@@ -144,8 +153,12 @@ pub struct ParallelConfig {
     /// directly and has nothing to buffer or recombine. 0 (the default)
     /// picks 1 below 4 workers — where one stream keeps up with the
     /// expansion and the recombine only adds a serial section — and 4
-    /// from there on. Any value yields bit-identical results — this knob
-    /// trades merge parallelism against per-shard buffer overhead.
+    /// from there on. The "4 from 4 workers" half of that rule has never
+    /// been measured on a host with 4 or more cores (every recording so
+    /// far comes from 1- and 2-core hosts, where 4 workers lose to 2);
+    /// only the below-4 half rests on data. Any value yields
+    /// bit-identical results — this knob trades merge parallelism against
+    /// per-shard buffer overhead.
     pub merge_shards: usize,
     /// Use the compacted explored-set slot layout (8 bytes/entry instead
     /// of 16: 48-bit fingerprint + 16-bit level in one word). Halves
@@ -160,6 +173,11 @@ pub struct ParallelConfig {
 }
 
 impl Default for ParallelConfig {
+    /// One worker per available core, at most 8, with auto merge shards
+    /// and both memory options off. On a host with 4 or more cores that
+    /// selects the 4-shard merge, a configuration that is tested for
+    /// equivalence at every shard count but whose speed is unmeasured —
+    /// see [`ParallelConfig::merge_shards`].
     fn default() -> Self {
         ParallelConfig {
             workers: std::thread::available_parallelism()
@@ -295,32 +313,6 @@ impl<P: Protocol> NextLevel<P> {
 struct ExpandJob {
     item: usize,
     allowed: Option<Vec<NodeId>>,
-}
-
-/// What the canonical visit decided about one level item.
-enum VisitVerdict {
-    /// Expand it (with the `localExplored` claims made for it, when the
-    /// caller asked for them to be collected).
-    Expand(Option<Vec<NodeId>>),
-    /// Checked and recorded, but not expanded (violating or at the depth
-    /// bound).
-    Skip,
-    /// A stop criterion fired at this item.
-    Stop(StopReason),
-}
-
-/// How the visit handles Fig. 8's `localExplored` claims for an expanded
-/// item.
-enum VisitClaims {
-    /// Resolve the claims now and return the allowed nodes — required
-    /// when expansion happens later on another thread (phased mode), so
-    /// the claims land in canonical item order regardless of scheduling.
-    Collect,
-    /// Leave the claims to the expansion itself, which follows
-    /// immediately on this thread (fused mode) and gates enumeration
-    /// through `localExplored` directly — same claims, same order, no
-    /// per-item allocation.
-    Inline,
 }
 
 /// The search deadline as every phase and task shares it: whichever
@@ -467,8 +459,7 @@ impl<P: Protocol> Searcher<'_, P> {
     /// should hold a pool and use [`Searcher::run_parallel_pooled`].
     pub fn run_parallel(&self, start: &GlobalState<P>, par: &ParallelConfig) -> SearchOutcome<P> {
         // The scope owner participates, so `workers` logical workers need
-        // `workers - 1` pool threads; at 1 worker the pool is threadless
-        // and the fused pass never touches it.
+        // `workers - 1` pool threads; at 1 worker the pool is threadless.
         let pool = WorkerPool::new(par.workers.saturating_sub(1));
         self.run_parallel_pooled(start, par, &pool)
     }
@@ -478,12 +469,18 @@ impl<P: Protocol> Searcher<'_, P> {
     /// participates too), so concurrent independent searches — prediction,
     /// known-path replays, safety re-checks, sibling checker shards —
     /// multiplex over one set of threads instead of spawning their own.
+    ///
+    /// At most one worker with neither memory option set is
+    /// [`Searcher::run`] itself (see [`ParallelConfig::workers`]).
     pub fn run_parallel_pooled(
         &self,
         start: &GlobalState<P>,
         par: &ParallelConfig,
         pool: &WorkerPool,
     ) -> SearchOutcome<P> {
+        if par.workers <= 1 && !par.compact_explored && par.explored_spill_bytes.is_none() {
+            return self.run(start);
+        }
         let workers = par.workers.max(1);
         let shards = par.effective_merge_shards();
         let t0 = Instant::now();
@@ -492,11 +489,11 @@ impl<P: Protocol> Searcher<'_, P> {
             limit: self.config.deadline,
             hit: AtomicBool::new(false),
         };
-        let mut stats = SearchStats::default();
-        if workers > 1 {
-            stats.merge_shards = shards;
-            stats.merge_shard_busy = vec![Duration::ZERO; shards];
-        }
+        let mut stats = SearchStats {
+            merge_shards: shards,
+            merge_shard_busy: vec![Duration::ZERO; shards],
+            ..SearchStats::default()
+        };
         let mut violations: Vec<FoundViolation<P>> = Vec::new();
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         // Pre-size the table from the state budget: successor inserts run
@@ -563,106 +560,70 @@ impl<P: Protocol> Searcher<'_, P> {
                 bytes: 0,
             };
 
-            if workers == 1 {
-                // Fused single-worker pass: check, visit, expand and
-                // merge one item at a time, all in canonical order — the
-                // sequential loop over a level vector, with no phase
-                // passes re-walking the level and nothing buffered. The
-                // level is consumed by value so each state drops right
-                // after its expansion, matching the sequential engine's
-                // memory rhythm instead of holding two full levels.
-                // Inserts run through one batched handle for the whole
-                // level (one segment-snapshot acquire, one len update).
-                let mut batch = explored.batch();
-                for (i, item) in std::mem::take(&mut level).into_iter().enumerate() {
-                    if i >= budget_left {
-                        // Exactly the states the budget admits are
-                        // visited; the rest of the level is cut off, as
-                        // in the sequential engine.
-                        stopped = Some(StopReason::StateLimit);
+            // Phase 1: parallel property check over the budget prefix.
+            let checks = self.check_level(&level[..budget_left], workers, &deadline, pool);
+            if deadline.hit() {
+                break 'levels;
+            }
+
+            // Phase 2: sequential visit, in canonical (sequential-dequeue)
+            // order — exactly what the sequential loop does between
+            // dequeue and expansion: record the visit, report a violation,
+            // apply the stop criteria, and make the `localExplored` claims
+            // of Fig. 8. The claims are resolved here, not by the
+            // expansion (which runs later, on other threads), so they land
+            // in canonical item order regardless of scheduling.
+            let mut jobs: Vec<ExpandJob> = Vec::with_capacity(budget_left);
+            let mut checks = checks.into_iter();
+            for (i, (state, rec)) in level.iter().enumerate() {
+                if i >= budget_left {
+                    stopped = Some(StopReason::StateLimit);
+                    break;
+                }
+                stats.record_visit(depth);
+                if let Some(violation) = checks.next().expect("budget prefix was checked") {
+                    stats.violations_found += 1;
+                    violations.push(FoundViolation {
+                        violation,
+                        path: reconstruct(&arena, *rec),
+                        depth,
+                    });
+                    if violations.len() >= self.config.max_violations {
+                        stopped = Some(StopReason::ViolationLimit);
                         break;
                     }
-                    if deadline.passed() {
-                        break 'levels;
-                    }
-                    let check = self.props.check(&item.0);
-                    match self.visit_item(
-                        check,
-                        &item,
-                        depth,
-                        VisitClaims::Inline,
-                        &mut local_explored,
-                        &arena,
-                        &mut violations,
-                        &mut stats,
-                        &mut depth_truncated,
-                    ) {
-                        VisitVerdict::Stop(r) => {
-                            stopped = Some(r);
-                            break;
+                    continue; // violating states are not expanded
+                }
+                if self.config.max_depth.is_some_and(|d| depth >= d) {
+                    depth_truncated = true;
+                    continue;
+                }
+                let allowed = self.config.prune_local.then(|| {
+                    let mut fresh = Vec::new();
+                    for &node in state.nodes.keys() {
+                        let lh = state.local_hash(node).expect("node exists");
+                        if local_explored.insert(lh) {
+                            fresh.push(node);
+                        } else {
+                            stats.local_prunes += 1;
                         }
-                        VisitVerdict::Skip => {}
-                        VisitVerdict::Expand(_) => self.expand_merge_fused(
-                            &item,
-                            &mut batch,
-                            stamp,
-                            &mut local_explored,
-                            &mut arena,
-                            &mut next,
-                            &mut stats,
-                        ),
                     }
-                }
-            } else {
-                // Phase 1: parallel property check over the budget prefix.
-                let checks = self.check_level(&level[..budget_left], workers, &deadline, pool);
-                if deadline.hit() {
-                    break 'levels;
-                }
+                    fresh
+                });
+                jobs.push(ExpandJob { item: i, allowed });
+            }
 
-                // Phase 2: sequential visit — stop criteria, violations,
-                // and localExplored claims, all in canonical
-                // (sequential-dequeue) order.
-                let mut jobs: Vec<ExpandJob> = Vec::with_capacity(budget_left);
-                let mut checks = checks.into_iter();
-                for (i, item) in level.iter().enumerate() {
-                    if i >= budget_left {
-                        stopped = Some(StopReason::StateLimit);
-                        break;
-                    }
-                    let check = checks.next().expect("budget prefix was checked");
-                    match self.visit_item(
-                        check,
-                        item,
-                        depth,
-                        VisitClaims::Collect,
-                        &mut local_explored,
-                        &arena,
-                        &mut violations,
-                        &mut stats,
-                        &mut depth_truncated,
-                    ) {
-                        VisitVerdict::Stop(r) => {
-                            stopped = Some(r);
-                            break;
-                        }
-                        VisitVerdict::Skip => {}
-                        VisitVerdict::Expand(allowed) => jobs.push(ExpandJob { item: i, allowed }),
-                    }
-                }
-
-                // Phase 3: expansion with the merge streamed behind it.
-                // The stamp marks every successor admitted during this
-                // level, so the canonical merge can tell "admitted this
-                // level by a non-canonical edge" from "duplicate of an
-                // earlier level" batch by batch.
-                self.expand_and_merge_level(
-                    &level, &jobs, &explored, stamp, workers, shards, &deadline, pool, &mut arena,
-                    &mut next, &mut stats,
-                );
-                if deadline.hit() {
-                    break 'levels; // the partial level is discarded
-                }
+            // Phase 3: expansion with the merge streamed behind it. The
+            // stamp marks every successor admitted during this level, so
+            // the canonical merge can tell "admitted this level by a
+            // non-canonical edge" from "duplicate of an earlier level"
+            // batch by batch.
+            self.expand_and_merge_level(
+                &level, &jobs, &explored, stamp, workers, shards, &deadline, pool, &mut arena,
+                &mut next, &mut stats,
+            );
+            if deadline.hit() {
+                break 'levels; // the partial level is discarded
             }
             stats.states_enqueued += next.states.len();
             if stopped.is_some() {
@@ -692,92 +653,6 @@ impl<P: Protocol> Searcher<'_, P> {
             violations,
             stats,
             stopped,
-        }
-    }
-
-    /// The canonical visit of one level item: record the visit, report a
-    /// violation, apply the depth bound, and make the `localExplored`
-    /// claims of Fig. 8 — exactly what the sequential loop does between
-    /// dequeue and expansion. Shared by the fused single-worker pass and
-    /// the phased multi-worker visit so the two paths cannot drift.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_item(
-        &self,
-        check: Option<Violation>,
-        item: &(GlobalState<P>, Option<usize>),
-        depth: usize,
-        claims: VisitClaims,
-        local_explored: &mut DigestSet,
-        arena: &[ArenaRec<P>],
-        violations: &mut Vec<FoundViolation<P>>,
-        stats: &mut SearchStats,
-        depth_truncated: &mut bool,
-    ) -> VisitVerdict {
-        let (state, rec) = item;
-        stats.record_visit(depth);
-        if let Some(violation) = check {
-            stats.violations_found += 1;
-            violations.push(FoundViolation {
-                violation,
-                path: reconstruct(arena, *rec),
-                depth,
-            });
-            if violations.len() >= self.config.max_violations {
-                return VisitVerdict::Stop(StopReason::ViolationLimit);
-            }
-            return VisitVerdict::Skip; // violating states are not expanded
-        }
-        if self.config.max_depth.is_some_and(|d| depth >= d) {
-            *depth_truncated = true;
-            return VisitVerdict::Skip;
-        }
-        let allowed = match claims {
-            VisitClaims::Inline => None,
-            VisitClaims::Collect if !self.config.prune_local => None,
-            VisitClaims::Collect => {
-                let mut fresh = Vec::new();
-                for &node in state.nodes.keys() {
-                    let lh = state.local_hash(node).expect("node exists");
-                    if local_explored.insert(lh) {
-                        fresh.push(node);
-                    } else {
-                        stats.local_prunes += 1;
-                    }
-                }
-                Some(fresh)
-            }
-        };
-        VisitVerdict::Expand(allowed)
-    }
-
-    /// Fused single-worker expansion: enumerate (making the
-    /// `localExplored` claims through the gate, exactly like the
-    /// sequential loop), clone, apply, hash, insert — and merge each
-    /// successor on the spot. Canonical order is the execution order, so
-    /// the race winner is always the canonical edge and nothing is
-    /// buffered.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_merge_fused(
-        &self,
-        item: &(GlobalState<P>, Option<usize>),
-        batch: &mut ExploredBatch<'_>,
-        stamp: u64,
-        local_explored: &mut DigestSet,
-        arena: &mut Vec<ArenaRec<P>>,
-        next: &mut NextLevel<P>,
-        stats: &mut SearchStats,
-    ) {
-        let state = &item.0;
-        for event in self.enumerate_claiming(state, local_explored, stats) {
-            let mut succ = state.clone();
-            let step = apply_event(self.protocol, &mut succ, &event);
-            match batch.insert_leveled(succ.state_hash(), stamp) {
-                Admission::Fresh => {
-                    let bytes = approx_state_bytes(&succ);
-                    next.push(arena, item.1, succ, bytes, event, step)
-                }
-                Admission::Seen { .. } => stats.duplicates_hit += 1,
-            }
         }
     }
 
@@ -828,6 +703,8 @@ impl<P: Protocol> Searcher<'_, P> {
     /// list comes out in canonical order. Returns those lists plus the
     /// range's filtered-event count; cut short (to be discarded) once the
     /// deadline has passed.
+    ///
+    /// [`ExploredBatch`]: crate::ExploredBatch
     fn expand_range(&self, cx: &Phase3<'_, P>, range: Range<usize>) -> (Vec<Vec<Edge<P>>>, usize) {
         let mut per: Vec<Vec<Edge<P>>> = (0..cx.shards).map(|_| Vec::new()).collect();
         let mut filtered = 0usize;
@@ -1370,21 +1247,6 @@ mod tests {
         let seq = find_errors(&p, &pr, &gs, base.clone());
         assert_eq!(seq.stats.merge_busy, std::time::Duration::ZERO);
         assert_eq!(seq.stats.merge_wait, std::time::Duration::ZERO);
-        let inline = find_errors_parallel(
-            &p,
-            &pr,
-            &gs,
-            base.clone(),
-            &ParallelConfig {
-                workers: 1,
-                ..ParallelConfig::default()
-            },
-        );
-        assert_eq!(inline.stats.merge_busy, std::time::Duration::ZERO);
-        assert_eq!(
-            inline.stats.expand_ranges, 0,
-            "the fused pass cuts no ranges"
-        );
         let streamed = find_errors_parallel(
             &p,
             &pr,
@@ -1652,6 +1514,62 @@ mod tests {
             assert!(par.stats.explored_spills >= 1, "budget forced a spill");
             assert!(par.stats.explored_spilled_bytes > 0);
             assert!(par.stats.explored_resident_bytes > 0);
+            if workers == 1 {
+                // A memory option keeps one worker on the phased engine,
+                // here on a zero-thread pool.
+                assert_eq!(par.stats.merge_shards, 1);
+                assert!(par.stats.expand_ranges > par.stats.per_depth.len());
+            }
+        }
+    }
+
+    /// `Engine::Parallel` at one worker (or none) is `Searcher::run`:
+    /// the outcome and every counter of `SearchStats` but `elapsed`,
+    /// BFS and CP, with and without a shared pool.
+    #[test]
+    fn one_worker_is_the_sequential_engine() {
+        fn comparable(out: SearchOutcome<Ping>) -> String {
+            let stats = SearchStats {
+                elapsed: Duration::ZERO,
+                ..out.stats
+            };
+            let paths: Vec<String> = out.violations.iter().map(|v| v.scenario()).collect();
+            format!("{:?} {paths:?} {stats:?}", out.stopped)
+        }
+        let (p, gs) = sys(5);
+        let pool = WorkerPool::new(2);
+        for (limit, prune_local) in [(2, false), (2, true), (u32::MAX, false), (u32::MAX, true)] {
+            let pr = props(limit);
+            let searcher = Searcher::new(
+                &p,
+                &pr,
+                SearchConfig {
+                    prune_local,
+                    max_depth: Some(6),
+                    max_violations: 3,
+                    ..cfg()
+                },
+            );
+            let seq = searcher.run(&gs);
+            assert_eq!(
+                seq.is_clean(),
+                limit == u32::MAX,
+                "the legs cover both outcomes"
+            );
+            let seq = comparable(seq);
+            for workers in [0, 1] {
+                let engine = crate::Engine::Parallel(ParallelConfig {
+                    workers,
+                    ..ParallelConfig::default()
+                });
+                let what = format!("limit={limit} prune_local={prune_local} workers={workers}");
+                assert_eq!(seq, comparable(searcher.search(&gs, &engine)), "{what}");
+                assert_eq!(
+                    seq,
+                    comparable(searcher.search_on(&gs, &engine, Some(&pool))),
+                    "{what}, pooled"
+                );
+            }
         }
     }
 

@@ -153,7 +153,9 @@ pub enum Engine {
     #[default]
     Sequential,
     /// The level-synchronous parallel engine: same violation set and
-    /// canonical paths, expansion fanned out over a worker pool.
+    /// canonical paths, expansion fanned out over a worker pool. At most
+    /// one worker with neither memory option set is `Sequential` itself
+    /// (see [`ParallelConfig::workers`]).
     Parallel(ParallelConfig),
     /// The MaceMC random-walk baseline (§5.3).
     RandomWalk {
@@ -348,7 +350,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
     /// each node's local-action block gated through a `localExplored`
     /// claim made *now*, in node-id order (Fig. 8 lines 16–20). Tallies
     /// `filtered_events` and `local_prunes`.
-    pub(crate) fn enumerate_claiming(
+    fn enumerate_claiming(
         &self,
         state: &GlobalState<P>,
         local_explored: &mut DigestSet,

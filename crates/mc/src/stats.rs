@@ -69,14 +69,16 @@ pub struct SearchStats {
     /// cost.
     pub merge_wait: Duration,
     /// Parallel engine only: number of merge shards the streamed phase 3
-    /// ran with (0 on the fused pass, i.e. at one worker). Above one,
+    /// ran with — at least 1 whenever the phased engine ran, so 0 says the
+    /// sequential loop did (`Engine::Sequential`, or `Engine::Parallel` at
+    /// one worker with neither memory option). Above one,
     /// sharding splits the canonical merge by explored-key range so
     /// shards dedup concurrently and a deterministic recombine restores
     /// sequential order; at one the single stream enqueues directly.
     pub merge_shards: usize,
     /// Parallel engine only: contiguous job ranges phase 3 expanded,
     /// summed over levels — one pool task each, or one inline pass for a
-    /// level that fits a single range (0 on the fused pass).
+    /// level that fits a single range (0 when the sequential loop ran).
     pub expand_ranges: usize,
     /// Parallel engine only: per-shard busy time (index = shard). The sum
     /// equals `merge_busy`; the spread shows how evenly `shard_of` split

@@ -8,8 +8,8 @@
 //! emitted when a condition starts holding and re-arms when it clears,
 //! so a persistently-bad deployment does not flood the sink.
 //!
-//! Alerts are structured JSONL, appended to the `CB_ALERTS=path` file
-//! (or a path set with [`set_alert_path`]) and retained in a bounded
+//! Alerts are structured JSONL, appended to the file set with
+//! [`set_alert_path`] (if any) and retained in a bounded
 //! in-memory tail ([`recent_alerts`]) for tests and probes. Nothing here
 //! is ever read back by deterministic code.
 //!
@@ -322,19 +322,15 @@ static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
 
 fn sink() -> &'static Mutex<Sink> {
     SINK.get_or_init(|| {
-        let path = match std::env::var("CB_ALERTS") {
-            Ok(v) if !v.trim().is_empty() => Some(PathBuf::from(v.trim())),
-            _ => None,
-        };
         Mutex::new(Sink {
-            path,
+            path: None,
             recent: VecDeque::new(),
         })
     })
 }
 
 /// Routes alerts to a JSONL file (appending), in addition to the
-/// in-memory tail. The `CB_ALERTS=path` env var sets this at first use.
+/// in-memory tail. Until this is called alerts reach the tail only.
 pub fn set_alert_path(path: impl Into<PathBuf>) {
     sink().lock().expect("alert sink poisoned").path = Some(path.into());
 }

@@ -19,8 +19,9 @@
 //!   joins a node's gather, the wire submission, the checker's replay,
 //!   and the filter-install receipt into one traceable round).
 //! * **Disabled = off**: recording is gated on one relaxed atomic load
-//!   and the default is off ([`enabled`] is `false` until [`enable`] /
-//!   `CB_TRACE` flips it). Nothing in this crate is ever *read* by a
+//!   and the default is off ([`enabled`] is `false` until [`enable`]
+//!   flips it; the crate reads no environment variable — a binary's
+//!   `--trace` flag does). Nothing in this crate is ever *read* by a
 //!   deterministic surface — observability data flows out through
 //!   [`drain`] into export files only, mirroring the `CacheCounters`
 //!   precedent: trace-on and trace-off runs produce byte-identical
@@ -43,13 +44,12 @@ mod ring;
 
 pub use metrics::{Histogram, MetricsServer};
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity, in events (override per-process with
-/// [`enable_with_capacity`] or the `CB_TRACE_RING` env var).
+/// [`enable_with_capacity`]).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
 /// What one recorded event is.
@@ -116,16 +116,8 @@ pub(crate) fn global() -> &'static Global {
         sink: Mutex::new(Vec::new()),
         threads: Mutex::new(Vec::new()),
         dropped: AtomicU64::new(0),
-        ring_capacity: AtomicUsize::new(default_capacity()),
+        ring_capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
     })
-}
-
-fn default_capacity() -> usize {
-    std::env::var("CB_TRACE_RING")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&c: &usize| c > 0)
-        .unwrap_or(DEFAULT_RING_CAPACITY)
 }
 
 /// Whether recording is on. One relaxed load — this is the *entire* cost
@@ -135,7 +127,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns recording on (with the default / `CB_TRACE_RING` ring capacity).
+/// Turns recording on (with the ring capacity last set, by default
+/// [`DEFAULT_RING_CAPACITY`]).
 pub fn enable() {
     global();
     ENABLED.store(true, Ordering::SeqCst);
@@ -152,14 +145,6 @@ pub fn enable_with_capacity(capacity: usize) {
 /// Turns recording off. Already-buffered events stay until [`drain`].
 pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// The `CB_TRACE` export path, if the env var is set and non-empty.
-pub fn env_trace_path() -> Option<PathBuf> {
-    match std::env::var("CB_TRACE") {
-        Ok(v) if !v.trim().is_empty() => Some(PathBuf::from(v.trim())),
-        _ => None,
-    }
 }
 
 /// µs since the recorder's epoch.

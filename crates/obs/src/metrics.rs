@@ -260,16 +260,6 @@ pub fn disable() {
     METRICS_ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// The `CB_METRICS` bind address, if the env var is set and non-empty —
-/// the environment fallback for [`MetricsServer`] enablement, mirroring
-/// `CB_TRACE`.
-pub fn env_metrics_bind() -> Option<String> {
-    match std::env::var("CB_METRICS") {
-        Ok(v) if !v.trim().is_empty() => Some(v.trim().to_string()),
-        _ => None,
-    }
-}
-
 fn register(name: &'static str, help: &'static str, make: impl FnOnce() -> FamilyData) -> usize {
     let mut fams = registry()
         .families

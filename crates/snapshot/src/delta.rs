@@ -560,5 +560,28 @@ mod tests {
             dec.decode_state::<Ping>(&corrupt).err(),
             Some(DeltaError::Corrupt)
         );
+        // A patch claiming a terabyte and an LZW bomb are corrupt too —
+        // refused before either is allocated for.
+        let inflated = Diff {
+            new_len: 1 << 40,
+            patches: Vec::new(),
+        };
+        for hostile in [
+            SlotDelta::Patch(inflated.to_bytes()),
+            SlotDelta::Full {
+                compressed: true,
+                data: lzw::kwkwk_bomb(),
+            },
+        ] {
+            let delta = StateDelta {
+                seq: 3,
+                slots: vec![(NodeId(0), hostile)],
+                bags: SlotDelta::Unchanged,
+            };
+            assert_eq!(
+                dec.decode_state::<Ping>(&delta).err(),
+                Some(DeltaError::Corrupt)
+            );
+        }
     }
 }

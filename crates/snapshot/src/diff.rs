@@ -147,8 +147,21 @@ pub fn encode_against(
 /// Applies a patch set to `old`, producing the new value.
 ///
 /// Returns `None` if the diff is inconsistent with `old` (e.g. a patch
-/// past the new length).
+/// past the new length), and — before allocating anything — if `new_len`
+/// exceeds [`lzw::MAX_DECOMPRESSED_LEN`]: it comes straight off the wire,
+/// and no value that travels in one frame, compressed or patched, is
+/// larger than that.
+///
+/// The tighter rule `new_len <= old.len() + Σ patch bytes`, which every
+/// [`encode_diff`] output satisfies against the base it was computed
+/// from, is deliberately not enforced: a gather responder diffs against
+/// the last checkpoint it *sent*, and a receiver that lost that one (a
+/// dropped response, a failed peer) applies an honest diff to a shorter
+/// base — zero-filled where nothing backs it, as it always was.
 pub fn apply_diff(old: &[u8], diff: &Diff) -> Option<Vec<u8>> {
+    if diff.new_len > lzw::MAX_DECOMPRESSED_LEN {
+        return None;
+    }
     let mut out = old.to_vec();
     out.resize(diff.new_len, 0);
     for (off, bytes) in &diff.patches {
@@ -232,6 +245,31 @@ mod tests {
             patches: vec![(10, vec![1, 2, 3])],
         };
         assert_eq!(apply_diff(b"abcd", &d), None);
+    }
+
+    #[test]
+    fn inflated_new_len_rejected_before_allocating() {
+        // A 20-byte wire diff claiming a terabyte: `resize` would abort
+        // the process on the failed allocation.
+        let d = Diff {
+            new_len: 1 << 40,
+            patches: vec![(0, vec![7; 4])],
+        };
+        let wire = d.to_bytes();
+        assert!(wire.len() <= 20, "{} bytes", wire.len());
+        let d = Diff::from_bytes(&wire).expect("well-formed on the wire");
+        assert_eq!(apply_diff(b"abcd", &d), None);
+        // The cap itself is the last length accepted, and a stale (here:
+        // lost) base is no reason to refuse an honest diff.
+        let claim = |new_len| Diff {
+            new_len,
+            patches: Vec::new(),
+        };
+        assert_eq!(apply_diff(b"", &claim(lzw::MAX_DECOMPRESSED_LEN + 1)), None);
+        let full = apply_diff(b"", &claim(lzw::MAX_DECOMPRESSED_LEN)).expect("at the cap");
+        assert_eq!(full.len(), lzw::MAX_DECOMPRESSED_LEN);
+        let honest = encode_diff(b"abcd", b"abcdef");
+        assert_eq!(apply_diff(b"", &honest).unwrap(), b"\0\0\0\0ef");
     }
 
     #[test]

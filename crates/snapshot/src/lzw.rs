@@ -12,6 +12,14 @@ const MAX_BITS: u32 = 16;
 const FIRST_CODE: u32 = 257;
 /// Dictionary-reset marker.
 const RESET_CODE: u32 = 256;
+/// Most bytes [`decompress`] will produce. A compressed payload arrives in
+/// one frame of at most [`cb_model::MAX_FRAME_LEN`] bytes, and its sender
+/// compressed a checkpoint it would otherwise have shipped raw in such a
+/// frame; 16 frames' worth leaves room for states that only fit a frame
+/// *because* they compress, while ≈130 KB of crafted codes can no longer
+/// expand to ≈2 GB. [`apply_diff`](crate::apply_diff) holds a patched
+/// value's claimed length to the same limit.
+pub const MAX_DECOMPRESSED_LEN: usize = 16 * cb_model::MAX_FRAME_LEN;
 
 struct BitWriter {
     out: Vec<u8>,
@@ -111,7 +119,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decompression failure (corrupt stream).
+/// Decompression failure (corrupt stream, or one expanding past
+/// [`MAX_DECOMPRESSED_LEN`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LzwError;
 
@@ -123,7 +132,9 @@ impl std::fmt::Display for LzwError {
 
 impl std::error::Error for LzwError {}
 
-/// Decompresses an LZW stream produced by [`compress`].
+/// Decompresses an LZW stream produced by [`compress`]. The output — and
+/// with it the dictionary, whose entries are copies of emitted runs — is
+/// bounded by [`MAX_DECOMPRESSED_LEN`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, LzwError> {
     if data.is_empty() {
         return Ok(Vec::new());
@@ -163,6 +174,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, LzwError> {
         } else {
             return Err(LzwError);
         };
+        if out.len() + entry.len() > MAX_DECOMPRESSED_LEN {
+            return Err(LzwError);
+        }
         out.extend_from_slice(&entry);
         let mut new_entry = prev.clone();
         new_entry.push(entry[0]);
@@ -184,6 +198,23 @@ pub fn ratio(original: usize, compressed: usize) -> f64 {
     } else {
         compressed as f64 / original as f64
     }
+}
+
+/// The most expansive stream the decoder accepts: one literal, then every
+/// code naming the entry about to be defined (the KwKwK case), so entry
+/// `k` is `k + 1` bytes long — ≈126 KB of codes for ≈2 GB of output.
+#[cfg(test)]
+pub(crate) fn kwkwk_bomb() -> Vec<u8> {
+    let mut w = BitWriter::new();
+    let mut width = 9u32;
+    w.push(u32::from(b'a'), width);
+    for table_len in FIRST_CODE..(1 << MAX_BITS) {
+        w.push(table_len, width);
+        if table_len + 2 > (1 << width) && width < MAX_BITS {
+            width += 1;
+        }
+    }
+    w.finish()
 }
 
 #[cfg(test)]
@@ -281,6 +312,17 @@ mod tests {
         for cut in 0..c.len() {
             let _ = decompress(&c[..cut]);
         }
+    }
+
+    #[test]
+    fn bomb_stops_at_the_output_cap() {
+        let bomb = kwkwk_bomb();
+        assert!(bomb.len() < 140 * 1024, "{} bytes of codes", bomb.len());
+        assert_eq!(decompress(&bomb), Err(LzwError));
+        // The same chain cut short of the cap is a valid stream: the
+        // rejection above is the cap, not a malformed code.
+        let run = decompress(&bomb[..4096]).expect("a short chain decodes");
+        assert!(run.len() > 1 << 20 && run.iter().all(|&b| b == b'a'));
     }
 
     #[test]

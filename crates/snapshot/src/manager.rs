@@ -384,8 +384,10 @@ impl CheckpointManager {
     }
 
     /// Periodic local checkpoint: increments `cn` and records the state.
+    /// (Saturating, here and wherever the clock advances: a peer's frame
+    /// can set `cn` to any value, `u64::MAX` included.)
     pub fn local_checkpoint(&mut self, state_bytes: &[u8]) {
-        self.cn += 1;
+        self.cn = self.cn.saturating_add(1);
         self.take_checkpoint(self.cn, state_bytes);
     }
 
@@ -406,7 +408,7 @@ impl CheckpointManager {
         state_bytes: &[u8],
     ) -> Vec<(NodeId, SnapMsg)> {
         self.stats.gathers_started += 1;
-        self.cn += 1;
+        self.cn = self.cn.saturating_add(1);
         let cr = self.cn;
         self.take_checkpoint(cr, state_bytes);
         let neighbors: Vec<NodeId> = neighbors
@@ -588,7 +590,7 @@ impl CheckpointManager {
         }
         // "The requestor chooses the greatest among the R.cn received, and
         // initiates another snapshot round." (§3.1)
-        let cr = g.nack_max_cn.max(g.cr) + 1;
+        let cr = g.nack_max_cn.max(g.cr).saturating_add(1);
         let _neighbors = g.neighbors.clone();
         self.stats.retries += 1;
         self.cn = self.cn.max(cr);
@@ -1063,6 +1065,37 @@ mod tests {
         let snap = g.poll_snapshot().expect("partial snapshot");
         assert_eq!(snap.states.len(), 2);
         assert_eq!(snap.missing, vec![NodeId(2)]);
+    }
+
+    /// One hostile `Snap` frame — a patch claiming a terabyte, or an LZW
+    /// bomb — costs its sender the gather and the receiver nothing.
+    #[test]
+    fn hostile_payloads_fail_the_peer_without_allocating() {
+        let inflated = Diff {
+            new_len: 1 << 40,
+            patches: Vec::new(),
+        };
+        for hostile in [
+            SnapMsg::Delta {
+                cn: 1,
+                diff: inflated.to_bytes(),
+            },
+            SnapMsg::Full {
+                cn: 1,
+                compressed: true,
+                data: lzw::kwkwk_bomb(),
+            },
+        ] {
+            let mut g = mgr(0);
+            g.start_gather(&[NodeId(1)], &state(0, 16));
+            assert!(g
+                .handle(SimTime::ZERO, NodeId(1), &hostile, &state(0, 16))
+                .is_empty());
+            let snap = g
+                .poll_snapshot()
+                .expect("gather completes without the peer");
+            assert_eq!(snap.missing, vec![NodeId(1)]);
+        }
     }
 
     #[test]

@@ -288,20 +288,17 @@ fn main() {
             ),
         }
     }
-    let trace = trace.or_else(crystalball_suite::obs::env_trace_path);
     if trace.is_some() {
         crystalball_suite::obs::enable();
     }
     // Held for the whole run: `curl http://ADDR/metrics` (any GET path
     // works) answers with the Prometheus text exposition.
-    let metrics = metrics
-        .or_else(crystalball_suite::obs::metrics::env_metrics_bind)
-        .map(|bind| {
-            let server = crystalball_suite::obs::MetricsServer::bind(bind.as_str())
-                .expect("bind metrics endpoint");
-            println!("live: metrics on http://{}", server.addr());
-            server
-        });
+    let metrics = metrics.map(|bind| {
+        let server = crystalball_suite::obs::MetricsServer::bind(bind.as_str())
+            .expect("bind metrics endpoint");
+        println!("live: metrics on http://{}", server.addr());
+        server
+    });
     match (serve_at, join_at) {
         (Some(_), Some(_)) => panic!("--serve and --join are mutually exclusive"),
         (Some(bind), None) => serve(bind, threads),

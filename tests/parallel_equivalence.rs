@@ -54,8 +54,8 @@ fn assert_engines_agree<P: Protocol>(
     for workers in cb_bench::matrix::workers() {
         for merge_shards in cb_bench::matrix::merge_shards() {
             if workers == 1 && merge_shards != 1 {
-                // The fused 1-worker path has no merge to shard; skip the
-                // redundant legs.
+                // One worker is `Searcher::run` itself, which no shard
+                // count reaches: one leg covers the dispatch.
                 continue;
             }
             let par = ParallelConfig {
