@@ -1,5 +1,5 @@
 //! The checker *process*: a TCP server wrapping
-//! [`crystalball::WireChecker`].
+//! [`crystalball::WireChecker`], hosted on a reactor thread of its own.
 //!
 //! "We run the model checker as a separate thread that communicates
 //! future inconsistencies to the runtime" (§4) — here it is separate in
@@ -10,21 +10,25 @@
 //! on the sharded `CheckerPool`/`CheckerHost` machinery, so the live
 //! deployment shares its checking capacity exactly the way the fleet
 //! harness does.
+//!
+//! The server is a [`Hosted`] state machine like a node: the reactor
+//! blocks in `poll(2)` on its sockets, and each `poll(now, io)` accepts,
+//! reads submissions, collects the rounds the pool has finished (the 1 ms
+//! tick bounds how long one waits to be noticed) and writes installs.
+//! Latencies come from the passed `now`; probes and shutdown arrive as
+//! ctl messages, and the shutdown drain is a state, not a blocking call.
 
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cb_model::{
-    push_frame, Decode, Encode, FrameBuffer, FrameKind, NodeId, PropertySet, Protocol, SimTime,
-    WireFrame,
-};
+use cb_model::{Decode, Encode, FrameKind, NodeId, PropertySet, Protocol, SimTime, WireFrame};
 use crystalball::{ControllerConfig, WireChecker};
 
+use crate::conn::{accept_pending, FramedConn};
+use crate::reactor::{spawn_reactor, Hosted, IoReadiness, PollStatus, ReactorCtl};
 use crate::stats::CheckerProcessStats;
 use crate::wire::{frame_of, CtrlMsg, InstallBody, SubmitBody};
 
@@ -45,28 +49,44 @@ static M_BACKLOG: cb_obs::metrics::Gauge = cb_obs::metrics::Gauge::new(
     "rounds submitted to the checker but not yet completed",
 );
 
+/// How long a finished round or a ctl message may wait to be noticed.
+const TICK: Duration = Duration::from_millis(1);
+/// Bound on flushing the last installs once the rounds are in.
+const FLUSH_BOUND: Duration = Duration::from_millis(500);
+
+/// Driver → checker-server control messages.
+enum CheckerCtl {
+    /// Report current counters without stopping.
+    Probe(mpsc::Sender<CheckerProcessStats>),
+    /// Finish in-flight rounds (bounded), push their installs, exit.
+    Shutdown,
+}
+
 /// The driver-side handle of the checker process.
 pub struct CheckerHandle {
     /// Listener address (nodes discover it via the registry).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: JoinHandle<CheckerProcessStats>,
-    probe_tx: mpsc::Sender<mpsc::Sender<CheckerProcessStats>>,
+    ctl: mpsc::Sender<CheckerCtl>,
+    join: JoinHandle<Vec<CheckerProcessStats>>,
 }
 
 impl CheckerHandle {
     /// Current counters without stopping the process.
     pub fn probe(&self, timeout: Duration) -> Option<CheckerProcessStats> {
         let (tx, rx) = mpsc::channel();
-        self.probe_tx.send(tx).ok()?;
+        self.ctl.send(CheckerCtl::Probe(tx)).ok()?;
         rx.recv_timeout(timeout).ok()
     }
 
     /// Stops the process: drains in-flight rounds (bounded), pushes their
     /// installs, joins the thread, and returns the final counters.
     pub fn shutdown(self) -> CheckerProcessStats {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join.join().unwrap_or_default()
+        let _ = self.ctl.send(CheckerCtl::Shutdown);
+        self.join
+            .join()
+            .ok()
+            .and_then(|mut exits| exits.pop())
+            .unwrap_or_default()
     }
 }
 
@@ -80,41 +100,48 @@ pub fn spawn_checker<P: Protocol>(
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let (probe_tx, probe_rx) = mpsc::channel::<mpsc::Sender<CheckerProcessStats>>();
-    let join = thread::Builder::new()
-        .name("cb-live-checker".into())
-        .spawn(move || {
-            let mut srv = CheckerSrv::<P>::new(protocol, props, config, listener, drain_timeout);
-            srv.run(&stop2, &probe_rx)
-        })
-        .expect("spawn checker thread");
+    let (ctl, ctl_rx) = mpsc::channel();
+    let reactor = spawn_reactor::<CheckerSrv<P>>("cb-live-checker".into(), TICK);
+    let srv = CheckerSrv::new(protocol, props, config, listener, drain_timeout, ctl_rx);
+    // One server, then no more adds: the reactor exits when it does.
+    let _ = reactor.ctl.send(ReactorCtl::Add(Box::new(srv)));
+    let _ = reactor.ctl.send(ReactorCtl::Stop);
     Ok(CheckerHandle {
         addr,
-        stop,
-        join,
-        probe_tx,
+        ctl,
+        join: reactor.join,
     })
 }
 
-struct CheckerConn {
-    stream: TcpStream,
-    inbuf: FrameBuffer,
-    out: Vec<u8>,
+/// One accepted connection and the node that introduced itself on it.
+struct NodeLink {
+    io: FramedConn<TcpStream>,
     node: Option<NodeId>,
-    dead: bool,
+}
+
+enum RunState {
+    Running,
+    /// Shutdown requested: in-flight rounds are still being collected.
+    Draining {
+        deadline: Instant,
+    },
+    /// The rounds are in (or given up on): flushing their installs.
+    Flushing {
+        deadline: Instant,
+    },
 }
 
 struct CheckerSrv<P: Protocol> {
     checker: WireChecker<P>,
     listener: TcpListener,
-    conns: Vec<CheckerConn>,
+    conns: Vec<NodeLink>,
     /// seq → (receipt instant, node, node-clock submission stamp,
     /// observability round id).
     inflight: HashMap<u64, (Instant, NodeId, u64, u64)>,
     stats: CheckerProcessStats,
     drain_timeout: Duration,
+    ctl: mpsc::Receiver<CheckerCtl>,
+    run_state: RunState,
 }
 
 impl<P: Protocol> CheckerSrv<P> {
@@ -124,6 +151,7 @@ impl<P: Protocol> CheckerSrv<P> {
         config: ControllerConfig,
         listener: TcpListener,
         drain_timeout: Duration,
+        ctl: mpsc::Receiver<CheckerCtl>,
     ) -> Self {
         let pool_workers = match &config.engine {
             cb_mc::Engine::Parallel(p) => p.workers.max(2) - 1,
@@ -147,43 +175,88 @@ impl<P: Protocol> CheckerSrv<P> {
             inflight: HashMap::new(),
             stats: CheckerProcessStats::default(),
             drain_timeout,
+            ctl,
+            run_state: RunState::Running,
+        }
+    }
+}
+
+impl<P: Protocol> Hosted for CheckerSrv<P> {
+    type Exit = CheckerProcessStats;
+
+    fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<CheckerProcessStats> {
+        if matches!(self.run_state, RunState::Running) {
+            if self.poll_ctl() {
+                // Graceful drain: finish in-flight rounds (bounded) and
+                // flush the resulting installs so a shutting-down
+                // deployment still observes every prediction it paid for.
+                self.run_state = RunState::Draining {
+                    deadline: now + self.drain_timeout,
+                };
+            } else if io.readable {
+                let accepted = accept_pending(&self.listener, cb_model::MAX_FRAME_LEN);
+                self.conns
+                    .extend(accepted.map(|io| NodeLink { io, node: None }));
+                self.pump_reads(now);
+            }
+        }
+        self.push_completed(now);
+        for conn in &mut self.conns {
+            conn.io.flush();
+        }
+        self.reap_dead();
+        M_BACKLOG.set(self.checker.pending());
+        if let RunState::Draining { deadline } = self.run_state {
+            if self.checker.pending() == 0 || now >= deadline {
+                self.run_state = RunState::Flushing {
+                    deadline: now + FLUSH_BOUND,
+                };
+            }
+        }
+        if let RunState::Flushing { deadline } = self.run_state {
+            // Keep flushing until every live connection's queue is empty
+            // (a pass can write zero bytes on a momentarily full send
+            // buffer without being done).
+            if now >= deadline || self.conns.iter().all(|c| c.io.is_flushed()) {
+                return PollStatus::Exited(self.snapshot_stats());
+            }
+        }
+        PollStatus::Running {
+            next_wake: now + TICK,
         }
     }
 
-    fn run(
-        &mut self,
-        stop: &AtomicBool,
-        probe_rx: &mpsc::Receiver<mpsc::Sender<CheckerProcessStats>>,
-    ) -> CheckerProcessStats {
-        while !stop.load(Ordering::Relaxed) {
-            let mut worked = self.accept_new();
-            worked |= self.pump_reads();
-            worked |= self.push_completed(false);
-            worked |= self.pump_writes();
-            self.reap_dead();
-            M_BACKLOG.set(self.checker.pending());
-            while let Ok(tx) = probe_rx.try_recv() {
-                let _ = tx.send(self.snapshot_stats());
-            }
-            if !worked {
-                thread::sleep(Duration::from_millis(1));
+    /// A drain reads nothing, so it watches only connections with
+    /// installs left to write: a readable fd would spin the reactor.
+    #[cfg(unix)]
+    fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>) {
+        use std::os::fd::AsRawFd;
+        let running = matches!(self.run_state, RunState::Running);
+        if running {
+            out.push((self.listener.as_raw_fd(), false));
+        }
+        out.extend(
+            self.conns
+                .iter()
+                .filter(|c| !c.io.is_dead() && (running || !c.io.is_flushed()))
+                .map(|c| c.io.io_fd()),
+        );
+    }
+}
+
+impl<P: Protocol> CheckerSrv<P> {
+    /// Services the control channel; true when shutdown was requested (or
+    /// the handle was dropped).
+    fn poll_ctl(&mut self) -> bool {
+        loop {
+            match self.ctl.try_recv() {
+                Ok(CheckerCtl::Probe(tx)) => {
+                    let _ = tx.send(self.snapshot_stats());
+                }
+                Ok(CheckerCtl::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => return true,
+                Err(mpsc::TryRecvError::Empty) => return false,
             }
         }
-        // Graceful drain: finish in-flight rounds (bounded) and flush the
-        // resulting installs so a shutting-down deployment still observes
-        // every prediction it paid for. Keep pumping until every live
-        // connection's queue is empty (a pass can write zero bytes on a
-        // momentarily full send buffer without being done).
-        self.push_completed(true);
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < deadline {
-            let flushed = self.pump_writes();
-            if !flushed && self.conns.iter().all(|c| c.out.is_empty() || c.dead) {
-                break;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
-        self.snapshot_stats()
     }
 
     fn snapshot_stats(&self) -> CheckerProcessStats {
@@ -195,83 +268,28 @@ impl<P: Protocol> CheckerSrv<P> {
         s
     }
 
-    fn accept_new(&mut self) -> bool {
-        let mut any = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(true);
-                    self.conns.push(CheckerConn {
-                        stream,
-                        inbuf: FrameBuffer::new(cb_model::MAX_FRAME_LEN),
-                        out: Vec::new(),
-                        node: None,
-                        dead: false,
-                    });
-                    any = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        any
-    }
-
-    fn pump_reads(&mut self) -> bool {
-        let mut any = false;
-        let mut buf = [0u8; 4096];
+    /// Reads every connection, then dispatches: `on_frame` never adds or
+    /// removes connections, so the collected indices stay valid.
+    fn pump_reads(&mut self, now: Instant) {
         let mut frames: Vec<(usize, WireFrame)> = Vec::new();
         for (ix, conn) in self.conns.iter_mut().enumerate() {
-            if conn.dead {
-                continue;
-            }
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        any = true;
-                        conn.inbuf.feed(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            loop {
-                match conn.inbuf.next_frame() {
-                    Ok(Some(payload)) => {
-                        if let Ok(frame) = WireFrame::from_bytes(&payload) {
-                            frames.push((ix, frame));
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
+            conn.io.fill();
+            while let Some(payload) = conn.io.next_frame() {
+                if let Ok(frame) = WireFrame::from_bytes(&payload) {
+                    frames.push((ix, frame));
                 }
             }
         }
         for (ix, frame) in frames {
-            self.on_frame(ix, frame);
+            self.on_frame(ix, frame, now);
         }
-        any
     }
 
-    fn on_frame(&mut self, conn_ix: usize, frame: WireFrame) {
+    fn on_frame(&mut self, conn_ix: usize, frame: WireFrame, now: Instant) {
         match frame.kind {
             FrameKind::Control => {
                 if let Ok(CtrlMsg::Hello { node }) = CtrlMsg::from_bytes(&frame.body) {
-                    if let Some(c) = self.conns.get_mut(conn_ix) {
-                        c.node = Some(node);
-                    }
+                    self.conns[conn_ix].node = Some(node);
                 }
                 // Goodbye: the EOF that follows does the cleanup.
             }
@@ -280,52 +298,37 @@ impl<P: Protocol> CheckerSrv<P> {
                     self.stats.submits_rejected += 1;
                     return;
                 };
-                if let Some(c) = self.conns.get_mut(conn_ix) {
-                    c.node = Some(body.node);
-                }
-                if body.speculative {
+                self.conns[conn_ix].node = Some(body.node);
+                let at = SimTime(body.at_us);
+                let submitted = if body.speculative {
                     // Optimistic execution: a partial-gather pre-warm. No
                     // install push ever answers it, so it never enters
                     // `inflight`; the outcome lands in the shared
                     // prediction cache where the full-snapshot round finds
                     // (or cancels) it.
-                    match self.checker.submit_speculative_delta_tagged(
-                        SimTime(body.at_us),
-                        body.node,
-                        &body.delta,
-                        body.round,
-                    ) {
-                        Ok(()) => self.stats.spec_submits_received += 1,
-                        Err(_) => {
-                            self.stats.submits_rejected += 1;
-                            if let Some(c) = self.conns.get_mut(conn_ix) {
-                                c.dead = true;
-                            }
-                        }
-                    }
-                    return;
-                }
-                match self.checker.submit_delta_tagged(
-                    SimTime(body.at_us),
-                    body.node,
-                    &body.delta,
-                    body.round,
-                ) {
-                    Ok(seq) => {
+                    self.checker
+                        .submit_speculative_delta_tagged(at, body.node, &body.delta, body.round)
+                        .map(|()| None)
+                } else {
+                    self.checker
+                        .submit_delta_tagged(at, body.node, &body.delta, body.round)
+                        .map(Some)
+                };
+                match submitted {
+                    Ok(None) => self.stats.spec_submits_received += 1,
+                    Ok(Some(seq)) => {
                         cb_obs::instant_id("checker.submit_received", "checker", body.round);
                         M_SUBMITS.inc();
                         self.stats.submits_received += 1;
                         self.inflight
-                            .insert(seq, (Instant::now(), body.node, body.at_us, body.round));
+                            .insert(seq, (now, body.node, body.at_us, body.round));
                     }
                     Err(_) => {
                         // Out-of-order / corrupt lineage: protocol error
                         // on this connection. Drop it; the node redials
                         // with a fresh encoder.
                         self.stats.submits_rejected += 1;
-                        if let Some(c) = self.conns.get_mut(conn_ix) {
-                            c.dead = true;
-                        }
+                        self.conns[conn_ix].io.kill();
                     }
                 }
             }
@@ -334,17 +337,9 @@ impl<P: Protocol> CheckerSrv<P> {
         }
     }
 
-    /// Folds completed rounds into install pushes. With `drain`, blocks
-    /// (bounded) until every submitted round has finished.
-    fn push_completed(&mut self, drain: bool) -> bool {
-        let rounds = if drain {
-            self.checker.drain(self.drain_timeout)
-        } else {
-            self.checker.try_rounds()
-        };
-        let mut any = false;
-        for round in rounds {
-            any = true;
+    /// Folds the rounds the pool has completed into install pushes.
+    fn push_completed(&mut self, now: Instant) {
+        for round in self.checker.try_rounds() {
             M_ROUNDS.inc();
             self.stats.rounds_completed += 1;
             if round.violation.is_some() {
@@ -355,7 +350,7 @@ impl<P: Protocol> CheckerSrv<P> {
                 Some((recv, node, at_us, obs_round)) => {
                     self.stats
                         .round_latency
-                        .record(recv.elapsed().as_micros() as u64);
+                        .record(now.saturating_duration_since(recv).as_micros() as u64);
                     (node, at_us, obs_round)
                 }
                 None => (round.node, 0, 0),
@@ -385,9 +380,9 @@ impl<P: Protocol> CheckerSrv<P> {
             if let Some(conn) = self
                 .conns
                 .iter_mut()
-                .find(|c| c.node == Some(node) && !c.dead)
+                .find(|c| c.node == Some(node) && !c.io.is_dead())
             {
-                push_frame(&mut conn.out, &frame);
+                conn.io.queue(&frame);
                 // Counted only when the push was actually queued to a live
                 // connection — a churned-away node's install is dropped.
                 if !round.filters.is_empty() {
@@ -395,59 +390,99 @@ impl<P: Protocol> CheckerSrv<P> {
                 }
             }
         }
-        any
-    }
-
-    fn pump_writes(&mut self) -> bool {
-        let mut any = false;
-        for conn in &mut self.conns {
-            if conn.dead || conn.out.is_empty() {
-                continue;
-            }
-            loop {
-                if conn.out.is_empty() {
-                    break;
-                }
-                use std::io::Write;
-                match conn.stream.write(&conn.out) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        any = true;
-                        conn.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        any
     }
 
     fn reap_dead(&mut self) {
-        let mut ix = 0;
-        while ix < self.conns.len() {
-            if self.conns[ix].dead {
-                let conn = self.conns.remove(ix);
-                if let Some(node) = conn.node {
-                    // A reconnecting node starts a fresh delta lineage;
-                    // drop ours so the streams stay in lockstep. Only if
-                    // no other live conn claims the node (reconnects can
-                    // briefly overlap).
-                    let still = self.conns.iter().any(|c| c.node == Some(node) && !c.dead);
-                    if !still {
-                        self.checker.forget_node(node);
-                    }
-                }
-            } else {
-                ix += 1;
+        let mut gone = Vec::new();
+        self.conns.retain(|c| {
+            gone.extend(c.node.filter(|_| c.io.is_dead()));
+            !c.io.is_dead()
+        });
+        // A reconnecting node starts a fresh delta lineage; drop ours so
+        // the streams stay in lockstep. Only if no other live conn claims
+        // the node (reconnects can briefly overlap).
+        for node in gone {
+            if !self.conns.iter().any(|c| c.node == Some(node)) {
+                self.checker.forget_node(node);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use cb_model::testproto::{max_pings_property, Ping};
+    use cb_model::{push_frame, GlobalState};
+    use cb_snapshot::DeltaEncoder;
+
+    use super::*;
+
+    /// The server polled by hand, each poll an hour after the last on the
+    /// passed clock and a millisecond after it on the wall's: the one
+    /// round's latency must come out in whole hours.
+    #[test]
+    fn round_latency_is_measured_on_the_passed_clock() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (_ctl, ctl_rx) = mpsc::channel();
+        let proto = Ping {
+            kick_target: NodeId(0),
+            kick_enabled: true,
+        };
+        let t0 = Instant::now();
+        let mut srv = CheckerSrv::new(
+            proto.clone(),
+            PropertySet::new().with(max_pings_property(1)),
+            crate::live_checker_config(5_000, 4, 1),
+            listener,
+            Duration::from_secs(30),
+            ctl_rx,
+        );
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        let body = SubmitBody {
+            node: NodeId(0),
+            at_us: 0,
+            speculative: false,
+            round: 9,
+            delta: DeltaEncoder::new().encode_state(&GlobalState::init(&proto, (0..3).map(NodeId))),
+        };
+        let mut out = Vec::new();
+        let frame = frame_of(NodeId(0), NodeId::DUMMY, 0, FrameKind::Submit, &body);
+        push_frame(&mut out, &frame);
+        client.write_all(&out).unwrap();
+
+        let hour = Duration::from_secs(3600);
+        let (mut received, mut completed) = (None, None);
+        for k in 0..10_000u32 {
+            let now = t0 + hour * k;
+            let PollStatus::Running { next_wake } = srv.poll(now, IoReadiness::all()) else {
+                panic!("the server exited");
+            };
+            assert_eq!(next_wake, now + TICK);
+            if received.is_none() && srv.stats.submits_received == 1 {
+                received = Some(k);
+            }
+            if srv.stats.rounds_completed == 1 {
+                completed = Some(k);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let received = received.expect("the submission arrived");
+        let completed = completed.expect("the round completed");
+        assert!(
+            completed > received,
+            "a search outlasts the poll that queued it"
+        );
+        let latency = srv.stats.round_latency;
+        assert_eq!(latency.count, 1);
+        assert_eq!(
+            latency.max_us,
+            u64::from(completed - received) * 3_600_000_000
+        );
     }
 }

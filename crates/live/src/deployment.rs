@@ -36,8 +36,11 @@ use cb_net::LiveFault;
 use crystalball::ControllerConfig;
 
 use crate::checker::{spawn_checker, CheckerHandle};
-use crate::node::{LinkTable, LiveNodeConfig, NodeCtl, NodeReport, NodeSeed, Registry};
-use crate::reactor::{spawn_reactor, ExitKindFilter, ReactorCtl, ReactorHandle};
+use crate::node::{
+    ExitKind, LinkTable, LiveNode, LiveNodeConfig, NodeCtl, NodeExit, NodeReport, NodeSeed,
+    Registry,
+};
+use crate::reactor::{spawn_reactor, ReactorCtl, ReactorHandle};
 use crate::registry::{Addressing, RegistryServer, RemoteRegistry};
 use crate::stats::LiveStats;
 
@@ -244,7 +247,7 @@ impl<P: Protocol> DeploymentBuilder<P> {
         };
         let links = Arc::new(LinkTable::new());
         let reactors = (0..threads)
-            .map(|i| spawn_reactor(i, config.node.tick))
+            .map(|i| spawn_reactor(format!("cb-reactor-{i}"), config.node.tick))
             .collect();
         let mut dep = LiveDeployment {
             protocol,
@@ -291,7 +294,7 @@ pub struct LiveDeployment<P: Protocol> {
     /// socket open until shutdown.
     registry_server: Option<RegistryServer>,
     links: Arc<LinkTable>,
-    reactors: Vec<ReactorHandle<P>>,
+    reactors: Vec<ReactorHandle<LiveNode<P>>>,
     slots: BTreeMap<NodeId, NodeSlotCtl<P>>,
     node_ids: Vec<NodeId>,
     incarnations: BTreeMap<NodeId, u32>,
@@ -337,9 +340,10 @@ impl<P: Protocol> LiveDeployment<P> {
             seed: self.config.seed,
             alive: alive.clone(),
         };
+        let node = LiveNode::new(seed, Instant::now());
         let rx = &self.reactors[id.0 as usize % self.reactors.len()];
         rx.ctl
-            .send(ReactorCtl::Add(Box::new(seed)))
+            .send(ReactorCtl::Add(Box::new(node)))
             .map_err(|_| std::io::Error::other("reactor thread gone"))?;
         self.slots.insert(id, NodeSlotCtl { ctl: ctl_tx, alive });
         Ok(())
@@ -573,7 +577,9 @@ impl<P: Protocol> LiveDeployment<P> {
         for s in self.slots.values() {
             let _ = s.ctl.send(NodeCtl::Shutdown);
         }
-        for exit in self.finish_reactors(ExitKindFilter::GracefulOnly) {
+        // Killed nodes' reports are crash-discarded.
+        let graceful = |e: &NodeExit<P>| e.kind == ExitKind::Graceful;
+        for exit in self.finish_reactors().into_iter().filter(graceful) {
             stats.nodes.insert(exit.id.0, exit.report.stats);
             stats.snapshots.insert(exit.id.0, exit.report.snapshot);
             states.insert(exit.id, exit.report.slot);
@@ -604,16 +610,15 @@ impl<P: Protocol> LiveDeployment<P> {
         }
     }
 
-    /// Stops every reactor and joins it, returning the exits that pass
-    /// `filter`.
-    fn finish_reactors(&mut self, filter: ExitKindFilter) -> Vec<crate::reactor::ReactorExit<P>> {
+    /// Stops every reactor and joins it, returning every node's exit.
+    fn finish_reactors(&mut self) -> Vec<NodeExit<P>> {
         for r in &self.reactors {
             let _ = r.ctl.send(ReactorCtl::Stop);
         }
         let mut exits = Vec::new();
         for r in std::mem::take(&mut self.reactors) {
             if let Ok(batch) = r.join.join() {
-                exits.extend(batch.into_iter().filter(|e| filter.keep(e.kind)));
+                exits.extend(batch);
             }
         }
         exits
@@ -633,7 +638,7 @@ impl<P: Protocol> Drop for LiveDeployment<P> {
             let _ = s.ctl.send(NodeCtl::Kill);
         }
         self.slots.clear();
-        let _ = self.finish_reactors(ExitKindFilter::All);
+        let _ = self.finish_reactors();
         if let Some(checker) = self.checker.take() {
             let _ = checker.shutdown();
         }

@@ -20,6 +20,10 @@
 //! report when it next needs waking. Graceful shutdown is a state
 //! (`Draining`), not a blocking flush, so a reactor multiplexing dozens
 //! of nodes never stalls on one node's goodbye.
+//!
+//! The node owns no clock: timers, schedules, backoff and latency stamps
+//! all come from the `now` passed to `new` and to each `poll`, so whoever
+//! drives `poll` decides what time it is.
 
 use std::collections::HashMap;
 use std::net::{IpAddr, TcpListener};
@@ -40,6 +44,7 @@ use rand::{Rng, SeedableRng};
 pub use crate::registry::{Addressing, Registry};
 
 use crate::peer::{DeadConn, InFrame, PeerConfig, PeerManager, SendOutcome};
+use crate::reactor::{Hosted, IoReadiness, PollStatus};
 use crate::stats::NodeStats;
 use crate::wire::{frame_of, CtrlMsg, InstallBody, SubmitBody};
 
@@ -185,28 +190,6 @@ pub enum NodeCtl<P: Protocol> {
     Probe(mpsc::Sender<NodeReport<P>>),
 }
 
-/// IO edges the reactor observed for a node since its last poll.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IoReadiness {
-    /// At least one of the node's sockets (listener included) is
-    /// readable. When false, the node skips its accept/read scans — the
-    /// bulk of an idle node's work.
-    pub readable: bool,
-    /// At least one socket with buffered output became writable.
-    pub writable: bool,
-}
-
-impl IoReadiness {
-    /// Assume everything is ready (degenerate/thread-per-node driving,
-    /// platforms without `poll(2)`).
-    pub fn all() -> Self {
-        IoReadiness {
-            readable: true,
-            writable: true,
-        }
-    }
-}
-
 /// How a node left its reactor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExitKind {
@@ -218,21 +201,14 @@ pub enum ExitKind {
     Killed,
 }
 
-/// What one [`LiveNode::poll`] call concluded.
-pub enum PollStatus<P: Protocol> {
-    /// Still running; wake me at `next_wake` (earlier if IO arrives).
-    Running {
-        /// The earliest deadline the node owns (timer, checkpoint tick,
-        /// gather deadline, delayed frame, drain bound).
-        next_wake: Instant,
-    },
-    /// The node exited; remove it from the reactor.
-    Exited {
-        /// Why it exited.
-        kind: ExitKind,
-        /// Its final report.
-        report: Box<NodeReport<P>>,
-    },
+/// One node's exit, as collected by its reactor.
+pub struct NodeExit<P: Protocol> {
+    /// The node that exited.
+    pub id: NodeId,
+    /// How it left.
+    pub kind: ExitKind,
+    /// Its final report.
+    pub report: Box<NodeReport<P>>,
 }
 
 /// Everything needed to construct a [`LiveNode`] — built by the
@@ -324,6 +300,8 @@ pub struct LiveNode<P: Protocol> {
     /// Fault-delayed frames awaiting their release instant.
     delayed: Vec<Delayed>,
     rng: StdRng,
+    /// The `now` of the current (or last) `poll` — this node's only clock.
+    now: Instant,
     epoch: Instant,
     next_checkpoint: Instant,
     next_gather: Instant,
@@ -339,88 +317,19 @@ pub struct LiveNode<P: Protocol> {
     inbox: Vec<InFrame>,
 }
 
-impl<P: Protocol> LiveNode<P> {
-    /// Builds the state machine from its seed. No IO happens here beyond
-    /// what the seed already did (the listener is bound and registered by
-    /// the deployment before the seed ships).
-    pub fn new(seed: NodeSeed<P>) -> Self {
-        M_SUBMITS.touch();
-        M_INSTALLS.touch();
-        M_GATHER_INSTALL_US.touch();
-        let NodeSeed {
-            protocol,
-            props,
-            id,
-            incarnation,
-            config,
-            registry,
-            links,
-            listener,
-            ctl,
-            seed,
-            alive,
-        } = seed;
-        let mut slot = NodeSlot::new(protocol.init(id));
-        slot.incarnation = incarnation;
-        let mgr = CheckpointManager::new(id, config.snapshot.clone());
-        let now = Instant::now();
-        let mut peer_cfg = config.peer.clone();
-        peer_cfg.max_frame_len = config.max_frame_len;
-        let mut node = LiveNode {
-            me: id,
-            proto: protocol,
-            props,
-            slot,
-            mgr,
-            next_checkpoint: now + config.checkpoint_interval,
-            next_gather: now + config.gather_interval,
-            peers: PeerManager::new(peer_cfg),
-            cfg: config,
-            registry,
-            links,
-            listener,
-            delta_enc: DeltaEncoder::new(),
-            spec_delta_enc: DeltaEncoder::new(),
-            last_submit_hash: None,
-            gather_started: None,
-            round_started: HashMap::new(),
-            filters: Vec::new(),
-            timers: HashMap::new(),
-            delayed: Vec::new(),
-            rng: StdRng::seed_from_u64(seed ^ (0x11EE_u64 << 32) ^ u64::from(id.0)),
-            epoch: now,
-            gather_deadline: None,
-            spec_deadline: None,
-            ctl,
-            run_state: RunState::Running,
-            alive,
-            stats: NodeStats::default(),
-            inbox: Vec::new(),
-        };
-        node.reconcile_timers();
-        node
-    }
+impl<P: Protocol> Hosted for LiveNode<P> {
+    type Exit = NodeExit<P>;
 
-    /// The node's id.
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// Appends every fd the reactor should watch for this node, paired
-    /// with whether it has buffered output (wants a writability edge).
     #[cfg(unix)]
-    pub fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>) {
+    fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>) {
         use std::os::fd::AsRawFd;
         out.push((self.listener.as_raw_fd(), false));
         self.peers.io_fds(out);
     }
 
-    /// Runs one iteration of the node's event loop and reports when it
-    /// next needs waking. `now` is sampled once by the reactor for the
-    /// whole batch; `io` carries the readiness edges `poll(2)` observed
-    /// for this node's fds (pass [`IoReadiness::all`] when driving
-    /// without a readiness source).
-    pub fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<P> {
+    fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<NodeExit<P>> {
+        let _span = cb_obs::span_id("reactor.node_poll", "live", u64::from(self.me.0));
+        self.now = now;
         if let RunState::Draining { deadline } = self.run_state {
             // Drains still honor Kill (a churn event may land mid-drain);
             // everything else is ignored — the node is past its last
@@ -464,19 +373,82 @@ impl<P: Protocol> LiveNode<P> {
             next_wake: self.next_wake(now),
         }
     }
+}
 
-    fn exit(&mut self, kind: ExitKind) -> PollStatus<P> {
+impl<P: Protocol> LiveNode<P> {
+    /// Builds the state machine from its seed, with `now` as its epoch. No
+    /// IO happens here beyond what the seed already did (the listener is
+    /// bound and registered by the deployment first).
+    pub fn new(seed: NodeSeed<P>, now: Instant) -> Self {
+        M_SUBMITS.touch();
+        M_INSTALLS.touch();
+        M_GATHER_INSTALL_US.touch();
+        let NodeSeed {
+            protocol,
+            props,
+            id,
+            incarnation,
+            config,
+            registry,
+            links,
+            listener,
+            ctl,
+            seed,
+            alive,
+        } = seed;
+        let mut slot = NodeSlot::new(protocol.init(id));
+        slot.incarnation = incarnation;
+        let mgr = CheckpointManager::new(id, config.snapshot.clone());
+        let mut peer_cfg = config.peer.clone();
+        peer_cfg.max_frame_len = config.max_frame_len;
+        let mut node = LiveNode {
+            me: id,
+            proto: protocol,
+            props,
+            slot,
+            mgr,
+            next_checkpoint: now + config.checkpoint_interval,
+            next_gather: now + config.gather_interval,
+            peers: PeerManager::new(peer_cfg),
+            cfg: config,
+            registry,
+            links,
+            listener,
+            delta_enc: DeltaEncoder::new(),
+            spec_delta_enc: DeltaEncoder::new(),
+            last_submit_hash: None,
+            gather_started: None,
+            round_started: HashMap::new(),
+            filters: Vec::new(),
+            timers: HashMap::new(),
+            delayed: Vec::new(),
+            rng: StdRng::seed_from_u64(seed ^ (0x11EE_u64 << 32) ^ u64::from(id.0)),
+            now,
+            epoch: now,
+            gather_deadline: None,
+            spec_deadline: None,
+            ctl,
+            run_state: RunState::Running,
+            alive,
+            stats: NodeStats::default(),
+            inbox: Vec::new(),
+        };
+        node.reconcile_timers();
+        node
+    }
+
+    fn exit(&mut self, kind: ExitKind) -> PollStatus<NodeExit<P>> {
         if matches!(kind, ExitKind::Killed) {
             // Abrupt: sockets drop on the floor; peers see RSTs or EOFs
             // and run their failure handlers.
             self.peers.clear();
         }
         self.alive.store(false, Ordering::Relaxed);
-        let report = self.report();
-        PollStatus::Exited {
+        PollStatus::Exited(NodeExit {
+            id: self.me,
             kind,
-            report: Box::new(report),
-        }
+            report: Box::new(self.report()),
+        })
     }
 
     fn next_wake(&self, now: Instant) -> Instant {
@@ -510,12 +482,10 @@ impl<P: Protocol> LiveNode<P> {
         }
     }
 
-    fn sim_now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
-    }
-
+    /// Microseconds from adoption to the current poll's `now` — the
+    /// node-clock stamp on submissions, installs and gathers.
     fn elapsed_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.now.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     fn wall_of(&self, d: cb_model::SimDuration) -> Duration {
@@ -625,7 +595,7 @@ impl<P: Protocol> LiveNode<P> {
     /// Queues `frame` to `peer` through the manager, wiring the dial-time
     /// Hello and slot bookkeeping.
     fn queue_peer_frame(&mut self, peer: NodeId, frame: &[u8]) -> SendOutcome {
-        let now = Instant::now();
+        let now = self.now;
         let registry = &self.registry;
         let me = self.me;
         let cn = self.mgr.stamp_out();
@@ -763,7 +733,7 @@ impl<P: Protocol> LiveNode<P> {
         self.stats.snap_frames += 1;
         self.stats.snapshot_wire_bytes += frame.body.len() as u64;
         let state_bytes = self.slot.to_bytes();
-        let now = self.sim_now();
+        let now = SimTime(self.elapsed_us());
         let replies = self.mgr.handle(now, frame.src, &msg, &state_bytes);
         for (dst, m) in replies {
             self.send_snap(dst, &m);
@@ -881,7 +851,7 @@ impl<P: Protocol> LiveNode<P> {
             return;
         }
         self.stats.frames_delayed += 1;
-        let release_at = Instant::now() + d.delay;
+        let release_at = self.now + d.delay;
         for copy in 0..d.copies {
             let payload = if copy + 1 == d.copies {
                 std::mem::take(&mut frame)
@@ -973,7 +943,7 @@ impl<P: Protocol> LiveNode<P> {
             if !injected {
                 // Timers are rescheduled, not dropped (§4).
                 if let Schedule::Periodic(d) | Schedule::After(d) = self.proto.schedule(&action) {
-                    let due = Instant::now() + self.wall_of(d);
+                    let due = self.now + self.wall_of(d);
                     self.timers.insert(action, due);
                 }
             }
@@ -1000,13 +970,13 @@ impl<P: Protocol> LiveNode<P> {
             if !self.timers.contains_key(&action) {
                 let base = self.wall_of(d);
                 let jitter = base.mul_f64(self.rng.gen_range(0.0..0.1));
-                self.timers.insert(action, Instant::now() + base + jitter);
+                self.timers.insert(action, self.now + base + jitter);
             }
         }
     }
 
     fn fire_timers(&mut self) {
-        let now = Instant::now();
+        let now = self.now;
         let due: Vec<P::Action> = self
             .timers
             .iter()
@@ -1048,7 +1018,7 @@ impl<P: Protocol> LiveNode<P> {
     // ---- snapshot schedule ----------------------------------------------
 
     fn snapshot_schedule(&mut self) {
-        let now = Instant::now();
+        let now = self.now;
         if now >= self.next_checkpoint {
             self.next_checkpoint = now + self.cfg.checkpoint_interval;
             let bytes = self.slot.to_bytes();
@@ -1146,7 +1116,7 @@ impl<P: Protocol> LiveNode<P> {
             .collect();
         let bytes = self.slot.to_bytes();
         let reqs = self.mgr.start_gather(&neighbors, &bytes);
-        let now = Instant::now();
+        let now = self.now;
         self.gather_started = Some((
             self.elapsed_us(),
             if cb_obs::enabled() {
@@ -1241,5 +1211,70 @@ impl<P: Protocol> LiveNode<P> {
         self.stats.submit_bytes += frame.len() as u64;
         self.stats.frames_sent += 1;
         self.peers.push_frame_to(ix, &frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cb_model::testproto::{Ping, PingAction};
+
+    use super::*;
+
+    /// A node polled by hand, with no reactor: first at `t0`, then — a few
+    /// microseconds of wall time later — at `t0 + 1 h`. Everything armed
+    /// from `t0` must come due on the second poll and be re-armed from the
+    /// passed instant.
+    #[test]
+    fn the_passed_now_is_the_only_clock() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (_ctl, ctl_rx) = mpsc::channel();
+        let config = LiveNodeConfig::default();
+        let seed = NodeSeed {
+            protocol: Ping {
+                kick_target: NodeId(0),
+                kick_enabled: true,
+            },
+            props: PropertySet::new(),
+            id: NodeId(1),
+            incarnation: 0,
+            config: config.clone(),
+            // Knows nobody: the Kick's dial fails at the lookup, without
+            // touching the network.
+            registry: Arc::new(Registry::new()),
+            links: Arc::new(LinkTable::new()),
+            listener,
+            ctl: ctl_rx,
+            seed: 7,
+            alive: Arc::new(AtomicBool::new(true)),
+        };
+        let t0 = Instant::now();
+        let mut node = LiveNode::new(seed, t0);
+        // Kick: 1 simulated second = 50 ms at the default scale, plus up
+        // to 10 % jitter, armed at construction.
+        let kick_at = node.timers[&PingAction::Kick];
+        assert!(t0 < kick_at && kick_at <= t0 + Duration::from_millis(55));
+
+        let PollStatus::Running { next_wake } = node.poll(t0, IoReadiness::all()) else {
+            panic!("node exited");
+        };
+        assert_eq!(next_wake, kick_at);
+        assert_eq!(node.stats.actions_executed, 0);
+        assert_eq!(node.mgr.snapshot_stats().checkpoints_taken, 0);
+
+        let t1 = t0 + Duration::from_secs(3600);
+        let PollStatus::Running { next_wake } = node.poll(t1, IoReadiness::all()) else {
+            panic!("node exited");
+        };
+        assert_eq!(node.stats.actions_executed, 1, "the Kick armed at t0 fired");
+        assert_eq!(node.stats.dials_failed, 1, "and its ping found no route");
+        let snap = node.mgr.snapshot_stats();
+        assert!(snap.checkpoints_taken >= 1, "the due checkpoint was taken");
+        assert_eq!(snap.gathers_started, 1, "the due gather ran");
+        assert_eq!(node.elapsed_us(), 3_600_000_000);
+        // Re-armed from the passed instant: the next Kick leads again.
+        assert_eq!(next_wake, node.timers[&PingAction::Kick]);
+        assert!(t1 < next_wake && next_wake <= t1 + Duration::from_millis(55));
+        assert_eq!(node.next_checkpoint, t1 + config.checkpoint_interval);
     }
 }

@@ -5,9 +5,10 @@
 //! event loop; at 100+ nodes per process the lifecycle rules (when to
 //! dial, when to refuse, when to give up) need a first-class owner — the
 //! shape `spectrum-network`'s peer manager gives a libp2p swarm, shrunk
-//! to this runtime's needs. The manager owns sockets and buffers only;
-//! every *protocol* consequence of a connection event (failure handlers,
-//! slot bookkeeping, delta-lineage resets) stays in
+//! to this runtime's needs. The manager owns connections only — each a
+//! [`FramedConn`] (which has the read/write loops) plus this module's
+//! tags; every *protocol* consequence of a connection event (failure
+//! handlers, slot bookkeeping, delta-lineage resets) stays in
 //! [`crate::node::LiveNode`], driven by the values these methods return.
 //!
 //! Policies:
@@ -24,12 +25,12 @@
 //!   self-limited by the gather cadence).
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use cb_model::{push_frame, Decode, FrameBuffer, NodeId, WireFrame};
+use cb_model::{Decode, NodeId, WireFrame};
 
+use crate::conn::{accept_pending, FramedConn};
 use crate::stats::NodeStats;
 
 static M_BACKPRESSURE_DROPS: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
@@ -78,28 +79,20 @@ impl Default for PeerConfig {
 }
 
 struct Conn {
-    stream: TcpStream,
-    inbuf: FrameBuffer,
-    out: Vec<u8>,
+    io: FramedConn<TcpStream>,
     peer: Option<NodeId>,
     is_checker: bool,
     /// The peer announced a graceful close; an EOF here is not a failure.
     draining: bool,
-    dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_frame: usize, is_checker: bool) -> Self {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_nonblocking(true);
+    fn new(io: FramedConn<TcpStream>, peer: Option<NodeId>, is_checker: bool) -> Self {
         Conn {
-            stream,
-            inbuf: FrameBuffer::new(max_frame),
-            out: Vec::new(),
-            peer: None,
+            io,
+            peer,
             is_checker,
             draining: false,
-            dead: false,
         }
     }
 }
@@ -109,8 +102,6 @@ pub struct InFrame {
     /// Index of the connection it arrived on (stable until the next
     /// [`PeerManager::take_dead`]).
     pub conn: usize,
-    /// The connection is the node's dialed checker link.
-    pub from_checker: bool,
     /// The decoded envelope.
     pub frame: WireFrame,
 }
@@ -171,116 +162,43 @@ impl PeerManager {
         }
     }
 
-    /// Accepts pending inbound connections (up to the cap). Returns true
-    /// if any arrived.
-    pub fn accept(&mut self, listener: &TcpListener, stats: &mut NodeStats) -> bool {
-        let mut any = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.conns.len() >= self.cfg.max_connections {
-                        // Refused: dropping the stream closes it; the
-                        // dialer sees EOF and runs its failure path.
-                        stats.conns_refused += 1;
-                        continue;
-                    }
-                    self.conns
-                        .push(Conn::new(stream, self.cfg.max_frame_len, false));
-                    any = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+    /// Accepts pending inbound connections (up to the cap).
+    pub fn accept(&mut self, listener: &TcpListener, stats: &mut NodeStats) {
+        for io in accept_pending(listener, self.cfg.max_frame_len) {
+            if self.conns.len() >= self.cfg.max_connections {
+                // Refused: dropping the stream closes it; the dialer sees
+                // EOF and runs its failure path.
+                stats.conns_refused += 1;
+                continue;
             }
+            self.conns.push(Conn::new(io, None, false));
         }
-        any
     }
 
     /// Drains every readable socket, parsing complete frames into `out`.
     /// Corrupt framing kills the connection; garbage inside a well-framed
     /// payload drops only that frame.
-    pub fn read_frames(&mut self, stats: &mut NodeStats, out: &mut Vec<InFrame>) -> bool {
-        let mut any = false;
-        let mut buf = [0u8; 4096];
+    pub fn read_frames(&mut self, stats: &mut NodeStats, out: &mut Vec<InFrame>) {
         for (ix, conn) in self.conns.iter_mut().enumerate() {
-            if conn.dead {
-                continue;
-            }
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        any = true;
-                        stats.bytes_received += n as u64;
-                        conn.inbuf.feed(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
+            stats.bytes_received += conn.io.fill() as u64;
+            while let Some(payload) = conn.io.next_frame() {
+                let Ok(frame) = WireFrame::from_bytes(&payload) else {
+                    continue;
+                };
+                stats.frames_received += 1;
+                if conn.peer.is_none() && !conn.is_checker {
+                    conn.peer = Some(frame.src);
                 }
-            }
-            loop {
-                match conn.inbuf.next_frame() {
-                    Ok(Some(payload)) => {
-                        if let Ok(frame) = WireFrame::from_bytes(&payload) {
-                            stats.frames_received += 1;
-                            if conn.peer.is_none() && !conn.is_checker {
-                                conn.peer = Some(frame.src);
-                            }
-                            out.push(InFrame {
-                                conn: ix,
-                                from_checker: conn.is_checker,
-                                frame,
-                            });
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
+                out.push(InFrame { conn: ix, frame });
             }
         }
-        any
     }
 
     /// Writes as much buffered output as the sockets will take.
-    pub fn flush(&mut self, stats: &mut NodeStats) -> bool {
-        let mut any = false;
+    pub fn flush(&mut self, stats: &mut NodeStats) {
         for conn in &mut self.conns {
-            if conn.dead || conn.out.is_empty() {
-                continue;
-            }
-            loop {
-                if conn.out.is_empty() {
-                    break;
-                }
-                match conn.stream.write(&conn.out) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        any = true;
-                        stats.bytes_sent += n as u64;
-                        conn.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
+            stats.bytes_sent += conn.io.flush() as u64;
         }
-        any
     }
 
     /// Queues `frame` to `peer`, dialing (with `hello` first on the new
@@ -298,15 +216,15 @@ impl PeerManager {
         if let Some(ix) = self
             .conns
             .iter()
-            .position(|c| c.peer == Some(peer) && !c.dead)
+            .position(|c| c.peer == Some(peer) && !c.io.is_dead())
         {
             let c = &mut self.conns[ix];
-            if !c.is_checker && c.out.len() + frame.len() > self.cfg.max_peer_outbuf {
+            if !c.is_checker && c.io.queued_bytes() + frame.len() > self.cfg.max_peer_outbuf {
                 M_BACKPRESSURE_DROPS.inc();
                 stats.frames_dropped_backpressure += 1;
                 return SendOutcome::Backpressured;
             }
-            push_frame(&mut c.out, frame);
+            c.io.queue(frame);
             return SendOutcome::Queued;
         }
         if let Some(b) = self.backoff.get(&peer) {
@@ -318,23 +236,19 @@ impl PeerManager {
             stats.conns_refused += 1;
             return SendOutcome::Unreachable;
         }
-        let Some(addr) = addr() else {
-            self.note_dial_failure(peer, now, stats);
-            return SendOutcome::Unreachable;
-        };
-        let Ok(stream) = TcpStream::connect_timeout(&addr, self.cfg.dial_timeout) else {
+        let dial = |a| TcpStream::connect_timeout(&a, self.cfg.dial_timeout).ok();
+        let Some(stream) = addr().and_then(dial) else {
             self.note_dial_failure(peer, now, stats);
             return SendOutcome::Unreachable;
         };
         if self.backoff.remove(&peer).is_some() {
             M_RECONNECTS.inc();
         }
-        let mut conn = Conn::new(stream, self.cfg.max_frame_len, false);
-        conn.peer = Some(peer);
-        push_frame(&mut conn.out, &hello());
+        let mut io = FramedConn::tcp(stream, self.cfg.max_frame_len);
+        io.queue(&hello());
         stats.frames_sent += 1;
-        push_frame(&mut conn.out, frame);
-        self.conns.push(conn);
+        io.queue(frame);
+        self.conns.push(Conn::new(io, Some(peer), false));
         SendOutcome::Dialed
     }
 
@@ -364,27 +278,29 @@ impl PeerManager {
         addr: impl FnOnce() -> Option<SocketAddr>,
         hello: impl FnOnce() -> Vec<u8>,
     ) -> Option<(usize, bool)> {
-        if let Some(ix) = self.conns.iter().position(|c| c.is_checker && !c.dead) {
+        if let Some(ix) = self.checker_ix() {
             return Some((ix, false));
         }
         let addr = addr()?;
         let stream = TcpStream::connect_timeout(&addr, self.cfg.dial_timeout).ok()?;
-        let mut conn = Conn::new(stream, self.cfg.max_frame_len, true);
-        push_frame(&mut conn.out, &hello());
+        let mut io = FramedConn::tcp(stream, self.cfg.max_frame_len);
+        io.queue(&hello());
         stats.frames_sent += 1;
-        self.conns.push(conn);
+        self.conns.push(Conn::new(io, None, true));
         Some((self.conns.len() - 1, true))
     }
 
     /// The live checker connection's index, if one exists (never dials).
     pub fn checker_ix(&self) -> Option<usize> {
-        self.conns.iter().position(|c| c.is_checker && !c.dead)
+        self.conns
+            .iter()
+            .position(|c| c.is_checker && !c.io.is_dead())
     }
 
     /// Queues raw frame bytes on connection `ix` (no backpressure check —
     /// used for the checker link and drain-time goodbyes).
     pub fn push_frame_to(&mut self, ix: usize, frame: &[u8]) {
-        push_frame(&mut self.conns[ix].out, frame);
+        self.conns[ix].io.queue(frame);
     }
 
     /// Binds connection `ix` to a logical peer (Hello received).
@@ -410,7 +326,7 @@ impl PeerManager {
     pub fn close_peer(&mut self, peer: NodeId) {
         for c in &mut self.conns {
             if c.peer == Some(peer) {
-                c.dead = true;
+                c.io.kill();
                 c.draining = true;
             }
         }
@@ -420,26 +336,17 @@ impl PeerManager {
     pub fn goodbye_targets(&self) -> Vec<NodeId> {
         self.conns
             .iter()
-            .filter_map(|c| c.peer.filter(|_| !c.dead && !c.is_checker))
+            .filter_map(|c| c.peer.filter(|_| !c.io.is_dead() && !c.is_checker))
             .collect()
     }
 
     /// Removes dead connections, reporting the ones the node must react
     /// to: a dead checker link, and peers whose *last* connection died.
     pub fn take_dead(&mut self) -> Vec<DeadConn> {
-        let dead: Vec<Conn> = {
-            let mut kept = Vec::with_capacity(self.conns.len());
-            let mut dead = Vec::new();
-            for c in self.conns.drain(..) {
-                if c.dead {
-                    dead.push(c);
-                } else {
-                    kept.push(c);
-                }
-            }
-            self.conns = kept;
-            dead
-        };
+        let (dead, kept): (Vec<Conn>, Vec<Conn>) = std::mem::take(&mut self.conns)
+            .into_iter()
+            .partition(|c| c.io.is_dead());
+        self.conns = kept;
         let mut out = Vec::new();
         for c in dead {
             if c.is_checker {
@@ -447,7 +354,7 @@ impl PeerManager {
                 continue;
             }
             let Some(peer) = c.peer else { continue };
-            if self.conns.iter().any(|k| k.peer == Some(peer) && !k.dead) {
+            if self.conns.iter().any(|k| k.peer == Some(peer)) {
                 continue;
             }
             out.push(DeadConn::Peer {
@@ -460,12 +367,7 @@ impl PeerManager {
 
     /// True when every live connection's outbuf is drained.
     pub fn outbufs_empty(&self) -> bool {
-        self.conns.iter().all(|c| c.out.is_empty() || c.dead)
-    }
-
-    /// Number of connections currently held (dead-but-unreaped included).
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
+        self.conns.iter().all(|c| c.io.is_flushed())
     }
 
     /// Drops every connection on the floor (abrupt kill).
@@ -477,11 +379,11 @@ impl PeerManager {
     /// what the reactor registers with `poll(2)`.
     #[cfg(unix)]
     pub fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>) {
-        use std::os::fd::AsRawFd;
-        for c in &self.conns {
-            if !c.dead {
-                out.push((c.stream.as_raw_fd(), !c.out.is_empty()));
-            }
-        }
+        out.extend(
+            self.conns
+                .iter()
+                .filter(|c| !c.io.is_dead())
+                .map(|c| c.io.io_fd()),
+        );
     }
 }

@@ -1,13 +1,18 @@
-//! The reactor: one OS thread driving many [`LiveNode`] state machines.
+//! The reactor: one OS thread driving many pollable state machines, and
+//! the only hosted-side code in `cb-live` that blocks or reads the wall
+//! clock.
 //!
 //! PR 5's cb-live spent one thread per node — honest about deployment
 //! (every node schedules independently) but capped at a few dozen nodes
 //! per host. The reactor keeps the per-node *state machine* and moves the
 //! *scheduling* into a readiness loop: each iteration it drains its
-//! control channel (node adds, stop), polls every node once with the IO
-//! edges observed since the last iteration, then blocks in `poll(2)`
-//! across all nodes' fds until the earliest node deadline (clamped to the
-//! tick so non-pollable mpsc control traffic stays responsive).
+//! control channel (adds, stop), samples the clock once, polls everything
+//! it hosts ([`Hosted`]: nodes, the checker server or the registry
+//! server — one kind per reactor, statically dispatched) with that `now`
+//! and the IO edges observed since the last iteration, then blocks in
+//! `poll(2)` across all hosted fds until the earliest requested deadline
+//! (clamped to the tick so non-pollable mpsc control traffic stays
+//! responsive).
 //!
 //! The syscall layer is a minimal `poll(2)` FFI — std already links libc
 //! on every unix, so no external crate is needed; platforms without
@@ -20,10 +25,6 @@
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use cb_model::{NodeId, Protocol};
-
-use crate::node::{ExitKind, IoReadiness, LiveNode, NodeReport, NodeSeed, PollStatus};
 
 static M_POLLS: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
     "cb_reactor_polls_total",
@@ -90,129 +91,141 @@ mod sys {
     }
 }
 
-/// Driver → reactor control messages.
-pub enum ReactorCtl<P: Protocol> {
-    /// Adopt a node (its listener is already bound and registered).
-    Add(Box<NodeSeed<P>>),
-    /// No more adds; exit once every owned node has exited.
-    Stop,
+/// IO edges the reactor observed for one hosted state machine since its
+/// last poll.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IoReadiness {
+    /// At least one of its sockets (listener included) is readable. When
+    /// false, it skips its accept/read scans — the bulk of an idle
+    /// node's work.
+    pub readable: bool,
+    /// At least one socket with buffered output became writable.
+    pub writable: bool,
 }
 
-/// One node's exit, as collected by its reactor.
-pub struct ReactorExit<P: Protocol> {
-    /// The node that exited.
-    pub id: NodeId,
-    /// How it left.
-    pub kind: ExitKind,
-    /// Its final report.
-    pub report: Box<NodeReport<P>>,
-}
-
-/// Which exits a reactor join should surface to the driver.
-#[derive(Clone, Copy, Debug)]
-pub enum ExitKindFilter {
-    /// Every exit.
-    All,
-    /// Only graceful drains (killed nodes' reports are crash-discarded).
-    GracefulOnly,
-}
-
-impl ExitKindFilter {
-    /// Whether an exit of kind `k` passes this filter.
-    pub fn keep(self, k: ExitKind) -> bool {
-        matches!(self, ExitKindFilter::All) || k == ExitKind::Graceful
+impl IoReadiness {
+    /// Assume everything is ready (driving without a readiness source,
+    /// platforms without `poll(2)`).
+    pub fn all() -> Self {
+        IoReadiness {
+            readable: true,
+            writable: true,
+        }
     }
 }
 
-/// The driver-side handle of one reactor thread.
-pub struct ReactorHandle<P: Protocol> {
-    /// Control channel into the loop.
-    pub ctl: mpsc::Sender<ReactorCtl<P>>,
-    /// The reactor thread; yields every owned node's exit.
-    pub join: JoinHandle<Vec<ReactorExit<P>>>,
+/// What one [`Hosted::poll`] call concluded.
+pub enum PollStatus<E> {
+    /// Still running; wake me at `next_wake` (earlier if IO arrives).
+    Running {
+        /// The earliest deadline it owns.
+        next_wake: Instant,
+    },
+    /// It exited; remove it from the reactor and hand `E` to the driver.
+    Exited(E),
 }
 
-/// Boots reactor thread `index` with the given scheduling tick.
-pub fn spawn_reactor<P: Protocol>(index: usize, tick: Duration) -> ReactorHandle<P> {
+/// A non-blocking state machine a reactor can drive. `now` is the only
+/// clock an implementor may consult and its sockets the only thing it may
+/// touch: everything that waits is the reactor's.
+pub trait Hosted: Send + 'static {
+    /// What it leaves behind for the driver when it exits.
+    type Exit: Send + 'static;
+
+    /// Runs one iteration and reports when it next needs waking. `now`
+    /// is sampled once by the reactor for the whole batch; `io` carries
+    /// the readiness edges `poll(2)` observed for this one's fds (pass
+    /// [`IoReadiness::all`] when driving without a readiness source).
+    fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<Self::Exit>;
+
+    /// Appends every fd the reactor should watch, paired with whether it
+    /// has buffered output (wants a writability edge).
+    #[cfg(unix)]
+    fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>);
+}
+
+/// Driver → reactor control messages.
+pub enum ReactorCtl<H: Hosted> {
+    /// Adopt one (its listener is already bound and registered).
+    Add(Box<H>),
+    /// No more adds; exit once everything hosted has exited.
+    Stop,
+}
+
+/// The driver-side handle of one reactor thread.
+pub struct ReactorHandle<H: Hosted> {
+    /// Control channel into the loop.
+    pub ctl: mpsc::Sender<ReactorCtl<H>>,
+    /// The reactor thread; yields every hosted exit.
+    pub join: JoinHandle<Vec<H::Exit>>,
+}
+
+/// Boots a reactor thread called `name` with the given scheduling tick.
+pub fn spawn_reactor<H: Hosted>(name: String, tick: Duration) -> ReactorHandle<H> {
     let (tx, rx) = mpsc::channel();
     let join = std::thread::Builder::new()
-        .name(format!("cb-reactor-{index}"))
-        .spawn(move || reactor_loop(rx, tick))
+        .name(name)
+        .spawn(move || reactor_loop::<H>(rx, tick))
         .expect("spawn reactor thread");
     ReactorHandle { ctl: tx, join }
 }
 
-fn reactor_loop<P: Protocol>(
-    ctl: mpsc::Receiver<ReactorCtl<P>>,
-    tick: Duration,
-) -> Vec<ReactorExit<P>> {
+fn reactor_loop<H: Hosted>(ctl: mpsc::Receiver<ReactorCtl<H>>, tick: Duration) -> Vec<H::Exit> {
     M_POLLS.touch();
     M_POLL_BUSY.touch();
     M_WAKE_LAG_US.touch();
-    let mut nodes: Vec<LiveNode<P>> = Vec::new();
-    // `ready[i]` pairs with `nodes[i]`: the IO edges observed for that
-    // node since its last poll. Fresh adopts start all-ready so their
-    // first poll services anything already pending.
+    let mut hosted: Vec<H> = Vec::new();
+    // `ready[i]` pairs with `hosted[i]`: the IO edges observed for it
+    // since its last poll. Fresh adopts start all-ready so their first
+    // poll services anything already pending.
     let mut ready: Vec<IoReadiness> = Vec::new();
-    let mut done: Vec<ReactorExit<P>> = Vec::new();
+    let mut done: Vec<H::Exit> = Vec::new();
     let mut stopping = false;
     loop {
         loop {
             match ctl.try_recv() {
-                Ok(ReactorCtl::Add(seed)) => {
-                    nodes.push(LiveNode::new(*seed));
+                Ok(ReactorCtl::Add(h)) => {
+                    hosted.push(*h);
                     ready.push(IoReadiness::all());
                 }
                 Ok(ReactorCtl::Stop) => stopping = true,
                 Err(mpsc::TryRecvError::Empty) => break,
-                // Driver gone: the nodes' own ctl channels dropped with
-                // it, so each will drain gracefully; exit when they have.
+                // Driver gone: the hosted ctl channels dropped with it,
+                // so each will drain gracefully; exit when they have.
                 Err(mpsc::TryRecvError::Disconnected) => {
                     stopping = true;
                     break;
                 }
             }
         }
-        if nodes.is_empty() {
-            if stopping {
-                return done;
-            }
-            std::thread::sleep(tick);
-            continue;
-        }
+        // The iteration's one clock reading: every poll below sees this
+        // instant and no other.
         let now = Instant::now();
         let mut min_wake = now + tick;
-        let mut still = Vec::with_capacity(nodes.len());
-        for (i, mut node) in nodes.drain(..).enumerate() {
+        let mut still = Vec::with_capacity(hosted.len());
+        for (i, mut h) in hosted.drain(..).enumerate() {
             let io = ready.get(i).copied().unwrap_or_else(IoReadiness::all);
-            let id = node.id();
-            let span = cb_obs::span_id("reactor.node_poll", "live", u64::from(id.0));
-            let status = node.poll(now, io);
-            drop(span);
-            match status {
+            match h.poll(now, io) {
                 PollStatus::Running { next_wake } => {
                     min_wake = min_wake.min(next_wake);
-                    still.push(node);
+                    still.push(h);
                 }
-                PollStatus::Exited { kind, report } => done.push(ReactorExit { id, kind, report }),
+                PollStatus::Exited(exit) => done.push(exit),
             }
         }
-        nodes = still;
-        if nodes.is_empty() {
-            ready.clear();
-            if stopping {
-                return done;
-            }
-            continue;
+        hosted = still;
+        if hosted.is_empty() && stopping {
+            return done;
         }
+        // With nothing hosted (yet) this is a plain tick-long sleep.
         let timeout = min_wake.saturating_duration_since(Instant::now()).min(tick);
-        ready = wait_io(&nodes, timeout);
+        ready = wait_io(&hosted, timeout);
         M_POLLS.inc();
         if ready.iter().any(|io| io.readable || io.writable) {
             M_POLL_BUSY.inc();
         }
         // Wake lag: how far past the earliest requested deadline the loop
-        // actually resumed — scheduling latency every node's timers sit
+        // actually resumed — scheduling latency every hosted timer sits
         // behind. (poll(2) returning early on IO readiness reads as 0.)
         let lag = Instant::now().saturating_duration_since(min_wake);
         M_WAKE_LAG_US.observe(lag.as_micros() as u64);
@@ -227,17 +240,17 @@ fn reactor_loop<P: Protocol>(
     }
 }
 
-/// Blocks across every node's fds until something is ready (or the
-/// timeout), and folds the revents back into per-node readiness.
+/// Blocks across every hosted fd until something is ready (or the
+/// timeout), and folds the revents back into per-item readiness.
 #[cfg(unix)]
-fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadiness> {
+fn wait_io<H: Hosted>(hosted: &[H], timeout: Duration) -> Vec<IoReadiness> {
     let mut raw: Vec<(std::os::fd::RawFd, bool)> = Vec::new();
     let mut fds: Vec<sys::PollFd> = Vec::new();
-    let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(nodes.len());
-    for node in nodes {
+    let mut spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(hosted.len());
+    for h in hosted {
         let start = fds.len();
         raw.clear();
-        node.io_fds(&mut raw);
+        h.io_fds(&mut raw);
         for (fd, wants_write) in &raw {
             fds.push(sys::PollFd {
                 fd: *fd,
@@ -248,7 +261,7 @@ fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadi
         spans.push(start..fds.len());
     }
     match sys::poll_fds(&mut fds, timeout) {
-        Ok(0) => vec![IoReadiness::default(); nodes.len()],
+        Ok(0) => vec![IoReadiness::default(); hosted.len()],
         Ok(_) => spans
             .into_iter()
             .map(|span| {
@@ -268,13 +281,13 @@ fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadi
             // Readiness source broken: degrade to the sleep-and-scan cost
             // model rather than starve reads.
             std::thread::sleep(timeout);
-            vec![IoReadiness::all(); nodes.len()]
+            vec![IoReadiness::all(); hosted.len()]
         }
     }
 }
 
 #[cfg(not(unix))]
-fn wait_io<P: Protocol>(nodes: &[LiveNode<P>], timeout: Duration) -> Vec<IoReadiness> {
+fn wait_io<H: Hosted>(hosted: &[H], timeout: Duration) -> Vec<IoReadiness> {
     std::thread::sleep(timeout);
-    vec![IoReadiness::all(); nodes.len()]
+    vec![IoReadiness::all(); hosted.len()]
 }

@@ -16,13 +16,15 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cb_model::codec::{Decode, DecodeError, Encode, Reader};
 use cb_model::{push_frame, FrameBuffer, NodeId};
+
+use crate::conn::{accept_pending, FramedConn};
+use crate::reactor::{spawn_reactor, Hosted, IoReadiness, PollStatus, ReactorCtl};
 
 /// Where live endpoints publish and resolve addresses. Implementations
 /// must be callable from any reactor thread.
@@ -210,14 +212,18 @@ impl Decode for RegMsg {
 
 const REG_MAX_FRAME: usize = 4096;
 
+/// Bound on noticing a stop (requests wake the reactor by socket).
+const TICK: Duration = Duration::from_millis(2);
+
 /// Serves an in-process [`Registry`] over TCP so other processes can join
-/// the deployment. One background thread, non-blocking accept + reads,
+/// the deployment: a reactor thread hosting one server state machine with
 /// persistent client connections.
 #[derive(Debug)]
 pub struct RegistryServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
+    /// A `()` — or the sender going away — tells the server to exit.
+    stop: mpsc::Sender<()>,
+    join: Option<JoinHandle<Vec<()>>>,
 }
 
 impl RegistryServer {
@@ -227,16 +233,20 @@ impl RegistryServer {
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("cb-live-registry".into())
-            .spawn(move || serve_loop(&registry, &listener, &stop2))
-            .expect("spawn registry server");
+        let (stop, stopped) = mpsc::channel();
+        let reactor = spawn_reactor::<RegistrySrv>("cb-live-registry".into(), TICK);
+        let srv = RegistrySrv {
+            registry,
+            listener,
+            clients: Vec::new(),
+            stopped,
+        };
+        let _ = reactor.ctl.send(ReactorCtl::Add(Box::new(srv)));
+        let _ = reactor.ctl.send(ReactorCtl::Stop);
         Ok(RegistryServer {
             addr,
             stop,
-            join: Some(join),
+            join: Some(reactor.join),
         })
     }
 
@@ -247,7 +257,7 @@ impl RegistryServer {
 
     /// Stops the server thread (idempotent).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -260,102 +270,86 @@ impl Drop for RegistryServer {
     }
 }
 
-fn serve_loop(registry: &Registry, listener: &TcpListener, stop: &AtomicBool) {
-    struct Client {
-        stream: TcpStream,
-        inbuf: FrameBuffer,
-        out: Vec<u8>,
-        dead: bool,
+/// The served side; a client that breaks framing or protocol is dropped.
+struct RegistrySrv {
+    registry: Arc<Registry>,
+    listener: TcpListener,
+    clients: Vec<FramedConn<TcpStream>>,
+    stopped: mpsc::Receiver<()>,
+}
+
+impl Hosted for RegistrySrv {
+    type Exit = ();
+
+    fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<()> {
+        if !matches!(self.stopped.try_recv(), Err(mpsc::TryRecvError::Empty)) {
+            return PollStatus::Exited(());
+        }
+        if io.readable {
+            self.clients
+                .extend(accept_pending(&self.listener, REG_MAX_FRAME));
+        }
+        for c in &mut self.clients {
+            if io.readable {
+                c.fill();
+                while let Some(payload) = c.next_frame() {
+                    match RegMsg::from_bytes(&payload)
+                        .ok()
+                        .and_then(|m| self.registry.answer(m))
+                    {
+                        Some(reply) => c.queue(&reply.to_bytes()),
+                        None => {
+                            c.kill();
+                            break;
+                        }
+                    }
+                }
+            }
+            c.flush();
+        }
+        self.clients.retain(|c| !c.is_dead());
+        PollStatus::Running {
+            next_wake: now + TICK,
+        }
     }
-    let mut clients: Vec<Client> = Vec::new();
-    let mut buf = [0u8; 1024];
-    while !stop.load(Ordering::Relaxed) {
-        let mut worked = false;
-        while let Ok((stream, _)) = listener.accept() {
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.set_nodelay(true);
-            clients.push(Client {
-                stream,
-                inbuf: FrameBuffer::new(REG_MAX_FRAME),
-                out: Vec::new(),
-                dead: false,
-            });
-            worked = true;
-        }
-        for c in &mut clients {
-            loop {
-                match c.stream.read(&mut buf) {
-                    Ok(0) => {
-                        c.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        worked = true;
-                        c.inbuf.feed(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.dead = true;
-                        break;
-                    }
+
+    #[cfg(unix)]
+    fn io_fds(&self, out: &mut Vec<(std::os::fd::RawFd, bool)>) {
+        use std::os::fd::AsRawFd;
+        out.push((self.listener.as_raw_fd(), false));
+        out.extend(self.clients.iter().map(|c| c.io_fd()));
+    }
+}
+
+impl Registry {
+    /// Serves one request; `None` for a reply arriving as a request (a
+    /// protocol error).
+    fn answer(&self, msg: RegMsg) -> Option<RegMsg> {
+        Some(match msg {
+            RegMsg::Register { node, addr } => {
+                if let Ok(a) = addr.parse() {
+                    self.register(node, a);
                 }
+                RegMsg::Done
             }
-            while let Ok(Some(payload)) = c.inbuf.next_frame() {
-                let Ok(msg) = RegMsg::from_bytes(&payload) else {
-                    c.dead = true;
-                    break;
-                };
-                let reply = match msg {
-                    RegMsg::Register { node, addr } => {
-                        if let Ok(a) = addr.parse() {
-                            registry.register(node, a);
-                        }
-                        RegMsg::Done
-                    }
-                    RegMsg::Deregister { node } => {
-                        registry.deregister(node);
-                        RegMsg::Done
-                    }
-                    RegMsg::Lookup { node } => RegMsg::Addr {
-                        addr: registry.lookup(node).map(|a| a.to_string()),
-                    },
-                    RegMsg::RegisterChecker { addr } => {
-                        if let Ok(a) = addr.parse() {
-                            registry.register_checker(a);
-                        }
-                        RegMsg::Done
-                    }
-                    RegMsg::CheckerQuery => RegMsg::Addr {
-                        addr: registry.checker().map(|a| a.to_string()),
-                    },
-                    // Replies arriving as requests are protocol errors.
-                    RegMsg::Addr { .. } | RegMsg::Done => {
-                        c.dead = true;
-                        break;
-                    }
-                };
-                push_frame(&mut c.out, &reply.to_bytes());
+            RegMsg::Deregister { node } => {
+                self.deregister(node);
+                RegMsg::Done
             }
-            while !c.out.is_empty() && !c.dead {
-                match c.stream.write(&c.out) {
-                    Ok(0) => {
-                        c.dead = true;
-                    }
-                    Ok(n) => {
-                        worked = true;
-                        c.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => c.dead = true,
+            RegMsg::Lookup { node } => RegMsg::Addr {
+                addr: self.lookup(node).map(|a| a.to_string()),
+            },
+            RegMsg::RegisterChecker { addr } => {
+                if let Ok(a) = addr.parse() {
+                    self.register_checker(a);
                 }
+                RegMsg::Done
             }
-        }
-        clients.retain(|c| !c.dead);
-        if !worked {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+            RegMsg::CheckerQuery => RegMsg::Addr {
+                addr: self.checker().map(|a| a.to_string()),
+            },
+            RegMsg::Addr { .. } | RegMsg::Done => return None,
+        })
     }
 }
 
@@ -525,5 +519,48 @@ mod tests {
         // Second query answers from the cache even after the server dies.
         drop(server);
         assert_eq!(remote.checker(), Some(ck));
+    }
+
+    /// A client that breaks framing is dropped, not buffered: at the
+    /// parent commit the oversize prefix only ended the frame loop, the
+    /// error repeated forever and every later byte was appended to a
+    /// buffer whose cursor never moved.
+    #[test]
+    fn framing_error_closes_the_client_and_the_server_keeps_serving() {
+        let local = Arc::new(Registry::new());
+        let a7: SocketAddr = "127.0.0.1:4007".parse().unwrap();
+        local.register(NodeId(7), a7);
+        let server = RegistryServer::serve(local, "127.0.0.1:0".parse().unwrap()).expect("serve");
+
+        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        hostile.write_all(&[0xff, 0xff, 0xff, 0xff]).unwrap();
+        // The server may reset the connection while this is still
+        // streaming; a failed write is the close being observed early.
+        let chunk = [0u8; 4096];
+        for _ in 0..256 {
+            if hostile.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        // EOF or a reset; a read that times out means the connection is
+        // still open.
+        let mut buf = [0u8; 16];
+        match hostile.read(&mut buf) {
+            Ok(0) => {}
+            Ok(n) => panic!("server answered a poisoned stream with {n} bytes"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                ),
+                "server kept the poisoned connection open: {e}"
+            ),
+        }
+
+        let remote = RemoteRegistry::connect(server.addr());
+        assert_eq!(remote.lookup(NodeId(7)), Some(a7));
     }
 }

@@ -76,11 +76,14 @@ pub struct NodeStats {
     /// Violating samples by property name.
     pub violations_by_property: BTreeMap<String, u64>,
     /// Count / total / max of gather-to-install latency in µs, measured on
-    /// this node's clock (submission timestamp echoed by the checker).
+    /// this node's clock (submission timestamp echoed by the checker). That
+    /// clock is the `now` its reactor passes to `poll`, so the resolution
+    /// is one reactor iteration.
     pub install_latency: LatencySummary,
     /// Full gather-start → install-receipt latency distribution in µs,
     /// keyed by observability round id (always measured, on this node's
-    /// clock — not gated on `cb_obs` tracing). This is the paper's
+    /// clock — not gated on `cb_obs` tracing — at a resolution of one
+    /// reactor iteration, like `install_latency`). This is the paper's
     /// latency race: the window the checker has to predict and steer
     /// before live execution outruns it.
     pub gather_to_install: cb_obs::Histogram,

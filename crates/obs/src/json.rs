@@ -415,11 +415,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one piece
+                // (both are ASCII, so the run ends on a scalar boundary).
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -454,14 +457,14 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let mut w = Writer::object(Style::Compact);
-        w.field_str("name", "quote\" back\\slash\nnl\u{1}");
+        w.field_str("name", "quote\" back\\slash\nnl\u{1}é→");
         let out = w.finish();
-        assert_eq!(out, "{\"name\":\"quote\\\" back\\\\slash\\nnl\\u0001\"}");
+        assert_eq!(out, "{\"name\":\"quote\\\" back\\\\slash\\nnl\\u0001é→\"}");
         // And it round-trips through the parser.
         let v = parse(&out).expect("escaped output parses");
         assert_eq!(
             v.get("name").and_then(Value::as_str),
-            Some("quote\" back\\slash\nnl\u{1}")
+            Some("quote\" back\\slash\nnl\u{1}é→")
         );
     }
 

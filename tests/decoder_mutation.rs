@@ -1,5 +1,6 @@
-//! Hostile input on every wire decoder: valid encodings of each frame and
-//! body type are mutated — every single-bit flip, seeded multi-bit flips,
+//! Hostile input on every wire decoder and on the two text parsers a
+//! scrape or a tool feeds (`metrics::parse_exposition`, `json::parse`):
+//! valid encodings of each frame, body and document type are mutated — every single-bit flip, seeded multi-bit flips,
 //! every truncation, and every varint position rewritten to a huge value
 //! (which is what inflates any length field, wherever it sits) — and each
 //! mutant is decoded under a counting allocator. The contract: no panic,
@@ -17,13 +18,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cb_bench::scenarios;
+use crystalball_suite::fleet::{FleetStats, MemberStats};
 use crystalball_suite::live::registry::RegMsg;
-use crystalball_suite::live::{InstallBody, SubmitBody};
+use crystalball_suite::live::{InstallBody, LiveStats, NodeStats, SubmitBody};
 use crystalball_suite::mc::EventFilter;
 use crystalball_suite::model::{
     apply_event, enumerate_events, Decode, Encode, ExploreOptions, FrameKind, GlobalState, NodeId,
     Protocol, SimTime, WireFrame,
 };
+use crystalball_suite::obs::{json, metrics};
 use crystalball_suite::protocols::chord::ChordBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
 use crystalball_suite::protocols::randtree::RandTreeBugs;
@@ -264,6 +267,66 @@ fn snap_case(name: &str, msg: &SnapMsg) -> Case {
     })
 }
 
+/// A scrape body as the registry renders it: a counter, a gauge and a
+/// histogram recorded here, plus the two families every scrape adds.
+fn scrape_body() -> String {
+    static FRAMES: metrics::Counter = metrics::Counter::new("cb_mut_frames_total", "frames");
+    static BACKLOG: metrics::Gauge = metrics::Gauge::new("cb_mut_backlog", "queued rounds");
+    static ROUND_US: metrics::Hist = metrics::Hist::new("cb_mut_round_us", "round latency");
+    metrics::enable();
+    FRAMES.add(40_213);
+    BACKLOG.set(3);
+    for us in [0, 180, 2_900, 3_100, 47_000] {
+        ROUND_US.observe(us);
+    }
+    let body = metrics::scrape();
+    metrics::disable();
+    let parsed = metrics::parse_exposition(&body);
+    assert_eq!(parsed.value("cb_mut_frames_total"), Some(40_213.0));
+    assert_eq!(parsed.family_type("cb_mut_round_us"), Some("histogram"));
+    body
+}
+
+/// The two stats documents tools read back with `json::parse`.
+fn stats_documents() -> [(&'static str, String); 2] {
+    let mut node = NodeStats {
+        frames_sent: 812,
+        bytes_received: 1 << 33,
+        filter_hits: 2,
+        ..NodeStats::default()
+    };
+    node.install_latency.record(3_100);
+    node.gather_to_install.record(2_900);
+    let mut live = LiveStats {
+        wall_seconds: 1.25,
+        reactor_threads: 2,
+        ..LiveStats::default()
+    };
+    live.nodes.insert(0, node.clone());
+    live.nodes.insert(7, node);
+    let member = MemberStats {
+        name: "tree \"a\"\n".into(),
+        protocol: "randtree".into(),
+        steps: 2_705,
+        violations_by_property: [("NoCycle é".to_string(), 3)].into(),
+        avg_mc_latency_ms: 2.875,
+        first_prediction_at: Some(SimTime(1_500_000)),
+        state_hash: u64::MAX,
+        ..MemberStats::default()
+    };
+    let fleet = FleetStats {
+        seed: 11,
+        sim_seconds: 30.0,
+        fleet_steps: 2_705,
+        members: vec![member.clone(), member],
+        ..FleetStats::default()
+    };
+    [
+        ("LiveStats", live.to_json()),
+        ("FleetStats", fleet.to_json()),
+    ]
+}
+
 fn table() -> Vec<Case> {
     let (randtree, rt_gs) = scenarios::randtree_churned(7, RandTreeBugs::none());
     let (chord, chord_gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::none());
@@ -380,6 +443,25 @@ fn table() -> Vec<Case> {
             let _ = lzw::decompress(bytes);
         },
     ));
+    // The text parsers take `&str`: a mutant that is no longer UTF-8 is
+    // handed over the way a tool reading a file would, lossily.
+    cases.push(Case::new(
+        "metrics::parse_exposition",
+        scrape_body().into_bytes(),
+        |bytes| {
+            let _ = metrics::parse_exposition(&String::from_utf8_lossy(bytes));
+        },
+    ));
+    for (name, doc) in stats_documents() {
+        json::parse(&doc).expect("a valid document");
+        cases.push(Case::new(
+            format!("json::parse/{name}"),
+            doc.into_bytes(),
+            |bytes| {
+                let _ = json::parse(&String::from_utf8_lossy(bytes));
+            },
+        ));
+    }
     for (name, msg) in [
         ("Request", SnapMsg::Request { cr: 5 }),
         (
