@@ -4,7 +4,8 @@
 //! * `ablation/local_explored` — the one-line pruning of Fig. 8 vs plain
 //!   BFS (states visited to the same depth);
 //! * `successor` — the checker's inner step (clone + apply + hash), per
-//!   event, on the four canonical live states;
+//!   event, on the four canonical live states; `successor_memo/{hit,miss}`
+//!   — the same step as the engines take it, through a `TransitionMemo`;
 //! * `lzw` / `diff` / `codec` — checkpoint-pipeline throughput;
 //! * `snapshot_gather` — full request/response round over the manager.
 //!
@@ -18,6 +19,7 @@ use cb_bench::scenarios;
 use cb_mc::{find_consequences, find_errors, SearchConfig};
 use cb_model::{
     apply_event, enumerate_events, Encode, ExploreOptions, GlobalState, NodeId, Protocol,
+    TransitionMemo,
 };
 use cb_protocols::chord::ChordBugs;
 use cb_protocols::paxos::PaxosBugs;
@@ -103,15 +105,62 @@ fn bench_successor_of<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
     );
 }
 
+/// The same step the way the engines take it, through a
+/// [`TransitionMemo`]: `hit` serves every event from a table filled before
+/// the clock starts (slot handle swapped in, its leaf hash with it);
+/// `miss` starts each pass on an empty memo, so every event runs its
+/// handler, is hashed from scratch and is recorded — and the pass pays the
+/// memo's teardown too.
+fn bench_successor_memo_of<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
+    let events = enumerate_events(proto, gs, &ExploreOptions::default());
+    black_box(gs.state_hash());
+    let expand_all = |memo: &mut TransitionMemo<'_, P>| {
+        let mut from = memo.expand(black_box(gs));
+        for event in &events {
+            let (next, _) = from.successor(event);
+            black_box(next.state_hash());
+        }
+    };
+    let mut filled = TransitionMemo::new(proto);
+    expand_all(&mut filled);
+    let name = |leg| {
+        format!(
+            "successor_memo/{leg}/{} x{} events",
+            proto.name(),
+            events.len()
+        )
+    };
+    let hit = microbench(&name("hit"), || expand_all(&mut filled));
+    assert_eq!(filled.misses(), events.len(), "the hit leg only hit");
+    let miss = microbench(&name("miss"), || {
+        expand_all(&mut TransitionMemo::new(proto))
+    });
+    for (leg, per_pass) in [("hit", hit), ("miss", miss)] {
+        println!(
+            "{:<45} {:>8} ns/successor ({leg})",
+            "",
+            per_pass.as_nanos() / events.len().max(1) as u128
+        );
+    }
+}
+
+/// Runs `f` on the canonical live state of each protocol.
+macro_rules! on_canonical_states {
+    ($f:ident) => {{
+        let (p, gs) = scenarios::randtree_fig2(RandTreeBugs::as_shipped());
+        $f(&p, &gs);
+        let (p, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
+        $f(&p, &gs);
+        let (p, gs) = scenarios::paxos_near_violation(PaxosBugs::only("P1"));
+        $f(&p, &gs);
+        let (p, gs) = scenarios::bullet_b3_live();
+        $f(&p, &gs);
+    }};
+}
+
 fn bench_successor() {
-    let (p, gs) = scenarios::randtree_fig2(RandTreeBugs::as_shipped());
-    bench_successor_of(&p, &gs);
-    let (p, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
-    bench_successor_of(&p, &gs);
-    let (p, gs) = scenarios::paxos_near_violation(PaxosBugs::only("P1"));
-    bench_successor_of(&p, &gs);
-    let (p, gs) = scenarios::bullet_b3_live();
-    bench_successor_of(&p, &gs);
+    on_canonical_states!(bench_successor_of);
+    on_canonical_states!(bench_successor_memo_of);
 }
 
 fn bench_checkpoint_pipeline() {

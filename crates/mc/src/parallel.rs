@@ -113,11 +113,13 @@
 
 use std::mem::size_of;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cb_model::{apply_event, Event, GlobalState, NodeId, Protocol, TraceStep, Violation};
+use cb_model::{
+    apply_event, Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation,
+};
 
 use crate::frontier::{Admission, LockFreeExplored};
 use crate::pool::{PoolScope, WorkerPool};
@@ -267,6 +269,28 @@ struct Edge<P: Protocol> {
     prior_level: u64,
     event: Event<P>,
     step: TraceStep,
+}
+
+/// What one range task counted while expanding.
+#[derive(Default)]
+struct ExpandTally {
+    filtered: usize,
+    memo_hits: usize,
+    memo_misses: usize,
+}
+
+impl ExpandTally {
+    fn absorb(&mut self, range: ExpandTally) {
+        self.filtered += range.filtered;
+        self.memo_hits += range.memo_hits;
+        self.memo_misses += range.memo_misses;
+    }
+
+    fn add_to(&self, stats: &mut SearchStats) {
+        stats.filtered_events += self.filtered;
+        stats.memo_hits += self.memo_hits;
+        stats.memo_misses += self.memo_misses;
+    }
 }
 
 /// What one merge consumer counted while draining its channel.
@@ -700,15 +724,22 @@ impl<P: Protocol> Searcher<'_, P> {
     /// the shared-length update cost one synchronization edge per range.
     /// Each successor edge is routed to the merge shard owning its hash,
     /// tagged with its canonical (job, ord) position, so every per-shard
-    /// list comes out in canonical order. Returns those lists plus the
-    /// range's filtered-event count; cut short (to be discarded) once the
-    /// deadline has passed.
+    /// list comes out in canonical order. Returns those lists plus what
+    /// the range counted; cut short (to be discarded) once the deadline
+    /// has passed.
     ///
     /// [`ExploredBatch`]: crate::ExploredBatch
-    fn expand_range(&self, cx: &Phase3<'_, P>, range: Range<usize>) -> (Vec<Vec<Edge<P>>>, usize) {
+    fn expand_range(
+        &self,
+        cx: &Phase3<'_, P>,
+        range: Range<usize>,
+    ) -> (Vec<Vec<Edge<P>>>, ExpandTally) {
         let mut per: Vec<Vec<Edge<P>>> = (0..cx.shards).map(|_| Vec::new()).collect();
         let mut filtered = 0usize;
         let mut batch = cx.explored.batch();
+        // One memo per range task: what it holds depends on the range's
+        // jobs alone, never on which thread ran it or when.
+        let mut memo = TransitionMemo::new(self.protocol);
         for j in range {
             if cx.deadline.passed() {
                 break;
@@ -722,9 +753,9 @@ impl<P: Protocol> Searcher<'_, P> {
                 |n| job.allowed.as_ref().is_none_or(|nodes| nodes.contains(&n)),
                 &mut filtered,
             );
+            let mut from = memo.expand(state);
             for (ord, event) in events.into_iter().enumerate() {
-                let mut next = state.clone();
-                let step = apply_event(self.protocol, &mut next, &event);
+                let (next, step) = from.successor(&event);
                 let hash = next.state_hash();
                 let (state, bytes, prior_level) = match batch.insert_leveled(hash, cx.stamp) {
                     Admission::Fresh => {
@@ -745,7 +776,12 @@ impl<P: Protocol> Searcher<'_, P> {
                 });
             }
         }
-        (per, filtered)
+        let tally = ExpandTally {
+            filtered,
+            memo_hits: memo.hits(),
+            memo_misses: memo.misses(),
+        };
+        (per, tally)
     }
 
     /// Applies the canonical enqueue-time dedup to one shard's share of
@@ -904,8 +940,8 @@ impl<P: Protocol> Searcher<'_, P> {
             // Nothing to overlap: expand and merge on the caller, no
             // scope, channel or worker wake-up. Canonical order *is* the
             // execution order.
-            let (mut per, filtered) = self.expand_range(cx, 0..jobs.len());
-            stats.filtered_events += filtered;
+            let (mut per, tally) = self.expand_range(cx, 0..jobs.len());
+            tally.add_to(stats);
             let edges = per.pop().expect("one shard");
             stats.duplicates_hit += self.admit(cx, edges, &mut DigestSet::default(), enqueue);
             return;
@@ -913,7 +949,7 @@ impl<P: Protocol> Searcher<'_, P> {
 
         let chans: Vec<MergeChannel<Vec<Edge<P>>>> =
             (0..shards).map(|_| MergeChannel::new(ranges)).collect();
-        let filtered = AtomicUsize::new(0);
+        let expanded = Mutex::new(ExpandTally::default());
         // What each buffering shard admitted (canonically ordered within
         // its key range) and counted; unused at one shard.
         type ShardOut<P> = (Vec<Edge<P>>, MergeTally);
@@ -922,7 +958,7 @@ impl<P: Protocol> Searcher<'_, P> {
         let mut admitted0: Vec<Edge<P>> = Vec::new();
         let tally0 = pool.scope(|scope: &PoolScope<'_, '_>| {
             for r in 0..ranges {
-                let (chans, filtered) = (&chans[..], &filtered);
+                let (chans, expanded) = (&chans[..], &expanded);
                 scope.spawn(move || {
                     // Disarmed once the range has lists of its own to
                     // deposit.
@@ -931,8 +967,12 @@ impl<P: Protocol> Searcher<'_, P> {
                         r,
                         armed: true,
                     };
-                    let (per, f) = self.expand_range(cx, r * len..jobs.len().min((r + 1) * len));
-                    filtered.fetch_add(f, Ordering::Relaxed);
+                    let (per, tally) =
+                        self.expand_range(cx, r * len..jobs.len().min((r + 1) * len));
+                    expanded
+                        .lock()
+                        .expect("expand tally poisoned")
+                        .absorb(tally);
                     guard.armed = false;
                     for (chan, edges) in chans.iter().zip(per) {
                         chan.deposit(r, edges);
@@ -962,7 +1002,10 @@ impl<P: Protocol> Searcher<'_, P> {
         if deadline.hit() {
             return;
         }
-        stats.filtered_events += filtered.load(Ordering::Relaxed);
+        expanded
+            .into_inner()
+            .expect("expand tally poisoned")
+            .add_to(stats);
         stats.merge_wait += tally0.wait;
         let mut outs = vec![(admitted0, tally0)];
         outs.extend(tail_out.into_iter().map(|slot| {

@@ -28,15 +28,25 @@
 //!   CrystalBall consumes the shallowest path to a violation (for steering
 //!   and replay), and spending the runtime budget on post-violation suffixes
 //!   would only delay finding distinct violations.
+//! * "`s' := apply(s, e)`" (Fig. 5 line 11) does not run the handler every
+//!   time: each search owns a [`cb_model::TransitionMemo`], and a handler
+//!   runs once per (acting node's slot, input, view of the other nodes'
+//!   incarnations) — a later application of the same transition swaps the
+//!   recorded slot in and appends the recorded messages. The successor is
+//!   bit-identical to `apply_event`'s (debug builds re-derive every hit and
+//!   compare), so only the time per successor differs; the parallel engine
+//!   keeps one memo per range task. `SearchStats::memo_hits`/`memo_misses`
+//!   report the split.
 
 use std::collections::{HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::mem::size_of;
 use std::time::{Duration, Instant};
 
+use cb_model::hashing::DigestHasher;
 use cb_model::{
     apply_event, enumerate_events_gated, Event, ExploreOptions, GlobalState, NodeId, PropertySet,
-    Protocol, TraceStep,
+    Protocol, TraceStep, TransitionMemo,
 };
 
 use crate::filter::FilterSet;
@@ -122,29 +132,10 @@ impl SearchConfig {
 /// A set of 64-bit state digests (`state_hash`/`local_hash` values).
 ///
 /// The keys are already FNV digests, so SipHashing them again buys
-/// nothing: the set's hasher is one multiply and a rotate. These sets are
-/// only inserted into and counted, never iterated, so the bucket layout
-/// cannot reach a search outcome.
+/// nothing: the set's hasher ([`DigestHasher`]) is one multiply and a
+/// rotate. These sets are only inserted into and counted, never iterated,
+/// so the bucket layout cannot reach a search outcome.
 pub(crate) type DigestSet = HashSet<u64, BuildHasherDefault<DigestHasher>>;
-
-#[derive(Default)]
-pub(crate) struct DigestHasher(u64);
-
-impl Hasher for DigestHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a DigestSet holds u64 keys only");
-    }
-
-    fn write_u64(&mut self, digest: u64) {
-        // Multiply pushes entropy up, rotate brings the well-mixed top
-        // bits down to where the table takes its bucket index.
-        self.0 = digest.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Which exploration engine drives a search run.
 #[derive(Clone, Debug, Default)]
@@ -194,6 +185,10 @@ pub(crate) fn enumerate_gated<P: Protocol>(
     allow_node: impl FnMut(NodeId) -> bool,
     filtered: &mut usize,
 ) -> Vec<Event<P>> {
+    if config.filters.is_empty() {
+        // Nothing to block: no event's key is resolved.
+        return enumerate_events_gated(protocol, state, &config.explore, allow_node, |_| true);
+    }
     enumerate_events_gated(protocol, state, &config.explore, allow_node, |ev| {
         let blocked = ev.key(state).is_some_and(|key| config.filters.blocks(&key));
         *filtered += usize::from(blocked);
@@ -254,6 +249,7 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         let mut explored = DigestSet::default();
         let mut local_explored = DigestSet::default();
+        let mut memo = TransitionMemo::new(self.protocol);
         // (state, arena rec of the edge that reached it, depth, the bytes
         // it was counted as when pushed). FIFO order is breadth-first
         // order, and doubles as the *canonical* order the parallel engine
@@ -307,9 +303,10 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                 continue;
             }
 
-            for event in self.enumerate_claiming(&state, &mut local_explored, &mut stats) {
-                let mut next = state.clone();
-                let step = apply_event(self.protocol, &mut next, &event);
+            let events = self.enumerate_claiming(&state, &mut local_explored, &mut stats);
+            let mut from = memo.expand(&state);
+            for event in events {
+                let (next, step) = from.successor(&event);
                 let h = next.state_hash();
                 if !explored.insert(h) {
                     stats.duplicates_hit += 1;
@@ -332,6 +329,8 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         if stopped == StopReason::Exhausted && depth_truncated {
             stopped = StopReason::DepthLimit;
         }
+        stats.memo_hits = memo.hits();
+        stats.memo_misses = memo.misses();
         stats.elapsed = t0.elapsed();
         stats.explored_resident_bytes = explored.len() * 2 * size_of::<u64>();
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()

@@ -31,6 +31,14 @@ static M_SPILLS: Counter = Counter::new(
     "cb_mc_explored_spills_total",
     "explored-set spill flushes across all searches",
 );
+static M_MEMO_HITS: Counter = Counter::new(
+    "cb_mc_transition_memo_hits_total",
+    "successors served from a search's transition memo",
+);
+static M_MEMO_MISSES: Counter = Counter::new(
+    "cb_mc_transition_memo_misses_total",
+    "keyed successors a search's transition memo did not hold, which ran their handler",
+);
 
 /// Counters and memory estimates collected during one search run.
 #[derive(Clone, Debug, Default)]
@@ -109,6 +117,16 @@ pub struct SearchStats {
     pub peak_frontier_bytes: usize,
     /// Number of property violations discovered.
     pub violations_found: usize,
+    /// Successors served from the search's `cb_model::TransitionMemo`
+    /// without running a handler. Engine-dependent, like `merge_busy`:
+    /// the sequential loop keeps one table per search, the parallel
+    /// engine one per range task, so the split between hits and misses —
+    /// never their effect — differs between engines and worker counts.
+    pub memo_hits: usize,
+    /// Keyed successors the memo did not hold, which ran their handler
+    /// (unkeyed events — drops, deliveries to absent nodes — count as
+    /// neither).
+    pub memo_misses: usize,
 }
 
 impl SearchStats {
@@ -156,6 +174,8 @@ impl SearchStats {
             .field_usize("tree_bytes", self.tree_bytes)
             .field_usize("peak_frontier_bytes", self.peak_frontier_bytes)
             .field_usize("violations_found", self.violations_found)
+            .field_usize("memo_hits", self.memo_hits)
+            .field_usize("memo_misses", self.memo_misses)
             .field_usize("bytes_per_state", self.bytes_per_state())
             .field_f64("states_per_sec", self.states_per_sec(), 1);
         w.finish()
@@ -167,6 +187,8 @@ impl SearchStats {
         M_EXPLORED_RESIDENT.touch();
         M_EXPLORED_SPILLED.touch();
         M_SPILLS.touch();
+        M_MEMO_HITS.touch();
+        M_MEMO_MISSES.touch();
     }
 
     /// Feeds a finished search into the metrics plane — the one exit
@@ -176,6 +198,8 @@ impl SearchStats {
         M_EXPLORED_RESIDENT.set(self.explored_resident_bytes as u64);
         M_EXPLORED_SPILLED.set(self.explored_spilled_bytes);
         M_SPILLS.add(self.explored_spills as u64);
+        M_MEMO_HITS.add(self.memo_hits as u64);
+        M_MEMO_MISSES.add(self.memo_misses as u64);
     }
 
     /// Records a visit at `depth`, growing the per-depth table as needed.

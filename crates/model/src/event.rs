@@ -34,7 +34,7 @@ use std::fmt;
 
 use crate::node::NodeId;
 use crate::protocol::{Outbox, Protocol};
-use crate::state::{GlobalState, InFlight, Payload};
+use crate::state::{GlobalState, InFlight, Payload, Queued};
 
 /// One potential transition of the distributed system.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -465,13 +465,13 @@ pub fn apply_event<P: Protocol>(
     }
 }
 
-fn take_inflight<P: Protocol>(gs: &mut GlobalState<P>, index: usize) -> InFlight<P::Message> {
+fn take_inflight<P: Protocol>(gs: &mut GlobalState<P>, index: usize) -> Queued<P::Message> {
     assert!(
         index < gs.inflight.len(),
         "event index {index} out of range ({} in flight)",
         gs.inflight.len()
     );
-    gs.inflight.swap_remove(index).into_item()
+    gs.inflight.swap_remove(index)
 }
 
 fn route<P: Protocol>(gs: &mut GlobalState<P>, item: InFlight<P::Message>) {
@@ -481,17 +481,19 @@ fn route<P: Protocol>(gs: &mut GlobalState<P>, item: InFlight<P::Message>) {
 fn deliver<P: Protocol>(
     config: &P,
     gs: &mut GlobalState<P>,
-    item: InFlight<P::Message>,
+    item: Queued<P::Message>,
 ) -> TraceStep {
     // Read first: the slot is written (unshared from the states it is
     // shared with) only on the paths where a handler runs.
     let Some(slot) = gs.slot(item.dst) else {
         // Destination vanished between enqueue and delivery (possible in
         // partial snapshots): park on the dummy node.
-        gs.parked.push(item);
+        gs.parked.push(item.into_item());
         return TraceStep::Stale;
     };
-    match item.payload {
+    // The item is read where it is: the states it is still in flight in
+    // share it, so taking it apart would copy the message.
+    match &item.payload {
         Payload::Msg(msg) => {
             if item.dst_inc != slot.incarnation {
                 // Connection predates the destination's reset: TCP RST back
@@ -514,8 +516,8 @@ fn deliver<P: Protocol>(
             // sender's current incarnation.
             slot.conns.insert(item.src, item.src_inc);
             let mut out = Outbox::new();
-            config.on_message(item.dst, &mut slot.state, item.src, &msg, &mut out);
-            let kind = P::message_kind(&msg);
+            config.on_message(item.dst, &mut slot.state, item.src, msg, &mut out);
+            let kind = P::message_kind(msg);
             gs.apply_outbox(item.dst, out);
             TraceStep::Delivered {
                 kind,

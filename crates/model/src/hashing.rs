@@ -86,6 +86,30 @@ pub fn combine_unordered(hashes: impl IntoIterator<Item = u64>) -> u64 {
     combine(sum, combine(xor, count))
 }
 
+/// A [`Hasher`] for keys that are *already* 64-bit digests
+/// (`state_hash`/`local_hash` values, or a word folded from several):
+/// SipHashing them again buys nothing, so this is one multiply and a
+/// rotate. For tables that are only inserted into and probed, never
+/// iterated, so the bucket layout cannot reach a result.
+#[derive(Default)]
+pub struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a digest key hashes as one u64");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        // Multiply pushes entropy up, rotate brings the well-mixed top
+        // bits down to where the table takes its bucket index.
+        self.0 = digest.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

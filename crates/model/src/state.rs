@@ -222,26 +222,39 @@ impl<M: Decode> Decode for InFlight<M> {
     }
 }
 
-/// An [`InFlight`] item queued in [`GlobalState::inflight`], carrying its
-/// `stable_hash` — taken once, when queued, because a queued item is never
-/// written again (the handle only [`Deref`]s).
+/// An [`InFlight`] item queued in [`GlobalState::inflight`]: a shared,
+/// read-only handle on the item beside its `stable_hash` — taken once,
+/// when queued, because a queued item is never written again (the handle
+/// only [`Deref`]s). Cloning one bumps a reference count; the message is
+/// not copied.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Queued<M> {
-    item: InFlight<M>,
+    item: Arc<InFlight<M>>,
     hash: u64,
 }
 
 impl<M> Queued<M> {
-    /// Takes the item back off the wire.
+    /// `stable_hash` of the item, as taken when it was queued.
+    pub fn stable_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl<M: Clone> Queued<M> {
+    /// Takes the item back off the wire (copying it only if another state
+    /// still holds it in flight).
     pub fn into_item(self) -> InFlight<M> {
-        self.item
+        Arc::unwrap_or_clone(self.item)
     }
 }
 
 impl<M: Hash> From<InFlight<M>> for Queued<M> {
     fn from(item: InFlight<M>) -> Self {
         let hash = stable_hash(&item);
-        Queued { item, hash }
+        Queued {
+            item: Arc::new(item),
+            hash,
+        }
     }
 }
 

@@ -6,11 +6,15 @@
 //! proptest dependency they enumerate their input grids exhaustively
 //! instead, which also makes failures reproducible without a shrinker.)
 
-use crystalball_suite::mc::{find_consequences, find_errors, SearchConfig};
+use std::collections::{HashSet, VecDeque};
+
+use crystalball_suite::mc::{
+    find_consequences, find_errors, Engine, ParallelConfig, SearchConfig, SearchOutcome, Searcher,
+};
 use crystalball_suite::model::testproto::{max_pings_property, Ping};
 use crystalball_suite::model::{
     apply_event, enumerate_events, enumerate_events_gated, Event, ExploreOptions, GlobalState,
-    NodeId, PropertySet, Protocol,
+    NodeId, PropertySet, Protocol, TraceStep,
 };
 use crystalball_suite::protocols::chord::ChordBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
@@ -252,4 +256,162 @@ fn event_order_is_defined_once_on_all_four_protocols() {
     assert_one_event_order(&p, &gs);
     let (p, gs) = scenarios::bullet_b3_live();
     assert_one_event_order(&p, &gs);
+}
+
+/// What a search is compared on: the counters every engine must agree on
+/// and the shallowest violating path.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    states_visited: usize,
+    states_enqueued: usize,
+    duplicates_hit: usize,
+    local_prunes: usize,
+    per_depth: Vec<usize>,
+    shallowest: Option<Vec<String>>,
+}
+
+fn render_path<P: Protocol>(path: impl IntoIterator<Item = (Event<P>, TraceStep)>) -> Vec<String> {
+    path.into_iter()
+        .map(|(event, step)| format!("{event:?} -> {step}"))
+        .collect()
+}
+
+fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> Fingerprint {
+    Fingerprint {
+        states_visited: out.stats.states_visited,
+        states_enqueued: out.stats.states_enqueued,
+        duplicates_hit: out.stats.duplicates_hit,
+        local_prunes: out.stats.local_prunes,
+        per_depth: out.stats.per_depth.clone(),
+        shallowest: out
+            .first()
+            .map(|found| render_path(found.path.iter().map(|s| (s.event.clone(), s.step.clone())))),
+    }
+}
+
+/// Fig. 5 / Fig. 8 written out with plain `apply_event` and a `HashSet`:
+/// the engines have no switch that turns their transition memo off, so
+/// this loop is what they are held to. Stops at the first violation or
+/// once `budget` states were visited.
+fn reference_bfs<P: Protocol>(
+    proto: &P,
+    props: &PropertySet<P>,
+    start: &GlobalState<P>,
+    explore: ExploreOptions,
+    prune_local: bool,
+    budget: usize,
+) -> Fingerprint {
+    let mut fp = Fingerprint {
+        states_visited: 0,
+        states_enqueued: 1,
+        duplicates_hit: 0,
+        local_prunes: 0,
+        per_depth: Vec::new(),
+        shallowest: None,
+    };
+    let mut explored = HashSet::from([start.state_hash()]);
+    let mut local_explored = HashSet::new();
+    let mut arena: Vec<(Option<usize>, Event<P>, TraceStep)> = Vec::new();
+    let mut frontier = VecDeque::from([(start.clone(), None, 0usize)]);
+    while let Some((state, rec, depth)) = frontier.pop_front() {
+        if fp.states_visited >= budget {
+            break;
+        }
+        fp.states_visited += 1;
+        fp.per_depth.resize(fp.per_depth.len().max(depth + 1), 0);
+        fp.per_depth[depth] += 1;
+        if props.check(&state).is_some() {
+            let mut path = Vec::new();
+            let mut at: Option<usize> = rec;
+            while let Some(i) = at {
+                let (parent, event, step) = &arena[i];
+                path.push((event.clone(), step.clone()));
+                at = *parent;
+            }
+            fp.shallowest = Some(render_path(path.into_iter().rev()));
+            break;
+        }
+        let gate = |node| {
+            let fresh = !prune_local || local_explored.insert(state.local_hash(node).unwrap());
+            fp.local_prunes += usize::from(!fresh);
+            fresh
+        };
+        for event in enumerate_events_gated(proto, &state, &explore, gate, |_| true) {
+            let mut next = state.clone();
+            let step = apply_event(proto, &mut next, &event);
+            if !explored.insert(next.state_hash()) {
+                fp.duplicates_hit += 1;
+                continue;
+            }
+            arena.push((rec, event, step));
+            frontier.push_back((next, Some(arena.len() - 1), depth + 1));
+            fp.states_enqueued += 1;
+        }
+    }
+    fp
+}
+
+/// The engines apply every event through a per-search transition memo;
+/// the search they run must still be the reference search, count for
+/// count and path for path.
+fn assert_engines_run_the_reference_search<P: Protocol>(
+    proto: &P,
+    props: &PropertySet<P>,
+    start: &GlobalState<P>,
+) {
+    const BUDGET: usize = 700;
+    for prune_local in [true, false] {
+        for explore in [ExploreOptions::default(), ExploreOptions::full()] {
+            let what = format!("{} prune_local={prune_local} {explore:?}", proto.name());
+            let reference = reference_bfs(proto, props, start, explore, prune_local, BUDGET);
+            let searcher = Searcher::new(
+                proto,
+                props,
+                SearchConfig {
+                    max_depth: None,
+                    max_states: Some(BUDGET),
+                    explore,
+                    prune_local,
+                    ..SearchConfig::default()
+                },
+            );
+            let seq = searcher.run(start);
+            assert_eq!(fingerprint(&seq), reference, "{what}: Searcher::run");
+            // A search that ran its budget out re-applied transitions.
+            let ran_long = reference.states_visited == BUDGET;
+            assert!(!ran_long || seq.stats.memo_hits > 0, "{what}: memo hits");
+            let par = searcher.search(
+                start,
+                &Engine::Parallel(ParallelConfig {
+                    workers: 2,
+                    merge_shards: 0,
+                    compact_explored: false,
+                    explored_spill_bytes: None,
+                }),
+            );
+            assert_eq!(fingerprint(&par), reference, "{what}: 2 workers");
+            assert!(
+                !ran_long || par.stats.memo_hits > 0,
+                "{what}: range memo hits"
+            );
+        }
+    }
+}
+
+#[test]
+fn engines_run_the_unmemoized_reference_search_on_all_four_protocols() {
+    use cb_bench::scenarios;
+    use crystalball_suite::protocols::{bullet, chord, paxos};
+    // Fig. 2 with the bug armed (a shallow violation: the paths must
+    // agree) and corrected (the budget runs out: the counters must).
+    for bugs in [RandTreeBugs::as_shipped(), RandTreeBugs::none()] {
+        let (p, gs) = scenarios::randtree_fig2(bugs);
+        assert_engines_run_the_reference_search(&p, &randtree::properties::all(), &gs);
+    }
+    let (p, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::as_shipped());
+    assert_engines_run_the_reference_search(&p, &chord::properties::all(), &gs);
+    let (p, gs) = scenarios::paxos_near_violation(PaxosBugs::only("P1"));
+    assert_engines_run_the_reference_search(&p, &paxos::properties::all(), &gs);
+    let (p, gs) = scenarios::bullet_b3_live();
+    assert_engines_run_the_reference_search(&p, &bullet::properties::all(), &gs);
 }
