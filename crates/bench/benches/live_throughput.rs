@@ -52,7 +52,6 @@ fn reactor_scale_leg(nodes: usize, threads: usize, window_ms: u64) -> String {
             gather_timeout: Duration::from_millis(1_200),
             time_scale: 0.02,
             self_check: false,
-            speculate_partial_gathers: false,
             ..LiveNodeConfig::default()
         },
         checker: live_checker_config(2_000, 4, 1),

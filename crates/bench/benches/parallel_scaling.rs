@@ -20,9 +20,7 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 use cb_bench::harness::{fast_mode, fmt_duration, preamble, section};
-use cb_mc::{
-    find_consequences, find_consequences_parallel, ParallelConfig, SearchConfig, StopReason,
-};
+use cb_mc::{find_consequences, find_consequences_parallel, ParallelConfig, SearchConfig};
 use cb_model::{NodeId, PropertySet, SimDuration};
 use cb_protocols::randtree::{self, Action as RtAction, RandTree, RandTreeBugs};
 use cb_runtime::{NoHook, Scenario, SimConfig, Simulation};
@@ -177,9 +175,8 @@ fn main() {
             .iter()
             .map(|d| format!("{:.6}", d.as_secs_f64()))
             .collect();
-        let explored_bytes_per_state = (par.stats.explored_resident_bytes as u64
-            + par.stats.explored_spilled_bytes)
-            / par.stats.states_enqueued.max(1) as u64;
+        let explored_bytes_per_state =
+            par.stats.explored_resident_bytes / par.stats.states_enqueued.max(1);
         // Mean range tasks per visited level: how finely phase 3 cut
         // this search's levels.
         let ranges_per_level =
@@ -201,69 +198,11 @@ fn main() {
         ));
     }
 
-    // The compacted + spillable explored set at a 10x state budget: the
-    // run must complete with bounded resident bytes per state — the knob
-    // that lets `max_states` grow toward millions without proportional
-    // RAM. The spill budget is sized well below the entries' footprint so
-    // the run provably cycles through spill-and-rehit, not just RAM.
-    section("compacted + spillable explored set at a 10x budget");
-    let big_budget = budget * 10;
-    let spill_budget = big_budget * 2; // bytes: ~1/4 of 8-byte entries' need
-    let big_config = SearchConfig {
-        max_states: Some(big_budget),
-        // Deep enough that the state budget, not the depth bound, ends
-        // the run at 10x scale.
-        max_depth: Some(24),
-        ..config.clone()
-    };
-    let t0 = Instant::now();
-    let big = find_consequences_parallel(
-        &proto,
-        &props,
-        &gs,
-        big_config,
-        &ParallelConfig {
-            workers: 2,
-            compact_explored: true,
-            explored_spill_bytes: Some(spill_budget),
-            ..ParallelConfig::default()
-        },
-    );
-    let big_elapsed = t0.elapsed();
-    assert_eq!(
-        big.stopped,
-        StopReason::StateLimit,
-        "the 10x budget run must complete by exhausting its state budget"
-    );
-    let big_bytes_per_state = (big.stats.explored_resident_bytes as u64
-        + big.stats.explored_spilled_bytes)
-        / big.stats.states_enqueued.max(1) as u64;
-    println!(
-        "{} states in {} — {} spills, {} bytes spilled, {} resident, {} explored bytes/state",
-        big.stats.states_visited,
-        fmt_duration(big_elapsed),
-        big.stats.explored_spills,
-        big.stats.explored_spilled_bytes,
-        big.stats.explored_resident_bytes,
-        big_bytes_per_state,
-    );
-    let compact_spill = format!(
-        "{{\"budget_states\":{big_budget},\"states\":{},\"states_enqueued\":{},\
-         \"elapsed_s\":{:.6},\"spills\":{},\"spilled_bytes\":{},\
-         \"resident_bytes\":{},\"explored_bytes_per_state\":{big_bytes_per_state}}}",
-        big.stats.states_visited,
-        big.stats.states_enqueued,
-        big_elapsed.as_secs_f64(),
-        big.stats.explored_spills,
-        big.stats.explored_spilled_bytes,
-        big.stats.explored_resident_bytes,
-    );
-
     let json = format!(
         "{{\"bench\":\"parallel_scaling\",\"scenario\":\"randtree_under_churn\",\"host_cores\":{cores},\"budget_states\":{budget},\
          \"reps\":{reps},\
          \"sequential\":{{\"states\":{},\"elapsed_s\":{:.6},\"states_per_sec\":{seq_rate:.0}}},\
-         \"parallel\":[{}],\"compact_spill\":{compact_spill}}}",
+         \"parallel\":[{}]}}",
         seq.stats.states_visited,
         seq_elapsed.as_secs_f64(),
         rows.join(",")

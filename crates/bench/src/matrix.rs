@@ -40,12 +40,6 @@ pub fn seed() -> u64 {
     }
 }
 
-/// Whether parallel engines under test use the compacted explored-set
-/// layout: `CB_COMPACT_EXPLORED=1` (also `true`/`on`; default off).
-pub fn compact_explored() -> bool {
-    std::env::var("CB_COMPACT_EXPLORED").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"))
-}
-
 /// Whether controllers under test memoize rounds: on unless
 /// `CB_PRED_CACHE` is `0`/`off`/`false`.
 pub fn prediction_cache() -> bool {
@@ -66,9 +60,6 @@ mod tests {
         }
         if std::env::var("CB_MERGE_SHARDS").is_err() {
             assert_eq!(super::merge_shards(), vec![1, 2]);
-        }
-        if std::env::var("CB_COMPACT_EXPLORED").is_err() {
-            assert!(!super::compact_explored());
         }
         if std::env::var("CB_PRED_CACHE").is_err() {
             assert!(super::prediction_cache());

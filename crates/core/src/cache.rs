@@ -27,13 +27,7 @@
 //! Because the key covers every input of the round, a hit returns a
 //! result byte-identical to what a cold run would compute — the
 //! determinism contract of the sharded checker survives memoization, and
-//! the cache-off leg of the CI fleet run proves it. The same property is
-//! what makes **optimistic execution** safe: a round run speculatively on a partial
-//! gather (see `Predictor::speculate_round` in `crate::service`) just
-//! pre-warms the cache under the partial state's key; if the completed
-//! snapshot hashes to the speculated base the real round hits (the
-//! speculation *commits*), otherwise it misses and re-runs cold (the
-//! speculation is *cancelled* — counted, never applied to filters).
+//! the cache-off leg of the CI fleet run proves it.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -45,17 +39,14 @@ use std::sync::{Arc, Mutex};
 /// small change next to the search's explored sets).
 pub const DEFAULT_PREDICTION_CACHE_CAPACITY: usize = 1024;
 
-/// Per-client memoization and speculation counters (atomics; shards of
-/// one pool bump the same set concurrently).
+/// Per-client memoization counters (atomics; shards of one pool bump the
+/// same set concurrently).
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    spec_started: AtomicU64,
-    spec_committed: AtomicU64,
-    spec_cancelled: AtomicU64,
 }
 
 // Scrapeable mirrors of the cache counters: the `cb-obs` metrics plane
@@ -65,28 +56,13 @@ static M_HITS: cb_obs::metrics::Counter =
     cb_obs::metrics::Counter::new("cb_cache_hits_total", "prediction-cache lookups served");
 static M_MISSES: cb_obs::metrics::Counter =
     cb_obs::metrics::Counter::new("cb_cache_misses_total", "prediction-cache lookups missed");
-static M_SPEC_STARTED: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_cache_spec_started_total",
-    "speculative (partial-gather) rounds started",
-);
-static M_SPEC_COMMITS: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_cache_spec_commits_total",
-    "speculative rounds whose pre-warmed entry the real round hit",
-);
-static M_SPEC_CANCELS: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new(
-    "cb_cache_spec_cancels_total",
-    "speculative rounds discarded (completed snapshot diverged)",
-);
 
 /// Registers the cache families without recording, so scrapes taken
-/// before the first lookup (or on a run whose speculation never fires)
-/// still expose them at 0. Called from checker construction.
+/// before the first lookup still expose them at 0. Called from checker
+/// construction.
 pub(crate) fn touch_metric_families() {
     M_HITS.touch();
     M_MISSES.touch();
-    M_SPEC_STARTED.touch();
-    M_SPEC_COMMITS.touch();
-    M_SPEC_CANCELS.touch();
 }
 
 impl CacheCounters {
@@ -105,21 +81,6 @@ impl CacheCounters {
         cb_obs::instant("cache.miss", "cache");
         M_MISSES.inc();
     }
-    pub(crate) fn spec_started(&self) {
-        self.spec_started.fetch_add(1, Ordering::Relaxed);
-        cb_obs::instant("cache.spec_started", "cache");
-        M_SPEC_STARTED.inc();
-    }
-    pub(crate) fn spec_committed(&self) {
-        self.spec_committed.fetch_add(1, Ordering::Relaxed);
-        cb_obs::instant("cache.spec_commit", "cache");
-        M_SPEC_COMMITS.inc();
-    }
-    pub(crate) fn spec_cancelled(&self) {
-        self.spec_cancelled.fetch_add(1, Ordering::Relaxed);
-        cb_obs::instant("cache.spec_cancel", "cache");
-        M_SPEC_CANCELS.inc();
-    }
 
     /// A point-in-time copy of the counters. Each field is read with one
     /// relaxed load, so a snapshot taken *while shards are bumping* may
@@ -132,9 +93,6 @@ impl CacheCounters {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            spec_started: self.spec_started.load(Ordering::Relaxed),
-            spec_committed: self.spec_committed.load(Ordering::Relaxed),
-            spec_cancelled: self.spec_cancelled.load(Ordering::Relaxed),
         }
     }
 
@@ -168,18 +126,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Rounds that ran the full search.
     pub misses: u64,
-    /// Outcomes inserted (cold completions plus speculative pre-warms).
+    /// Outcomes inserted (cold completions).
     pub inserts: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
-    /// Speculative rounds launched on partial gathers.
-    pub spec_started: u64,
-    /// Speculations whose base matched the completed snapshot (the real
-    /// round hit the pre-warmed entry).
-    pub spec_committed: u64,
-    /// Speculations whose base diverged: the work was discarded and the
-    /// round re-ran cold. Never applied to filters.
-    pub spec_cancelled: u64,
 }
 
 impl CacheStats {
@@ -201,9 +151,6 @@ impl CacheStats {
             .field_u64("misses", self.misses)
             .field_u64("inserts", self.inserts)
             .field_u64("evictions", self.evictions)
-            .field_u64("spec_started", self.spec_started)
-            .field_u64("spec_committed", self.spec_committed)
-            .field_u64("spec_cancelled", self.spec_cancelled)
             .field_f64("hit_rate", self.hit_rate(), 4);
         w.finish()
     }
@@ -300,16 +247,6 @@ impl PredictionCache {
         }
     }
 
-    /// True when `key` is already cached (no counter movement — used to
-    /// skip redundant speculative runs).
-    pub(crate) fn contains(&self, key: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("prediction cache poisoned")
-            .map
-            .contains_key(&key)
-    }
-
     /// Inserts one outcome, evicting the least-recently-used entry when
     /// over capacity. Racing inserts of the same key are benign: the key
     /// determines the value, so last-writer-wins stores identical data.
@@ -348,6 +285,17 @@ impl PredictionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PredictionCache {
+        /// True when `key` is cached (no counter movement).
+        fn contains(&self, key: u64) -> bool {
+            self.inner
+                .lock()
+                .expect("prediction cache poisoned")
+                .map
+                .contains_key(&key)
+        }
+    }
 
     #[test]
     fn lookup_insert_and_counters() {

@@ -305,7 +305,7 @@ impl<P: Protocol> Controller<P> {
         }
     }
 
-    /// This controller's prediction-cache and speculation counters — its
+    /// This controller's prediction-cache counters — its
     /// share of the (possibly host-wide) [`crate::PredictionCache`]
     /// traffic, reported next to [`Controller::checker_wire_stats`].
     /// Wall-clock-free but **not** deterministic across runs when the
@@ -315,29 +315,6 @@ impl<P: Protocol> Controller<P> {
         match &self.backend {
             Backend::Sync(predictor) => predictor.cache_stats(),
             Backend::Pool(pool) => pool.cache_stats(),
-        }
-    }
-
-    /// Launches one **optimistic** checking round for `node` on a partial
-    /// snapshot state (stragglers still outstanding): the outcome
-    /// pre-warms the prediction cache under the partial state's key but
-    /// produces no report and installs no filter. When the completed
-    /// snapshot arrives, [`Controller::run_round`] reconciles — if it
-    /// hashes to the speculated base the round commits as a cache hit;
-    /// otherwise the speculation is cancelled (counted in
-    /// [`Controller::checker_cache_stats`]) and the round runs cold.
-    /// No-op when memoization is off.
-    pub fn speculate_round(&mut self, now: SimTime, node: NodeId, start: &GlobalState<P>) {
-        let steering = self.config.mode == Mode::ExecutionSteering;
-        let job = PredictionJob {
-            at: now,
-            node,
-            steering,
-            tag: 0,
-        };
-        match &mut self.backend {
-            Backend::Sync(predictor) => predictor.speculate_round(job, start),
-            Backend::Pool(pool) => pool.submit_speculative(now, node, start, steering, 0),
         }
     }
 
@@ -778,14 +755,12 @@ mod tests {
                 proto,
                 randtree::properties::all(),
                 ControllerConfig {
-                    // Sharded merge plus the compacted, spill-budgeted
-                    // explored set, driven through the controller plumbing:
-                    // none of it may change what gets predicted.
+                    // The sharded merge, driven through the controller
+                    // plumbing: it may not change what gets predicted.
                     engine: Engine::Parallel(ParallelConfig {
                         workers: 4,
                         merge_shards: 2,
-                        compact_explored: true,
-                        explored_spill_bytes: Some(1 << 12),
+                        ..ParallelConfig::default()
                     }),
                     ..steering_config()
                 },

@@ -46,11 +46,8 @@
 //! [`crate::PredictionCache`], so a neighborhood state any member of the
 //! deployment has already checked — under the same search configuration,
 //! protocol instance, and remembered-path set — is answered without
-//! re-searching. The same machinery powers **optimistic execution**: a
-//! partial gather can be checked *speculatively*
-//! (`Predictor::speculate_round`) to pre-warm the cache; the real round
-//! on the completed snapshot reconciles against the speculated base and
-//! either commits (hit) or cancels and re-runs cold (miss).
+//! re-searching. Only a completed gather is ever checked: a round's input
+//! is the consistent neighborhood snapshot of §2.3, never a partial one.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -214,10 +211,6 @@ pub(crate) struct Predictor<P: Protocol> {
     /// set, the engine, and the derived search/safety configs. Computed
     /// once; folded into every round key.
     static_key: u64,
-    /// Outstanding speculation per node: the cache key of the partial
-    /// state a speculative round ran on, awaiting reconciliation against
-    /// the node's next real round.
-    spec_keys: HashMap<NodeId, u64>,
 }
 
 // Scrapeable round timings. These sit below every backend (fleet hosts,
@@ -295,7 +288,6 @@ impl<P: Protocol> Predictor<P> {
             counters,
             use_cache,
             static_key,
-            spec_keys: HashMap::new(),
         }
     }
 
@@ -319,10 +311,7 @@ impl<P: Protocol> Predictor<P> {
     /// Runs one full round against a decoded snapshot state, consulting
     /// the prediction cache first. A hit reproduces the cold round's
     /// result (and its `remember_path` side effect) without searching; a
-    /// miss computes and memoizes. Either way this is also where an
-    /// outstanding speculation for the node reconciles: same key ⇒ the
-    /// speculative work *commits* (it is the entry being hit), different
-    /// key ⇒ it is *cancelled* — counted, never applied.
+    /// miss computes and memoizes.
     pub(crate) fn run_round(
         &mut self,
         job: PredictionJob,
@@ -331,13 +320,6 @@ impl<P: Protocol> Predictor<P> {
         let _span = cb_obs::span_id("checker.round", "checker", job.tag);
         let t0 = Instant::now();
         let key = self.round_key(&job, start);
-        if let Some(spec) = self.spec_keys.remove(&job.node) {
-            if key == Some(spec) {
-                self.counters.spec_committed();
-            } else {
-                self.counters.spec_cancelled();
-            }
-        }
         if let Some(key) = key {
             if let Some(cached) = self.cache.lookup::<CachedRound<P>>(key, &self.counters) {
                 if let Some(found) = &cached.found {
@@ -361,28 +343,7 @@ impl<P: Protocol> Predictor<P> {
         out
     }
 
-    /// Runs one round **speculatively** on a (typically partial) snapshot
-    /// state: computes the outcome with no side effects — nothing is
-    /// remembered, reported, or turned into installed filters — and
-    /// pre-warms the cache under the partial state's key. The node's next
-    /// real round reconciles: if the completed snapshot hashes to this
-    /// base the round hits the pre-warmed entry (commit), otherwise the
-    /// work is discarded and the round runs cold (cancel).
-    pub(crate) fn speculate_round(&mut self, job: PredictionJob, start: &GlobalState<P>) {
-        let _span = cb_obs::span_id("checker.spec_round", "checker", job.tag);
-        let Some(key) = self.round_key(&job, start) else {
-            return;
-        };
-        self.counters.spec_started();
-        self.spec_keys.insert(job.node, key);
-        if self.cache.contains(key) {
-            return;
-        }
-        let round = self.compute_round(&job, start);
-        self.cache.insert(key, Arc::new(round), &self.counters);
-    }
-
-    /// This predictor's prediction-cache and speculation counters.
+    /// This predictor's prediction-cache counters.
     pub(crate) fn cache_stats(&self) -> CacheStats {
         self.counters.snapshot()
     }
@@ -867,58 +828,7 @@ impl<P: Protocol> CheckerPool<P> {
         );
     }
 
-    /// Queues one **speculative** round on a (typically partial) snapshot
-    /// state: the node's shard pre-warms the prediction cache and records
-    /// the speculated base for reconciliation, but no result is produced,
-    /// no sequence number is consumed, and nothing reaches the
-    /// controller's filters. The state is cloned rather than
-    /// diff-shipped — speculative submissions are occasional and must not
-    /// disturb the per-node delta lineages (their byte counts are part of
-    /// the deterministic wire-stats contract).
-    pub(crate) fn submit_speculative(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        start: &GlobalState<P>,
-        steering: bool,
-        tag: u64,
-    ) {
-        let ix = (node.0 as usize) % self.shards.len();
-        let shard = &self.shards[ix];
-        let state = shard.state.clone();
-        let stop = self.shutdown.clone();
-        let start = start.clone();
-        self.host.submit(
-            shard.lane,
-            Box::new(move || {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                // Same panic containment as real rounds — minus the empty
-                // result, since nobody is waiting on a speculation.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut st = state.lock().expect("shard state poisoned");
-                    st.predictor.speculate_round(
-                        PredictionJob {
-                            at,
-                            node,
-                            steering,
-                            tag,
-                        },
-                        &start,
-                    );
-                }));
-                if outcome.is_err() {
-                    eprintln!(
-                        "crystalball: speculative round for {node} panicked \
-                         (speculation dropped, lane kept alive)"
-                    );
-                }
-            }),
-        );
-    }
-
-    /// This pool's prediction-cache and speculation counters.
+    /// This pool's prediction-cache counters.
     pub(crate) fn cache_stats(&self) -> CacheStats {
         self.counters.snapshot()
     }
@@ -1037,10 +947,6 @@ pub struct WireChecker<P: Protocol> {
     /// Ingress decoder lineages, one per submitting node, mirroring the
     /// node-side [`DeltaEncoder`]s.
     decoders: HashMap<NodeId, DeltaDecoder>,
-    /// Separate ingress lineages for speculative (partial-gather)
-    /// submissions: nodes diff those against a dedicated encoder so the
-    /// real submission stream's bases stay in lockstep.
-    spec_decoders: HashMap<NodeId, DeltaDecoder>,
     steering: bool,
     submitted: u64,
 }
@@ -1065,7 +971,6 @@ impl<P: Protocol> WireChecker<P> {
         WireChecker {
             pool,
             decoders: HashMap::new(),
-            spec_decoders: HashMap::new(),
             steering,
             submitted: 0,
         }
@@ -1112,49 +1017,10 @@ impl<P: Protocol> WireChecker<P> {
         Ok(self.submitted)
     }
 
-    /// Decodes one **speculative** shipped state — a partial gather the
-    /// node submitted before its stragglers answered — and queues an
-    /// optimistic round that pre-warms the prediction cache (see
-    /// `CheckerPool::submit_speculative`). No sequence number is
-    /// returned: speculations produce no [`WireRound`], only a possible
-    /// cache hit for the node's next real submission.
-    pub fn submit_speculative_delta(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        delta: &StateDelta,
-    ) -> Result<(), DeltaError> {
-        self.submit_speculative_delta_tagged(at, node, delta, 0)
-    }
-
-    /// [`WireChecker::submit_speculative_delta`] carrying the
-    /// submitter's observability round id (see
-    /// [`WireChecker::submit_delta_tagged`]).
-    pub fn submit_speculative_delta_tagged(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        delta: &StateDelta,
-        tag: u64,
-    ) -> Result<(), DeltaError> {
-        if delta.seq == 1 {
-            self.spec_decoders.remove(&node);
-        }
-        let start: GlobalState<P> = self
-            .spec_decoders
-            .entry(node)
-            .or_default()
-            .decode_state(delta)?;
-        self.pool
-            .submit_speculative(at, node, &start, self.steering, tag);
-        Ok(())
-    }
-
-    /// Drops a node's delta lineages (its connection closed; a reconnect
-    /// starts fresh encoders, so the decoders must start fresh too).
+    /// Drops a node's delta lineage (its connection closed; a reconnect
+    /// starts a fresh encoder, so the decoder must start fresh too).
     pub fn forget_node(&mut self, node: NodeId) {
         self.decoders.remove(&node);
-        self.spec_decoders.remove(&node);
     }
 
     /// Rounds submitted but not yet completed.
@@ -1168,8 +1034,8 @@ impl<P: Protocol> WireChecker<P> {
         self.pool.wire_stats()
     }
 
-    /// Prediction-cache and speculation counters for this checker's
-    /// rounds (its share of the host-wide cache).
+    /// Prediction-cache counters for this checker's rounds (its share of
+    /// the host-wide cache).
     pub fn cache_stats(&self) -> CacheStats {
         self.pool.cache_stats()
     }

@@ -54,7 +54,7 @@ pub trait FleetHook<P: Protocol>: Hook<P> {
         None
     }
 
-    /// Prediction-cache / speculation counters, if this hook is a
+    /// Prediction-cache counters, if this hook is a
     /// controller with a memoizing checker.
     fn cache_stats(&self) -> crystalball::CacheStats {
         crystalball::CacheStats::default()

@@ -69,11 +69,11 @@ pub struct MemberStats {
     /// Mean measured checking-round wall-clock, milliseconds
     /// (host-dependent; excluded from the deterministic serialization).
     pub avg_mc_latency_ms: f64,
-    /// Prediction-cache and speculation counters for this member's
-    /// controller. Counter *values* can vary across runs when members
-    /// share a checker host (whoever submits first takes the miss), so
-    /// they live next to the latency fields: full JSON only, never the
-    /// deterministic serialization.
+    /// Prediction-cache counters for this member's controller. Counter
+    /// *values* can vary across runs when members share a checker host
+    /// (whoever submits first takes the miss), so they live next to the
+    /// latency fields: full JSON only, never the deterministic
+    /// serialization.
     pub cache: crystalball::CacheStats,
     /// When the first prediction landed (simulated time).
     pub first_prediction_at: Option<SimTime>,
@@ -172,7 +172,7 @@ impl FleetStats {
             .sum()
     }
 
-    /// Summed prediction-cache / speculation counters across members.
+    /// Summed prediction-cache counters across members.
     /// (Per-member counts can race when a checker host is shared; the sum
     /// of hits+misses still equals total lookups.)
     pub fn cache(&self) -> crystalball::CacheStats {
@@ -183,9 +183,6 @@ impl FleetStats {
                 acc.misses += m.cache.misses;
                 acc.inserts += m.cache.inserts;
                 acc.evictions += m.cache.evictions;
-                acc.spec_started += m.cache.spec_started;
-                acc.spec_committed += m.cache.spec_committed;
-                acc.spec_cancelled += m.cache.spec_cancelled;
                 acc
             })
     }
@@ -224,10 +221,7 @@ impl FleetStats {
                 w.field_f64("avg_mc_latency_ms", m.avg_mc_latency_ms, 3)
                     .field_u64("cache_hits", m.cache.hits)
                     .field_u64("cache_misses", m.cache.misses)
-                    .field_f64("cache_hit_rate", m.cache.hit_rate(), 4)
-                    .field_u64("spec_started", m.cache.spec_started)
-                    .field_u64("spec_committed", m.cache.spec_committed)
-                    .field_u64("spec_cancelled", m.cache.spec_cancelled);
+                    .field_f64("cache_hit_rate", m.cache.hit_rate(), 4);
                 w.finish()
             })
             .collect();

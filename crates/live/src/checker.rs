@@ -298,25 +298,20 @@ impl<P: Protocol> CheckerSrv<P> {
                     self.stats.submits_rejected += 1;
                     return;
                 };
+                if body.speculative {
+                    // Only completed gathers are checked: a partial one is
+                    // refused and dropped, and the connection stays up.
+                    self.stats.submits_rejected += 1;
+                    return;
+                }
                 self.conns[conn_ix].node = Some(body.node);
-                let at = SimTime(body.at_us);
-                let submitted = if body.speculative {
-                    // Optimistic execution: a partial-gather pre-warm. No
-                    // install push ever answers it, so it never enters
-                    // `inflight`; the outcome lands in the shared
-                    // prediction cache where the full-snapshot round finds
-                    // (or cancels) it.
-                    self.checker
-                        .submit_speculative_delta_tagged(at, body.node, &body.delta, body.round)
-                        .map(|()| None)
-                } else {
-                    self.checker
-                        .submit_delta_tagged(at, body.node, &body.delta, body.round)
-                        .map(Some)
-                };
-                match submitted {
-                    Ok(None) => self.stats.spec_submits_received += 1,
-                    Ok(Some(seq)) => {
+                match self.checker.submit_delta_tagged(
+                    SimTime(body.at_us),
+                    body.node,
+                    &body.delta,
+                    body.round,
+                ) {
+                    Ok(seq) => {
                         cb_obs::instant_id("checker.submit_received", "checker", body.round);
                         M_SUBMITS.inc();
                         self.stats.submits_received += 1;
@@ -411,7 +406,7 @@ impl<P: Protocol> CheckerSrv<P> {
 
 #[cfg(test)]
 mod tests {
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     use cb_model::testproto::{max_pings_property, Ping};
     use cb_model::{push_frame, GlobalState};
@@ -484,5 +479,97 @@ mod tests {
             latency.max_us,
             u64::from(completed - received) * 3_600_000_000
         );
+    }
+
+    /// A submission flagged speculative is refused and dropped — counted
+    /// in `submits_rejected`, no round queued, no install pushed — and
+    /// the connection stays up: the real submission that follows on it is
+    /// accepted, and its install is the first frame the node receives.
+    #[test]
+    fn a_speculative_submit_is_refused_and_the_connection_kept() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (_ctl, ctl_rx) = mpsc::channel();
+        let proto = Ping {
+            kick_target: NodeId(0),
+            kick_enabled: true,
+        };
+        let mut srv = CheckerSrv::new(
+            proto.clone(),
+            PropertySet::new().with(max_pings_property(1)),
+            crate::live_checker_config(5_000, 4, 1),
+            listener,
+            Duration::from_secs(30),
+            ctl_rx,
+        );
+        let poll_until = |srv: &mut CheckerSrv<Ping>, done: &dyn Fn(&CheckerSrv<Ping>) -> bool| {
+            for _ in 0..10_000 {
+                srv.poll(Instant::now(), IoReadiness::all());
+                if done(srv) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("the server never got there: {:?}", srv.stats);
+        };
+        let gs = GlobalState::init(&proto, (0..3).map(NodeId));
+        let submit = |speculative: bool, round: u64| {
+            let body = SubmitBody {
+                node: NodeId(0),
+                at_us: round,
+                speculative,
+                round,
+                delta: DeltaEncoder::new().encode_state(&gs),
+            };
+            let mut out = Vec::new();
+            push_frame(
+                &mut out,
+                &frame_of(NodeId(0), NodeId::DUMMY, 0, FrameKind::Submit, &body),
+            );
+            out
+        };
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&submit(true, 7)).unwrap();
+        poll_until(&mut srv, &|srv| srv.stats.submits_rejected == 1);
+        for _ in 0..20 {
+            srv.poll(Instant::now(), IoReadiness::all());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(srv.stats.submits_received, 0);
+        assert_eq!(srv.checker.pending(), 0, "no round was queued");
+        assert!(srv.inflight.is_empty());
+        assert_eq!(srv.stats.rounds_completed, 0);
+        client.set_nonblocking(true).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            client.read(&mut byte).map_err(|e| e.kind()).unwrap_err(),
+            std::io::ErrorKind::WouldBlock,
+            "nothing was pushed and the connection is open"
+        );
+        client.set_nonblocking(false).unwrap();
+
+        client.write_all(&submit(false, 9)).unwrap();
+        poll_until(&mut srv, &|srv| srv.stats.rounds_completed == 1);
+        assert_eq!(srv.stats.submits_received, 1);
+        assert_eq!(srv.stats.submits_rejected, 1);
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut inbuf = cb_model::FrameBuffer::new(cb_model::MAX_FRAME_LEN);
+        let payload = loop {
+            if let Some(payload) = inbuf.next_frame().unwrap() {
+                break payload;
+            }
+            let mut chunk = [0u8; 4096];
+            let n = client.read(&mut chunk).expect("the install arrives");
+            assert!(n > 0, "the checker closed the connection");
+            inbuf.feed(&chunk[..n]);
+        };
+        let frame = WireFrame::from_bytes(&payload).unwrap();
+        assert_eq!(frame.kind, FrameKind::FilterInstall);
+        let install = InstallBody::from_bytes(&frame.body).unwrap();
+        assert_eq!((install.seq, install.round), (1, 9), "{install:?}");
     }
 }

@@ -131,12 +131,10 @@ pub struct LiveNodeConfig {
     /// violating samples (the live analogue of the simulator's
     /// `track_violations`).
     pub self_check: bool,
-    /// Optimistic execution: when a gather is still waiting on stragglers
-    /// at half the gather timeout, ship the partial snapshot to the
-    /// checker as a *speculative* submission so prediction starts early
-    /// and the checker's cache is warm if the gather completes on (or
-    /// times out to) the speculated base. Costs one extra submission's
-    /// bandwidth per slow gather; never affects which filters install.
+    /// Has no effect: a node submits only completed gathers, and nothing
+    /// reads this field. Kept only because the benchmark crate
+    /// (`benchmark/`) names it in a struct literal; it goes when that
+    /// crate stops naming it.
     pub speculate_partial_gathers: bool,
     /// Connection-lifecycle policy (caps, backoff, backpressure).
     pub peer: PeerConfig,
@@ -156,7 +154,7 @@ impl Default for LiveNodeConfig {
             time_scale: 0.05,
             max_frame_len: cb_model::MAX_FRAME_LEN,
             self_check: true,
-            speculate_partial_gathers: true,
+            speculate_partial_gathers: false,
             peer: PeerConfig::default(),
             bind_ip: IpAddr::from([127, 0, 0, 1]),
         }
@@ -278,9 +276,6 @@ pub struct LiveNode<P: Protocol> {
     listener: TcpListener,
     peers: PeerManager,
     delta_enc: DeltaEncoder,
-    /// Dedicated lineage for speculative (partial-gather) submissions, so
-    /// the real submission stream's delta bases stay untouched.
-    spec_delta_enc: DeltaEncoder,
     /// Hash of the last submitted neighborhood state: a snapshot identical
     /// to the previous round's would re-run the same search to the same
     /// conclusion (the same dedup the in-process controller applies), and
@@ -306,9 +301,6 @@ pub struct LiveNode<P: Protocol> {
     next_checkpoint: Instant,
     next_gather: Instant,
     gather_deadline: Option<Instant>,
-    /// When to speculate on the in-progress gather (half the gather
-    /// timeout; `None` once fired or when no gather runs).
-    spec_deadline: Option<Instant>,
     ctl: mpsc::Receiver<NodeCtl<P>>,
     run_state: RunState,
     alive: Arc<AtomicBool>,
@@ -415,7 +407,6 @@ impl<P: Protocol> LiveNode<P> {
             links,
             listener,
             delta_enc: DeltaEncoder::new(),
-            spec_delta_enc: DeltaEncoder::new(),
             last_submit_hash: None,
             gather_started: None,
             round_started: HashMap::new(),
@@ -426,7 +417,6 @@ impl<P: Protocol> LiveNode<P> {
             now,
             epoch: now,
             gather_deadline: None,
-            spec_deadline: None,
             ctl,
             run_state: RunState::Running,
             alive,
@@ -454,9 +444,6 @@ impl<P: Protocol> LiveNode<P> {
     fn next_wake(&self, now: Instant) -> Instant {
         let mut w = self.next_checkpoint.min(self.next_gather);
         if let Some(d) = self.gather_deadline {
-            w = w.min(d);
-        }
-        if let Some(d) = self.spec_deadline {
             w = w.min(d);
         }
         for at in self.timers.values() {
@@ -561,11 +548,10 @@ impl<P: Protocol> LiveNode<P> {
         for dc in self.peers.take_dead() {
             match dc {
                 DeadConn::Checker => {
-                    // Lineages broken: the checker forgets us on
-                    // disconnect, so the next submits must restart the
-                    // delta streams.
+                    // Lineage broken: the checker forgets us on
+                    // disconnect, so the next submit must restart the
+                    // delta stream.
                     self.delta_enc = DeltaEncoder::new();
-                    self.spec_delta_enc = DeltaEncoder::new();
                 }
                 DeadConn::Peer { peer, draining } => {
                     self.mgr.peer_failed(peer);
@@ -625,7 +611,7 @@ impl<P: Protocol> LiveNode<P> {
     }
 
     /// Finds (or dials) the checker connection, restarting the delta
-    /// lineages when the connection is fresh.
+    /// lineage when the connection is fresh.
     fn checker_conn(&mut self) -> Option<usize> {
         let registry = &self.registry;
         let me = self.me;
@@ -644,7 +630,6 @@ impl<P: Protocol> LiveNode<P> {
         )?;
         if new {
             self.delta_enc = DeltaEncoder::new();
-            self.spec_delta_enc = DeltaEncoder::new();
             self.last_submit_hash = None;
         }
         Some(ix)
@@ -1030,17 +1015,6 @@ impl<P: Protocol> LiveNode<P> {
                 self.start_gather();
             }
         }
-        if let Some(spec_at) = self.spec_deadline {
-            if now >= spec_at {
-                self.spec_deadline = None;
-                // Half the timeout has passed and stragglers are still
-                // outstanding: odds are decent the gather completes late
-                // or partially, so start the checker on what we have.
-                if self.mgr.gathering() && !self.mgr.waiting_on().is_empty() {
-                    self.speculate_partial();
-                }
-            }
-        }
         if let Some(deadline) = self.gather_deadline {
             if now >= deadline && self.mgr.gathering() {
                 self.stats.gather_timeouts += 1;
@@ -1059,51 +1033,6 @@ impl<P: Protocol> LiveNode<P> {
                 self.poll_snapshot();
             }
         }
-    }
-
-    /// Ships the in-progress gather's partial state as a speculative
-    /// submission ([`SubmitBody::speculative`]): the checker pre-runs the
-    /// prediction and memoizes it, committing the work if the completed
-    /// snapshot matches this base and discarding it otherwise. Rides its
-    /// own delta lineage; never touches `last_submit_hash` (the partial
-    /// state must not suppress the real submission).
-    fn speculate_partial(&mut self) {
-        if !self.cfg.speculate_partial_gathers {
-            return;
-        }
-        let Some(snap) = self.mgr.partial_snapshot() else {
-            return;
-        };
-        let gs: GlobalState<P> = GlobalState::from_slots(
-            snap.states
-                .iter()
-                .filter_map(|(n, b)| NodeSlot::from_bytes(b).ok().map(|s| (*n, s))),
-        );
-        if gs.node_count() == 0 {
-            return;
-        }
-        let Some(ix) = self.checker_conn() else {
-            return;
-        };
-        let round = (u64::from(self.me.0) << 32) | snap.cr;
-        let body = SubmitBody {
-            node: self.me,
-            at_us: self.elapsed_us(),
-            speculative: true,
-            round,
-            delta: self.spec_delta_enc.encode_state(&gs),
-        };
-        let frame = frame_of(self.me, NodeId::DUMMY, 0, FrameKind::Submit, &body);
-        if frame.len() > self.cfg.max_frame_len {
-            // Same oversize defense as the real path: drop and restart
-            // the (speculative) lineage rather than desync the decoder.
-            self.spec_delta_enc = DeltaEncoder::new();
-            return;
-        }
-        cb_obs::instant_id("node.spec_submit", "live", round);
-        self.stats.spec_submits_sent += 1;
-        self.stats.frames_sent += 1;
-        self.peers.push_frame_to(ix, &frame);
     }
 
     fn start_gather(&mut self) {
@@ -1126,11 +1055,6 @@ impl<P: Protocol> LiveNode<P> {
             },
         ));
         self.gather_deadline = Some(now + self.cfg.gather_timeout);
-        self.spec_deadline = if self.cfg.speculate_partial_gathers {
-            Some(now + self.cfg.gather_timeout / 2)
-        } else {
-            None
-        };
         for (dst, m) in reqs {
             self.send_snap(dst, &m);
         }
@@ -1144,7 +1068,6 @@ impl<P: Protocol> LiveNode<P> {
         };
         self.stats.snapshots_completed += 1;
         self.gather_deadline = None;
-        self.spec_deadline = None;
         // The round id joining this gather's node/wire/checker spans in a
         // trace: the node is the high half, the gather's checkpoint
         // number the low half — deterministic, unique per node per

@@ -57,9 +57,6 @@ pub struct NodeStats {
     pub gather_timeouts: u64,
     /// Checker submissions shipped.
     pub submits_sent: u64,
-    /// Speculative (partial-gather) submissions shipped — optimistic
-    /// executions started while stragglers were still outstanding.
-    pub spec_submits_sent: u64,
     /// Encoded submit-body bytes shipped to the checker.
     pub submit_bytes: u64,
     /// Filter-install pushes received.
@@ -145,7 +142,6 @@ impl NodeStats {
             snapshots_completed,
             gather_timeouts,
             submits_sent,
-            spec_submits_sent,
             submit_bytes,
             installs_received,
             filters_installed,
@@ -177,7 +173,6 @@ impl NodeStats {
         self.snapshots_completed += snapshots_completed;
         self.gather_timeouts += gather_timeouts;
         self.submits_sent += submits_sent;
-        self.spec_submits_sent += spec_submits_sent;
         self.submit_bytes += submit_bytes;
         self.installs_received += installs_received;
         self.filters_installed += filters_installed;
@@ -197,7 +192,9 @@ impl NodeStats {
 pub struct CheckerProcessStats {
     /// Submissions accepted off the wire.
     pub submits_received: u64,
-    /// Submissions rejected (out-of-order / corrupt deltas).
+    /// Submissions rejected (out-of-order / corrupt deltas, and any
+    /// submission flagged speculative — a checker runs completed gathers
+    /// only).
     pub submits_rejected: u64,
     /// Checking rounds completed.
     pub rounds_completed: u64,
@@ -212,12 +209,9 @@ pub struct CheckerProcessStats {
     pub wire_shipped_bytes: u64,
     /// Full-clone-equivalent bytes for the same submissions.
     pub wire_raw_bytes: u64,
-    /// Speculative submissions accepted off the wire.
-    pub spec_submits_received: u64,
-    /// Prediction-cache and speculation counters (from
+    /// Prediction-cache counters (from
     /// [`crystalball::WireChecker::cache_stats`]): rounds answered from
-    /// the memo, rounds searched cold, and the fate of optimistic
-    /// partial-gather executions.
+    /// the memo and rounds searched cold.
     pub cache: crystalball::CacheStats,
 }
 
@@ -335,14 +329,9 @@ impl LiveStats {
                 self.checker.wire_shipped_bytes,
             )
             .field_u64("checker_wire_raw_bytes", self.checker.wire_raw_bytes)
-            .field_u64("spec_submits_sent", t.spec_submits_sent)
-            .field_u64("spec_submits_received", self.checker.spec_submits_received)
             .field_u64("cache_hits", self.checker.cache.hits)
             .field_u64("cache_misses", self.checker.cache.misses)
             .field_f64("cache_hit_rate", self.checker.cache.hit_rate(), 4)
-            .field_u64("spec_started", self.checker.cache.spec_started)
-            .field_u64("spec_committed", self.checker.cache.spec_committed)
-            .field_u64("spec_cancelled", self.checker.cache.spec_cancelled)
             .field_usize("reactor_threads", self.reactor_threads)
             .field_f64(
                 "nodes_per_thread",

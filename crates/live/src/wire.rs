@@ -63,10 +63,12 @@ pub struct SubmitBody {
     /// Submission timestamp in the *node's* clock (µs since its boot);
     /// echoed back in the install push for latency measurement.
     pub at_us: u64,
-    /// Optimistic-execution marker: the state is a *partial* gather
-    /// (stragglers still outstanding), shipped on a dedicated delta
-    /// lineage so the checker can pre-warm its prediction cache. No
-    /// install push answers a speculative submission.
+    /// Always `false` from a node: only completed gathers are submitted,
+    /// and a checker refuses a body with the flag set (counted in
+    /// `submits_rejected`, frame dropped). The byte stays on the wire so
+    /// frame bytes are unchanged. Kept only because the benchmark crate
+    /// (`benchmark/`) names this field in struct literals; it goes when
+    /// that crate stops naming it.
     pub speculative: bool,
     /// Observability round id: `(node << 32) | gather checkpoint number`,
     /// minted when the gather completed. Echoed back in the install push
@@ -75,7 +77,7 @@ pub struct SubmitBody {
     /// checking path (0 when tracing is off).
     pub round: u64,
     /// The neighborhood state, diffed against this node's previous
-    /// submission on the same (real or speculative) lineage.
+    /// submission.
     pub delta: StateDelta,
 }
 

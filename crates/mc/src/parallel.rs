@@ -74,12 +74,6 @@
 //! shallowest paths stay bit-identical to the sequential engine for every
 //! shard count.
 //!
-//! The explored set itself can be compacted to 8-byte entries and spilled
-//! to a sorted on-disk run when a resident-byte budget is exceeded
-//! ([`ParallelConfig::compact_explored`] /
-//! [`ParallelConfig::explored_spill_bytes`]); spills happen only at level
-//! boundaries, the engine's natural quiescent points.
-//!
 //! The merge applies the sequential engine's enqueue-time dedup in
 //! canonical order (job order × event order): the canonically-first edge
 //! to each hash admitted this level becomes its parent. Whether a hash
@@ -96,11 +90,7 @@
 //! nondeterminism that survives.
 //!
 //! There is no single-threaded rendering of these phases: one worker (or
-//! none) with neither memory option set *is* [`Searcher::run`], and one
-//! worker with `compact_explored`/`explored_spill_bytes` runs the phases
-//! above as they are — on [`Searcher::run_parallel`]'s own pool, which
-//! then has no threads, the coordinator executes every range itself
-//! through `help_one`.
+//! none) *is* [`Searcher::run`].
 //!
 //! Differences from the sequential engine, all stats-level: `elapsed` and
 //! `peak_frontier_bytes` reflect this engine's level-at-a-time residency
@@ -140,13 +130,8 @@ pub struct ParallelConfig {
     /// tasks a level is cut into (`range_len`), which a search on a shared
     /// pool streams to however many threads the pool provides.
     ///
-    /// `<= 1` with neither `compact_explored` nor `explored_spill_bytes`
-    /// set is the sequential engine: the search returns
+    /// `<= 1` is the sequential engine: the search returns
     /// [`Searcher::run`]'s outcome, stats included, and touches no pool.
-    /// `<= 1` with either memory option runs the phased engine as one
-    /// worker (every range on the caller, unless a shared pool lends
-    /// threads) — those options belong to the lock-free explored table,
-    /// which only the phased engine has.
     pub workers: usize,
     /// Merge shards for phase 3: the canonical dedup/merge is partitioned
     /// by successor-hash key range and the shards run concurrently, with
@@ -162,24 +147,23 @@ pub struct ParallelConfig {
     /// bit-identical results — this knob trades merge parallelism against
     /// per-shard buffer overhead.
     pub merge_shards: usize,
-    /// Use the compacted explored-set slot layout (8 bytes/entry instead
-    /// of 16: 48-bit fingerprint + 16-bit level in one word). Halves
-    /// resident bytes per state; widens the accepted hash-collision class
-    /// from 2^-64 to 2^-48 per pair. Off by default.
+    /// Has no effect: the explored table has one slot layout. Nothing
+    /// reads this field. Kept only because the benchmark crate
+    /// (`benchmark/`) names it in a struct literal; it goes when that
+    /// crate stops naming it.
     pub compact_explored: bool,
-    /// When set, spill the explored set to a sorted on-disk run whenever
-    /// its resident footprint exceeds this many bytes (checked at level
-    /// boundaries), so `max_states` can grow 10–100x without proportional
-    /// RAM. `None` (the default) never spills.
+    /// Has no effect: the explored table never spills to disk. Nothing
+    /// reads this field. Kept only because the benchmark crate
+    /// (`benchmark/`) names it in a struct literal; it goes when that
+    /// crate stops naming it.
     pub explored_spill_bytes: Option<usize>,
 }
 
 impl Default for ParallelConfig {
-    /// One worker per available core, at most 8, with auto merge shards
-    /// and both memory options off. On a host with 4 or more cores that
-    /// selects the 4-shard merge, a configuration that is tested for
-    /// equivalence at every shard count but whose speed is unmeasured —
-    /// see [`ParallelConfig::merge_shards`].
+    /// One worker per available core, at most 8, with auto merge shards.
+    /// On a host with 4 or more cores that selects the 4-shard merge, a
+    /// configuration that is tested for equivalence at every shard count
+    /// but whose speed is unmeasured — see [`ParallelConfig::merge_shards`].
     fn default() -> Self {
         ParallelConfig {
             workers: std::thread::available_parallelism()
@@ -463,11 +447,9 @@ struct Phase3<'a, P: Protocol> {
     level: &'a [(GlobalState<P>, Option<usize>)],
     jobs: &'a [ExpandJob],
     explored: &'a LockFreeExplored,
-    /// The successor level every insert of this phase is stamped with.
+    /// The successor level every insert of this phase is stamped with
+    /// (what `prior_level` readbacks are compared to).
     stamp: u64,
-    /// `stamp` as the table stores it (compact layouts saturate the level
-    /// field): what `prior_level` readbacks must be compared to.
-    stamp_cmp: u64,
     shards: usize,
     deadline: &'a Deadline,
 }
@@ -483,7 +465,8 @@ impl<P: Protocol> Searcher<'_, P> {
     /// should hold a pool and use [`Searcher::run_parallel_pooled`].
     pub fn run_parallel(&self, start: &GlobalState<P>, par: &ParallelConfig) -> SearchOutcome<P> {
         // The scope owner participates, so `workers` logical workers need
-        // `workers - 1` pool threads; at 1 worker the pool is threadless.
+        // `workers - 1` pool threads; at 1 worker the pool is threadless
+        // and unused (the search is `Searcher::run`).
         let pool = WorkerPool::new(par.workers.saturating_sub(1));
         self.run_parallel_pooled(start, par, &pool)
     }
@@ -494,18 +477,18 @@ impl<P: Protocol> Searcher<'_, P> {
     /// known-path replays, safety re-checks, sibling checker shards —
     /// multiplex over one set of threads instead of spawning their own.
     ///
-    /// At most one worker with neither memory option set is
-    /// [`Searcher::run`] itself (see [`ParallelConfig::workers`]).
+    /// At most one worker is [`Searcher::run`] itself (see
+    /// [`ParallelConfig::workers`]).
     pub fn run_parallel_pooled(
         &self,
         start: &GlobalState<P>,
         par: &ParallelConfig,
         pool: &WorkerPool,
     ) -> SearchOutcome<P> {
-        if par.workers <= 1 && !par.compact_explored && par.explored_spill_bytes.is_none() {
+        if par.workers <= 1 {
             return self.run(start);
         }
-        let workers = par.workers.max(1);
+        let workers = par.workers;
         let shards = par.effective_merge_shards();
         let t0 = Instant::now();
         let deadline = Deadline {
@@ -526,24 +509,17 @@ impl<P: Protocol> Searcher<'_, P> {
         // slots because it is allocated and zeroed up front even if a
         // deadline stops the search early — beyond that, segment chaining
         // (which doubles from the initial size) grows the table to
-        // whatever the search actually reaches. Under a spill budget the
-        // pre-size is further capped at half the budget, so the up-front
-        // allocation alone never triggers (or exceeds) the spill bound.
-        let mut cap_slots = self
+        // whatever the search actually reaches.
+        let cap_slots = self
             .config
             .max_states
             .map_or(1 << 16, |m| m.saturating_mul(4).clamp(1 << 12, 1 << 20));
-        if let Some(budget) = par.explored_spill_bytes {
-            let entry = if par.compact_explored { 8 } else { 16 };
-            let fit = ((budget / 2) / entry).max(16).next_power_of_two() / 2;
-            cap_slots = cap_slots.min(fit.max(16));
-        }
-        let mut explored = LockFreeExplored::with_options(cap_slots, par.compact_explored);
+        let explored = LockFreeExplored::with_capacity(cap_slots);
         let mut local_explored = DigestSet::default();
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
-        explored.insert_leveled(start.state_hash(), 0);
+        explored.batch().insert_leveled(start.state_hash(), 0);
         let mut level: Level<P> = vec![(start.clone(), None)];
         // Byte footprint of `level`, accumulated when the level was built
         // (while each state was cache-hot) instead of re-scanned here.
@@ -554,17 +530,6 @@ impl<P: Protocol> Searcher<'_, P> {
         'levels: while !level.is_empty() {
             if deadline.passed() {
                 break 'levels;
-            }
-            // Level boundaries are the engine's quiescent points: every
-            // scope has joined, so the table can be spilled to disk here
-            // under `&mut`. Best-effort — an I/O failure leaves all
-            // entries resident and is simply retried next boundary.
-            if par
-                .explored_spill_bytes
-                .is_some_and(|b| explored.resident_bytes() > b)
-            {
-                let _span = cb_obs::span("mc.spill_flush", "mc");
-                let _ = explored.spill_to_disk();
             }
             stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(level_bytes);
 
@@ -667,10 +632,8 @@ impl<P: Protocol> Searcher<'_, P> {
         };
         stats.elapsed = t0.elapsed();
         stats.explored_resident_bytes = explored.resident_bytes();
-        stats.explored_spilled_bytes = explored.spilled_bytes();
-        stats.explored_spills = explored.spill_count();
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
-            + explored.len() * explored.entry_bytes()
+            + explored.len() * 2 * size_of::<u64>()
             + local_explored.len() * 2 * size_of::<u64>();
         stats.publish();
         SearchOutcome {
@@ -805,9 +768,7 @@ impl<P: Protocol> Searcher<'_, P> {
             // decided this hash (admitted it or proved it a duplicate).
             // Otherwise the level stamp tells this level's admissions
             // from duplicates of an earlier level.
-            if !seen.insert(edge.hash)
-                || !(edge.state.is_some() || edge.prior_level == cx.stamp_cmp)
-            {
+            if !seen.insert(edge.hash) || !(edge.state.is_some() || edge.prior_level == cx.stamp) {
                 duplicates += 1;
                 continue;
             }
@@ -919,7 +880,6 @@ impl<P: Protocol> Searcher<'_, P> {
             jobs,
             explored,
             stamp,
-            stamp_cmp: explored.stored_level(stamp),
             shards,
             deadline,
         };
@@ -1524,44 +1484,6 @@ mod tests {
                     assert_eq!(seq.stats.per_depth, par.stats.per_depth, "{what}");
                     assert_eq!(seq.stopped, par.stopped, "{what}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn compact_and_spill_engine_matches_sequential() {
-        let (p, gs, pr, base) = wide();
-        let seq = find_errors(&p, &pr, &gs, base.clone());
-        for workers in [1, 4] {
-            // A 1 KiB budget is crossed within the first few levels even
-            // at this test's small state count, so the set spills at
-            // level boundaries throughout the run.
-            let par = find_errors_parallel(
-                &p,
-                &pr,
-                &gs,
-                base.clone(),
-                &ParallelConfig {
-                    workers,
-                    compact_explored: true,
-                    explored_spill_bytes: Some(1 << 10),
-                    ..ParallelConfig::default()
-                },
-            );
-            assert_eq!(
-                outcome_fingerprint(&seq),
-                outcome_fingerprint(&par),
-                "workers={workers}"
-            );
-            assert_eq!(seq.stats.per_depth, par.stats.per_depth);
-            assert!(par.stats.explored_spills >= 1, "budget forced a spill");
-            assert!(par.stats.explored_spilled_bytes > 0);
-            assert!(par.stats.explored_resident_bytes > 0);
-            if workers == 1 {
-                // A memory option keeps one worker on the phased engine,
-                // here on a zero-thread pool.
-                assert_eq!(par.stats.merge_shards, 1);
-                assert!(par.stats.expand_ranges > par.stats.per_depth.len());
             }
         }
     }

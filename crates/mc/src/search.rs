@@ -145,8 +145,8 @@ pub enum Engine {
     Sequential,
     /// The level-synchronous parallel engine: same violation set and
     /// canonical paths, expansion fanned out over a worker pool. At most
-    /// one worker with neither memory option set is `Sequential` itself
-    /// (see [`ParallelConfig::workers`]).
+    /// one worker is `Sequential` itself (see
+    /// [`ParallelConfig::workers`]).
     Parallel(ParallelConfig),
     /// The MaceMC random-walk baseline (§5.3).
     RandomWalk {

@@ -13,8 +13,8 @@ use cb_obs::metrics::{Counter, Gauge};
 // The scrapeable search-layer families, fed by every engine through
 // [`SearchStats::publish`]: the explored set's memory shape (gauges
 // reflect the most recently finished search — what "is the checker's
-// memory budget holding" means mid-deployment) and cumulative visit/spill
-// counters.
+// memory budget holding" means mid-deployment) and cumulative visit and
+// memo counters.
 static M_STATES_VISITED: Counter = Counter::new(
     "cb_mc_states_visited_total",
     "states visited across all searches",
@@ -22,14 +22,6 @@ static M_STATES_VISITED: Counter = Counter::new(
 static M_EXPLORED_RESIDENT: Gauge = Gauge::new(
     "cb_mc_explored_resident_bytes",
     "explored-set bytes resident in memory after the last search",
-);
-static M_EXPLORED_SPILLED: Gauge = Gauge::new(
-    "cb_mc_explored_spilled_bytes",
-    "explored-set bytes spilled to disk by the last search",
-);
-static M_SPILLS: Counter = Counter::new(
-    "cb_mc_explored_spills_total",
-    "explored-set spill flushes across all searches",
 );
 static M_MEMO_HITS: Counter = Counter::new(
     "cb_mc_transition_memo_hits_total",
@@ -79,7 +71,7 @@ pub struct SearchStats {
     /// Parallel engine only: number of merge shards the streamed phase 3
     /// ran with — at least 1 whenever the phased engine ran, so 0 says the
     /// sequential loop did (`Engine::Sequential`, or `Engine::Parallel` at
-    /// one worker with neither memory option). Above one,
+    /// one worker). Above one,
     /// sharding splits the canonical merge by explored-key range so
     /// shards dedup concurrently and a deterministic recombine restores
     /// sequential order; at one the single stream enqueues directly.
@@ -98,14 +90,13 @@ pub struct SearchStats {
     /// at one merge shard, which has nothing to recombine).
     pub merge_recombine: Duration,
     /// Resident bytes of the explored set at search end (the parallel
-    /// engine's open-addressing segments plus any spill-tier block index
-    /// and bloom filter; the sequential loop's hash-set entries).
+    /// engine's open-addressing segments; the sequential loop's hash-set
+    /// entries).
     pub explored_resident_bytes: usize,
-    /// Bytes of explored entries currently parked in the on-disk spill
-    /// run (0 unless `explored_spill_bytes` was set and exceeded).
+    /// Always 0: the explored set never spills to disk, and nothing writes
+    /// this field. Kept only because the benchmark crate (`benchmark/`)
+    /// reads it; it goes when that crate stops naming it.
     pub explored_spilled_bytes: u64,
-    /// Number of spill-to-disk compactions the explored set performed.
-    pub explored_spills: usize,
     /// Bytes of the search tree: parent-pointer arena entries plus the
     /// explored/localExplored hash entries (what Fig. 15 plots).
     pub tree_bytes: usize,
@@ -169,8 +160,6 @@ impl SearchStats {
             .field_usize("expand_ranges", self.expand_ranges)
             .field_f64("merge_recombine_s", self.merge_recombine.as_secs_f64(), 6)
             .field_usize("explored_resident_bytes", self.explored_resident_bytes)
-            .field_u64("explored_spilled_bytes", self.explored_spilled_bytes)
-            .field_usize("explored_spills", self.explored_spills)
             .field_usize("tree_bytes", self.tree_bytes)
             .field_usize("peak_frontier_bytes", self.peak_frontier_bytes)
             .field_usize("violations_found", self.violations_found)
@@ -185,8 +174,6 @@ impl SearchStats {
     pub(crate) fn touch_metrics() {
         M_STATES_VISITED.touch();
         M_EXPLORED_RESIDENT.touch();
-        M_EXPLORED_SPILLED.touch();
-        M_SPILLS.touch();
         M_MEMO_HITS.touch();
         M_MEMO_MISSES.touch();
     }
@@ -196,8 +183,6 @@ impl SearchStats {
     pub(crate) fn publish(&self) {
         M_STATES_VISITED.add(self.states_visited as u64);
         M_EXPLORED_RESIDENT.set(self.explored_resident_bytes as u64);
-        M_EXPLORED_SPILLED.set(self.explored_spilled_bytes);
-        M_SPILLS.add(self.explored_spills as u64);
         M_MEMO_HITS.add(self.memo_hits as u64);
         M_MEMO_MISSES.add(self.memo_misses as u64);
     }

@@ -271,11 +271,17 @@ impl Value {
     }
 }
 
-/// Parses one JSON document (rejecting trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so this bounds its stack on hostile input; every
+/// document the suite writes nests fewer than 10 levels.
+const MAX_NESTING: usize = 128;
+
+/// Parses one JSON document (rejecting trailing garbage and
+/// array/object nesting deeper than 128 levels).
 pub fn parse(s: &str) -> Result<Value, String> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -298,8 +304,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, inside `depth` open arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_NESTING {
+        return Err(format!("nesting deeper than {MAX_NESTING} at offset {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -315,7 +325,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -337,7 +347,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -480,6 +490,23 @@ mod tests {
         assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("{\"a\":}").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let mib = 1 << 20;
+        assert!(parse(&"[".repeat(mib)).is_err());
+        assert!(parse(&"{\"a\":".repeat(mib / 5)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse(&at_limit).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING),
+            "}".repeat(MAX_NESTING)
+        );
+        assert!(parse(&objects).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -631,27 +631,6 @@ impl CheckpointManager {
         self.gather.is_some()
     }
 
-    /// A snapshot of the in-progress gather as it stands *right now*:
-    /// the checkpoints collected so far, with every unanswered neighbor
-    /// listed as missing alongside the already-failed ones. `None` when
-    /// no gather runs or nothing has been collected yet. The gather
-    /// itself is untouched — this is the read-only view the live runtime
-    /// feeds to the checker as an **optimistic** (speculative) prediction
-    /// base while the stragglers are still being waited on.
-    pub fn partial_snapshot(&self) -> Option<Snapshot> {
-        let g = self.gather.as_ref()?;
-        if g.collected.is_empty() {
-            return None;
-        }
-        let mut missing = g.missing.clone();
-        missing.extend(g.waiting.iter().copied());
-        Some(Snapshot {
-            cr: g.cr,
-            states: g.collected.clone(),
-            missing,
-        })
-    }
-
     /// Neighbors the in-progress gather is still waiting on (empty when no
     /// gather runs). The live runtime uses this to time a stalled gather
     /// out: each still-waiting peer is declared failed

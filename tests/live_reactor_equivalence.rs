@@ -218,7 +218,6 @@ fn sixty_four_nodes_on_two_reactor_threads() {
                 gather_timeout: Duration::from_millis(1200),
                 time_scale: 0.02,
                 self_check: false,
-                speculate_partial_gathers: false,
                 ..LiveNodeConfig::default()
             },
             checker: live_checker_config(2_000, 4, 1),

@@ -5,11 +5,6 @@
 //! backends, at every worker count of the CI matrix — while actually
 //! hitting the cache (repeated submissions of a settled state must
 //! memoize).
-//!
-//! Optimistic execution rides the same contract: a speculative round that
-//! reconciles against the matching full snapshot commits as a cache hit;
-//! one that guessed wrong is cancelled, never surfaces in filters or
-//! reports, and the real round reruns cold.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -142,8 +137,6 @@ fn assert_cache_invisible<P, F>(
             CheckerMode::Sharded { shards: 2 },
             Engine::Parallel(ParallelConfig {
                 workers,
-                // The CI leg with the 8-byte packed explored set.
-                compact_explored: cb_bench::matrix::compact_explored(),
                 ..ParallelConfig::default()
             }),
         ));
@@ -231,165 +224,4 @@ fn memoized_runs_match_cold_on_paxos() {
             }
         }
     });
-}
-
-/// A speculation whose base matches the full snapshot commits: the real
-/// round reconciles it, takes the cache hit, and produces exactly the
-/// outcome an unspeculated controller produces.
-#[test]
-fn speculation_commits_when_snapshot_matches() {
-    let (proto, gs) = randtree_fig2(RandTreeBugs::only("R1"));
-    let search = SearchConfig {
-        max_states: Some(30_000),
-        max_depth: Some(7),
-        explore: ExploreOptions::default(),
-        ..SearchConfig::default()
-    };
-    let node = *gs.nodes.keys().next().unwrap();
-
-    let mut plain = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Synchronous,
-        Engine::Sequential,
-        true,
-    );
-    plain.run_round(SimTime(1), node, &gs);
-
-    let mut spec = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Synchronous,
-        Engine::Sequential,
-        true,
-    );
-    spec.speculate_round(SimTime(0), node, &gs);
-    spec.run_round(SimTime(1), node, &gs);
-
-    assert_eq!(outcome_of(&plain), outcome_of(&spec));
-    let cs = spec.checker_cache_stats();
-    assert_eq!(cs.spec_started, 1, "{cs:?}");
-    assert_eq!(cs.spec_committed, 1, "{cs:?}");
-    assert_eq!(cs.spec_cancelled, 0, "{cs:?}");
-    assert_eq!(cs.hits, 1, "the real round must reuse the speculated work");
-    assert_eq!(cs.misses, 0, "{cs:?}");
-}
-
-/// A speculation computed on a partial snapshot that the completed gather
-/// contradicts is cancelled: its work never reaches filters or reports,
-/// the counters record the cancellation, and the real round reruns cold —
-/// the outcome stays identical to a never-speculated run.
-#[test]
-fn speculation_cancels_when_snapshot_differs() {
-    let (proto, gs) = randtree_fig2(RandTreeBugs::only("R1"));
-    let search = SearchConfig {
-        max_states: Some(30_000),
-        max_depth: Some(7),
-        explore: ExploreOptions::default(),
-        ..SearchConfig::default()
-    };
-    let node = *gs.nodes.keys().next().unwrap();
-    // The partial gather guessed a different neighborhood: one member's
-    // recovery timer had not fired yet when the speculation launched.
-    let drifted = *gs.nodes.keys().last().unwrap();
-    let mut partial = gs.clone();
-    partial.slot_mut(drifted).unwrap().state.recovery_scheduled =
-        !partial.slot_mut(drifted).unwrap().state.recovery_scheduled;
-
-    let mut plain = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Synchronous,
-        Engine::Sequential,
-        true,
-    );
-    plain.run_round(SimTime(1), node, &gs);
-
-    let mut spec = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Synchronous,
-        Engine::Sequential,
-        true,
-    );
-    spec.speculate_round(SimTime(0), node, &partial);
-    spec.run_round(SimTime(1), node, &gs);
-
-    assert_eq!(
-        outcome_of(&plain),
-        outcome_of(&spec),
-        "a cancelled speculation must leave no trace in the outcome"
-    );
-    let cs = spec.checker_cache_stats();
-    assert_eq!(cs.spec_started, 1, "{cs:?}");
-    assert_eq!(cs.spec_committed, 0, "{cs:?}");
-    assert_eq!(cs.spec_cancelled, 1, "{cs:?}");
-    assert_eq!(cs.hits, 0, "the real round must not reuse cancelled work");
-    assert_eq!(cs.misses, 1, "{cs:?}");
-}
-
-/// Speculation over the sharded backend: commit and cancel both stay
-/// outcome-invisible when the rounds cross the pool's wire encoders.
-#[test]
-fn speculation_is_outcome_invisible_on_sharded_pool() {
-    let (proto, gs) = randtree_fig2(RandTreeBugs::only("R1"));
-    let search = SearchConfig {
-        max_states: Some(30_000),
-        max_depth: Some(7),
-        explore: ExploreOptions::default(),
-        ..SearchConfig::default()
-    };
-    let nodes: Vec<NodeId> = gs.nodes.keys().copied().collect();
-    let drifted = *nodes.last().unwrap();
-    let mut partial = gs.clone();
-    partial.slot_mut(drifted).unwrap().state.recovery_scheduled =
-        !partial.slot_mut(drifted).unwrap().state.recovery_scheduled;
-
-    let mut plain = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Sharded { shards: 2 },
-        Engine::Sequential,
-        true,
-    );
-    for (i, &n) in nodes.iter().enumerate() {
-        plain.run_round(SimTime(i as u64), n, &gs);
-    }
-    plain.drain_predictions(SimTime(1_000), Duration::from_secs(300));
-
-    let mut spec = controller(
-        &proto,
-        randtree::properties::all(),
-        &search,
-        CheckerMode::Sharded { shards: 2 },
-        Engine::Sequential,
-        true,
-    );
-    for (i, &n) in nodes.iter().enumerate() {
-        // Even nodes speculated on the matching state (commit), odd nodes
-        // on the contradicted partial (cancel).
-        if i % 2 == 0 {
-            spec.speculate_round(SimTime(i as u64), n, &gs);
-        } else {
-            spec.speculate_round(SimTime(i as u64), n, &partial);
-        }
-        spec.run_round(SimTime(i as u64), n, &gs);
-    }
-    spec.drain_predictions(SimTime(1_000), Duration::from_secs(300));
-
-    assert_eq!(outcome_of(&plain), outcome_of(&spec));
-    let cs = spec.checker_cache_stats();
-    assert_eq!(cs.spec_started, nodes.len() as u64, "{cs:?}");
-    assert!(cs.spec_committed > 0, "{cs:?}");
-    assert!(cs.spec_cancelled > 0, "{cs:?}");
-    assert_eq!(
-        cs.spec_committed + cs.spec_cancelled,
-        nodes.len() as u64,
-        "every speculation reconciled: {cs:?}"
-    );
 }
