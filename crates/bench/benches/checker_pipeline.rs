@@ -1,14 +1,16 @@
-//! Checker-pipeline costs: diff-shipped submission bytes vs full-clone
+//! Checker-pipeline costs: diff-shipped submission bytes vs full-encoding
 //! bytes, and round latency at 1/2/4 checker shards.
 //!
-//! The two halves of the sharded-checker refactor measured separately:
+//! Two halves measured separately:
 //!
-//! 1. **Submission cost** — what the controller moves per prediction
-//!    round. Full-clone submission ships the canonical encoding of the
-//!    whole decoded `GlobalState`; diff shipping sends a `StateDelta`
-//!    against the last submission on the same shard channel.
+//! 1. **Submission cost** — what a deployed node ships to the checker
+//!    process per prediction round. A full submission ships the canonical
+//!    encoding of the whole decoded `GlobalState`; diff shipping sends a
+//!    `StateDelta` against the last submission on the same connection.
 //! 2. **Round latency** — wall-clock to push a burst of rounds through a
-//!    `CheckerPool` at 1 (the old background service), 2 and 4 shards.
+//!    `CheckerPool` at 1 (the single background service), 2 and 4 shards.
+//!    In process the pool takes each state as a shared clone, so there
+//!    are no bytes to report here.
 //!
 //! Emits one JSON line (`CB_BENCH_JSON=pipeline.json cargo bench -p
 //! cb-bench --bench checker_pipeline`) so CI can parse the numbers and
@@ -60,8 +62,8 @@ fn snapshot_stream(rounds: usize) -> (RandTree, Vec<GlobalState<RandTree>>) {
 fn main() {
     preamble(
         "Checker pipeline — diff-shipped submissions and sharded round latency",
-        "jobs used to clone the full decoded GlobalState and one service thread \
-         serialized all rounds; diffs + shards close both gaps",
+        "a deployed node ships a diff of its neighborhood state, not the whole \
+         encoding; shards let rounds from different nodes check in parallel",
     );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -113,8 +115,8 @@ fn main() {
         "burst of {rounds} rounds through the CheckerPool ({budget}-state search budget)"
     ));
     println!(
-        "{:>7} {:>10} {:>12} {:>14} {:>12} {:>12}",
-        "shards", "rounds", "wall", "rounds/sec", "shipped", "vs full"
+        "{:>7} {:>10} {:>12} {:>14}",
+        "shards", "rounds", "wall", "rounds/sec"
     );
     let mut shard_rows = Vec::new();
     for shards in [1usize, 2, 4] {
@@ -142,23 +144,14 @@ fn main() {
         let applied = ctl.drain_predictions(cb_model::SimTime(1_000), Duration::from_secs(600));
         let wall = t0.elapsed();
         assert_eq!(applied, rounds, "every submitted round completed");
-        // Per-shard diff leverage shrinks as a fixed burst is split over
-        // more channels (fewer, more-distant states per base), so this is
-        // reported, not asserted; the hard diff-vs-full bar is part 1.
-        let wire = ctl.checker_wire_stats().expect("pool backend");
         let rate = rounds as f64 / wall.as_secs_f64();
         println!(
-            "{shards:>7} {rounds:>10} {:>12} {rate:>14.2} {:>12} {:>11.1}%",
-            fmt_duration(wall),
-            fmt_bytes(wire.shipped_bytes as usize),
-            100.0 * wire.shipped_bytes as f64 / wire.raw_bytes.max(1) as f64
+            "{shards:>7} {rounds:>10} {:>12} {rate:>14.2}",
+            fmt_duration(wall)
         );
         shard_rows.push(format!(
-            "{{\"shards\":{shards},\"rounds\":{rounds},\"elapsed_s\":{:.6},\"rounds_per_sec\":{rate:.3},\
-             \"shipped_bytes\":{},\"full_clone_bytes\":{}}}",
-            wall.as_secs_f64(),
-            wire.shipped_bytes,
-            wire.raw_bytes
+            "{{\"shards\":{shards},\"rounds\":{rounds},\"elapsed_s\":{:.6},\"rounds_per_sec\":{rate:.3}}}",
+            wall.as_secs_f64()
         ));
     }
 

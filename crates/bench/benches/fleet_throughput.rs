@@ -7,9 +7,8 @@
 //! * **fleet steps/sec** — scheduler dispatch throughput (wall clock),
 //! * **predictions/sec** — checking rounds and predictions per wall
 //!   second across all members,
-//! * **wire bytes** — diff-shipped vs. full-clone checker submission
-//!   bytes fleet-wide (deterministic for the fixed scenario, which makes
-//!   it the number `tools/bench-check` gates).
+//! * **fleet steps** — deterministic for the fixed scenario, which makes
+//!   it the number `tools/bench-check` matches exactly.
 //!
 //! A second section drives the **repeated-workload mode**: the same few
 //! neighborhood states re-submitted for many rounds against one sharded
@@ -24,7 +23,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use cb_bench::harness::{fast_mode, fmt_bytes, fmt_duration, preamble, section};
+use cb_bench::harness::{fast_mode, fmt_duration, preamble, section};
 use cb_bench::scenarios::{paxos_near_violation, randtree_fig2};
 use cb_fleet::{
     bullet_member, paxos_member, randtree_member, FaultConfig, FaultPlan, Fleet, FleetConfig,
@@ -290,7 +289,6 @@ fn main() {
     let mc_runs: u64 = stats.members.iter().map(|m| m.mc_runs).sum();
     let rounds_per_sec = mc_runs as f64 / wall;
     let preds_per_sec = stats.predictions() as f64 / wall;
-    let (raw, shipped) = stats.wire_bytes();
     println!(
         "fleet steps: {:>8}   wall: {:>9}   => {:>10.0} steps/sec",
         stats.fleet_steps,
@@ -305,12 +303,6 @@ fn main() {
         preds_per_sec
     );
     println!(
-        "checker wire: {} shipped of {} full-clone ({:.1}%)",
-        fmt_bytes(shipped as usize),
-        fmt_bytes(raw as usize),
-        100.0 * shipped as f64 / raw.max(1) as f64
-    );
-    println!(
         "steering: {} filters installed, {} interventions, {} violating states, {} faults",
         stats.filters_installed(),
         stats.interventions(),
@@ -318,10 +310,6 @@ fn main() {
         stats.faults_applied
     );
     assert!(stats.predictions() > 0, "the fleet predicted something");
-    assert!(
-        shipped > 0 && shipped < raw,
-        "diff shipping must beat full clones fleet-wide ({shipped} vs {raw})"
-    );
     assert!(
         trace.ends_with(&format!("end t={}\n", horizon_s * 1_000_000)),
         "trace ran to the horizon"
@@ -374,16 +362,8 @@ fn main() {
         .map(|m| {
             format!(
                 "{{\"name\":\"{}\",\"protocol\":\"{}\",\"steps\":{},\"mc_runs\":{},\
-                 \"predictions\":{},\"filters_installed\":{},\"wire_shipped_bytes\":{},\
-                 \"wire_raw_bytes\":{}}}",
-                m.name,
-                m.protocol,
-                m.steps,
-                m.mc_runs,
-                m.predictions,
-                m.filters_installed,
-                m.wire_shipped_bytes,
-                m.wire_raw_bytes
+                 \"predictions\":{},\"filters_installed\":{}}}",
+                m.name, m.protocol, m.steps, m.mc_runs, m.predictions, m.filters_installed
             )
         })
         .collect();
@@ -394,7 +374,6 @@ fn main() {
          \"mc_runs\":{mc_runs},\"rounds_per_sec\":{rounds_per_sec:.3},\
          \"predictions\":{},\"predictions_per_sec\":{preds_per_sec:.4},\
          \"filters_installed\":{},\"faults_applied\":{},\
-         \"wire_shipped_bytes\":{shipped},\"wire_full_clone_bytes\":{raw},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},\
          \"cache_determinism_ok\":true,\
          \"members\":[{}],\"repeated_workload\":[{rw_randtree},{rw_paxos}]}}",

@@ -5,12 +5,14 @@
 //! filter derivation, the filter safety check) lives in
 //! `crate::service::Predictor`; this module owns the *live* half —
 //! installed filters, the immediate safety check, statistics, and the
-//! `Hook` wiring — and decides where prediction rounds run: inline
-//! ([`CheckerMode::Synchronous`]) or on the background sharded
-//! `crate::service::CheckerPool` ([`CheckerMode::Sharded`]), in which
-//! case the simulated system keeps executing while the checker works,
-//! submissions are diff-shipped instead of cloned, and the checker
-//! latency is measured rather than modeled.
+//! `Hook` wiring. Every round goes through one `crate::service::CheckerPool`,
+//! handed a shared clone of the snapshot state; the checker mode only
+//! picks where it runs. [`CheckerMode::Synchronous`] is the pool run
+//! inline: the round completes inside `run_round` and its filters
+//! activate after the *modeled* `mc_latency`. [`CheckerMode::Sharded`]
+//! runs it on background lanes: the simulated system keeps executing
+//! while the checker works, and the checker latency is measured rather
+//! than modeled.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,9 +24,9 @@ use cb_model::{
     PropertySet, Protocol, SimDuration, SimTime, TraceStep, Violation,
 };
 use cb_runtime::{Decision, Hook};
-use cb_snapshot::{DeltaStats, Snapshot};
+use cb_snapshot::Snapshot;
 
-use crate::service::{CheckerMode, CheckerPool, PredictionJob, Predictor, RoundResult};
+use crate::service::{CheckerMode, CheckerPool, RoundResult};
 
 /// Operating mode (§3): report-only or actively steering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +61,7 @@ pub struct ControllerConfig {
     /// checker for 6 seconds, C successfully predicts...", §5.4.2). The
     /// immediate safety check covers the gap. In
     /// [`CheckerMode::Sharded`] the latency is whatever the checker
-    /// thread actually takes (recorded in
-    /// [`ControllerStats::measured_mc_latencies`]).
+    /// thread actually takes (see [`ControllerStats::avg_mc_latency`]).
     pub mc_latency: SimDuration,
     /// Enable the immediate safety check (speculative handler execution).
     pub immediate_safety_check: bool,
@@ -93,7 +94,7 @@ pub struct ControllerConfig {
     /// default (the CI determinism matrix runs both legs).
     pub prediction_cache: bool,
     /// Entry bound for a *privately* spawned prediction cache (synchronous
-    /// backend, or a background pool given no shared `CheckerHost`).
+    /// pool, or a background pool given no shared `CheckerHost`).
     /// Shared hosts size their own cache at construction.
     pub prediction_cache_capacity: usize,
 }
@@ -164,21 +165,18 @@ pub struct ControllerStats {
     /// Violations that still appeared in the live state (false negatives;
     /// 0 in §5.4.1, 2%/5% in Fig. 14).
     pub uncaught_violations: u64,
-    /// Measured wall-clock duration of every completed checking round
-    /// (replay + prediction + safety check). In synchronous mode this is
-    /// the blocking time; in background mode, the actual prediction
-    /// latency the paper models as `mc_latency`.
-    pub measured_mc_latencies: Vec<Duration>,
+    /// Summed measured wall-clock duration of the `mc_runs` completed
+    /// checking rounds (replay + prediction + safety check). In
+    /// synchronous mode a round's is the blocking time; in background
+    /// mode, the actual prediction latency the paper models as
+    /// `mc_latency`.
+    mc_latency_total: Duration,
 }
 
 impl ControllerStats {
     /// Mean measured checking-round latency, if any round completed.
     pub fn avg_mc_latency(&self) -> Option<Duration> {
-        if self.measured_mc_latencies.is_empty() {
-            return None;
-        }
-        let total: Duration = self.measured_mc_latencies.iter().sum();
-        Some(total / self.measured_mc_latencies.len() as u32)
+        (self.mc_runs > 0).then(|| self.mc_latency_total / self.mc_runs as u32)
     }
 }
 
@@ -186,13 +184,6 @@ struct InstalledFilter {
     owner: NodeId,
     active_from: SimTime,
     filter: EventFilter,
-}
-
-enum Backend<P: Protocol> {
-    /// Rounds run inline on the caller's thread.
-    Sync(Box<Predictor<P>>),
-    /// Rounds run on the sharded background checker pool.
-    Pool(CheckerPool<P>),
 }
 
 /// The per-deployment CrystalBall controller. One instance serves every
@@ -205,7 +196,7 @@ pub struct Controller<P: Protocol> {
     config: Arc<ControllerConfig>,
     filters: Vec<InstalledFilter>,
     last_snapshot_hash: HashMap<NodeId, u64>,
-    backend: Backend<P>,
+    pool: CheckerPool<P>,
     /// Prediction log (what deep online debugging prints).
     pub reports: Vec<PredictionReport>,
     /// Counters.
@@ -214,7 +205,7 @@ pub struct Controller<P: Protocol> {
 
 impl<P: Protocol> Controller<P> {
     /// Creates a controller checking `props` over `protocol`. With
-    /// [`CheckerMode::Sharded`] this spawns the checker shard threads.
+    /// [`CheckerMode::Sharded`] this spawns the checker lane threads.
     /// Every independent search the controller runs — the main
     /// prediction, known-path replays, filter-safety re-checks, across
     /// every shard — shares one [`WorkerPool`].
@@ -233,10 +224,11 @@ impl<P: Protocol> Controller<P> {
     /// Creates a controller on externally owned checking resources: every
     /// search runs on `pool`, and background rounds (if the mode has any)
     /// execute on the shared [`crate::service::CheckerHost`] lanes instead of
-    /// pool-private threads. This is the fleet entry point — co-deployed
-    /// controllers over *different* protocols hand in the same pool and
-    /// host, so one deployment's idle checking capacity serves another's
-    /// burst.
+    /// pool-private threads (a synchronous controller ignores `host` and
+    /// keeps a private prediction cache). This is the fleet entry point —
+    /// co-deployed controllers over *different* protocols hand in the same
+    /// pool and host, so one deployment's idle checking capacity serves
+    /// another's burst.
     pub fn with_runtime(
         protocol: P,
         props: PropertySet<P>,
@@ -245,31 +237,14 @@ impl<P: Protocol> Controller<P> {
         host: Option<Arc<crate::service::CheckerHost>>,
     ) -> Self {
         let config = Arc::new(config);
-        let backend = match config.checker.shard_count() {
-            0 => Backend::Sync(Box::new(Predictor::new(
-                protocol.clone(),
-                props.clone(),
-                config.clone(),
-                pool,
-                // The synchronous backend is single-client by
-                // construction; its cache is private (host sharing is a
-                // background-pool topology).
-                Arc::new(crate::cache::PredictionCache::with_capacity(
-                    config.prediction_cache_capacity,
-                )),
-                Arc::new(crate::cache::CacheCounters::default()),
-            ))),
-            shards => Backend::Pool(CheckerPool::spawn(
-                &protocol, &props, &config, &pool, shards, host,
-            )),
-        };
+        let pool = CheckerPool::spawn(&protocol, &props, &config, &pool, host);
         Controller {
             protocol,
             props,
             config,
             filters: Vec::new(),
             last_snapshot_hash: HashMap::new(),
-            backend,
+            pool,
             reports: Vec::new(),
             stats: ControllerStats::default(),
         }
@@ -288,34 +263,16 @@ impl<P: Protocol> Controller<P> {
     /// Checking rounds submitted to the background pool and not yet
     /// applied (always 0 in synchronous mode).
     pub fn pending_predictions(&self) -> u64 {
-        match &self.backend {
-            Backend::Sync(_) => 0,
-            Backend::Pool(pool) => pool.pending(),
-        }
-    }
-
-    /// Submission-cost counters of the background pool's diff-shipping
-    /// channels: how many bytes full-clone submission would have moved
-    /// (`raw_bytes`) vs what the [`cb_snapshot::StateDelta`] stream
-    /// actually shipped (`shipped_bytes`). `None` in synchronous mode.
-    pub fn checker_wire_stats(&self) -> Option<DeltaStats> {
-        match &self.backend {
-            Backend::Sync(_) => None,
-            Backend::Pool(pool) => Some(pool.wire_stats()),
-        }
+        self.pool.pending()
     }
 
     /// This controller's prediction-cache counters — its
     /// share of the (possibly host-wide) [`crate::PredictionCache`]
-    /// traffic, reported next to [`Controller::checker_wire_stats`].
-    /// Wall-clock-free but **not** deterministic across runs when the
-    /// cache is shared: which co-deployed member warms a common entry
-    /// first is a race (the outcomes are identical either way).
+    /// traffic. Wall-clock-free but **not** deterministic across runs
+    /// when the cache is shared: which co-deployed member warms a common
+    /// entry first is a race (the outcomes are identical either way).
     pub fn checker_cache_stats(&self) -> crate::cache::CacheStats {
-        match &self.backend {
-            Backend::Sync(predictor) => predictor.cache_stats(),
-            Backend::Pool(pool) => pool.cache_stats(),
-        }
+        self.pool.cache_stats()
     }
 
     /// The currently installed per-node filters (active or pending),
@@ -354,26 +311,18 @@ impl<P: Protocol> Controller<P> {
         start: &GlobalState<P>,
     ) -> Option<Violation> {
         let steering = self.config.mode == Mode::ExecutionSteering;
-        let job = PredictionJob {
-            at: now,
-            node,
-            steering,
-            tag: 0,
-        };
-        match &mut self.backend {
-            Backend::Sync(predictor) => {
-                let result = predictor.run_round(job, start);
-                // Filters activate once the (modeled) checker run
-                // completes; until then the ISC covers.
-                let activation = now + self.config.mc_latency;
-                self.apply_result(result, now, activation)
-            }
-            Backend::Pool(pool) => {
-                // Diff-shipped: no full-state clone crosses the channel.
-                pool.submit(now, node, start, steering, 0);
-                None
-            }
+        self.pool.submit(now, node, start.clone(), steering, 0);
+        if self.config.checker != CheckerMode::Synchronous {
+            return None;
         }
+        // The round already ran, inline. Its filters activate once the
+        // (modeled) checker run completes; until then the ISC covers.
+        let activation = now + self.config.mc_latency;
+        let mut found = None;
+        for result in self.pool.take_results(Duration::ZERO) {
+            found = self.apply_result(result, now, activation);
+        }
+        found
     }
 
     /// Applies every checking round the background pool has completed;
@@ -381,33 +330,15 @@ impl<P: Protocol> Controller<P> {
     /// `now` too (their latency has already elapsed for real). Returns the
     /// number of rounds applied. No-op in synchronous mode.
     pub fn poll_predictions(&mut self, now: SimTime) -> usize {
-        let mut results = match &mut self.backend {
-            Backend::Sync(_) => return 0,
-            Backend::Pool(pool) => pool.try_results(),
-        };
-        // Lanes complete out of order; apply in submission order so the
-        // fold into reports/filters is reproducible.
-        results.sort_by_key(|r| r.seq);
-        let n = results.len();
-        for result in results {
-            self.apply_result(result, now, now);
-        }
-        n
+        self.drain_predictions(now, Duration::ZERO)
     }
 
     /// Blocks until every submitted round has completed (or `timeout`
     /// expires) and applies the results as of simulated time `now`.
     /// Returns the number of rounds applied. No-op in synchronous mode.
     pub fn drain_predictions(&mut self, now: SimTime, timeout: Duration) -> usize {
-        let mut results = match &mut self.backend {
-            Backend::Sync(_) => return 0,
-            Backend::Pool(pool) => pool.wait_results(timeout),
-        };
-        // A full drain holds every round submitted since the last one, so
-        // sorting by submission seq makes the application order — and
-        // with it the whole downstream trace — independent of lane and
-        // worker scheduling.
-        results.sort_by_key(|r| r.seq);
+        // In submission order, whichever lane finished first.
+        let results = self.pool.take_results(timeout);
         let n = results.len();
         for result in results {
             self.apply_result(result, now, now);
@@ -426,7 +357,7 @@ impl<P: Protocol> Controller<P> {
         activation: SimTime,
     ) -> Option<Violation> {
         self.stats.mc_runs += 1;
-        self.stats.measured_mc_latencies.push(result.wall);
+        self.stats.mc_latency_total += result.wall;
         self.filters.retain(|f| f.owner != result.node);
 
         self.stats.replays_rediscovered += result.replays_rediscovered;
@@ -629,7 +560,8 @@ impl<P: Protocol> Hook<P> for Controller<P> {
 mod tests {
     use super::*;
     use cb_mc::ParallelConfig;
-    use cb_model::ExploreOptions;
+    use cb_model::testproto::{Ping, PingAction, PingMsg, PingState};
+    use cb_model::{node_property, ExploreOptions, Outbox};
     use cb_protocols::randtree::{self, Action as RtAction, Msg as RtMsg, RandTree, RandTreeBugs};
     use cb_runtime::{NoHook, Scenario, SimConfig, Simulation};
 
@@ -717,12 +649,11 @@ mod tests {
             report.scenario
         );
         assert!(report.depth >= 3, "nontrivial depth {}", report.depth);
-        assert_eq!(
-            ctl.stats.measured_mc_latencies.len(),
-            1,
+        assert_eq!(ctl.stats.mc_runs, 1);
+        assert!(
+            ctl.stats.avg_mc_latency().is_some(),
             "round latency measured"
         );
-        assert!(ctl.stats.avg_mc_latency().is_some());
     }
 
     #[test]
@@ -894,9 +825,9 @@ mod tests {
         assert_eq!(ctl.pending_predictions(), 0);
         assert_eq!(ctl.stats.predictions, 1);
         assert_eq!(ctl.stats.filters_installed, 1);
-        assert_eq!(
-            ctl.stats.measured_mc_latencies.len(),
-            1,
+        assert_eq!(ctl.stats.mc_runs, 1);
+        assert!(
+            ctl.stats.avg_mc_latency().is_some(),
             "latency measured, not modeled"
         );
         // The installed filter is active (its latency already elapsed).
@@ -912,7 +843,7 @@ mod tests {
     #[test]
     fn shared_checker_host_serves_heterogeneous_controllers() {
         use crate::service::CheckerHost;
-        use cb_model::testproto::{max_pings_property, Ping};
+        use cb_model::testproto::max_pings_property;
 
         let host = Arc::new(CheckerHost::new(2));
         let pool = WorkerPool::new(1);
@@ -974,6 +905,127 @@ mod tests {
         assert_eq!(
             pg.drain_predictions(SimTime(200), Duration::from_secs(120)),
             1
+        );
+    }
+
+    /// `Ping` whose `Pong` handler panics: a checking round that explores
+    /// Kick → Ping → Pong panics mid-search.
+    #[derive(Clone, Debug)]
+    struct Brittle(Ping);
+
+    impl Protocol for Brittle {
+        type State = PingState;
+        type Message = PingMsg;
+        type Action = PingAction;
+
+        fn name(&self) -> &'static str {
+            "brittle"
+        }
+        fn init(&self, node: NodeId) -> PingState {
+            self.0.init(node)
+        }
+        fn on_message(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            from: NodeId,
+            msg: &PingMsg,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            assert!(*msg != PingMsg::Pong, "Pong handler bug");
+            self.0.on_message(node, state, from, msg, out);
+        }
+        fn on_error(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            peer: NodeId,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            self.0.on_error(node, state, peer, out);
+        }
+        fn enabled_actions(&self, node: NodeId, state: &PingState, acts: &mut Vec<PingAction>) {
+            self.0.enabled_actions(node, state, acts);
+        }
+        fn on_action(
+            &self,
+            node: NodeId,
+            state: &mut PingState,
+            action: &PingAction,
+            out: &mut Outbox<PingMsg>,
+        ) {
+            self.0.on_action(node, state, action, out);
+        }
+        fn message_kind(msg: &PingMsg) -> &'static str {
+            Ping::message_kind(msg)
+        }
+        fn action_kind(action: &PingAction) -> &'static str {
+            Ping::action_kind(action)
+        }
+    }
+
+    /// The one place the two checker modes differ on purpose: a panicking
+    /// round on a shared lane is contained — the round yields the empty
+    /// substitute result and the lane keeps serving other controllers —
+    /// while an inline (synchronous) round panics its caller, like any
+    /// inline call.
+    #[test]
+    fn a_panicking_round_is_contained_on_a_lane_and_raised_inline() {
+        let host = Arc::new(crate::service::CheckerHost::new(1));
+        let pool = WorkerPool::new(0);
+        let brittle = Brittle(Ping {
+            kick_target: NodeId(0),
+            kick_enabled: true,
+        });
+        let brittle_gs = GlobalState::init(&brittle, (0..2).map(NodeId));
+        let brittle_controller = |checker| {
+            Controller::with_runtime(
+                brittle.clone(),
+                PropertySet::new().with(node_property("Never", |_, _: &PingState| Ok(()))),
+                ControllerConfig {
+                    checker,
+                    poll_in_hooks: false,
+                    ..steering_config()
+                },
+                pool.clone(),
+                Some(host.clone()),
+            )
+        };
+        let (rt, rt_gs) = fig2_snapshot(RandTreeBugs::only("R1"));
+        let mut neighbor = Controller::with_runtime(
+            rt,
+            randtree::properties::all(),
+            ControllerConfig {
+                checker: CheckerMode::Sharded { shards: 1 },
+                poll_in_hooks: false,
+                ..steering_config()
+            },
+            pool.clone(),
+            Some(host.clone()),
+        );
+
+        let mut laned = brittle_controller(CheckerMode::Sharded { shards: 1 });
+        assert_eq!(laned.run_round(SimTime(1), NodeId(1), &brittle_gs), None);
+        neighbor.run_round(SimTime(1), NodeId(1), &rt_gs);
+        let wait = Duration::from_secs(60);
+        assert_eq!(laned.drain_predictions(SimTime(2), wait), 1);
+        assert_eq!(laned.pending_predictions(), 0);
+        assert_eq!(laned.stats.mc_runs, 1);
+        assert_eq!(laned.stats.predictions, 0, "the empty substitute result");
+        assert_eq!(laned.installed_filters(), 0);
+        assert_eq!(neighbor.drain_predictions(SimTime(2), wait), 1);
+        assert_eq!(
+            neighbor.stats.predictions, 1,
+            "the shared lane survived and answered its neighbor"
+        );
+
+        let mut inline = brittle_controller(CheckerMode::Synchronous);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inline.run_round(SimTime(1), NodeId(1), &brittle_gs)
+        }));
+        assert!(
+            raised.is_err(),
+            "an inline round's panic reaches the caller"
         );
     }
 

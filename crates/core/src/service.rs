@@ -10,36 +10,31 @@
 //! by a `PredictionJob`. The replays and the main search are independent
 //! of each other, so they run *concurrently* on a shared
 //! [`cb_mc::WorkerPool`]; the safety re-check (which needs the main
-//! search's result) runs on the same pool afterwards. The identical code
-//! runs either inline on the caller's thread (synchronous mode,
-//! deterministic, used by tests and modeled-latency experiments) or inside
-//! the `CheckerPool`.
+//! search's result) runs on the same pool afterwards.
 //!
-//! `CheckerPool` is the background service, sharded by node: rounds for
-//! node *n* always execute on shard `n mod shards`, which keeps each
-//! node's remembered error paths (`known_paths`) on the shard that will
-//! replay them while letting snapshots from *different* nodes check in
-//! parallel. One shard is the single-thread background service.
-//! All shards draw their search parallelism from one shared worker pool,
-//! so a shard running a big prediction borrows the workers an idle shard
-//! is not using.
+//! `CheckerPool` is the one path every round takes, sharded by node:
+//! rounds for node *n* always execute on shard `n mod shards`, which keeps
+//! each node's remembered error paths (`known_paths`) on the shard that
+//! will replay them while letting snapshots from *different* nodes check
+//! in parallel. All shards draw their search parallelism from one shared
+//! worker pool, so a shard running a big prediction borrows the workers an
+//! idle shard is not using. The checker mode only picks where a shard's
+//! rounds run: synchronous mode is one shard with no lanes, whose `submit`
+//! runs the round inline on the caller (deterministic, used by tests and
+//! modeled-latency experiments); sharded mode runs them on lanes.
 //!
-//! The threads themselves live in a [`CheckerHost`] — a protocol-agnostic
-//! set of lanes that *multiple* controllers (over different protocol
-//! types) can share, which is how the fleet harness multiplexes a whole
-//! mixed-protocol deployment over one checker service. A pool given no
-//! host spawns a private one, reproducing the pre-fleet
-//! one-thread-per-shard topology.
+//! The lanes live in a [`CheckerHost`] — a protocol-agnostic set of
+//! threads that *multiple* controllers (over different protocol types) can
+//! share, which is how the fleet harness multiplexes a whole
+//! mixed-protocol deployment over one checker service. A sharded pool
+//! given no host spawns a private one, one lane per shard.
 //!
-//! Submission is **diff-shipped**: instead of cloning the full decoded
-//! `GlobalState` into the job channel, the controller encodes it as a
-//! [`cb_snapshot::StateDelta`] against the last state submitted *for the
-//! same node* (per-node [`DeltaEncoder`]/[`DeltaDecoder`] lineages riding
-//! the shard's FIFO job channel — per-node, because consecutive
-//! snapshots of one node's neighborhood are near-identical while
-//! different nodes' neighborhoods are not), cutting submission cost for
-//! large neighborhoods the same way §3.1's checkpoint diffs cut gather
-//! bandwidth.
+//! A round takes its `GlobalState` **by value, shared**: a clone is one
+//! refcount bump per node slot plus the message bags, whose items are
+//! immutable `Queued` handles, and `slot_mut` copies a slot on write — so
+//! nothing a submitter writes after `submit` reaches the round's copy.
+//! Diffs belong to the network hop (§3.1): only [`WireChecker`] decodes
+//! node-shipped deltas, at its ingress.
 //!
 //! Rounds are additionally **memoized**: every predictor on a host keys
 //! completed round outcomes into the host's shared
@@ -63,7 +58,7 @@ use cb_model::hashing::combine;
 use cb_model::{
     apply_event, stable_hash, EventKey, GlobalState, NodeId, PropertySet, Protocol, SimTime,
 };
-use cb_snapshot::{DeltaDecoder, DeltaEncoder, DeltaError, DeltaStats, StateDelta};
+use cb_snapshot::{DeltaDecoder, DeltaError, StateDelta};
 
 use crate::cache::{CacheCounters, CacheStats, PredictionCache};
 use crate::controller::ControllerConfig;
@@ -100,16 +95,6 @@ pub enum CheckerMode {
     },
 }
 
-impl CheckerMode {
-    /// Shard-thread count this mode asks for (0 = no background service).
-    pub(crate) fn shard_count(self) -> usize {
-        match self {
-            CheckerMode::Synchronous => 0,
-            CheckerMode::Sharded { shards } => shards.max(1),
-        }
-    }
-}
-
 /// Identity of one checking round: which snapshot is being checked and in
 /// which controller mode — the job description every `Predictor` stage
 /// receives.
@@ -130,11 +115,10 @@ pub(crate) struct PredictionJob {
 
 /// The outcome of one checking round, ready for the controller to apply.
 pub(crate) struct RoundResult<P: Protocol> {
-    /// Submission sequence number (background pools only; 0 inline).
-    /// Lanes complete out of order, so the controller sorts a drained
-    /// batch by `seq` before applying — background rounds then fold into
-    /// the live state in exactly the order they were submitted, which is
-    /// what makes a fleet run reproducible across host thread counts.
+    /// Submission sequence number. Lanes complete out of order, so the
+    /// pool sorts a drained batch by `seq` — rounds then fold into the
+    /// live state in exactly the order they were submitted, which is what
+    /// makes a fleet run reproducible across host thread counts.
     pub seq: u64,
     /// When the snapshot that fed the round completed (simulated time).
     pub at: SimTime,
@@ -198,7 +182,7 @@ pub(crate) struct Predictor<P: Protocol> {
     /// fingerprint into cache keys.
     known_paths: VecDeque<(u64, Vec<PathStep<P>>)>,
     /// The shared round-outcome memo (host-wide under a `CheckerHost`;
-    /// private in a synchronous backend).
+    /// private in a synchronous pool).
     cache: Arc<PredictionCache>,
     /// This client's share of the cache traffic.
     counters: Arc<CacheCounters>,
@@ -341,11 +325,6 @@ impl<P: Protocol> Predictor<P> {
         let out = Self::materialize(job, &round, t0);
         M_ROUND_US.observe(out.wall.as_micros() as u64);
         out
-    }
-
-    /// This predictor's prediction-cache counters.
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.counters.snapshot()
     }
 
     /// Dresses a cached outcome in one submission's envelope.
@@ -552,14 +531,14 @@ impl<P: Protocol> Predictor<P> {
 /// any number of `CheckerPool`s — over *different* protocol types —
 /// submit their rounds to. This is how a fleet of co-deployed
 /// heterogeneous simulations shares one checker service: each
-/// controller's pool keeps its own per-shard state (predictor, diff
-/// decoders), but the threads doing the checking are fleet-wide, so a
-/// member with nothing to check donates its lanes to a busy neighbor.
+/// controller's pool keeps its own per-shard predictors, but the threads
+/// doing the checking are fleet-wide, so a member with nothing to check
+/// donates its lanes to a busy neighbor.
 ///
 /// Routing invariant: a `CheckerPool` shard is pinned to one lane for
 /// its lifetime, and each lane is a single thread draining a FIFO
 /// channel — so the per-shard (and hence per-node) round order that the
-/// diff-shipping codec and the replay cache rely on survives sharing.
+/// remembered paths and the replay cache rely on survives sharing.
 pub struct CheckerHost {
     lanes: Vec<mpsc::Sender<HostJob>>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -642,37 +621,25 @@ impl Drop for CheckerHost {
     }
 }
 
-/// The shard-side state a lane locks while it runs one of the shard's
-/// rounds: the predictor (replay cache) and the decoder halves of the
-/// diff channels. Uncontended in practice — a shard's rounds are
-/// serialized by its lane.
-struct ShardState<P: Protocol> {
-    predictor: Predictor<P>,
-    decoders: HashMap<NodeId, DeltaDecoder>,
-}
-
+/// One shard: its predictor (remembered paths, replay cache) behind the
+/// lock a round takes — uncontended in practice, a shard's rounds being
+/// serialized by its lane — and the host lane it is pinned to.
 struct Shard<P: Protocol> {
-    /// Submission-side halves of the shard's diff channels, one lineage
-    /// per submitting node (decoder twins live in [`ShardState`]).
-    /// Per-node, not per-channel: consecutive snapshots of one node's
-    /// neighborhood diff well; interleaved different-node neighborhoods
-    /// would thrash a single shared base.
-    encoders: HashMap<NodeId, DeltaEncoder>,
     lane: usize,
-    state: Arc<Mutex<ShardState<P>>>,
+    predictor: Arc<Mutex<Predictor<P>>>,
 }
 
-/// The background checker service: per-node-sharded client of a
-/// [`CheckerHost`]. Each shard owns a `Predictor` and the decoder half
-/// of a diff-shipping channel, pinned to one host lane; results flow
+/// The checker service: a per-node-sharded client of a [`CheckerHost`].
+/// Each shard owns a `Predictor` pinned to one host lane; results flow
 /// back over one shared channel. Rounds are routed by `node mod shards`,
 /// so a node's remembered error paths stay with the shard that replays
 /// them while different nodes' snapshots check in parallel. Submission
-/// never blocks; results are polled. With no shared host the pool spawns
-/// a private one (one lane per shard) — the pre-fleet topology.
+/// never blocks on a lane; results are polled. A synchronous pool has one
+/// shard and no host, and runs each round inline on the submitter.
 pub(crate) struct CheckerPool<P: Protocol> {
     shards: Vec<Shard<P>>,
-    host: Arc<CheckerHost>,
+    /// The lanes rounds run on; `None` runs them inline on the caller.
+    host: Option<Arc<CheckerHost>>,
     results: mpsc::Receiver<RoundResult<P>>,
     res_tx: mpsc::Sender<RoundResult<P>>,
     shutdown: Arc<AtomicBool>,
@@ -685,79 +652,98 @@ pub(crate) struct CheckerPool<P: Protocol> {
 }
 
 impl<P: Protocol> CheckerPool<P> {
-    /// Creates `shards` checker shards, each with its own `Predictor`
-    /// sharing `pool` for search parallelism, running on `host` (or on a
-    /// freshly spawned private host when `None`). All predictors memoize
-    /// into the host's shared [`PredictionCache`].
+    /// Creates the pool `config.checker` asks for, every `Predictor`
+    /// sharing `pool` for search parallelism. `Synchronous` is one shard
+    /// with no host and a private prediction cache (`host` is ignored);
+    /// `Sharded { shards }` runs that many shards on `host`, or on a
+    /// freshly spawned private host (one lane per shard) when `None`, all
+    /// memoizing into the host's shared [`PredictionCache`].
     pub(crate) fn spawn(
         protocol: &P,
         props: &PropertySet<P>,
         config: &Arc<ControllerConfig>,
         pool: &WorkerPool,
-        shards: usize,
         host: Option<Arc<CheckerHost>>,
     ) -> Self {
-        let shards_n = shards.max(1);
-        let host = host.unwrap_or_else(|| {
-            Arc::new(CheckerHost::with_cache_capacity(
-                shards_n,
-                config.prediction_cache_capacity,
-            ))
-        });
+        let capacity = config.prediction_cache_capacity;
+        let (shards_n, host, cache) = match config.checker {
+            CheckerMode::Synchronous => {
+                (1, None, Arc::new(PredictionCache::with_capacity(capacity)))
+            }
+            CheckerMode::Sharded { shards } => {
+                let n = shards.max(1);
+                let host =
+                    host.unwrap_or_else(|| Arc::new(CheckerHost::with_cache_capacity(n, capacity)));
+                let cache = host.prediction_cache().clone();
+                (n, Some(host), cache)
+            }
+        };
         let counters = Arc::new(CacheCounters::default());
-        let (res_tx, res_rx) = mpsc::channel::<RoundResult<P>>();
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (res_tx, results) = mpsc::channel::<RoundResult<P>>();
         let shards = (0..shards_n)
             .map(|_| Shard {
-                encoders: HashMap::new(),
-                lane: host.assign_lane(),
-                state: Arc::new(Mutex::new(ShardState {
-                    predictor: Predictor::new(
-                        protocol.clone(),
-                        props.clone(),
-                        config.clone(),
-                        pool.clone(),
-                        host.prediction_cache().clone(),
-                        counters.clone(),
-                    ),
-                    decoders: HashMap::new(),
-                })),
+                lane: host.as_ref().map_or(0, |h| h.assign_lane()),
+                predictor: Arc::new(Mutex::new(Predictor::new(
+                    protocol.clone(),
+                    props.clone(),
+                    config.clone(),
+                    pool.clone(),
+                    cache.clone(),
+                    counters.clone(),
+                ))),
             })
             .collect();
         CheckerPool {
             shards,
             host,
-            results: res_rx,
+            results,
             res_tx,
-            shutdown,
+            shutdown: Arc::new(AtomicBool::new(false)),
             submitted: 0,
             drained: 0,
             counters,
         }
     }
 
-    /// Queues one round, diff-shipping the state against the last
-    /// submission for the same node. Never blocks, never clones the
-    /// decoded `GlobalState`. The returned sequence number travels with
-    /// the round, so the controller can apply drained batches in
-    /// submission order regardless of which lane finished first.
+    /// Queues one round on its node's shard and returns its sequence
+    /// number, which travels with the round so drained batches come back
+    /// in submission order whichever lane finished first. `start` is
+    /// shared with the round, not copied (see the module docs for why
+    /// the submitter's later writes cannot reach it). With no host the
+    /// round runs here, before `submit` returns, and a panicking round
+    /// panics the caller like any inline call.
     pub(crate) fn submit(
         &mut self,
         at: SimTime,
         node: NodeId,
-        start: &GlobalState<P>,
+        start: GlobalState<P>,
         steering: bool,
         tag: u64,
-    ) {
-        let ix = (node.0 as usize) % self.shards.len();
-        let shard = &mut self.shards[ix];
-        let delta = shard.encoders.entry(node).or_default().encode_state(start);
+    ) -> u64 {
+        let shard = &self.shards[(node.0 as usize) % self.shards.len()];
         self.submitted += 1;
         let seq = self.submitted;
-        let state = shard.state.clone();
+        let job = PredictionJob {
+            at,
+            node,
+            steering,
+            tag,
+        };
+        let predictor = shard.predictor.clone();
+        let round = move || RoundResult {
+            seq,
+            ..predictor
+                .lock()
+                .expect("shard predictor poisoned")
+                .run_round(job, &start)
+        };
+        let Some(host) = &self.host else {
+            let _ = self.res_tx.send(round());
+            return seq;
+        };
         let res_tx = self.res_tx.clone();
         let stop = self.shutdown.clone();
-        self.host.submit(
+        host.submit(
             shard.lane,
             Box::new(move || {
                 // A dropped pool flags its queued rounds to no-op so a
@@ -767,38 +753,14 @@ impl<P: Protocol> CheckerPool<P> {
                     return;
                 }
                 // The round runs under catch_unwind so a panicking
-                // predictor (a codec bug's decode assertion, a poisoned
-                // shard mutex) still produces *a* result: otherwise
-                // `pending()` never drains and every waiter blocks for
-                // its full timeout, and — worse — the panic would kill a
-                // lane other controllers share. The lane survives; the
-                // panic is reported on stderr.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut st = state.lock().expect("shard state poisoned");
-                    let st = &mut *st;
-                    // The encoder twin rides the same FIFO lane (per-node
-                    // order preserved), so the bases stay in lockstep; a
-                    // decode failure here is a codec bug, not a runtime
-                    // condition.
-                    let start: GlobalState<P> = st
-                        .decoders
-                        .entry(node)
-                        .or_default()
-                        .decode_state(&delta)
-                        .expect("shard delta decodes against in-sync base");
-                    st.predictor.run_round(
-                        PredictionJob {
-                            at,
-                            node,
-                            steering,
-                            tag,
-                        },
-                        &start,
-                    )
-                }));
-                let mut result = match outcome {
-                    Ok(r) => r,
-                    Err(payload) => {
+                // predictor (a handler bug, a poisoned shard mutex) still
+                // produces *a* result: otherwise `pending()` never drains
+                // and every waiter blocks for its full timeout, and —
+                // worse — the panic would kill a lane other controllers
+                // share. The lane survives; the panic is reported on
+                // stderr.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(round))
+                    .unwrap_or_else(|payload| {
                         let msg = payload
                             .downcast_ref::<&str>()
                             .map(|s| s.to_string())
@@ -809,7 +771,7 @@ impl<P: Protocol> CheckerPool<P> {
                              (empty result substituted, lane kept alive): {msg}"
                         );
                         RoundResult {
-                            seq: 0,
+                            seq,
                             at,
                             node,
                             steering,
@@ -820,12 +782,11 @@ impl<P: Protocol> CheckerPool<P> {
                             filter: None,
                             wall: Duration::ZERO,
                         }
-                    }
-                };
-                result.seq = seq;
+                    });
                 let _ = res_tx.send(result); // receiver gone = pool dropped
             }),
         );
+        seq
     }
 
     /// This pool's prediction-cache counters.
@@ -838,46 +799,27 @@ impl<P: Protocol> CheckerPool<P> {
         self.submitted - self.drained
     }
 
-    /// Aggregated submission-cost counters over all shards (full-clone
-    /// bytes vs diff-shipped bytes).
-    pub(crate) fn wire_stats(&self) -> DeltaStats {
-        let mut total = DeltaStats::default();
-        for s in &self.shards {
-            for enc in s.encoders.values() {
-                total.merge(&enc.stats);
-            }
-        }
-        total
-    }
-
-    /// Takes every completed round without blocking.
-    pub(crate) fn try_results(&mut self) -> Vec<RoundResult<P>> {
-        let mut out = Vec::new();
-        while let Ok(r) = self.results.try_recv() {
-            self.drained += 1;
-            out.push(r);
-        }
-        out
-    }
-
-    /// Blocks (up to `timeout`) until every submitted round has completed,
-    /// returning all results drained along the way.
-    pub(crate) fn wait_results(&mut self, timeout: Duration) -> Vec<RoundResult<P>> {
-        let deadline = Instant::now() + timeout;
-        let mut out = self.try_results();
-        while self.pending() > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match self.results.recv_timeout(left) {
-                Ok(r) => {
-                    self.drained += 1;
-                    out.push(r);
+    /// Takes every completed round, first waiting up to `timeout` for the
+    /// rest of those submitted (`Duration::ZERO` never blocks), sorted by
+    /// `seq`: the order a caller folds results in — and with it a fleet's
+    /// whole trace — is then independent of lane and worker scheduling.
+    pub(crate) fn take_results(&mut self, timeout: Duration) -> Vec<RoundResult<P>> {
+        let mut out: Vec<RoundResult<P>> = self.results.try_iter().collect();
+        self.drained += out.len() as u64;
+        if self.pending() > 0 && !timeout.is_zero() {
+            let deadline = Instant::now() + timeout;
+            while self.pending() > 0 {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.results.recv_timeout(left) {
+                    Ok(r) => {
+                        self.drained += 1;
+                        out.push(r);
+                    }
+                    Err(_) => break,
                 }
-                Err(_) => break,
             }
         }
+        out.sort_by_key(|r| r.seq);
         out
     }
 }
@@ -933,10 +875,10 @@ pub struct WireRound {
 /// Live nodes do not share an address space with the checker, so a round
 /// arrives as a [`cb_snapshot::StateDelta`] (diffed by the node against
 /// its previous submission) and leaves as a [`WireRound`] whose filters
-/// the caller encodes into a filter-install push. In between, the rounds
-/// run on the same sharded checker pool the in-process controller
-/// uses — per-node shard affinity, known-path replays, filter-safety
-/// re-checks and all.
+/// the caller encodes into a filter-install push. In between, the decoded
+/// state moves into the same sharded checker pool the in-process
+/// controller uses — per-node shard affinity, known-path replays,
+/// filter-safety re-checks and all.
 ///
 /// Ordering contract: deltas from one node must be submitted in the order
 /// that node produced them (its TCP connection is FIFO, so the live
@@ -945,10 +887,9 @@ pub struct WireRound {
 pub struct WireChecker<P: Protocol> {
     pool: CheckerPool<P>,
     /// Ingress decoder lineages, one per submitting node, mirroring the
-    /// node-side [`DeltaEncoder`]s.
+    /// node-side encoders.
     decoders: HashMap<NodeId, DeltaDecoder>,
     steering: bool,
-    submitted: u64,
 }
 
 impl<P: Protocol> WireChecker<P> {
@@ -960,19 +901,19 @@ impl<P: Protocol> WireChecker<P> {
     pub fn new(
         protocol: P,
         props: PropertySet<P>,
-        config: ControllerConfig,
+        mut config: ControllerConfig,
         pool: WorkerPool,
         host: Option<Arc<CheckerHost>>,
     ) -> Self {
         let steering = config.mode == crate::controller::Mode::ExecutionSteering;
-        let shards = config.checker.shard_count().max(1);
-        let config = Arc::new(config);
-        let pool = CheckerPool::spawn(&protocol, &props, &config, &pool, shards, host);
+        if config.checker == CheckerMode::Synchronous {
+            config.checker = CheckerMode::Sharded { shards: 1 };
+        }
+        let pool = CheckerPool::spawn(&protocol, &props, &Arc::new(config), &pool, host);
         WireChecker {
             pool,
             decoders: HashMap::new(),
             steering,
-            submitted: 0,
         }
     }
 
@@ -1012,9 +953,7 @@ impl<P: Protocol> WireChecker<P> {
             self.decoders.remove(&node);
         }
         let start: GlobalState<P> = self.decoders.entry(node).or_default().decode_state(delta)?;
-        self.pool.submit(at, node, &start, self.steering, tag);
-        self.submitted += 1;
-        Ok(self.submitted)
+        Ok(self.pool.submit(at, node, start, self.steering, tag))
     }
 
     /// Drops a node's delta lineage (its connection closed; a reconnect
@@ -1028,12 +967,6 @@ impl<P: Protocol> WireChecker<P> {
         self.pool.pending()
     }
 
-    /// Submission-side wire-cost counters (what full clones would have
-    /// shipped vs what the internal delta channels did ship).
-    pub fn wire_stats(&self) -> DeltaStats {
-        self.pool.wire_stats()
-    }
-
     /// Prediction-cache counters for this checker's rounds (its share of
     /// the host-wide cache).
     pub fn cache_stats(&self) -> CacheStats {
@@ -1042,17 +975,18 @@ impl<P: Protocol> WireChecker<P> {
 
     /// Takes every completed round without blocking, in submission order.
     pub fn try_rounds(&mut self) -> Vec<WireRound> {
-        let mut results = self.pool.try_results();
-        results.sort_by_key(|r| r.seq);
-        results.into_iter().map(Self::flatten).collect()
+        self.drain(Duration::ZERO)
     }
 
     /// Blocks (up to `timeout`) until every submitted round completes —
-    /// the graceful-drain path of a live shutdown.
+    /// the graceful-drain path of a live shutdown — and takes them all,
+    /// in submission order.
     pub fn drain(&mut self, timeout: Duration) -> Vec<WireRound> {
-        let mut results = self.pool.wait_results(timeout);
-        results.sort_by_key(|r| r.seq);
-        results.into_iter().map(Self::flatten).collect()
+        self.pool
+            .take_results(timeout)
+            .into_iter()
+            .map(Self::flatten)
+            .collect()
     }
 
     fn flatten(r: RoundResult<P>) -> WireRound {
@@ -1162,8 +1096,6 @@ mod tests {
             .submit_delta(SimTime(2), NodeId(0), &d2)
             .expect("second in-order delta");
         assert_eq!(checker.drain(Duration::from_secs(60)).len(), 1);
-        let ws = checker.wire_stats();
-        assert!(ws.states >= 2);
 
         // Out-of-order deltas (seq ≥ 2 not continuing the stream) are
         // rejected — the caller drops the connection and starts over.

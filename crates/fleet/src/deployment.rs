@@ -17,7 +17,6 @@ use std::time::Duration;
 
 use cb_model::{NodeId, Protocol, SimTime};
 use cb_runtime::{Hook, NoHook, ScriptEvent, Simulation};
-use cb_snapshot::DeltaStats;
 use crystalball::{Controller, ControllerStats, PredictionReport};
 
 use crate::faults::FaultEvent;
@@ -49,11 +48,6 @@ pub trait FleetHook<P: Protocol>: Hook<P> {
         &[]
     }
 
-    /// Diff-shipping wire counters, if a background checker is attached.
-    fn wire_stats(&self) -> Option<DeltaStats> {
-        None
-    }
-
     /// Prediction-cache counters, if this hook is a
     /// controller with a memoizing checker.
     fn cache_stats(&self) -> crystalball::CacheStats {
@@ -78,10 +72,6 @@ impl<P: Protocol> FleetHook<P> for Controller<P> {
 
     fn reports(&self) -> &[PredictionReport] {
         &self.reports
-    }
-
-    fn wire_stats(&self) -> Option<DeltaStats> {
-        self.checker_wire_stats()
     }
 
     fn cache_stats(&self) -> crystalball::CacheStats {
@@ -259,10 +249,6 @@ impl<P: Protocol, H: FleetHook<P>> Deployment for SimDeployment<P, H> {
                 .unwrap_or(0.0);
         }
         m.first_prediction_at = self.sim.hook.reports().first().map(|r| r.at);
-        if let Some(w) = self.sim.hook.wire_stats() {
-            m.wire_raw_bytes = w.raw_bytes;
-            m.wire_shipped_bytes = w.shipped_bytes;
-        }
         m.cache = self.sim.hook.cache_stats();
         m
     }

@@ -18,8 +18,8 @@
 //!   workload generators (churned overlays, repeated Fig. 13 Paxos
 //!   rounds, block floods);
 //! * [`FleetStats`] — the fleet-wide steering roll-up (predictions vs.
-//!   installed filters vs. interventions, checker wire bytes, measured
-//!   mc latency), emitted as JSON.
+//!   installed filters vs. interventions, measured mc latency), emitted
+//!   as JSON.
 //!
 //! Every member's controller multiplexes over one shared
 //! [`cb_mc::WorkerPool`] and one shared [`crystalball::CheckerHost`], so

@@ -241,7 +241,7 @@ impl Fleet {
                 self.trace,
                 "  m{i} {} applied={applied} steps={} actions={} delivered={} lost={} \
                  blocked={} viol={} mc={} preds={} installed={} hits={} isc={} \
-                 wire={}/{} hash={:016x}",
+                 hash={:016x}",
                 s.name,
                 s.steps,
                 s.actions_executed,
@@ -254,8 +254,6 @@ impl Fleet {
                 s.filters_installed,
                 s.filter_hits,
                 s.isc_vetoes,
-                s.wire_shipped_bytes,
-                s.wire_raw_bytes,
                 s.state_hash,
             );
         }

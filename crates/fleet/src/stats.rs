@@ -2,7 +2,7 @@
 //!
 //! One [`MemberStats`] summarizes one co-deployed simulation — live
 //! counters, controller counters (predictions vs. installed filters vs.
-//! interventions), checker wire bytes, and a state hash. [`FleetStats`]
+//! interventions), and a state hash. [`FleetStats`]
 //! aggregates them plus the scheduler's own counters.
 //!
 //! Two serializations, on purpose:
@@ -62,10 +62,6 @@ pub struct MemberStats {
     pub isc_vetoes: u64,
     /// Violations that reached the live state anyway.
     pub uncaught_violations: u64,
-    /// Bytes a full-clone checker submission would have moved.
-    pub wire_raw_bytes: u64,
-    /// Bytes the diff-shipped submissions actually moved.
-    pub wire_shipped_bytes: u64,
     /// Mean measured checking-round wall-clock, milliseconds
     /// (host-dependent; excluded from the deterministic serialization).
     pub avg_mc_latency_ms: f64,
@@ -113,8 +109,6 @@ impl MemberStats {
             .field_u64("filter_hits", self.filter_hits)
             .field_u64("isc_vetoes", self.isc_vetoes)
             .field_u64("uncaught_violations", self.uncaught_violations)
-            .field_u64("wire_raw_bytes", self.wire_raw_bytes)
-            .field_u64("wire_shipped_bytes", self.wire_shipped_bytes)
             .field_opt_u64(
                 "first_prediction_at_us",
                 self.first_prediction_at.map(|t| t.0),
@@ -187,11 +181,11 @@ impl FleetStats {
             })
     }
 
-    /// Total checker wire bytes (raw, shipped) across members.
+    /// Always `(0, 0)`: checker rounds take their state as a shared clone,
+    /// so no member ships submission bytes. Has no effect; kept only
+    /// because the `benchmark` crate names it.
     pub fn wire_bytes(&self) -> (u64, u64) {
-        self.members.iter().fold((0, 0), |(r, s), m| {
-            (r + m.wire_raw_bytes, s + m.wire_shipped_bytes)
-        })
+        (0, 0)
     }
 
     /// The deterministic serialization: byte-identical for the same
@@ -258,8 +252,6 @@ mod tests {
             filters_installed: 1,
             filter_hits: 3,
             isc_vetoes: 1,
-            wire_raw_bytes: 100,
-            wire_shipped_bytes: 40,
             avg_mc_latency_ms: 12.5,
             first_prediction_at: Some(SimTime(5)),
             violations_by_property: [("P".to_string(), 2u64)].into_iter().collect(),
@@ -276,7 +268,6 @@ mod tests {
         assert_eq!(f.predictions(), 4);
         assert_eq!(f.filters_installed(), 2);
         assert_eq!(f.interventions(), 8);
-        assert_eq!(f.wire_bytes(), (200, 80));
     }
 
     #[test]

@@ -260,12 +260,10 @@ impl<P: Protocol> CheckerSrv<P> {
     }
 
     fn snapshot_stats(&self) -> CheckerProcessStats {
-        let mut s = self.stats.clone();
-        let ws = self.checker.wire_stats();
-        s.wire_shipped_bytes = ws.shipped_bytes;
-        s.wire_raw_bytes = ws.raw_bytes;
-        s.cache = self.checker.cache_stats();
-        s
+        CheckerProcessStats {
+            cache: self.checker.cache_stats(),
+            ..self.stats.clone()
+        }
     }
 
     /// Reads every connection, then dispatches: `on_frame` never adds or

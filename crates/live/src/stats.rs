@@ -187,7 +187,10 @@ impl NodeStats {
     }
 }
 
-/// The checker process's counters.
+/// The checker process's counters. Submission bytes are counted where
+/// they cross the wire, on the nodes ([`NodeStats::submit_bytes`]): past
+/// its ingress decoder the checker hands each round a shared state, not
+/// bytes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckerProcessStats {
     /// Submissions accepted off the wire.
@@ -204,11 +207,6 @@ pub struct CheckerProcessStats {
     pub installs_sent: u64,
     /// Receipt-to-push latency at the checker (µs).
     pub round_latency: LatencySummary,
-    /// Bytes the internal delta channels shipped vs full clones (from
-    /// [`crystalball::WireChecker::wire_stats`]).
-    pub wire_shipped_bytes: u64,
-    /// Full-clone-equivalent bytes for the same submissions.
-    pub wire_raw_bytes: u64,
     /// Prediction-cache counters (from
     /// [`crystalball::WireChecker::cache_stats`]): rounds answered from
     /// the memo and rounds searched cold.
@@ -324,11 +322,6 @@ impl LiveStats {
             .field_u64("gather_to_install_p50", t.gather_to_install.quantile(0.50))
             .field_u64("gather_to_install_p95", t.gather_to_install.quantile(0.95))
             .field_u64("gather_to_install_p99", t.gather_to_install.quantile(0.99))
-            .field_u64(
-                "checker_wire_shipped_bytes",
-                self.checker.wire_shipped_bytes,
-            )
-            .field_u64("checker_wire_raw_bytes", self.checker.wire_raw_bytes)
             .field_u64("cache_hits", self.checker.cache.hits)
             .field_u64("cache_misses", self.checker.cache.misses)
             .field_f64("cache_hit_rate", self.checker.cache.hit_rate(), 4)

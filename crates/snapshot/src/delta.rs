@@ -4,20 +4,22 @@
 //! The paper applies diffs on the *gather* path ("it can employ 'diffs'
 //! that enable a node to transmit only parts of state that are different
 //! from the last sent checkpoint", §3.1). The same observation holds one
-//! hop later, on the *submission* path from the controller to the checker
-//! service: consecutive snapshots of a neighborhood differ in a handful of
-//! fields, yet a naive submission clones the entire decoded `GlobalState`
-//! per prediction round. A [`DeltaEncoder`]/[`DeltaDecoder`] pair replaces
-//! that clone with a [`StateDelta`]: per node, the canonical slot encoding
-//! is diffed (via [`crate::diff`]) against the last state shipped on the
-//! same channel, falling back to an (optionally LZW-compressed) full
-//! payload for new nodes or diverged slots — exactly the
-//! duplicate < delta < full ladder the checkpoint manager uses on the wire.
+//! hop later, on the network connection from a deployed node to the
+//! checker process: consecutive snapshots of a neighborhood differ in a
+//! handful of fields, yet a naive submission ships the entire decoded
+//! `GlobalState` per prediction round. A [`DeltaEncoder`]/[`DeltaDecoder`]
+//! pair replaces those bytes with a [`StateDelta`]: per node, the
+//! canonical slot encoding is diffed (via [`crate::diff`]) against the
+//! last state shipped on the same connection, falling back to an
+//! (optionally LZW-compressed) full payload for new nodes or diverged
+//! slots — exactly the duplicate < delta < full ladder the checkpoint
+//! manager uses on the wire. (Inside one address space there is nothing
+//! to ship: the checker takes a shared clone of the state.)
 //!
 //! The pair is stateful and ordered: the encoder and decoder each maintain
 //! the base (last shipped bytes per node) and advance in lockstep, so the
-//! transport between them must be FIFO — which the per-shard channels of
-//! the checker pool are. A sequence number catches misuse.
+//! transport between them must be FIFO — which the node→checker TCP
+//! connection is. A sequence number catches misuse.
 
 use std::collections::BTreeMap;
 
@@ -203,28 +205,6 @@ pub struct DeltaStats {
     pub patched_slots: u64,
     /// Slots shipped in full.
     pub full_slots: u64,
-}
-
-impl DeltaStats {
-    /// Folds another encoder's counters into this one (used to aggregate
-    /// across checker shards). Lives beside the struct so a new field
-    /// cannot be forgotten in the aggregation.
-    pub fn merge(&mut self, other: &DeltaStats) {
-        let DeltaStats {
-            states,
-            raw_bytes,
-            shipped_bytes,
-            unchanged_slots,
-            patched_slots,
-            full_slots,
-        } = other;
-        self.states += states;
-        self.raw_bytes += raw_bytes;
-        self.shipped_bytes += shipped_bytes;
-        self.unchanged_slots += unchanged_slots;
-        self.patched_slots += patched_slots;
-        self.full_slots += full_slots;
-    }
 }
 
 /// Chooses the cheapest representation of `raw` against `base` (the

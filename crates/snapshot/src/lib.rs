@@ -16,10 +16,9 @@
 //! * [`lzw`] — the LZW compressor the paper's checkpoint manager uses (§4);
 //! * [`diff`] — byte-level diffs against the last checkpoint sent to the
 //!   same peer (§3.1's bandwidth reduction);
-//! * [`delta`] — the same diff idea applied one hop later, on the
-//!   controller→checker submission path: a [`DeltaEncoder`]/[`DeltaDecoder`]
-//!   pair ships whole `GlobalState`s as [`StateDelta`]s against the last
-//!   submitted state instead of full clones;
+//! * [`delta`] — the same diff idea one hop later, on a deployed node's
+//!   (FIFO) connection to the checker: a [`DeltaEncoder`]/[`DeltaDecoder`]
+//!   pair ships `GlobalState`s as [`StateDelta`]s against the last one sent;
 //! * [`CheckpointStore`] — bounded storage with oldest-first pruning.
 //!
 //! Integration: the live runtime (`cb-runtime`) owns one manager per node,

@@ -1,17 +1,16 @@
-//! Equivalence of the checker backends: the sharded background
-//! `CheckerPool` (diff-shipped submissions, per-node shard affinity,
+//! Equivalence of the checker modes: the sharded background
+//! `CheckerPool` (shared-state submissions, per-node shard affinity,
 //! shared worker pool) must produce exactly the same predicted violations
-//! and installed filters as the synchronous inline backend — on RandTree
-//! and on Paxos, at 2 and 4 shards.
+//! and installed filters as the same pool run inline (synchronous mode) —
+//! on RandTree and on Paxos, at 2 and 4 shards.
 //!
-//! This is the bar the sharded refactor has to clear: sharding and diff
-//! shipping are transport changes, not semantic ones.
+//! This is the bar the sharded pool has to clear: where a round runs is a
+//! scheduling choice, not a semantic one.
 //!
 //! The CI determinism matrix drives this through an env loop:
 //! `CB_EQ_WORKERS` (comma list, default `1,4`) selects the worker counts
 //! the parallel-engine leg runs at, and `CB_EQ_SEED` (default `1213`)
-//! varies the second-submission state drift each scenario exercises the
-//! diff-shipping path with.
+//! varies the second-submission state drift each scenario exercises.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -63,8 +62,7 @@ fn outcome_of<P: Protocol>(ctl: &Controller<P>) -> Outcome {
 /// Runs the same per-node round submissions against one backend and
 /// returns the comparable outcome. Rounds are submitted for every node of
 /// the snapshot (so ≥2 shards actually split the work), then a mutated
-/// state is submitted again per node to exercise the diff-shipping path
-/// with real patches.
+/// state is submitted again per node.
 fn drive<P, F>(
     proto: &P,
     props: crystalball_suite::model::PropertySet<P>,
@@ -103,18 +101,6 @@ where
     // no-op here.
     ctl.drain_predictions(SimTime(1_000), Duration::from_secs(300));
     assert_eq!(ctl.pending_predictions(), 0, "all rounds drained");
-    let wire = ctl.checker_wire_stats();
-    if let Some(wire) = wire {
-        // Two identical-then-patched submissions per node: diff shipping
-        // must beat full-clone submission bytes.
-        assert!(
-            wire.shipped_bytes < wire.raw_bytes,
-            "diff-shipped {} >= full-clone {}",
-            wire.shipped_bytes,
-            wire.raw_bytes
-        );
-        assert_eq!(wire.states as usize, 2 * nodes.len());
-    }
     outcome_of(&ctl)
 }
 
@@ -231,5 +217,73 @@ fn sharded_pool_matches_synchronous_on_paxos() {
             .iter()
             .any(|(_, prop, _, _)| prop == "AtMostOneChosen"),
         "the Fig. 14 double choice was predicted: {sync:?}"
+    );
+}
+
+/// A round takes its state as a shared clone: a submitter that writes to
+/// the very `GlobalState` it just submitted — slot writes and a delivery —
+/// before the rounds are drained changes nothing the rounds see, and
+/// still sees its own writes.
+#[test]
+fn a_submitter_cannot_reach_a_submitted_round() {
+    let (proto, gs) = paxos_near_violation(PaxosBugs::only("P1"));
+    assert!(
+        !gs.inflight.is_empty(),
+        "the scenario has a delivery to make"
+    );
+    let controller = |checker| {
+        Controller::new(
+            proto.clone(),
+            paxos::properties::all(),
+            ControllerConfig {
+                mode: Mode::ExecutionSteering,
+                checker,
+                mc_latency: SimDuration::from_millis(500),
+                search: SearchConfig {
+                    max_states: Some(30_000),
+                    max_depth: Some(7),
+                    explore: ExploreOptions::minimal(),
+                    ..SearchConfig::default()
+                },
+                ..ControllerConfig::default()
+            },
+        )
+    };
+    let nodes: Vec<NodeId> = gs.nodes.keys().copied().collect();
+    let untouched = gs.clone();
+    let mut sync = controller(CheckerMode::Synchronous);
+    for (i, &node) in nodes.iter().enumerate() {
+        sync.run_round(SimTime(i as u64), node, &untouched);
+    }
+
+    let mut submitted = gs;
+    let mut sharded = controller(CheckerMode::Sharded { shards: 2 });
+    for (i, &node) in nodes.iter().enumerate() {
+        sharded.run_round(SimTime(i as u64), node, &submitted);
+    }
+    for &node in &nodes {
+        submitted.slot_mut(node).expect("member").state.attempt += 7;
+    }
+    apply_event(&proto, &mut submitted, &Event::Deliver { index: 0 });
+    sharded.drain_predictions(SimTime(1_000), Duration::from_secs(300));
+    assert_eq!(sharded.pending_predictions(), 0, "all rounds drained");
+
+    let sync = outcome_of(&sync);
+    assert!(sync.predictions > 0, "the scenario predicts: {sync:?}");
+    assert_eq!(
+        sync,
+        outcome_of(&sharded),
+        "a write to the submitted state reached a round"
+    );
+    for &node in &nodes {
+        assert_eq!(
+            submitted.slot(node).expect("member").state.attempt,
+            untouched.slot(node).expect("member").state.attempt + 7,
+            "the submitter sees its own slot writes"
+        );
+    }
+    assert_ne!(
+        submitted.inflight, untouched.inflight,
+        "the submitter sees its own delivery"
     );
 }

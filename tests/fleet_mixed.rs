@@ -195,12 +195,6 @@ fn mixed_fleet_predicts_and_steers_on_sharded_backend() {
     let workers = *cb_bench::matrix::workers().first().unwrap_or(&1);
     let (_, _, stats) = run_fleet(CheckerMode::Sharded { shards: 2 }, workers, 42);
     assert_fleet_outcome(&stats, "sharded");
-    // The background rounds were diff-shipped over the shared host.
-    let (raw, shipped) = stats.wire_bytes();
-    assert!(
-        shipped > 0 && shipped < raw,
-        "diff shipping beat full clones fleet-wide: {shipped} vs {raw}"
-    );
 }
 
 /// The determinism contract: same `(construction, seed)` ⇒ byte-identical

@@ -126,11 +126,6 @@ fn async_checker_service_steers_without_blocking_the_system() {
         "checking rounds completed: {:?}",
         ctl.stats
     );
-    assert_eq!(
-        ctl.stats.measured_mc_latencies.len() as u64,
-        ctl.stats.mc_runs,
-        "every round's latency was measured"
-    );
     let avg = ctl.stats.avg_mc_latency().expect("measured latency");
     assert!(avg > std::time::Duration::ZERO);
     // The live system was never blocked by prediction, yet CrystalBall
