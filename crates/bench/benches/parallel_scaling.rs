@@ -167,14 +167,6 @@ fn main() {
             fmt_duration(par.stats.merge_busy),
             fmt_duration(par.stats.merge_wait),
         );
-        // Per-shard merge utilization: how evenly the hash routing split
-        // the dedup work.
-        let shard_busy: Vec<String> = par
-            .stats
-            .merge_shard_busy
-            .iter()
-            .map(|d| format!("{:.6}", d.as_secs_f64()))
-            .collect();
         let explored_bytes_per_state =
             par.stats.explored_resident_bytes / par.stats.states_enqueued.max(1);
         // Mean range tasks per visited level: how finely phase 3 cut
@@ -184,16 +176,13 @@ fn main() {
         rows.push(format!(
             "{{\"workers\":{workers},\"states\":{},\"elapsed_s\":{:.6},\"states_per_sec\":{rate:.0},\
              \"speedup_vs_sequential\":{speedup:.3},\"overhead_factor\":{overhead_factor:.4},\
-             \"merge_busy_s\":{:.6},\"merge_wait_s\":{:.6},\"merge_shards\":{},\
-             \"ranges_per_level\":{ranges_per_level:.1},\"merge_shard_busy_s\":[{}],\"merge_recombine_s\":{:.6},\
+             \"merge_busy_s\":{:.6},\"merge_wait_s\":{:.6},\
+             \"ranges_per_level\":{ranges_per_level:.1},\
              \"explored_resident_bytes\":{},\"explored_bytes_per_state\":{explored_bytes_per_state}}}",
             par.stats.states_visited,
             elapsed.as_secs_f64(),
             par.stats.merge_busy.as_secs_f64(),
             par.stats.merge_wait.as_secs_f64(),
-            par.stats.merge_shards,
-            shard_busy.join(","),
-            par.stats.merge_recombine.as_secs_f64(),
             par.stats.explored_resident_bytes,
         ));
     }

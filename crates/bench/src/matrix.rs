@@ -18,18 +18,6 @@ pub fn workers() -> Vec<usize> {
     }
 }
 
-/// Merge-shard counts under test: `CB_MERGE_SHARDS=4` or
-/// `CB_MERGE_SHARDS=1,2,4` (default `1,2`).
-pub fn merge_shards() -> Vec<usize> {
-    match std::env::var("CB_MERGE_SHARDS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("CB_MERGE_SHARDS: usize list"))
-            .collect(),
-        Err(_) => vec![1, 2],
-    }
-}
-
 /// Seed driving the scenario/state-drift variation: `CB_EQ_SEED=9002`
 /// (default `1213`). CI legs span residues mod 3 and parities, since the
 /// drift mutations key off them.
@@ -57,9 +45,6 @@ mod tests {
         }
         if std::env::var("CB_EQ_SEED").is_err() {
             assert_eq!(super::seed(), 1213);
-        }
-        if std::env::var("CB_MERGE_SHARDS").is_err() {
-            assert_eq!(super::merge_shards(), vec![1, 2]);
         }
         if std::env::var("CB_PRED_CACHE").is_err() {
             assert!(super::prediction_cache());

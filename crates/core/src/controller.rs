@@ -186,6 +186,18 @@ struct InstalledFilter {
     filter: EventFilter,
 }
 
+/// The worker pool a checker that owns its resources runs `engine` on.
+/// The scope owner always participates, so a parallel engine with `w`
+/// workers needs `w - 1` pool threads; at least one is kept so replays
+/// overlap the main search even under the sequential engine.
+pub fn checker_pool(engine: &Engine) -> WorkerPool {
+    let workers = match engine {
+        Engine::Parallel(p) => p.workers,
+        _ => 1,
+    };
+    WorkerPool::new(workers.max(2) - 1)
+}
+
 /// The per-deployment CrystalBall controller. One instance serves every
 /// node of the simulation, keeping per-node filter ownership — equivalent
 /// to the paper's one-controller-per-node arrangement, because a filter
@@ -210,14 +222,7 @@ impl<P: Protocol> Controller<P> {
     /// prediction, known-path replays, filter-safety re-checks, across
     /// every shard — shares one [`WorkerPool`].
     pub fn new(protocol: P, props: PropertySet<P>, config: ControllerConfig) -> Self {
-        // The scope owner always participates, so a parallel engine with
-        // w workers needs w-1 pool threads; keep at least one so replays
-        // overlap the main search even under the sequential engine.
-        let engine_workers = match &config.engine {
-            Engine::Parallel(p) => p.workers.max(1),
-            _ => 1,
-        };
-        let pool = WorkerPool::new(engine_workers.max(2) - 1);
+        let pool = checker_pool(&config.engine);
         Self::with_runtime(protocol, props, config, pool, None)
     }
 
@@ -686,11 +691,10 @@ mod tests {
                 proto,
                 randtree::properties::all(),
                 ControllerConfig {
-                    // The sharded merge, driven through the controller
+                    // The phased engine, driven through the controller
                     // plumbing: it may not change what gets predicted.
                     engine: Engine::Parallel(ParallelConfig {
                         workers: 4,
-                        merge_shards: 2,
                         ..ParallelConfig::default()
                     }),
                     ..steering_config()

@@ -39,7 +39,9 @@ pub mod controller;
 pub mod service;
 
 pub use cache::{CacheStats, PredictionCache};
-pub use controller::{Controller, ControllerConfig, ControllerStats, Mode, PredictionReport};
+pub use controller::{
+    checker_pool, Controller, ControllerConfig, ControllerStats, Mode, PredictionReport,
+};
 pub use service::{CheckerHost, CheckerMode, WireChecker, WireRound};
 
 pub use cb_mc::WorkerPool;

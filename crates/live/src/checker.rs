@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cb_model::{Decode, Encode, FrameKind, NodeId, PropertySet, Protocol, SimTime, WireFrame};
-use crystalball::{ControllerConfig, WireChecker};
+use crystalball::{checker_pool, ControllerConfig, WireChecker};
 
 use crate::conn::{accept_pending, FramedConn};
 use crate::reactor::{spawn_reactor, Hosted, IoReadiness, PollStatus, ReactorCtl};
@@ -153,17 +153,8 @@ impl<P: Protocol> CheckerSrv<P> {
         drain_timeout: Duration,
         ctl: mpsc::Receiver<CheckerCtl>,
     ) -> Self {
-        let pool_workers = match &config.engine {
-            cb_mc::Engine::Parallel(p) => p.workers.max(2) - 1,
-            _ => 1,
-        };
-        let checker = WireChecker::new(
-            protocol,
-            props,
-            config,
-            cb_mc::WorkerPool::new(pool_workers),
-            None,
-        );
+        let pool = checker_pool(&config.engine);
+        let checker = WireChecker::new(protocol, props, config, pool, None);
         M_SUBMITS.touch();
         M_ROUNDS.touch();
         M_PREDICTIONS.touch();

@@ -46,9 +46,7 @@ pub mod stats;
 
 pub use filter::{EventFilter, FilterSet};
 pub use frontier::{Admission, ExploredBatch, LockFreeExplored};
-pub use parallel::{
-    find_consequences_parallel, find_errors_parallel, ParallelConfig, MAX_MERGE_SHARDS,
-};
+pub use parallel::{find_consequences_parallel, find_errors_parallel, ParallelConfig};
 pub use pool::{PoolScope, WorkerPool};
 pub use replay::{replay_path, ReplayOutcome};
 pub use report::{FoundViolation, PathStep, SearchOutcome, StopReason};

@@ -28,17 +28,14 @@
 //!    each of its jobs enumerate events, clone the state, run the
 //!    handler, hash the successor, and race a single CAS per successor
 //!    into the [`LockFreeExplored`] table (stamped with the successor
-//!    level, through one [`ExploredBatch`] per range). The task tags each
-//!    successor edge with its canonical (job, event) position, routes it
-//!    by a hash of its explored-table key to one of `k` merge shards
-//!    ([`ParallelConfig::merge_shards`]), and deposits one flat,
-//!    canonically ordered edge list per shard into order-preserving
-//!    reorder buffers indexed by range. Each shard's consumer takes
-//!    ranges in canonical order *while later ranges are still expanding*,
-//!    so the canonical dedup/merge never waits for — or buffers — the
-//!    whole level. Shard 0's consumer is the coordinator; when its next
-//!    in-order range is not ready it helps by executing one of the
-//!    level's queued ranges instead of sleeping.
+//!    level, through one [`ExploredBatch`] per range). The task deposits
+//!    its successor edges, in canonical (job, event) order, into an
+//!    order-preserving reorder buffer indexed by range. The coordinator
+//!    takes ranges in canonical order *while later ranges are still
+//!    expanding*, so the canonical dedup/merge never waits for — or
+//!    buffers — the whole level; when its next in-order range is not
+//!    ready it helps by executing one of the level's queued ranges
+//!    instead of sleeping.
 //!
 //! # Ranges, not jobs
 //!
@@ -53,26 +50,13 @@
 //! contiguous in job order and consumed in order, so where the cuts fall
 //! cannot reach a result.
 //!
-//! # One merge, `k` shards
+//! # One merge stream
 //!
-//! Equal hashes always land in the same shard, so every per-hash decision
-//! — first-canonical-edge wins, admitted-this-level vs earlier-duplicate,
-//! canonical-clone re-derivation — is taken by one consumer with the same
-//! inputs at every `k`; shards only interleave decisions about
-//! *different* hashes. Shards 1..k run as pool tasks spawned after every
-//! range task (the pool queue is FIFO, so a blocked shard only ever
-//! waits on expansions that are already running — no deadlock at any pool
-//! size, including zero threads).
-//!
-//! At `k = 1` — what auto picks below 4 workers — the single consumer
-//! sees every admitted edge in canonical order, so it enqueues straight
-//! into the arena and the next level as ranges arrive. Above one, each
-//! shard collects its admitted edges with their canonical (job, event)
-//! position, and a sequential k-way recombine merges the per-shard
-//! streams — each already canonically ordered — back into the exact
-//! sequential enqueue order. Either way arena layout, violations and
-//! shallowest paths stay bit-identical to the sequential engine for every
-//! shard count.
+//! The coordinator is the only merge consumer. It sees every successor
+//! edge in canonical order, so it enqueues each admitted edge straight
+//! into the arena and the next level as its range arrives: arena layout,
+//! violations and shallowest paths come out bit-identical to the
+//! sequential engine with nothing to buffer or recombine.
 //!
 //! The merge applies the sequential engine's enqueue-time dedup in
 //! canonical order (job order × event order): the canonically-first edge
@@ -119,10 +103,6 @@ use crate::search::{
 };
 use crate::stats::SearchStats;
 
-/// Hard cap on merge shards: past this, per-shard reorder buffers cost
-/// more than the dedup work they split.
-pub const MAX_MERGE_SHARDS: usize = 16;
-
 /// Tuning for the parallel engine.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
@@ -133,19 +113,10 @@ pub struct ParallelConfig {
     /// `<= 1` is the sequential engine: the search returns
     /// [`Searcher::run`]'s outcome, stats included, and touches no pool.
     pub workers: usize,
-    /// Merge shards for phase 3: the canonical dedup/merge is partitioned
-    /// by successor-hash key range and the shards run concurrently, with
-    /// a deterministic recombine reconstituting the exact sequential
-    /// enqueue order. 1 is the single coordinator stream, which enqueues
-    /// directly and has nothing to buffer or recombine. 0 (the default)
-    /// picks 1 below 4 workers — where one stream keeps up with the
-    /// expansion and the recombine only adds a serial section — and 4
-    /// from there on. The "4 from 4 workers" half of that rule has never
-    /// been measured on a host with 4 or more cores (every recording so
-    /// far comes from 1- and 2-core hosts, where 4 workers lose to 2);
-    /// only the below-4 half rests on data. Any value yields
-    /// bit-identical results — this knob trades merge parallelism against
-    /// per-shard buffer overhead.
+    /// Has no effect: phase 3 has one merge consumer, the coordinator.
+    /// Nothing reads this field. Kept only because the benchmark crate
+    /// (`benchmark/`) names it in a struct literal; it goes when that
+    /// crate stops naming it.
     pub merge_shards: usize,
     /// Has no effect: the explored table has one slot layout. Nothing
     /// reads this field. Kept only because the benchmark crate
@@ -160,10 +131,7 @@ pub struct ParallelConfig {
 }
 
 impl Default for ParallelConfig {
-    /// One worker per available core, at most 8, with auto merge shards.
-    /// On a host with 4 or more cores that selects the 4-shard merge, a
-    /// configuration that is tested for equivalence at every shard count
-    /// but whose speed is unmeasured — see [`ParallelConfig::merge_shards`].
+    /// One worker per available core, at most 8.
     fn default() -> Self {
         ParallelConfig {
             workers: std::thread::available_parallelism()
@@ -175,27 +143,6 @@ impl Default for ParallelConfig {
             explored_spill_bytes: None,
         }
     }
-}
-
-impl ParallelConfig {
-    /// The merge-shard count a search will actually run with: the
-    /// explicit setting clamped to [`MAX_MERGE_SHARDS`], or when auto (0)
-    /// one stream below 4 workers and 4 shards from there on.
-    pub fn effective_merge_shards(&self) -> usize {
-        match self.merge_shards {
-            0 if self.workers < 4 => 1,
-            0 => 4,
-            k => k.min(MAX_MERGE_SHARDS),
-        }
-    }
-}
-
-/// The merge shard a successor hash belongs to. Mixed before reducing
-/// (the same Fibonacci decorrelation the explored table's probe start
-/// uses) so structured hashes spread; equal hashes always co-locate,
-/// which is what keeps each per-hash dedup decision shard-local.
-fn shard_of(hash: u64, shards: usize) -> usize {
-    ((hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize) % shards
 }
 
 /// Range tasks a level is cut into per worker: a few, so the coordinator
@@ -223,15 +170,11 @@ fn range_len(n: usize, workers: usize) -> usize {
 /// reached it — all items of one level share a depth.
 type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
 
-/// One successor edge emitted by the expand phase, routed to the merge
-/// shard owning its hash; the merge passes the edges it admits on as they
-/// are, with `state` filled in.
+/// One successor edge emitted by the expand phase; the merge passes the
+/// edges it admits on as they are, with `state` filled in.
 struct Edge<P: Protocol> {
     /// Canonical job index within the level.
     job: u32,
-    /// Index within the job's event-enumeration order (what the recombine
-    /// sorts on, after the job index).
-    ord: u32,
     /// The successor state — carried only by the edge whose worker won the
     /// explored-table insertion race for `hash`.
     ///
@@ -277,7 +220,7 @@ impl ExpandTally {
     }
 }
 
-/// What one merge consumer counted while draining its channel.
+/// What the merge counted while draining its channel.
 #[derive(Default)]
 struct MergeTally {
     duplicates: usize,
@@ -352,11 +295,10 @@ impl Deadline {
     }
 }
 
-/// The order-preserving channel between range tasks and one merge
-/// shard's consumer: a reorder buffer indexed by range, consumed as a
-/// contiguous prefix. Peak residency is the out-of-order window (how far
-/// completed ranges run ahead of the canonical cursor), not the whole
-/// level.
+/// The order-preserving channel between range tasks and the merge: a
+/// reorder buffer indexed by range, consumed as a contiguous prefix. Peak
+/// residency is the out-of-order window (how far completed ranges run
+/// ahead of the canonical cursor), not the whole level.
 struct MergeChannel<T> {
     inner: Mutex<MergeBuf<T>>,
     ready: Condvar,
@@ -421,28 +363,25 @@ impl<T> MergeBuf<T> {
     }
 }
 
-/// Ensures every shard's channel sees a deposit for range `r` even if
-/// the range task unwinds: without one a merge consumer would wait
-/// forever on a range whose panic the pool has already captured for
-/// re-raising at scope exit.
-struct ShardDepositGuard<'a, T: Default> {
-    chans: &'a [MergeChannel<T>],
+/// Ensures the channel sees a deposit for range `r` even if the range
+/// task unwinds: without one the merge would wait forever on a range
+/// whose panic the pool has already captured for re-raising at scope
+/// exit.
+struct DepositGuard<'a, T: Default> {
+    chan: &'a MergeChannel<T>,
     r: usize,
     armed: bool,
 }
 
-impl<T: Default> Drop for ShardDepositGuard<'_, T> {
+impl<T: Default> Drop for DepositGuard<'_, T> {
     fn drop(&mut self) {
         if self.armed {
-            for chan in self.chans {
-                chan.deposit(self.r, T::default());
-            }
+            self.chan.deposit(self.r, T::default());
         }
     }
 }
 
-/// What the range tasks and merge consumers of one level's phase 3 all
-/// read.
+/// What the range tasks and the merge of one level's phase 3 all read.
 struct Phase3<'a, P: Protocol> {
     level: &'a [(GlobalState<P>, Option<usize>)],
     jobs: &'a [ExpandJob],
@@ -450,7 +389,6 @@ struct Phase3<'a, P: Protocol> {
     /// The successor level every insert of this phase is stamped with
     /// (what `prior_level` readbacks are compared to).
     stamp: u64,
-    shards: usize,
     deadline: &'a Deadline,
 }
 
@@ -489,18 +427,13 @@ impl<P: Protocol> Searcher<'_, P> {
             return self.run(start);
         }
         let workers = par.workers;
-        let shards = par.effective_merge_shards();
         let t0 = Instant::now();
         let deadline = Deadline {
             search_t0: t0,
             limit: self.config.deadline,
             hit: AtomicBool::new(false),
         };
-        let mut stats = SearchStats {
-            merge_shards: shards,
-            merge_shard_busy: vec![Duration::ZERO; shards],
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
         let mut violations: Vec<FoundViolation<P>> = Vec::new();
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         // Pre-size the table from the state budget: successor inserts run
@@ -608,8 +541,8 @@ impl<P: Protocol> Searcher<'_, P> {
             // non-canonical edge" from "duplicate of an earlier level"
             // batch by batch.
             self.expand_and_merge_level(
-                &level, &jobs, &explored, stamp, workers, shards, &deadline, pool, &mut arena,
-                &mut next, &mut stats,
+                &level, &jobs, &explored, stamp, workers, &deadline, pool, &mut arena, &mut next,
+                &mut stats,
             );
             if deadline.hit() {
                 break 'levels; // the partial level is discarded
@@ -631,6 +564,7 @@ impl<P: Protocol> Searcher<'_, P> {
             None => StopReason::Exhausted,
         };
         stats.elapsed = t0.elapsed();
+        stats.merge_shard_busy = vec![stats.merge_busy];
         stats.explored_resident_bytes = explored.resident_bytes();
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
             + explored.len() * 2 * size_of::<u64>()
@@ -685,19 +619,13 @@ impl<P: Protocol> Searcher<'_, P> {
     /// explored table — one CAS per successor through one
     /// [`ExploredBatch`] for the whole range, so the segment snapshot and
     /// the shared-length update cost one synchronization edge per range.
-    /// Each successor edge is routed to the merge shard owning its hash,
-    /// tagged with its canonical (job, ord) position, so every per-shard
-    /// list comes out in canonical order. Returns those lists plus what
-    /// the range counted; cut short (to be discarded) once the deadline
-    /// has passed.
+    /// Returns the range's successor edges in canonical (job, event)
+    /// order plus what the range counted; cut short (to be discarded)
+    /// once the deadline has passed.
     ///
     /// [`ExploredBatch`]: crate::ExploredBatch
-    fn expand_range(
-        &self,
-        cx: &Phase3<'_, P>,
-        range: Range<usize>,
-    ) -> (Vec<Vec<Edge<P>>>, ExpandTally) {
-        let mut per: Vec<Vec<Edge<P>>> = (0..cx.shards).map(|_| Vec::new()).collect();
+    fn expand_range(&self, cx: &Phase3<'_, P>, range: Range<usize>) -> (Vec<Edge<P>>, ExpandTally) {
+        let mut edges = Vec::new();
         let mut filtered = 0usize;
         let mut batch = cx.explored.batch();
         // One memo per range task: what it holds depends on the range's
@@ -717,7 +645,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 &mut filtered,
             );
             let mut from = memo.expand(state);
-            for (ord, event) in events.into_iter().enumerate() {
+            for event in events {
                 let (next, step) = from.successor(&event);
                 let hash = next.state_hash();
                 let (state, bytes, prior_level) = match batch.insert_leveled(hash, cx.stamp) {
@@ -727,9 +655,8 @@ impl<P: Protocol> Searcher<'_, P> {
                     }
                     Admission::Seen { level } => (None, 0, level),
                 };
-                per[shard_of(hash, cx.shards)].push(Edge {
+                edges.push(Edge {
                     job: j as u32,
-                    ord: ord as u32,
                     state,
                     bytes,
                     hash,
@@ -744,17 +671,15 @@ impl<P: Protocol> Searcher<'_, P> {
             memo_hits: memo.hits(),
             memo_misses: memo.misses(),
         };
-        (per, tally)
+        (edges, tally)
     }
 
-    /// Applies the canonical enqueue-time dedup to one shard's share of
-    /// one range's edges, in canonical order, emitting every admitted
-    /// edge — its state filled in — into `sink` and returning the
-    /// duplicates it discarded. Exactly the bookkeeping the sequential
-    /// loop performs at its `explored.insert`: the canonically-first edge
-    /// to a hash admitted this level becomes its parent; everything else
-    /// is a duplicate. Equal hashes always land in the same shard, so the
-    /// decision is taken with the same inputs at every shard count.
+    /// Applies the canonical enqueue-time dedup to one range's edges, in
+    /// canonical order, emitting every admitted edge — its state filled
+    /// in — into `sink` and returning the duplicates it discarded.
+    /// Exactly the bookkeeping the sequential loop performs at its
+    /// `explored.insert`: the canonically-first edge to a hash admitted
+    /// this level becomes its parent; everything else is a duplicate.
     fn admit(
         &self,
         cx: &Phase3<'_, P>,
@@ -789,22 +714,21 @@ impl<P: Protocol> Searcher<'_, P> {
         duplicates
     }
 
-    /// One merge shard's consumer: takes the shard's channel in canonical
-    /// range order and admits its key range into `sink`. The coordinator
-    /// passes its pool scope, so a missing batch makes it run one of the
-    /// level's queued tasks instead of sleeping — starvation never blocks
-    /// progress, and canonical-completion order holds even on a
-    /// zero-thread pool; tail shards pass `None` and just wait.
-    fn merge_shard(
+    /// The coordinator's merge: takes the channel in canonical range
+    /// order and admits every edge into `sink`. A missing batch makes it
+    /// run one of the level's queued range tasks through `scope` instead
+    /// of sleeping, so starvation never blocks progress and the phase
+    /// completes even on a zero-thread pool.
+    fn merge(
         &self,
         cx: &Phase3<'_, P>,
         chan: &MergeChannel<Vec<Edge<P>>>,
-        helper: Option<&PoolScope<'_, '_>>,
+        scope: &PoolScope<'_, '_>,
         mut sink: impl FnMut(Edge<P>),
     ) -> MergeTally {
-        let _span = cb_obs::span("mc.merge_shard", "mc");
+        let _span = cb_obs::span("mc.merge", "mc");
         let mut tally = MergeTally::default();
-        // Hashes this shard already decided this level.
+        // Hashes the merge already decided this level.
         let mut seen = DigestSet::default();
         // Partial results are discarded on deadline stops.
         while !cx.deadline.passed() {
@@ -814,7 +738,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 }
                 // Run a queued range instead of sleeping — expansion
                 // work, attributed to neither timer.
-                if !helper.is_some_and(|scope| scope.help_one()) {
+                if !scope.help_one() {
                     // The needed range is running on another thread (wait
                     // for its deposit, which notifies), or every range
                     // has been merged.
@@ -825,7 +749,7 @@ impl<P: Protocol> Searcher<'_, P> {
                 }
             };
             let Some(edges) = got else {
-                break; // level drained, or deadline raised by another task
+                break; // level drained, or deadline raised by a range task
             };
             let tb = Instant::now();
             tally.duplicates += self.admit(cx, edges, &mut seen, &mut sink);
@@ -835,25 +759,12 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Phase 3: expands the level's jobs range by range and merges the
-    /// resulting edges in canonical order, overlapped. Each range task
-    /// routes its successor edges to the merge shard owning their hash;
-    /// the shards dedup/merge their key ranges concurrently (shard 0
-    /// streamed by the coordinator, shards 1..k as pool tasks). One shard
-    /// enqueues as it admits; more buffer their admitted edges for a
-    /// sequential recombine that k-way-merges them back into the exact
-    /// sequential enqueue order. A level that fits one range is expanded
-    /// and merged on the caller. When the deadline fires mid-phase the
-    /// merge is left partial, for the caller to discard.
-    ///
-    /// Deadlock freedom: tail merge tasks block on deposits, so they are
-    /// spawned *after* every range task. The pool queue is FIFO — by the
-    /// time any worker (or the helping coordinator) pops a merge task,
-    /// every range task has already been popped, so a blocked merger
-    /// only ever waits on tasks that are running or finished, never on
-    /// one queued behind it. This holds at any pool size, including a
-    /// zero-thread pool where the coordinator runs everything via
-    /// `help_one` (FIFO again: ranges drain first, and a merge task run
-    /// inline then finds all its deposits already present).
+    /// resulting edges in canonical order, overlapped: every range is a
+    /// pool task depositing into one [`MergeChannel`], and the
+    /// coordinator merges the channel, enqueueing each admitted edge as
+    /// it goes. A level that fits one range is expanded and merged on the
+    /// caller. When the deadline fires mid-phase the merge is left
+    /// partial, for the caller to discard.
     #[allow(clippy::too_many_arguments)]
     fn expand_and_merge_level(
         &self,
@@ -862,7 +773,6 @@ impl<P: Protocol> Searcher<'_, P> {
         explored: &LockFreeExplored,
         stamp: u64,
         workers: usize,
-        shards: usize,
         deadline: &Deadline,
         pool: &WorkerPool,
         arena: &mut Vec<ArenaRec<P>>,
@@ -873,18 +783,15 @@ impl<P: Protocol> Searcher<'_, P> {
         let len = range_len(jobs.len(), workers);
         let ranges = jobs.len().div_ceil(len);
         stats.expand_ranges += ranges;
-        // A lone range is merged where it was expanded: nothing to route.
-        let shards = if ranges > 1 { shards } else { 1 };
         let cx = &Phase3 {
             level,
             jobs,
             explored,
             stamp,
-            shards,
             deadline,
         };
         // Where every admitted edge ends up, in canonical order.
-        let mut enqueue = |e: Edge<P>| {
+        let enqueue = |e: Edge<P>| {
             let state = e.state.expect("admitted edges carry their state");
             next.push(
                 arena,
@@ -900,61 +807,36 @@ impl<P: Protocol> Searcher<'_, P> {
             // Nothing to overlap: expand and merge on the caller, no
             // scope, channel or worker wake-up. Canonical order *is* the
             // execution order.
-            let (mut per, tally) = self.expand_range(cx, 0..jobs.len());
+            let (edges, tally) = self.expand_range(cx, 0..jobs.len());
             tally.add_to(stats);
-            let edges = per.pop().expect("one shard");
             stats.duplicates_hit += self.admit(cx, edges, &mut DigestSet::default(), enqueue);
             return;
         }
 
-        let chans: Vec<MergeChannel<Vec<Edge<P>>>> =
-            (0..shards).map(|_| MergeChannel::new(ranges)).collect();
+        let chan: MergeChannel<Vec<Edge<P>>> = MergeChannel::new(ranges);
         let expanded = Mutex::new(ExpandTally::default());
-        // What each buffering shard admitted (canonically ordered within
-        // its key range) and counted; unused at one shard.
-        type ShardOut<P> = (Vec<Edge<P>>, MergeTally);
-        let tail_out: Vec<Mutex<Option<ShardOut<P>>>> =
-            (1..shards).map(|_| Mutex::new(None)).collect();
-        let mut admitted0: Vec<Edge<P>> = Vec::new();
-        let tally0 = pool.scope(|scope: &PoolScope<'_, '_>| {
+        let merged = pool.scope(|scope: &PoolScope<'_, '_>| {
             for r in 0..ranges {
-                let (chans, expanded) = (&chans[..], &expanded);
+                let (chan, expanded) = (&chan, &expanded);
                 scope.spawn(move || {
-                    // Disarmed once the range has lists of its own to
+                    // Disarmed once the range has edges of its own to
                     // deposit.
-                    let mut guard = ShardDepositGuard {
-                        chans,
+                    let mut guard = DepositGuard {
+                        chan,
                         r,
                         armed: true,
                     };
-                    let (per, tally) =
+                    let (edges, tally) =
                         self.expand_range(cx, r * len..jobs.len().min((r + 1) * len));
                     expanded
                         .lock()
                         .expect("expand tally poisoned")
                         .absorb(tally);
                     guard.armed = false;
-                    for (chan, edges) in chans.iter().zip(per) {
-                        chan.deposit(r, edges);
-                    }
+                    chan.deposit(r, edges);
                 });
             }
-            // Tail mergers — spawned after every range task; the FIFO
-            // queue order is load-bearing (see the method docs).
-            for (chan, slot) in chans[1..].iter().zip(&tail_out) {
-                scope.spawn(move || {
-                    let mut admitted = Vec::new();
-                    let tally = self.merge_shard(cx, chan, None, |e| admitted.push(e));
-                    *slot.lock().expect("shard output slot poisoned") = Some((admitted, tally));
-                });
-            }
-            // The coordinator streams shard 0. Alone, it sees every
-            // admitted edge in canonical order and enqueues directly.
-            if shards == 1 {
-                self.merge_shard(cx, &chans[0], Some(scope), &mut enqueue)
-            } else {
-                self.merge_shard(cx, &chans[0], Some(scope), |e| admitted0.push(e))
-            }
+            self.merge(cx, &chan, scope, enqueue)
             // Scope exit runs any still-queued tasks (after a deadline
             // they deposit what little they expanded) and waits for
             // in-flight ones.
@@ -966,47 +848,9 @@ impl<P: Protocol> Searcher<'_, P> {
             .into_inner()
             .expect("expand tally poisoned")
             .add_to(stats);
-        stats.merge_wait += tally0.wait;
-        let mut outs = vec![(admitted0, tally0)];
-        outs.extend(tail_out.into_iter().map(|slot| {
-            slot.into_inner()
-                .expect("shard output slot poisoned")
-                .expect("tail shard merged (scope joined)")
-        }));
-        for (s, (_, tally)) in outs.iter().enumerate() {
-            stats.duplicates_hit += tally.duplicates;
-            stats.merge_busy += tally.busy;
-            stats.merge_shard_busy[s] += tally.busy;
-        }
-        if shards == 1 {
-            return;
-        }
-
-        // Deterministic recombine: every shard's admitted list is already
-        // sorted by (job, ord) — the canonical order restricted to its
-        // key range — so a k-way merge on (job, ord) reconstitutes the
-        // exact sequential enqueue order, and arena indices / next-level
-        // positions come out bit-identical to the single-stream merge.
-        let _rec_span = cb_obs::span("mc.recombine", "mc");
-        let t_rec = Instant::now();
-        let mut streams: Vec<_> = outs
-            .into_iter()
-            .map(|(admitted, _)| admitted.into_iter().peekable())
-            .collect();
-        loop {
-            let mut best: Option<((u32, u32), usize)> = None;
-            for (s, it) in streams.iter_mut().enumerate() {
-                if let Some(e) = it.peek() {
-                    let key = (e.job, e.ord);
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            enqueue(streams[s].next().expect("peeked edge"));
-        }
-        stats.merge_recombine += t_rec.elapsed();
+        stats.duplicates_hit += merged.duplicates;
+        stats.merge_busy += merged.busy;
+        stats.merge_wait += merged.wait;
     }
 }
 
@@ -1270,41 +1114,51 @@ mod tests {
         );
     }
 
+    /// The phased engine with no pool thread at all: the coordinator
+    /// runs every range task itself through `help_one` while it merges,
+    /// and the result is still the sequential engine's.
     #[test]
-    fn merge_shard_matrix_matches_sequential() {
+    fn zero_thread_pool_matches_sequential() {
         let (p, gs, pr, base) = wide();
-        let seq = find_errors(&p, &pr, &gs, base.clone());
-        for shards in [1, 2, 4, 7] {
-            let par = find_errors_parallel(
-                &p,
-                &pr,
-                &gs,
-                base.clone(),
-                &ParallelConfig {
-                    workers: 4,
-                    merge_shards: shards,
-                    ..ParallelConfig::default()
-                },
-            );
+        let base = SearchConfig {
+            prune_local: false,
+            ..base
+        };
+        let seq = Searcher::new(&p, &pr, base.clone()).run(&gs);
+        for workers in [2, 4] {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let (p, gs, pr, base) = (p.clone(), gs.clone(), pr.clone(), base.clone());
+            let search = std::thread::spawn(move || {
+                let par = Searcher::new(&p, &pr, base).run_parallel_pooled(
+                    &gs,
+                    &ParallelConfig {
+                        workers,
+                        ..ParallelConfig::default()
+                    },
+                    &WorkerPool::new(0),
+                );
+                let _ = done_tx.send(par);
+            });
+            let par = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!("engine hung on a zero-thread pool (workers={workers})")
+                });
+            search.join().expect("search thread exits");
             assert_eq!(
                 outcome_fingerprint(&seq),
                 outcome_fingerprint(&par),
-                "shards={shards}"
+                "workers={workers}"
             );
-            assert_eq!(seq.stats.per_depth, par.stats.per_depth, "shards={shards}");
-            assert_eq!(par.stats.merge_shards, shards, "shards={shards}");
             assert_eq!(
-                par.stats.merge_shard_busy.len(),
-                shards,
-                "one busy entry per shard (shards={shards})"
+                seq.stats.per_depth, par.stats.per_depth,
+                "workers={workers}"
             );
-            if shards == 1 {
-                assert_eq!(
-                    par.stats.merge_recombine,
-                    Duration::ZERO,
-                    "a single stream has nothing to recombine"
-                );
-            }
+            assert_eq!(seq.stopped, par.stopped, "workers={workers}");
+            assert!(
+                par.stats.expand_ranges > par.stats.per_depth.len(),
+                "some level was cut into several ranges (workers={workers})"
+            );
         }
     }
 
@@ -1372,9 +1226,8 @@ mod tests {
         }
     }
 
-    /// A panicking range task must not strand a merge consumer on the
-    /// batch it never deposited: the deposit guard fills the gap on every
-    /// shard's channel, the level drains, and the pool re-raises the
+    /// A panicking range task must not strand the merge on the batch it
+    /// never deposited: the deposit guard fills the gap, the level drains, and the pool re-raises the
     /// panic out of `run_parallel`. Four nodes hit the bug in a 9-job
     /// level (inline, no task at all); six nodes with one pong to spare
     /// hit it in a 476-job level cut into 8 ranges.
@@ -1384,37 +1237,28 @@ mod tests {
             let (ping, gs) = sys(nodes);
             let proto = PongPanics { ping, spare };
             let gs = GlobalState::init(&proto, gs.nodes.keys().copied());
-            for shards in [1, 2, 4] {
-                let (done_tx, done_rx) = std::sync::mpsc::channel();
-                let (proto, gs) = (proto.clone(), gs.clone());
-                let search = std::thread::spawn(move || {
-                    let panicked = std::panic::catch_unwind(|| {
-                        find_errors_parallel(
-                            &proto,
-                            &PropertySet::new(),
-                            &gs,
-                            cfg(),
-                            &ParallelConfig {
-                                workers: 4,
-                                merge_shards: shards,
-                                ..ParallelConfig::default()
-                            },
-                        )
-                    })
-                    .is_err();
-                    let _ = done_tx.send(panicked);
-                });
-                let panicked = done_rx
-                    .recv_timeout(Duration::from_secs(60))
-                    .unwrap_or_else(|_| {
-                        panic!("engine hung on a panicked task ({nodes} nodes, shards={shards})")
-                    });
-                assert!(
-                    panicked,
-                    "the handler panic propagates ({nodes} nodes, shards={shards})"
-                );
-                search.join().expect("search thread exits");
-            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let search = std::thread::spawn(move || {
+                let panicked = std::panic::catch_unwind(|| {
+                    find_errors_parallel(
+                        &proto,
+                        &PropertySet::new(),
+                        &gs,
+                        cfg(),
+                        &ParallelConfig {
+                            workers: 4,
+                            ..ParallelConfig::default()
+                        },
+                    )
+                })
+                .is_err();
+                let _ = done_tx.send(panicked);
+            });
+            let panicked = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("engine hung on a panicked task ({nodes} nodes)"));
+            assert!(panicked, "the handler panic propagates ({nodes} nodes)");
+            search.join().expect("search thread exits");
         }
     }
 
@@ -1463,27 +1307,24 @@ mod tests {
             let seq = find_errors(&p, &pr, &gs, base.clone());
             assert_eq!(seq.stats.per_depth[6], last_level, "the level sizes moved");
             for workers in [2, 3, 4] {
-                for shards in [1, 2, 4] {
-                    let par = find_errors_parallel(
-                        &p,
-                        &pr,
-                        &gs,
-                        base.clone(),
-                        &ParallelConfig {
-                            workers,
-                            merge_shards: shards,
-                            ..ParallelConfig::default()
-                        },
-                    );
-                    let what = format!("{last_level} jobs, workers={workers}, shards={shards}");
-                    assert_eq!(
-                        outcome_fingerprint(&seq),
-                        outcome_fingerprint(&par),
-                        "{what}"
-                    );
-                    assert_eq!(seq.stats.per_depth, par.stats.per_depth, "{what}");
-                    assert_eq!(seq.stopped, par.stopped, "{what}");
-                }
+                let par = find_errors_parallel(
+                    &p,
+                    &pr,
+                    &gs,
+                    base.clone(),
+                    &ParallelConfig {
+                        workers,
+                        ..ParallelConfig::default()
+                    },
+                );
+                let what = format!("{last_level} jobs, workers={workers}");
+                assert_eq!(
+                    outcome_fingerprint(&seq),
+                    outcome_fingerprint(&par),
+                    "{what}"
+                );
+                assert_eq!(seq.stats.per_depth, par.stats.per_depth, "{what}");
+                assert_eq!(seq.stopped, par.stopped, "{what}");
             }
         }
     }
@@ -1541,23 +1382,5 @@ mod tests {
     #[test]
     fn default_config_has_workers() {
         assert!(ParallelConfig::default().workers >= 1);
-        let auto = ParallelConfig {
-            workers: 6,
-            merge_shards: 0,
-            ..ParallelConfig::default()
-        };
-        assert_eq!(auto.effective_merge_shards(), 4, "auto caps at 4");
-        for workers in [1, 2, 3] {
-            let few = ParallelConfig {
-                workers,
-                ..auto.clone()
-            };
-            assert_eq!(few.effective_merge_shards(), 1, "one stream below 4");
-        }
-        let wide = ParallelConfig {
-            merge_shards: 99,
-            ..ParallelConfig::default()
-        };
-        assert_eq!(wide.effective_merge_shards(), MAX_MERGE_SHARDS);
     }
 }

@@ -31,12 +31,11 @@
 //! worker threads, in which case every scope degrades to sequential
 //! execution on its owner.
 //!
-//! The queue's FIFO order is a *contract*, not an implementation detail:
-//! the parallel engine's sharded merge spawns tasks that block on the
-//! output of earlier-spawned tasks, and relies on every spawn-order
-//! predecessor having been popped (hence running or finished) before such
-//! a task starts. Replacing the queue with a LIFO or randomized discipline
-//! would deadlock it.
+//! The queue is FIFO. Helping alone keeps the pool deadlock-free — no
+//! waiter ever needs a queued task it could not run itself — so the order
+//! is not a liveness contract; it is what makes [`PoolScope::help_one`]
+//! pop the oldest queued task of a batch, which for the parallel engine's
+//! merge is the range it is waiting for.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -228,9 +227,10 @@ impl<'env> PoolScope<'_, 'env> {
     /// instead of sleeping, so — as with the scope-exit work-helping —
     /// progress never depends on pool capacity, including a zero-thread
     /// pool or a pool whose every worker is itself a blocked coordinator.
-    /// Tasks were spawned in submission order and the pool queue is FIFO,
-    /// so the popped task is the lowest-indexed remaining one — exactly
-    /// the task an order-preserving consumer is waiting for.
+    /// The pool queue is FIFO, so the popped task is the batch's oldest
+    /// queued one — for the parallel engine's in-order merge, the
+    /// lowest-indexed range still queued, which is the one it is waiting
+    /// for or the next one it will want.
     pub fn help_one(&self) -> bool {
         let job = {
             let mut q = self.shared.queue.lock().expect("pool queue poisoned");

@@ -53,42 +53,27 @@ pub struct SearchStats {
     pub per_depth: Vec<usize>,
     /// Wall-clock time spent searching.
     pub elapsed: Duration,
-    /// Parallel engine only: time spent *performing* the canonical
-    /// dedup/merge on received edge batches, summed over **every** merge
-    /// shard's consumer (the sum of `merge_shard_busy`) — CPU time that
-    /// can exceed the merge's wall time above one shard. Split from wait
+    /// Parallel engine only: time the coordinator spent *performing* the
+    /// canonical dedup/merge on received edge batches. Split from wait
     /// time because merging overlaps expansion: a single "merge phase"
-    /// timer would count a consumer's idle waits (for the next canonical
-    /// batch) as merge cost.
+    /// timer would count the coordinator's idle waits (for the next
+    /// canonical batch) as merge cost.
     pub merge_busy: Duration,
-    /// Parallel engine only: time the **coordinator** (shard 0's
-    /// consumer, alone) spent blocked waiting for the next
-    /// in-canonical-order batch (reorder-buffer stalls); tail shards'
-    /// waits are not added. Time the coordinator spends *helping* expand
-    /// is attributed to neither counter — it is expansion work, not merge
-    /// cost.
+    /// Parallel engine only: time the coordinator spent blocked waiting
+    /// for the next in-canonical-order batch (reorder-buffer stalls). Time
+    /// it spends *helping* expand is attributed to neither counter — it is
+    /// expansion work, not merge cost.
     pub merge_wait: Duration,
-    /// Parallel engine only: number of merge shards the streamed phase 3
-    /// ran with — at least 1 whenever the phased engine ran, so 0 says the
-    /// sequential loop did (`Engine::Sequential`, or `Engine::Parallel` at
-    /// one worker). Above one,
-    /// sharding splits the canonical merge by explored-key range so
-    /// shards dedup concurrently and a deterministic recombine restores
-    /// sequential order; at one the single stream enqueues directly.
-    pub merge_shards: usize,
     /// Parallel engine only: contiguous job ranges phase 3 expanded,
     /// summed over levels — one pool task each, or one inline pass for a
-    /// level that fits a single range (0 when the sequential loop ran).
+    /// level that fits a single range. 0 says the sequential loop ran
+    /// (`Engine::Sequential`, or `Engine::Parallel` at one worker).
     pub expand_ranges: usize,
-    /// Parallel engine only: per-shard busy time (index = shard). The sum
-    /// equals `merge_busy`; the spread shows how evenly `shard_of` split
-    /// the key space — the scaling bench reports it as merge utilization.
+    /// Parallel engine only: exactly one entry, equal to `merge_busy`,
+    /// whenever the phased engine ran; empty under the sequential loop.
+    /// Kept only because the benchmark crate (`benchmark/`) reads it; it
+    /// goes when that crate stops naming it.
     pub merge_shard_busy: Vec<Duration>,
-    /// Parallel engine only: time spent in the sequential k-way recombine
-    /// that merges per-shard admitted edges back into canonical enqueue
-    /// order. This is the sharded design's residual serial section (zero
-    /// at one merge shard, which has nothing to recombine).
-    pub merge_recombine: Duration,
     /// Resident bytes of the explored set at search end (the parallel
     /// engine's open-addressing segments; the sequential loop's hash-set
     /// entries).
@@ -156,9 +141,7 @@ impl SearchStats {
             .field_f64("elapsed_s", self.elapsed.as_secs_f64(), 6)
             .field_f64("merge_busy_s", self.merge_busy.as_secs_f64(), 6)
             .field_f64("merge_wait_s", self.merge_wait.as_secs_f64(), 6)
-            .field_usize("merge_shards", self.merge_shards)
             .field_usize("expand_ranges", self.expand_ranges)
-            .field_f64("merge_recombine_s", self.merge_recombine.as_secs_f64(), 6)
             .field_usize("explored_resident_bytes", self.explored_resident_bytes)
             .field_usize("tree_bytes", self.tree_bytes)
             .field_usize("peak_frontier_bytes", self.peak_frontier_bytes)

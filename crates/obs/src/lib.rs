@@ -73,7 +73,7 @@ pub enum EventKind {
 /// hot path never allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Event name (`"node.gather"`, `"mc.merge_shard"`, ...).
+    /// Event name (`"node.gather"`, `"mc.merge"`, ...).
     pub name: &'static str,
     /// Category (`"live"`, `"mc"`, `"checker"`, ...).
     pub cat: &'static str,

@@ -7,10 +7,8 @@
 //!
 //! The CI determinism matrix drives these tests through an env loop:
 //! `CB_EQ_WORKERS` (comma list, default `1,4`) selects the worker counts
-//! every scenario is checked at, `CB_MERGE_SHARDS` (comma list, default
-//! `1,2`) the merge-shard counts crossed with them, and `CB_EQ_SEED`
-//! (default `1213`) picks the churned live state the seeded scenario
-//! starts from.
+//! every scenario is checked at, and `CB_EQ_SEED` (default `1213`) picks
+//! the churned live state the seeded scenario starts from.
 
 use cb_bench::scenarios;
 use crystalball_suite::mc::{
@@ -52,38 +50,30 @@ fn assert_engines_agree<P: Protocol>(
     let seq_bfs = find_errors(proto, props, gs, config.clone());
     let seq_cp = find_consequences(proto, props, gs, config.clone());
     for workers in cb_bench::matrix::workers() {
-        for merge_shards in cb_bench::matrix::merge_shards() {
-            if workers == 1 && merge_shards != 1 {
-                // One worker is `Searcher::run` itself, which no shard
-                // count reaches: one leg covers the dispatch.
-                continue;
-            }
-            let par = ParallelConfig {
-                workers,
-                merge_shards,
-                ..ParallelConfig::default()
-            };
-            let par_bfs = find_errors_parallel(proto, props, gs, config.clone(), &par);
-            assert_eq!(
-                fingerprint(&seq_bfs),
-                fingerprint(&par_bfs),
-                "{what}: exhaustive search diverged at {workers} workers / {merge_shards} shards"
-            );
-            assert_eq!(
-                seq_bfs.stopped, par_bfs.stopped,
-                "{what}: stop reason (bfs, {workers}w/{merge_shards}s)"
-            );
-            let par_cp = find_consequences_parallel(proto, props, gs, config.clone(), &par);
-            assert_eq!(
-                fingerprint(&seq_cp),
-                fingerprint(&par_cp),
-                "{what}: consequence prediction diverged at {workers} workers / {merge_shards} shards"
-            );
-            assert_eq!(
-                seq_cp.stopped, par_cp.stopped,
-                "{what}: stop reason (cp, {workers}w/{merge_shards}s)"
-            );
-        }
+        let par = ParallelConfig {
+            workers,
+            ..ParallelConfig::default()
+        };
+        let par_bfs = find_errors_parallel(proto, props, gs, config.clone(), &par);
+        assert_eq!(
+            fingerprint(&seq_bfs),
+            fingerprint(&par_bfs),
+            "{what}: exhaustive search diverged at {workers} workers"
+        );
+        assert_eq!(
+            seq_bfs.stopped, par_bfs.stopped,
+            "{what}: stop reason (bfs, {workers} workers)"
+        );
+        let par_cp = find_consequences_parallel(proto, props, gs, config.clone(), &par);
+        assert_eq!(
+            fingerprint(&seq_cp),
+            fingerprint(&par_cp),
+            "{what}: consequence prediction diverged at {workers} workers"
+        );
+        assert_eq!(
+            seq_cp.stopped, par_cp.stopped,
+            "{what}: stop reason (cp, {workers} workers)"
+        );
     }
 }
 
@@ -200,17 +190,16 @@ fn paxos_commuting_deliveries_keep_canonical_paths() {
     // ranges, so a commuting pair's canonical edge and its insert-race
     // winner come from different range tasks.
     let seq = find_errors(&proto, &props, &gs, config.clone());
-    for (workers, merge_shards) in [(2, 1), (2, 2), (3, 1), (3, 4), (4, 2), (4, 4)] {
+    for workers in [2, 3, 4] {
         let par = ParallelConfig {
             workers,
-            merge_shards,
             ..ParallelConfig::default()
         };
         let par = find_errors_parallel(&proto, &props, &gs, config.clone(), &par);
         assert_eq!(
             fingerprint(&seq),
             fingerprint(&par),
-            "paxos/commuting: exhaustive search diverged at {workers}w/{merge_shards}s"
+            "paxos/commuting: exhaustive search diverged at {workers} workers"
         );
     }
 }

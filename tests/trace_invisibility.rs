@@ -45,7 +45,6 @@ fn mc_leg() -> (Vec<String>, Vec<usize>, usize, usize) {
     };
     let par = ParallelConfig {
         workers: 2,
-        merge_shards: 2,
         ..ParallelConfig::default()
     };
     let out = find_consequences_parallel(&proto, &props, &gs, config, &par);
