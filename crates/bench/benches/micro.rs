@@ -1,4 +1,4 @@
-//! Micro-benchmarks and the DESIGN.md ablations.
+//! Micro-benchmarks and the design ablations.
 //!
 //! * `consequence_prediction` — states/second of the online checker;
 //! * `ablation/local_explored` — the one-line pruning of Fig. 8 vs plain

@@ -1,9 +1,7 @@
-//! Shared helpers for the paper-reproduction bench harnesses.
-//!
-//! Every bench binary regenerates one table or figure of the paper's
-//! evaluation (§5) and prints it in a fixed-width layout, with the paper's
-//! reported values alongside for comparison. Harnesses honor
-//! `CB_BENCH_FAST=1` to shrink workloads (used by CI smoke runs).
+//! Shared helpers for the throughput bench harnesses: section headers,
+//! adaptive units, a micro-benchmark timer and the `--trace`/`--metrics`
+//! flags. Harnesses honor `CB_BENCH_FAST=1` to shrink workloads (used by
+//! CI smoke runs).
 
 use std::time::Duration;
 

@@ -1,12 +1,12 @@
-//! # cb-bench — harnesses regenerating every table and figure of §5
+//! # cb-bench — shared bench and test scaffolding
 //!
-//! Each bench target (`cargo bench -p cb-bench --bench <name>`) rebuilds
-//! one artifact of the paper's evaluation and prints its rows next to the
-//! paper's reported values. Absolute numbers differ (the paper ran Mace on
-//! a ModelNet cluster of Pentium-4 Xeons; we run a simulator on whatever
-//! executes this binary) — the *shapes* are the reproduction target:
-//! who wins, by what factor, and where the curves bend. See EXPERIMENTS.md
-//! for the recorded comparison.
+//! - [`scenarios`]: the canonical live states (§1.3's "system that has been
+//!   running for a significant amount of time") that the integration
+//!   tests, the paper-claims ledger (`tests/paper_claims.rs`), the bench
+//!   targets and `benchmark/` start from;
+//! - [`matrix`]: the CI determinism matrix's worker/seed/cache legs;
+//! - [`harness`]: helpers for the `harness = false` throughput benches
+//!   (`cargo bench -p cb-bench --bench <name>`).
 pub mod harness;
 pub mod matrix;
 pub mod scenarios;

@@ -1,6 +1,6 @@
-//! Canonical live states used by the bench harnesses — the "system that has
-//! been running for a significant amount of time" (§1.3) each prediction
-//! experiment starts from.
+//! Canonical live states used by the tests, the bench harnesses and
+//! `benchmark/` — the "system that has been running for a significant
+//! amount of time" (§1.3) each prediction experiment starts from.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -86,14 +86,13 @@ pub fn randtree_churned(seed: u64, bugs: RandTreeBugs) -> (RandTree, GlobalState
     (proto, sim.gs.clone())
 }
 
-/// A RandTree of `n` nodes built by real joins (for scaling experiments).
-pub fn randtree_of(n: u32, bugs: RandTreeBugs) -> (RandTree, GlobalState<RandTree>) {
-    let proto = RandTree::new(2, vec![NodeId(0)], bugs);
-    let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let mut gs = GlobalState::init(&proto, ids);
-    for i in 0..n {
-        join_rt(&proto, &mut gs, i, 0);
-    }
+/// The R6 live state: root n1 has bootstrapped by joining itself; n9 has
+/// not joined yet. Under R6 the very first root-accept misnotifies the
+/// joiner, so this freshly bootstrapped root is the last clean state.
+pub fn randtree_self_joined(bugs: RandTreeBugs) -> (RandTree, GlobalState<RandTree>) {
+    let proto = RandTree::new(2, vec![NodeId(1)], bugs);
+    let mut gs = GlobalState::init(&proto, [NodeId(1), NodeId(9)]);
+    join_rt(&proto, &mut gs, 1, 1);
     (proto, gs)
 }
 

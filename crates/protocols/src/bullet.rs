@@ -10,7 +10,7 @@
 //! TCP sockets ... This transport queues data on top of the TCP socket
 //! buffer, and refuses new data when its buffer is full."
 //!
-//! **Substitution note (DESIGN.md §1):** in the original system the mesh is
+//! **Substitution note:** in the original system the mesh is
 //! discovered dynamically through RandTree + RanSub. Here the mesh is a
 //! static sender→receiver DAG supplied by the configuration (see
 //! [`Bullet::with_mesh`]); this preserves every mechanism the paper's bug

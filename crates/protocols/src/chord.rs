@@ -11,7 +11,7 @@
 //! successor list — and re-injects the three inconsistencies CrystalBall
 //! found ([`ChordBugs`]). Finger tables accelerate lookups but play no role
 //! in any of the paper's bugs or properties, so routing simply walks
-//! successor pointers (documented substitution; DESIGN.md §1).
+//! successor pointers (a documented substitution).
 //!
 //! Chord ids are the node address widened to 64 bits, which preserves every
 //! ordering used in the paper's scenarios while keeping tests legible.

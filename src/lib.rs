@@ -1,8 +1,9 @@
 //! Facade crate for the CrystalBall reproduction workspace.
 //!
 //! Re-exports every sub-crate under one roof so the examples and the
-//! integration-test suite can use a single dependency. See `DESIGN.md` for
-//! the architecture and `EXPERIMENTS.md` for the paper-reproduction index.
+//! integration-test suite can use a single dependency. `README.md` maps the
+//! crates; `tests/paper_claims.rs` and `tests/table1_bugs.rs` check the
+//! paper's evaluation claim by claim.
 
 pub use cb_fleet as fleet;
 pub use cb_live as live;

@@ -3,23 +3,15 @@
 //! state when the bug flag is on, and (b) absent when the protocol is
 //! fixed — the cross-crate backbone of the reproduction.
 
+use cb_bench::scenarios::{self, settle};
 use crystalball_suite::mc::{find_consequences, SearchConfig, SearchOutcome};
 use crystalball_suite::model::{
     apply_event, Event, ExploreOptions, GlobalState, NodeId, PropertySet, Protocol,
 };
-use crystalball_suite::protocols::bullet::{self, Bullet, BulletBugs};
+use crystalball_suite::protocols::bullet::{self, BulletBugs};
 use crystalball_suite::protocols::chord::{self, Chord, ChordBugs};
-use crystalball_suite::protocols::paxos::{self, Paxos, PaxosBugs};
+use crystalball_suite::protocols::paxos::{self, PaxosBugs};
 use crystalball_suite::protocols::randtree::{self, RandTree, RandTreeBugs};
-
-fn settle<P: Protocol>(proto: &P, gs: &mut GlobalState<P>) {
-    let mut n = 0;
-    while !gs.inflight.is_empty() {
-        apply_event(proto, gs, &Event::Deliver { index: 0 });
-        n += 1;
-        assert!(n < 5_000, "did not settle");
-    }
-}
 
 fn search<P: Protocol>(
     proto: &P,
@@ -41,44 +33,22 @@ fn search<P: Protocol>(
     )
 }
 
-/// The Fig. 2 live state: n1 root with child n9 and spare capacity; n13 a
-/// child of n9 with a sibling entry from departed history. Built through
-/// the real join protocol plus the departure of a former root child
-/// (consequence prediction starts from live states like this one — the
-/// paper's own point is that the interesting history has already happened).
+/// The Fig. 2 live state (`scenarios::randtree_fig2`): n1 root with child
+/// n9 and spare capacity; n13 a child of n9 with a sibling entry from
+/// departed history. Built through the real join protocol plus the
+/// departure of a former root child (consequence prediction starts from
+/// live states like this one — the paper's own point is that the
+/// interesting history has already happened).
 fn randtree_live(bugs: RandTreeBugs) -> (RandTree, GlobalState<RandTree>) {
-    let proto = RandTree::new(2, vec![NodeId(1)], bugs);
-    let mut gs = GlobalState::init(&proto, [NodeId(1), NodeId(9), NodeId(13), NodeId(21)]);
-    // Joins: n1 (root), n9, n21 — root children {9, 21}; n13 is delegated
-    // under n9 (the smallest root child).
-    for n in [1u32, 9, 21, 13] {
-        apply_event(
-            &proto,
-            &mut gs,
-            &Event::Action {
-                node: NodeId(n),
-                action: randtree::Action::Join { target: NodeId(1) },
-            },
-        );
-        settle(&proto, &mut gs);
-    }
+    let (proto, gs) = scenarios::randtree_fig2(bugs);
     assert!(gs
         .slot(NodeId(9))
         .unwrap()
         .state
         .children
         .contains(&NodeId(13)));
-    // n21 departs with RSTs: the root frees a slot; n9 keeps the stale
-    // sibling entry (no direct connection to n21, so no RST reaches it).
-    apply_event(
-        &proto,
-        &mut gs,
-        &Event::Reset {
-            node: NodeId(21),
-            notify: true,
-        },
-    );
-    settle(&proto, &mut gs);
+    // n21 departed with RSTs: the root freed a slot; n9 kept the stale
+    // sibling entry (no direct connection to n21, so no RST reached it).
     assert_eq!(gs.slot(NodeId(1)).unwrap().state.children.len(), 1);
     (proto, gs)
 }
@@ -153,32 +123,7 @@ fn randtree_r3_new_root() {
     // delivers it). CP explores n9's silent reset + rejoin, the root
     // handover, and the NewRoot arriving at n69 which still lists n9 as a
     // child.
-    use std::collections::BTreeSet;
-    let proto = RandTree::new(2, vec![NodeId(61)], RandTreeBugs::only("R3"));
-    let mut gs = GlobalState::init(&proto, [NodeId(9), NodeId(61), NodeId(65), NodeId(69)]);
-    {
-        let s = &mut gs.slot_mut(NodeId(61)).unwrap().state;
-        s.status = randtree::Status::Joined;
-        s.root = Some(NodeId(61));
-        s.children = BTreeSet::from([NodeId(65), NodeId(69)]);
-        s.recovery_scheduled = true;
-    }
-    for (n, sib) in [(65u32, 69u32), (69, 65)] {
-        let s = &mut gs.slot_mut(NodeId(n)).unwrap().state;
-        s.status = randtree::Status::Joined;
-        s.root = Some(NodeId(61));
-        s.parent = Some(NodeId(61));
-        s.siblings = BTreeSet::from([NodeId(sib)]);
-        s.recovery_scheduled = true;
-    }
-    gs.slot_mut(NodeId(69)).unwrap().state.children = BTreeSet::from([NodeId(9)]);
-    {
-        let s = &mut gs.slot_mut(NodeId(9)).unwrap().state;
-        s.status = randtree::Status::Joined;
-        s.root = Some(NodeId(61));
-        s.parent = Some(NodeId(69));
-        s.recovery_scheduled = true;
-    }
+    let (proto, gs) = scenarios::randtree_fig9(RandTreeBugs::only("R3"));
     assert!(randtree::properties::all().check(&gs).is_none());
     let out = search(
         &proto,
@@ -236,17 +181,7 @@ fn randtree_r6_self_sibling() {
     // Under R6 the very first root-accept already misnotifies the joiner,
     // so the clean live state is the freshly bootstrapped root; CP
     // predicts the violation for the next join.
-    let proto = RandTree::new(2, vec![NodeId(1)], RandTreeBugs::only("R6"));
-    let mut gs = GlobalState::init(&proto, [NodeId(1), NodeId(9)]);
-    apply_event(
-        &proto,
-        &mut gs,
-        &Event::Action {
-            node: NodeId(1),
-            action: randtree::Action::Join { target: NodeId(1) },
-        },
-    );
-    settle(&proto, &mut gs);
+    let (proto, gs) = scenarios::randtree_self_joined(RandTreeBugs::only("R6"));
     assert!(randtree::properties::all().check(&gs).is_none());
     let out = search(
         &proto,
@@ -309,40 +244,9 @@ fn randtree_fixed_is_clean_at_bug_depths() {
     );
 }
 
-/// A live Chord ring of four nodes.
-fn chord_live(bugs: ChordBugs) -> (Chord, GlobalState<Chord>) {
-    let proto = Chord::new(vec![NodeId(1)], bugs);
-    let mut gs = GlobalState::init(&proto, [NodeId(1), NodeId(5), NodeId(9), NodeId(12)]);
-    for n in [1u32, 5, 9, 12] {
-        apply_event(
-            &proto,
-            &mut gs,
-            &Event::Action {
-                node: NodeId(n),
-                action: chord::Action::Join { target: NodeId(1) },
-            },
-        );
-        settle(&proto, &mut gs);
-    }
-    for _ in 0..4 {
-        for n in [1u32, 5, 9, 12] {
-            apply_event(
-                &proto,
-                &mut gs,
-                &Event::Action {
-                    node: NodeId(n),
-                    action: chord::Action::Stabilize,
-                },
-            );
-            settle(&proto, &mut gs);
-        }
-    }
-    (proto, gs)
-}
-
 #[test]
 fn chord_c1_pred_self() {
-    let (proto, gs) = chord_live(ChordBugs::only("C1"));
+    let (proto, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::only("C1"));
     assert!(chord::properties::all().check(&gs).is_none());
     let out = search(
         &proto,
@@ -443,7 +347,7 @@ fn chord_c3_empty_successors() {
 
 #[test]
 fn chord_fixed_is_clean_at_bug_depths() {
-    let (proto, gs) = chord_live(ChordBugs::none());
+    let (proto, gs) = scenarios::chord_ring(&[1, 5, 9, 12], ChordBugs::none());
     let out = search(
         &proto,
         &chord::properties::all(),
@@ -458,29 +362,9 @@ fn chord_fixed_is_clean_at_bug_depths() {
     );
 }
 
-fn bullet_line(bugs: BulletBugs) -> (Bullet, GlobalState<Bullet>) {
-    let mut senders_of = std::collections::BTreeMap::new();
-    senders_of.insert(NodeId(1), vec![NodeId(0)]);
-    senders_of.insert(NodeId(2), vec![NodeId(1)]);
-    let proto = Bullet {
-        source: NodeId(0),
-        num_blocks: 6,
-        block_size: 1024,
-        senders_of,
-        diff_window: 1,
-        max_diff_blocks: 2,
-        request_pipeline: 2,
-        diff_period: cb_model::SimDuration::from_millis(500),
-        request_period: cb_model::SimDuration::from_millis(250),
-        bugs,
-    };
-    let gs = GlobalState::init(&proto, [NodeId(0), NodeId(1), NodeId(2)]);
-    (proto, gs)
-}
-
 #[test]
 fn bullet_b1_shadow_cleared() {
-    let (proto, gs) = bullet_line(BulletBugs::only("B1"));
+    let (proto, gs) = scenarios::bullet_line(BulletBugs::only("B1"));
     let out = search(
         &proto,
         &bullet::properties::all(),
@@ -494,7 +378,7 @@ fn bullet_b1_shadow_cleared() {
 
 #[test]
 fn bullet_b2_retry_still_clears() {
-    let (proto, gs) = bullet_line(BulletBugs::only("B2"));
+    let (proto, gs) = scenarios::bullet_line(BulletBugs::only("B2"));
     let out = search(
         &proto,
         &bullet::properties::all(),
@@ -511,45 +395,8 @@ fn bullet_b3_duplicate_requests() {
     // Live state: n2 peers with two senders; it has already requested
     // block 0 from the source. CP explores the second sender announcing
     // the same block — the buggy handler requests it again.
-    let mut senders_of = std::collections::BTreeMap::new();
-    senders_of.insert(NodeId(1), vec![NodeId(0)]);
-    senders_of.insert(NodeId(2), vec![NodeId(0), NodeId(1)]);
-    let proto = Bullet {
-        source: NodeId(0),
-        num_blocks: 4,
-        block_size: 1024,
-        senders_of,
-        diff_window: 2,
-        max_diff_blocks: 2,
-        request_pipeline: 2,
-        diff_period: cb_model::SimDuration::from_millis(500),
-        request_period: cb_model::SimDuration::from_millis(250),
-        bugs: BulletBugs::only("B3"),
-    };
-    let mut gs = GlobalState::init(&proto, [NodeId(0), NodeId(1), NodeId(2)]);
-    // Source → n2 diff; n2 eagerly requests blocks 0 and 1 (the requests
-    // are still in flight — the Data has not come back yet).
-    apply_event(
-        &proto,
-        &mut gs,
-        &Event::Action {
-            node: NodeId(0),
-            action: bullet::Action::SendDiff { peer: NodeId(2) },
-        },
-    );
-    let diff_idx = gs
-        .inflight
-        .iter()
-        .position(|m| matches!(&m.payload, cb_model::Payload::Msg(bullet::Msg::Diff { .. })))
-        .unwrap();
-    apply_event(&proto, &mut gs, &Event::Deliver { index: diff_idx });
+    let (proto, gs) = scenarios::bullet_b3_live();
     assert_eq!(gs.slot(NodeId(2)).unwrap().state.outstanding.len(), 2);
-    // Meanwhile n1 fetched block 0 itself, ready to announce it to n2.
-    {
-        let s1 = &mut gs.slot_mut(NodeId(1)).unwrap().state;
-        s1.file_map.insert(0);
-        s1.shadow.entry(NodeId(2)).or_default().insert(0);
-    }
     assert!(bullet::properties::all().check(&gs).is_none());
     let out = search(
         &proto,
@@ -564,7 +411,7 @@ fn bullet_b3_duplicate_requests() {
 
 #[test]
 fn bullet_fixed_is_clean_at_bug_depths() {
-    let (proto, gs) = bullet_line(BulletBugs::none());
+    let (proto, gs) = scenarios::bullet_line(BulletBugs::none());
     let out = search(
         &proto,
         &bullet::properties::all(),
@@ -577,33 +424,8 @@ fn bullet_fixed_is_clean_at_bug_depths() {
 
 #[test]
 fn paxos_p1_two_values() {
-    let members: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let proto = Paxos::new(members.clone(), PaxosBugs::only("P1"));
     // Live state: round 1 completed on {A, B} while C was partitioned.
-    let mut gs = GlobalState::init(&proto, members);
-    apply_event(
-        &proto,
-        &mut gs,
-        &Event::Action {
-            node: NodeId(0),
-            action: paxos::Action::Propose,
-        },
-    );
-    // Drop everything touching C, deliver the rest.
-    loop {
-        if let Some(i) = gs
-            .inflight
-            .iter()
-            .position(|m| m.src == NodeId(2) || m.dst == NodeId(2))
-        {
-            apply_event(&proto, &mut gs, &Event::Drop { index: i });
-            continue;
-        }
-        if gs.inflight.is_empty() {
-            break;
-        }
-        apply_event(&proto, &mut gs, &Event::Deliver { index: 0 });
-    }
+    let (proto, gs) = scenarios::paxos_round1(PaxosBugs::only("P1"));
     assert!(gs.slot(NodeId(0)).unwrap().state.chosen.contains(&0));
     assert!(paxos::properties::all().check(&gs).is_none());
     // From here, consequence prediction explores B proposing round 2 and
@@ -625,31 +447,7 @@ fn paxos_p1_two_values() {
 
 #[test]
 fn paxos_fixed_is_safe_in_same_search() {
-    let members: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let proto = Paxos::new(members.clone(), PaxosBugs::none());
-    let mut gs = GlobalState::init(&proto, members);
-    apply_event(
-        &proto,
-        &mut gs,
-        &Event::Action {
-            node: NodeId(0),
-            action: paxos::Action::Propose,
-        },
-    );
-    loop {
-        if let Some(i) = gs
-            .inflight
-            .iter()
-            .position(|m| m.src == NodeId(2) || m.dst == NodeId(2))
-        {
-            apply_event(&proto, &mut gs, &Event::Drop { index: i });
-            continue;
-        }
-        if gs.inflight.is_empty() {
-            break;
-        }
-        apply_event(&proto, &mut gs, &Event::Deliver { index: 0 });
-    }
+    let (proto, gs) = scenarios::paxos_round1(PaxosBugs::none());
     let out = find_consequences(
         &proto,
         &paxos::properties::all(),
