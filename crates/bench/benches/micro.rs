@@ -5,7 +5,8 @@
 //!   BFS (states visited to the same depth);
 //! * `successor` — the checker's inner step (clone + apply + hash), per
 //!   event, on the four canonical live states; `successor_memo/{hit,miss}`
-//!   — the same step as the engines take it, through a `TransitionMemo`;
+//!   — the same step as the engines take it, through a `TransitionMemo` —
+//!   and `successor_memo/probe`, the successor's hash alone from the memo;
 //! * `lzw` / `diff` / `codec` — checkpoint-pipeline throughput;
 //! * `snapshot_gather` — full request/response round over the manager.
 //!
@@ -108,6 +109,8 @@ fn bench_successor_of<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
 /// The same step the way the engines take it, through a
 /// [`TransitionMemo`]: `hit` serves every event from a table filled before
 /// the clock starts (slot handle swapped in, its leaf hash with it);
+/// `probe` asks the same table for each successor's hash alone
+/// (`hash_of`, no successor built) — what a duplicate costs the search;
 /// `miss` starts each pass on an empty memo, so every event runs its
 /// handler, is hashed from scratch and is recorded — and the pass pays the
 /// memo's teardown too.
@@ -132,10 +135,19 @@ fn bench_successor_memo_of<P: Protocol>(proto: &P, gs: &GlobalState<P>) {
     };
     let hit = microbench(&name("hit"), || expand_all(&mut filled));
     assert_eq!(filled.misses(), events.len(), "the hit leg only hit");
+    let probe = microbench(&name("probe"), || {
+        let mut from = filled.expand(black_box(gs));
+        for event in &events {
+            black_box(
+                from.hash_of(event)
+                    .expect("a filled memo holds every event"),
+            );
+        }
+    });
     let miss = microbench(&name("miss"), || {
         expand_all(&mut TransitionMemo::new(proto))
     });
-    for (leg, per_pass) in [("hit", hit), ("miss", miss)] {
+    for (leg, per_pass) in [("hit", hit), ("probe", probe), ("miss", miss)] {
         println!(
             "{:<45} {:>8} ns/successor ({leg})",
             "",

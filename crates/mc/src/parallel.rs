@@ -25,10 +25,12 @@
 //!    expand each fresh local state. Produces the list of expansion jobs.
 //! 3. **Expand + merge** (overlapped): the job list is cut into
 //!    contiguous ranges and every *range* becomes one pool task — for
-//!    each of its jobs enumerate events, clone the state, run the
-//!    handler, hash the successor, and race a single CAS per successor
-//!    into the [`LockFreeExplored`] table (stamped with the successor
-//!    level, through one [`ExploredBatch`] per range). The task deposits
+//!    each of its jobs enumerate events, hash each successor (a
+//!    transition-memo hit is hashed without being built; a miss runs the
+//!    handler), race a single CAS per successor into the
+//!    [`LockFreeExplored`] table (stamped with the successor level,
+//!    through one [`ExploredBatch`] per range), and build only the
+//!    successors that won. The task deposits
 //!    its successor edges, in canonical (job, event) order, into an
 //!    order-preserving reorder buffer indexed by range. The coordinator
 //!    takes ranges in canonical order *while later ranges are still
@@ -615,8 +617,9 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Executes the contiguous `range` of the level's expansion jobs:
-    /// enumerate, clone, apply, hash, and race each successor into the
-    /// explored table — one CAS per successor through one
+    /// enumerate, hash, and race each successor into the explored table,
+    /// building it only if it wins (a memo hit is hashed unbuilt) — one
+    /// CAS per successor through one
     /// [`ExploredBatch`] for the whole range, so the segment snapshot and
     /// the shared-length update cost one synchronization edge per range.
     /// Returns the range's successor edges in canonical (job, event)
@@ -646,10 +649,19 @@ impl<P: Protocol> Searcher<'_, P> {
             );
             let mut from = memo.expand(state);
             for event in events {
-                let (next, step) = from.successor(&event);
-                let hash = next.state_hash();
+                // A memo hit is hashed without being built, and built only
+                // if it wins the insert; a miss is built to be hashed.
+                let (built, hash, step) = match from.hash_of(&event) {
+                    Some(probe) => (None, probe.hash, probe.step),
+                    None => {
+                        let (next, step) = from.successor(&event);
+                        let hash = next.state_hash();
+                        (Some(next), hash, step)
+                    }
+                };
                 let (state, bytes, prior_level) = match batch.insert_leveled(hash, cx.stamp) {
                     Admission::Fresh => {
+                        let next = built.unwrap_or_else(|| from.build(&event));
                         let bytes = approx_state_bytes(&next);
                         (Some(next), bytes, 0)
                     }

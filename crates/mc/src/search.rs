@@ -37,10 +37,21 @@
 //!   compare), so only the time per successor differs; the parallel engine
 //!   keeps one memo per range task. `SearchStats::memo_hits`/`memo_misses`
 //!   report the split.
+//! * A successor is **built when it is dequeued**, not when it is
+//!   generated: on a memo hit, [`cb_model::Expansion::hash_of`] folds the
+//!   successor's `state_hash` from its parent's, the explored set is
+//!   probed with it, and a duplicate costs that probe alone. A survivor is
+//!   enqueued as its shared parent plus the event in its arena record and
+//!   built through the memo when dequeued — exactly `apply_event`'s
+//!   state, in-flight `Vec` order included — so a state the budget never
+//!   reaches is never built. A memo miss is built at once, since running
+//!   its handler is what hashes it. The parallel engine probes the same
+//!   way and builds only the successors that win the explored-set race.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::mem::size_of;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use cb_model::hashing::DigestHasher;
@@ -157,6 +168,15 @@ pub enum Engine {
     },
 }
 
+/// A frontier entry of [`Searcher::run`]: a successor built when it was
+/// enqueued (a memo miss, and the start state), or one the memo hashed
+/// without building — its parent, shared with its siblings, and the event
+/// in its arena record, built when it is dequeued.
+enum Pending<P: Protocol> {
+    Built(GlobalState<P>),
+    Deferred(Rc<GlobalState<P>>),
+}
+
 /// Parent-pointer record for path reconstruction.
 pub(crate) struct ArenaRec<P: Protocol> {
     pub(crate) parent: Option<usize>,
@@ -250,23 +270,23 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         let mut explored = DigestSet::default();
         let mut local_explored = DigestSet::default();
         let mut memo = TransitionMemo::new(self.protocol);
-        // (state, arena rec of the edge that reached it, depth, the bytes
-        // it was counted as when pushed). FIFO order is breadth-first
+        // (state, built or not, arena rec of the edge that reached it,
+        // depth, the bytes it was counted as when pushed). FIFO order is breadth-first
         // order, and doubles as the *canonical* order the parallel engine
         // reproduces.
-        let mut frontier: VecDeque<(GlobalState<P>, Option<usize>, usize, usize)> = VecDeque::new();
+        let mut frontier: VecDeque<(Pending<P>, Option<usize>, usize, usize)> = VecDeque::new();
         let mut frontier_bytes = 0usize;
         let mut depth_truncated = false;
 
         explored.insert(start.state_hash());
         frontier_bytes += approx_state_bytes(start);
         stats.peak_frontier_bytes = frontier_bytes;
-        frontier.push_back((start.clone(), None, 0, frontier_bytes));
+        frontier.push_back((Pending::Built(start.clone()), None, 0, frontier_bytes));
         stats.states_enqueued += 1;
 
         let mut stopped = StopReason::Exhausted;
 
-        'search: while let Some((state, rec, depth, bytes)) = frontier.pop_front() {
+        'search: while let Some((pending, rec, depth, bytes)) = frontier.pop_front() {
             frontier_bytes -= bytes;
             if let Some(deadline) = self.config.deadline {
                 if t0.elapsed() >= deadline {
@@ -280,6 +300,13 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                     break 'search;
                 }
             }
+            let state = Rc::new(match pending {
+                Pending::Built(state) => state,
+                Pending::Deferred(parent) => {
+                    let rec = rec.expect("the start state is built");
+                    memo.expand(&parent).build(&arena[rec].event)
+                }
+            });
             stats.record_visit(depth);
 
             // Property check on the dequeued state (Fig. 5 line 7).
@@ -306,9 +333,23 @@ impl<'a, P: Protocol> Searcher<'a, P> {
             let events = self.enumerate_claiming(&state, &mut local_explored, &mut stats);
             let mut from = memo.expand(&state);
             for event in events {
-                let (next, step) = from.successor(&event);
-                let h = next.state_hash();
-                if !explored.insert(h) {
+                // A memo hit is hashed without being built: a duplicate
+                // costs the probe, a survivor is built when dequeued. A
+                // miss runs its handler now, since that is what hashes it.
+                let (next, step, hash, bytes) = match from.hash_of(&event) {
+                    Some(probe) => {
+                        let bytes =
+                            approx_bytes::<P>(state.nodes.len(), probe.conns, probe.inflight);
+                        let next = Pending::Deferred(Rc::clone(&state));
+                        (next, probe.step, probe.hash, bytes)
+                    }
+                    None => {
+                        let (next, step) = from.successor(&event);
+                        let (hash, bytes) = (next.state_hash(), approx_state_bytes(&next));
+                        (Pending::Built(next), step, hash, bytes)
+                    }
+                };
+                if !explored.insert(hash) {
                     stats.duplicates_hit += 1;
                     continue;
                 }
@@ -318,7 +359,6 @@ impl<'a, P: Protocol> Searcher<'a, P> {
                     step,
                 });
                 let child_rec = Some(arena.len() - 1);
-                let bytes = approx_state_bytes(&next);
                 frontier_bytes += bytes;
                 stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
                 frontier.push_back((next, child_rec, depth + 1, bytes));
@@ -516,12 +556,19 @@ pub(crate) fn reconstruct<P: Protocol>(
 /// shared no slot with any other state (see
 /// [`SearchStats::peak_frontier_bytes`]).
 pub(crate) fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
+    let conns = gs.nodes.values().map(|s| s.conns.len()).sum();
+    approx_bytes::<P>(gs.nodes.len(), conns, gs.inflight.len())
+}
+
+/// [`approx_state_bytes`] of a state with `nodes` slots holding `conns`
+/// open connections and `inflight` items in flight — all it reads, so a
+/// successor that is not built yet is counted the same.
+fn approx_bytes<P: Protocol>(nodes: usize, conns: usize, inflight: usize) -> usize {
     let per_node = size_of::<cb_model::NodeSlot<P::State>>() + 2 * size_of::<u64>();
-    let conns: usize = gs.nodes.values().map(|s| s.conns.len() * 12).sum();
     size_of::<GlobalState<P>>()
-        + gs.nodes.len() * per_node
-        + conns
-        + gs.inflight.len() * size_of::<cb_model::InFlight<P::Message>>()
+        + nodes * per_node
+        + conns * 12
+        + inflight * size_of::<cb_model::InFlight<P::Message>>()
 }
 
 /// Tiny deterministic PRNG (SplitMix64) so the random-walk baseline needs no

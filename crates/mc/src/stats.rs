@@ -25,11 +25,11 @@ static M_EXPLORED_RESIDENT: Gauge = Gauge::new(
 );
 static M_MEMO_HITS: Counter = Counter::new(
     "cb_mc_transition_memo_hits_total",
-    "successors served from a search's transition memo",
+    "keyed successors a search's transition memo held, hashed or built from it (a successor hashed unbuilt and built later counts once)",
 );
 static M_MEMO_MISSES: Counter = Counter::new(
     "cb_mc_transition_memo_misses_total",
-    "keyed successors a search's transition memo did not hold, which ran their handler",
+    "keyed successors a search's transition memo did not hold, which ran their handler (each counted once)",
 );
 
 /// Counters and memory estimates collected during one search run.
@@ -89,19 +89,25 @@ pub struct SearchStats {
     /// expansion counted at its full, unshared size. Frontier states share
     /// the node slots their events did not write (`cb_model::SharedSlot`),
     /// so resident memory is below this; the figure stays comparable
-    /// across engines and with earlier runs.
+    /// across engines and with earlier runs. A successor the sequential
+    /// loop enqueues unbuilt (its parent and event, built when dequeued)
+    /// is counted at the size it will have, from its parent's node count
+    /// and the transition's in-flight and connection deltas.
     pub peak_frontier_bytes: usize,
     /// Number of property violations discovered.
     pub violations_found: usize,
-    /// Successors served from the search's `cb_model::TransitionMemo`
-    /// without running a handler. Engine-dependent, like `merge_busy`:
+    /// Keyed successors the search's `cb_model::TransitionMemo` held, so
+    /// no handler ran: hashed from the table without being built (a
+    /// duplicate is never built; a survivor is built when visited, and
+    /// counts once), or built from it. Engine-dependent, like `merge_busy`:
     /// the sequential loop keeps one table per search, the parallel
     /// engine one per range task, so the split between hits and misses —
     /// never their effect — differs between engines and worker counts.
     pub memo_hits: usize,
     /// Keyed successors the memo did not hold, which ran their handler
     /// (unkeyed events — drops, deliveries to absent nodes — count as
-    /// neither).
+    /// neither). Each keyed successor counts once, as a hit or a miss;
+    /// the memo's recording rule reads these same two counters.
     pub memo_misses: usize,
 }
 

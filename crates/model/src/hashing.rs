@@ -74,16 +74,57 @@ pub fn combine(a: u64, b: u64) -> u64 {
 /// in-flight message bag, whose Vec ordering is an implementation artifact
 /// and must not distinguish otherwise-identical global states).
 pub fn combine_unordered(hashes: impl IntoIterator<Item = u64>) -> u64 {
-    // Sum and xor of per-element mixes: commutative, associative, and
-    // resistant to the trivial "pairs cancel" failure of plain xor.
-    let (mut sum, mut xor, mut count) = (0u64, 0u64, 0u64);
-    for h in hashes {
-        let mixed = h.wrapping_mul(FNV_PRIME) ^ h.rotate_left(17);
-        sum = sum.wrapping_add(mixed);
-        xor ^= mixed;
-        count += 1;
+    hashes.into_iter().collect::<BagFold>().finish()
+}
+
+/// [`combine_unordered`] opened up: the running sum, xor and count of
+/// per-element mixes, which a successor's bag fold can take from its
+/// parent's and update in place — [`BagFold::remove`] the delivered item,
+/// [`BagFold::add`] the queued ones — instead of re-folding every item.
+/// Sum and xor of mixes are commutative, associative, and resistant to
+/// the trivial "pairs cancel" failure of plain xor.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BagFold {
+    sum: u64,
+    xor: u64,
+    count: u64,
+}
+
+impl BagFold {
+    fn mix(h: u64) -> u64 {
+        h.wrapping_mul(FNV_PRIME) ^ h.rotate_left(17)
     }
-    combine(sum, combine(xor, count))
+
+    /// Adds one element hash.
+    pub fn add(&mut self, h: u64) {
+        let mixed = Self::mix(h);
+        self.sum = self.sum.wrapping_add(mixed);
+        self.xor ^= mixed;
+        self.count += 1;
+    }
+
+    /// Takes back one element hash that was [`BagFold::add`]ed.
+    pub fn remove(&mut self, h: u64) {
+        let mixed = Self::mix(h);
+        self.sum = self.sum.wrapping_sub(mixed);
+        self.xor ^= mixed;
+        self.count -= 1;
+    }
+
+    /// The bag's hash: [`combine_unordered`] of the elements it holds.
+    pub fn finish(&self) -> u64 {
+        combine(self.sum, combine(self.xor, self.count))
+    }
+}
+
+impl FromIterator<u64> for BagFold {
+    fn from_iter<I: IntoIterator<Item = u64>>(hashes: I) -> Self {
+        let mut fold = BagFold::default();
+        for h in hashes {
+            fold.add(h);
+        }
+        fold
+    }
 }
 
 /// A [`Hasher`] for keys that are *already* 64-bit digests
@@ -145,6 +186,19 @@ mod tests {
         // ...and not fooled by duplicate pairs cancelling out.
         assert_ne!(combine_unordered([7, 7]), combine_unordered([] as [u64; 0]));
         assert_ne!(combine_unordered([7, 7, 9]), combine_unordered([9]));
+    }
+
+    #[test]
+    fn bag_fold_updates_in_place() {
+        let mut fold: BagFold = [4, 8, 15, 16].into_iter().collect();
+        assert_eq!(fold.finish(), combine_unordered([4, 8, 15, 16]));
+        fold.remove(8);
+        fold.add(23);
+        fold.add(42);
+        assert_eq!(fold.finish(), combine_unordered([42, 4, 23, 15, 16]));
+        fold.remove(4);
+        fold.remove(16);
+        assert_eq!(fold.finish(), combine_unordered([15, 23, 42]));
     }
 
     #[test]

@@ -35,6 +35,18 @@
 //! compared field by field: that assertion is what keeps the key honest
 //! when `apply_event` later learns to read something new.
 //!
+//! # Hashing a successor before it exists
+//!
+//! A hit also knows the successor's `state_hash` without building it
+//! ([`Expansion::hash_of`]): the node fold runs over the parent's
+//! memoized leaves with the acting node's leaf replaced by the entry
+//! slot's, and the bag fold is the parent's [`BagFold`] with the delivered
+//! item removed and the entry's queued items added. A search probes its
+//! explored set with that hash, so a duplicate costs the probe alone, and
+//! builds a survivor only when it visits it ([`Expansion::build`]). Debug
+//! builds build every probed successor with [`apply_event`] and compare
+//! hashes.
+//!
 //! `Drop` (no handler, no slot) and events whose acting node is absent
 //! from the state are never keyed; they go straight to [`apply_event`].
 //!
@@ -52,7 +64,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::event::{apply_event, Event, TraceStep};
-use crate::hashing::{stable_hash, DigestHasher};
+use crate::hashing::{combine, stable_hash, BagFold, DigestHasher};
 use crate::node::NodeId;
 use crate::protocol::Protocol;
 use crate::state::{GlobalState, InFlight, Queued, SharedSlot};
@@ -165,6 +177,9 @@ pub struct TransitionMemo<'a, P: Protocol> {
     queued: Vec<Queued<P::Message>>,
     /// Every entry's parked items, back to back.
     parked: Vec<InFlight<P::Message>>,
+    /// The node fold of the state being expanded, once a probe hit:
+    /// `(id, leaf, fold of the leaves before it)` in key order.
+    fold: Vec<(NodeId, u64, u64)>,
     max_entries: usize,
     hits: usize,
     misses: usize,
@@ -176,7 +191,11 @@ impl<'a, P: Protocol> TransitionMemo<'a, P> {
         Self::with_max_entries(config, MAX_ENTRIES)
     }
 
-    fn with_max_entries(config: &'a P, max_entries: usize) -> Self {
+    /// An empty memo that holds at most `max_entries` entries, clearing
+    /// the table on the insert that would exceed it. [`TransitionMemo::new`]
+    /// is this at the cap every search runs with; a small cap lets a test
+    /// cross the clear-on-full boundary.
+    pub fn with_max_entries(config: &'a P, max_entries: usize) -> Self {
         TransitionMemo {
             config,
             // Room for the misses every search records unconditionally: a
@@ -184,6 +203,7 @@ impl<'a, P: Protocol> TransitionMemo<'a, P> {
             table: HashMap::with_capacity_and_hasher(RECORD_UNPROVEN, Default::default()),
             queued: Vec::with_capacity(RECORD_UNPROVEN),
             parked: Vec::new(),
+            fold: Vec::new(),
             max_entries,
             hits: 0,
             misses: 0,
@@ -205,6 +225,7 @@ impl<'a, P: Protocol> TransitionMemo<'a, P> {
             view,
             memo: self,
             parent,
+            folded: None,
         }
     }
 
@@ -222,16 +243,31 @@ impl<'a, P: Protocol> TransitionMemo<'a, P> {
             || self.misses.is_multiple_of(RECORD_MISSES_PER_HIT)
     }
 
-    /// Successors served from the table.
+    /// Successors served from the table: by [`Expansion::successor`], or
+    /// hashed by [`Expansion::hash_of`] (a probed successor built later is
+    /// not counted again).
     pub fn hits(&self) -> usize {
         self.hits
     }
 
     /// Keyed successors that were not in the table and ran
-    /// [`apply_event`].
+    /// [`apply_event`] in [`Expansion::successor`].
     pub fn misses(&self) -> usize {
         self.misses
     }
+}
+
+/// What [`Expansion::hash_of`] learns of a successor without building it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Probe {
+    /// The successor's `state_hash`.
+    pub hash: u64,
+    /// What happened, as [`apply_event`] reports it.
+    pub step: TraceStep,
+    /// Items the successor holds in flight.
+    pub inflight: usize,
+    /// Open connections across the successor's slots.
+    pub conns: usize,
 }
 
 /// One state being expanded through a [`TransitionMemo`].
@@ -239,6 +275,9 @@ pub struct Expansion<'m, 'a, P: Protocol> {
     memo: &'m mut TransitionMemo<'a, P>,
     parent: &'m GlobalState<P>,
     view: u64,
+    /// The parent's bag fold and open-connection count, taken with the
+    /// memo's `fold` by the first hit ([`fold_parent`]).
+    folded: Option<(BagFold, usize)>,
 }
 
 impl<P: Protocol> Expansion<'_, '_, P> {
@@ -251,31 +290,20 @@ impl<P: Protocol> Expansion<'_, '_, P> {
     pub fn successor(&mut self, event: &Event<P>) -> (GlobalState<P>, TraceStep) {
         let key = self.key(event);
         let (memo, parent) = (&mut *self.memo, self.parent);
-        let mut next = parent.clone();
         let Some(key) = key else {
+            let mut next = parent.clone();
             let step = apply_event(memo.config, &mut next, event);
             return (next, step);
         };
 
         if let Some(entry) = memo.table.get(&key) {
             memo.hits += 1;
-            if let Event::Deliver { index } = event {
-                next.inflight.swap_remove(*index);
-            }
-            *next
-                .nodes
-                .get_mut(&key.node)
-                .expect("keyed node is present") = entry.slot.clone();
-            next.inflight
-                .extend_from_slice(entry.queued.of(&memo.queued));
-            next.parked.extend_from_slice(entry.parked.of(&memo.parked));
-            if cfg!(debug_assertions) {
-                assert_rederives(memo.config, parent, event, &next, &entry.step);
-            }
+            let next = rebuild(memo, parent, event, key, entry);
             return (next, entry.step.clone());
         }
 
         memo.misses += 1;
+        let mut next = parent.clone();
         // What `apply_event` keeps of the parent's bags: it only ever
         // removes the delivered item, and appends.
         let kept = parent.inflight.len() - usize::from(key.kind == Kind::Deliver);
@@ -300,6 +328,72 @@ impl<P: Protocol> Expansion<'_, '_, P> {
         (next, step)
     }
 
+    /// The successor's `state_hash` and what happened, on a hit, without
+    /// building the successor (see the [module docs](self)); `None` on a
+    /// miss and for events that are never keyed, which must be built with
+    /// [`Expansion::successor`] to be hashed. A hit counts as one; building
+    /// it later with [`Expansion::build`] does not count again.
+    pub fn hash_of(&mut self, event: &Event<P>) -> Option<Probe> {
+        let key = self.key(event)?;
+        let (memo, parent) = (&mut *self.memo, self.parent);
+        let entry = memo.table.get(&key)?;
+        memo.hits += 1;
+        let (mut bag, conns) = *self
+            .folded
+            .get_or_insert_with(|| fold_parent(&mut memo.fold, parent));
+
+        let at = memo
+            .fold
+            .binary_search_by_key(&key.node, |&(id, ..)| id)
+            .expect("keyed node is present");
+        let mut nodes = combine(memo.fold[at].2, entry.slot.hash_as(key.node));
+        for &(_, leaf, _) in &memo.fold[at + 1..] {
+            nodes = combine(nodes, leaf);
+        }
+        let mut inflight = parent.inflight.len();
+        if let Event::Deliver { index } = event {
+            bag.remove(parent.inflight[*index].stable_hash());
+            inflight -= 1;
+        }
+        let queued = entry.queued.of(&memo.queued);
+        for item in queued {
+            bag.add(item.stable_hash());
+        }
+        let hash = combine(nodes, bag.finish());
+        let probe = Probe {
+            hash,
+            step: entry.step.clone(),
+            inflight: inflight + queued.len(),
+            conns: conns - parent.nodes[&key.node].conns.len() + entry.slot.conns.len(),
+        };
+        if cfg!(debug_assertions) {
+            let mut fresh = parent.clone();
+            let step = apply_event(memo.config, &mut fresh, event);
+            assert_eq!(step, probe.step, "probe: trace step of {event:?}");
+            assert_eq!(fresh.state_hash(), hash, "probe: state hash of {event:?}");
+            assert_eq!(fresh.inflight.len(), probe.inflight, "probe: in flight");
+        }
+        Some(probe)
+    }
+
+    /// The successor of the parent under `event`, as [`Expansion::successor`]
+    /// builds it, without counting a hit or a miss and without recording:
+    /// what a search calls for a successor [`Expansion::hash_of`] already
+    /// counted. Served from the table while the entry is held; a cleared
+    /// entry simply runs the handler again.
+    pub fn build(&mut self, event: &Event<P>) -> GlobalState<P> {
+        let key = self.key(event);
+        let (memo, parent) = (&*self.memo, self.parent);
+        if let Some(key) = key {
+            if let Some(entry) = memo.table.get(&key) {
+                return rebuild(memo, parent, event, key, entry);
+            }
+        }
+        let mut next = parent.clone();
+        apply_event(memo.config, &mut next, event);
+        next
+    }
+
     /// The memo key of `event` at the parent, or `None` for the events
     /// that are never keyed (`Drop`, an absent acting node, a stale index
     /// — which [`apply_event`] panics on).
@@ -322,6 +416,56 @@ impl<P: Protocol> Expansion<'_, '_, P> {
             view: self.view,
         })
     }
+}
+
+/// The parent's half of every probe, taken once per expansion by the
+/// first hit: its node fold (into `fold`: `(id, leaf, fold of the leaves
+/// before it)` in key order), its bag fold and its open-connection count.
+fn fold_parent<P: Protocol>(
+    fold: &mut Vec<(NodeId, u64, u64)>,
+    parent: &GlobalState<P>,
+) -> (BagFold, usize) {
+    fold.clear();
+    let (mut nodes, mut conns) = (0u64, 0usize);
+    for (&id, slot) in &parent.nodes {
+        let leaf = slot.hash_as(id);
+        fold.push((id, leaf, nodes));
+        nodes = combine(nodes, leaf);
+        conns += slot.conns.len();
+    }
+    let bag = parent
+        .inflight
+        .iter()
+        .map(|item| item.stable_hash())
+        .collect();
+    (bag, conns)
+}
+
+/// The successor `entry` records for `event` at `parent`: clone the
+/// parent, `swap_remove` the delivered item, swap the slot handle in,
+/// append the stored items — `apply_event`'s state, `Vec` order included.
+fn rebuild<P: Protocol>(
+    memo: &TransitionMemo<'_, P>,
+    parent: &GlobalState<P>,
+    event: &Event<P>,
+    key: Key,
+    entry: &Entry<P>,
+) -> GlobalState<P> {
+    let mut next = parent.clone();
+    if let Event::Deliver { index } = event {
+        next.inflight.swap_remove(*index);
+    }
+    *next
+        .nodes
+        .get_mut(&key.node)
+        .expect("keyed node is present") = entry.slot.clone();
+    next.inflight
+        .extend_from_slice(entry.queued.of(&memo.queued));
+    next.parked.extend_from_slice(entry.parked.of(&memo.parked));
+    if cfg!(debug_assertions) {
+        assert_rederives(memo.config, parent, event, &next, &entry.step);
+    }
+    next
 }
 
 /// The debug-build check behind every hit: `next`/`step` must be what
@@ -399,6 +543,55 @@ mod tests {
             );
             assert!(memo.hits() > 0 && memo.misses() > memo.hits());
         }
+    }
+
+    /// A successor probed while its entry was held is built the same once
+    /// the table has been cleared — the handler simply runs again — and
+    /// building counts neither a hit nor a miss.
+    #[test]
+    fn build_after_a_clear_runs_the_handler() {
+        let proto = Ping {
+            kick_target: NodeId(0),
+            kick_enabled: true,
+        };
+        let mut state: GlobalState<Ping> = GlobalState::init(&proto, (0..3).map(NodeId));
+        for node in [1, 2] {
+            let kick = Event::Action {
+                node: NodeId(node),
+                action: crate::testproto::PingAction::Kick,
+            };
+            apply_event(&proto, &mut state, &kick);
+        }
+        let events = enumerate_events(&proto, &state, &ExploreOptions::full());
+        let mut memo = TransitionMemo::new(&proto);
+        for event in &events {
+            memo.expand(&state).successor(event);
+        }
+        let probes: Vec<_> = events
+            .iter()
+            .map(|event| memo.expand(&state).hash_of(event))
+            .collect();
+        memo.table.clear();
+        let counts = (memo.hits(), memo.misses());
+        let mut built = 0;
+        for (event, probe) in events.iter().zip(probes) {
+            let Some(probe) = probe else {
+                assert!(matches!(event, Event::Drop { .. }), "{event:?} was held");
+                continue;
+            };
+            let next = memo.expand(&state).build(event);
+            let mut plain = state.clone();
+            assert_eq!(probe.step, apply_event(&proto, &mut plain, event));
+            assert!(next.nodes == plain.nodes);
+            assert_eq!(next.inflight, plain.inflight);
+            assert_eq!(next.state_hash(), probe.hash);
+            built += 1;
+        }
+        assert!(
+            built > 0 && built < events.len(),
+            "hits and drops both seen"
+        );
+        assert_eq!((memo.hits(), memo.misses()), counts, "build counts nothing");
     }
 
     /// A search that never repeats a transition stops paying for entries

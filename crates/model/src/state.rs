@@ -104,7 +104,7 @@ impl<S> SharedSlot<S> {
 impl<S: Hash> SharedSlot<S> {
     /// `stable_hash(&(id, slot))`, memoized for the id it is first asked
     /// under (the slot's map key; any other id is hashed from scratch).
-    fn hash_as(&self, id: NodeId) -> u64 {
+    pub(crate) fn hash_as(&self, id: NodeId) -> u64 {
         let fresh = || stable_hash(&(id, &self.0.slot));
         match *self.0.memo.get_or_init(|| (id, fresh())) {
             (memo_id, hash) if memo_id == id => hash,

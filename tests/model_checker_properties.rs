@@ -7,14 +7,17 @@
 //! instead, which also makes failures reproducible without a shrinker.)
 
 use std::collections::{HashSet, VecDeque};
+use std::mem::size_of;
+use std::sync::{Arc, Mutex};
 
 use crystalball_suite::mc::{
     find_consequences, find_errors, Engine, ParallelConfig, SearchConfig, SearchOutcome, Searcher,
 };
+use crystalball_suite::model::hashing::combine;
 use crystalball_suite::model::testproto::{max_pings_property, Ping};
 use crystalball_suite::model::{
     apply_event, enumerate_events, enumerate_events_gated, Event, ExploreOptions, GlobalState,
-    NodeId, PropertySet, Protocol, TraceStep,
+    InFlight, NodeId, NodeSlot, Property, PropertySet, Protocol, TraceStep, Violation,
 };
 use crystalball_suite::protocols::chord::ChordBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
@@ -258,8 +261,8 @@ fn event_order_is_defined_once_on_all_four_protocols() {
     assert_one_event_order(&p, &gs);
 }
 
-/// What a search is compared on: the counters every engine must agree on
-/// and the shallowest violating path.
+/// What a search is compared on: the counters every engine must agree on,
+/// the shallowest violating path, and the states it visited.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     states_visited: usize,
@@ -268,6 +271,73 @@ struct Fingerprint {
     local_prunes: usize,
     per_depth: Vec<usize>,
     shallowest: Option<Vec<String>>,
+    /// [`visit_digest`] of every dequeued state, in dequeue order.
+    visited: Vec<u64>,
+    peak_frontier_bytes: usize,
+}
+
+impl Fingerprint {
+    /// What the parallel engine is held to: it checks a level's states on
+    /// several threads at once, so `visited` is compared as one multiset
+    /// per BFS level, and it counts its frontier a level at a time, so
+    /// `peak_frontier_bytes` is left out. Its property check also runs
+    /// ahead of a violation over the rest of that level's budget, so the
+    /// last level it recorded may hold more than was visited: `visited`
+    /// keeps only the levels before it, and `last_level` the sorted rest.
+    fn by_level(mut self) -> (Fingerprint, Vec<u64>) {
+        let mut rest = &self.visited[..];
+        let mut levels = Vec::new();
+        for &n in &self.per_depth[..self.per_depth.len().saturating_sub(1)] {
+            let (level, tail) = rest.split_at(n);
+            let mut level = level.to_vec();
+            level.sort_unstable();
+            levels.extend(level);
+            rest = tail;
+        }
+        let mut last_level = rest.to_vec();
+        last_level.sort_unstable();
+        self.visited = levels;
+        self.peak_frontier_bytes = 0;
+        (self, last_level)
+    }
+}
+
+/// A visited state as the search must reproduce it: its `state_hash`
+/// and its in-flight `Vec` order, which `Event::Deliver { index }` reads.
+fn visit_digest<P: Protocol>(gs: &GlobalState<P>) -> u64 {
+    gs.inflight
+        .iter()
+        .fold(gs.state_hash(), |h, item| combine(h, item.stable_hash()))
+}
+
+/// The protocol's properties behind an observer that records the
+/// [`visit_digest`] of every state the search checks — that is, of every
+/// state it dequeues.
+struct Observed<P: Protocol> {
+    props: PropertySet<P>,
+    visited: Arc<Mutex<Vec<u64>>>,
+}
+
+impl<P: Protocol> Property<P> for Observed<P> {
+    fn name(&self) -> &str {
+        "observed"
+    }
+
+    fn check(&self, gs: &GlobalState<P>) -> Option<Violation> {
+        self.visited.lock().unwrap().push(visit_digest(gs));
+        self.props.check(gs)
+    }
+}
+
+/// `SearchStats::peak_frontier_bytes`' per-state figure, written out: a
+/// state counted at its full, unshared size.
+fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
+    let per_node = size_of::<NodeSlot<P::State>>() + 2 * size_of::<u64>();
+    let conns: usize = gs.nodes.values().map(|s| s.conns.len() * 12).sum();
+    size_of::<GlobalState<P>>()
+        + gs.nodes.len() * per_node
+        + conns
+        + gs.inflight.len() * size_of::<InFlight<P::Message>>()
 }
 
 fn render_path<P: Protocol>(path: impl IntoIterator<Item = (Event<P>, TraceStep)>) -> Vec<String> {
@@ -276,7 +346,7 @@ fn render_path<P: Protocol>(path: impl IntoIterator<Item = (Event<P>, TraceStep)
         .collect()
 }
 
-fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> Fingerprint {
+fn fingerprint<P: Protocol>(out: &SearchOutcome<P>, visited: Vec<u64>) -> Fingerprint {
     Fingerprint {
         states_visited: out.stats.states_visited,
         states_enqueued: out.stats.states_enqueued,
@@ -286,13 +356,16 @@ fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> Fingerprint {
         shallowest: out
             .first()
             .map(|found| render_path(found.path.iter().map(|s| (s.event.clone(), s.step.clone())))),
+        visited,
+        peak_frontier_bytes: out.stats.peak_frontier_bytes,
     }
 }
 
-/// Fig. 5 / Fig. 8 written out with plain `apply_event` and a `HashSet`:
-/// the engines have no switch that turns their transition memo off, so
-/// this loop is what they are held to. Stops at the first violation or
-/// once `budget` states were visited.
+/// Fig. 5 / Fig. 8 written out with plain `apply_event` and a `HashSet`,
+/// every successor built and hashed before the explored set is asked: the
+/// engines have no switch that turns their transition memo (or its
+/// hash-before-build probe) off, so this loop is what they are held to.
+/// Stops at the first violation or once `budget` states were visited.
 fn reference_bfs<P: Protocol>(
     proto: &P,
     props: &PropertySet<P>,
@@ -308,18 +381,23 @@ fn reference_bfs<P: Protocol>(
         local_prunes: 0,
         per_depth: Vec::new(),
         shallowest: None,
+        visited: Vec::new(),
+        peak_frontier_bytes: approx_state_bytes(start),
     };
     let mut explored = HashSet::from([start.state_hash()]);
     let mut local_explored = HashSet::new();
     let mut arena: Vec<(Option<usize>, Event<P>, TraceStep)> = Vec::new();
+    let mut frontier_bytes = fp.peak_frontier_bytes;
     let mut frontier = VecDeque::from([(start.clone(), None, 0usize)]);
     while let Some((state, rec, depth)) = frontier.pop_front() {
+        frontier_bytes -= approx_state_bytes(&state);
         if fp.states_visited >= budget {
             break;
         }
         fp.states_visited += 1;
         fp.per_depth.resize(fp.per_depth.len().max(depth + 1), 0);
         fp.per_depth[depth] += 1;
+        fp.visited.push(visit_digest(&state));
         if props.check(&state).is_some() {
             let mut path = Vec::new();
             let mut at: Option<usize> = rec;
@@ -344,6 +422,8 @@ fn reference_bfs<P: Protocol>(
                 continue;
             }
             arena.push((rec, event, step));
+            frontier_bytes += approx_state_bytes(&next);
+            fp.peak_frontier_bytes = fp.peak_frontier_bytes.max(frontier_bytes);
             frontier.push_back((next, Some(arena.len() - 1), depth + 1));
             fp.states_enqueued += 1;
         }
@@ -351,22 +431,29 @@ fn reference_bfs<P: Protocol>(
     fp
 }
 
-/// The engines apply every event through a per-search transition memo;
-/// the search they run must still be the reference search, count for
-/// count and path for path.
+/// The engines apply every event through a per-search transition memo
+/// and build a memo hit only once it survives the explored set; the
+/// search they run must still be the reference search, count for count,
+/// path for path and visited state for visited state.
 fn assert_engines_run_the_reference_search<P: Protocol>(
     proto: &P,
     props: &PropertySet<P>,
     start: &GlobalState<P>,
 ) {
     const BUDGET: usize = 700;
+    let visited = Arc::new(Mutex::new(Vec::new()));
+    let observed = PropertySet::new().with(Observed {
+        props: props.clone(),
+        visited: Arc::clone(&visited),
+    });
+    let take_visited = || std::mem::take(&mut *visited.lock().unwrap());
     for prune_local in [true, false] {
         for explore in [ExploreOptions::default(), ExploreOptions::full()] {
             let what = format!("{} prune_local={prune_local} {explore:?}", proto.name());
             let reference = reference_bfs(proto, props, start, explore, prune_local, BUDGET);
             let searcher = Searcher::new(
                 proto,
-                props,
+                &observed,
                 SearchConfig {
                     max_depth: None,
                     max_states: Some(BUDGET),
@@ -376,11 +463,15 @@ fn assert_engines_run_the_reference_search<P: Protocol>(
                 },
             );
             let seq = searcher.run(start);
-            assert_eq!(fingerprint(&seq), reference, "{what}: Searcher::run");
+            assert_eq!(
+                fingerprint(&seq, take_visited()),
+                reference,
+                "{what}: Searcher::run"
+            );
             // A search that ran its budget out re-applied transitions.
             let ran_long = reference.states_visited == BUDGET;
             assert!(!ran_long || seq.stats.memo_hits > 0, "{what}: memo hits");
-            let par = searcher.search(
+            let par_out = searcher.search(
                 start,
                 &Engine::Parallel(ParallelConfig {
                     workers: 2,
@@ -389,9 +480,23 @@ fn assert_engines_run_the_reference_search<P: Protocol>(
                     explored_spill_bytes: None,
                 }),
             );
-            assert_eq!(fingerprint(&par), reference, "{what}: 2 workers");
+            let (par, par_last) = fingerprint(&par_out, take_visited()).by_level();
+            let (expect, expect_last) = reference.by_level();
+            assert_eq!(par, expect, "{what}: 2 workers");
+            if expect.shallowest.is_none() {
+                assert_eq!(par_last, expect_last, "{what}: 2 workers, last level");
+            } else {
+                // Checked ahead of the violation: a superset, as a multiset.
+                let mut checked = par_last;
+                for digest in &expect_last {
+                    let at = checked
+                        .binary_search(digest)
+                        .unwrap_or_else(|_| panic!("{what}: 2 workers did not visit {digest:#x}"));
+                    checked.remove(at);
+                }
+            }
             assert!(
-                !ran_long || par.stats.memo_hits > 0,
+                !ran_long || par_out.stats.memo_hits > 0,
                 "{what}: range memo hits"
             );
         }

@@ -9,6 +9,10 @@
 //!   one slot its handler writes (none when no handler runs), and states
 //!   sharing slots can be hashed from several threads at once.
 //!
+//! The same walks hold `Expansion::hash_of` — a successor's hash
+//! folded from its parent without building it — to the from-scratch fold
+//! of the successor it stands for.
+//!
 //! Walks cover Ping and all four protocols under `ExploreOptions::full()`
 //! (resets, drops, peer errors, bounces).
 
@@ -20,7 +24,7 @@ use crystalball_suite::model::hashing::{combine, combine_unordered};
 use crystalball_suite::model::testproto::{Ping, PingAction};
 use crystalball_suite::model::{
     apply_event, enumerate_events, stable_hash, Decode, Encode, Event, ExploreOptions, GlobalState,
-    InFlight, NodeId, NodeSlot, Protocol, TraceStep,
+    InFlight, NodeId, NodeSlot, Protocol, TraceStep, TransitionMemo,
 };
 use crystalball_suite::protocols::chord::ChordBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
@@ -92,15 +96,68 @@ impl XorShift {
     }
 }
 
-/// One seeded walk: every step clones the current state, applies a random
-/// enabled event to the clone and checks both; between steps the state is
-/// put through a raw `slot_mut` write, a `from_slots` rebuild, or a
-/// `StateDelta` wire round trip.
+/// Entries the walks' transition memo holds: far below the 32 misses it
+/// records unconditionally, so a walk past that many misses has cleared
+/// the table at least once.
+const MEMO_CAP: usize = 8;
+
+/// Probes every enabled event of `state` through `memo` before building
+/// it: a hit's folded hash must be the from-scratch hash of the successor
+/// it stands for (and `build` must make that successor, `Vec` order
+/// included); a miss and a `Drop` must not be hits.
+fn probe_every_event<P: Protocol>(
+    memo: &mut TransitionMemo<'_, P>,
+    state: &GlobalState<P>,
+    events: &[Event<P>],
+    what: &str,
+) {
+    for event in events {
+        let (hits, misses) = (memo.hits(), memo.misses());
+        let mut from = memo.expand(state);
+        let probe = from.hash_of(event);
+        let (built, step) = from.successor(event);
+        let rebuilt = probe.as_ref().map(|_| from.build(event));
+        let (hits, misses) = (memo.hits() - hits, memo.misses() - misses);
+        match probe {
+            Some(probe) => {
+                assert_eq!(
+                    probe.hash,
+                    reference_state_hash(&built),
+                    "{what}: probe of {event:?}"
+                );
+                assert_eq!(probe.step, step, "{what}: probe step of {event:?}");
+                assert_eq!(probe.inflight, built.inflight.len());
+                let conns: usize = built.nodes.values().map(|slot| slot.conns.len()).sum();
+                assert_eq!(probe.conns, conns, "{what}: probe conns of {event:?}");
+                let rebuilt = rebuilt.expect("a hit is rebuilt");
+                assert!(
+                    contents(&rebuilt) == contents(&built),
+                    "{what}: build of {event:?}"
+                );
+                // The probe and the successor hit; `build` counts nothing.
+                assert_eq!((hits, misses), (2, 0), "{what}: {event:?}");
+            }
+            None => {
+                assert_eq!(hits, 0, "{what}: a probe missed what {event:?} hit");
+                if matches!(event, Event::Drop { .. }) {
+                    assert_eq!(misses, 0, "{what}: a drop is never keyed");
+                }
+            }
+        }
+    }
+}
+
+/// One seeded walk: every step probes every enabled event through a
+/// small transition memo ([`probe_every_event`]), clones the current
+/// state, applies a random enabled event to the clone and checks both;
+/// between steps the state is put through a raw `slot_mut` write, a
+/// `from_slots` rebuild, or a `StateDelta` wire round trip.
 fn walk_checking_hashes<P: Protocol>(proto: &P, start: &GlobalState<P>, seed: u64, steps: usize) {
     let name = proto.name();
     let mut rng = XorShift::new(seed);
     let mut enc = DeltaEncoder::new();
     let mut dec = DeltaDecoder::new();
+    let mut memo = TransitionMemo::with_max_entries(proto, MEMO_CAP);
     let mut state = start.clone();
     assert_hashes_match_reference(&state, name);
     for step in 0..steps {
@@ -108,6 +165,12 @@ fn walk_checking_hashes<P: Protocol>(proto: &P, start: &GlobalState<P>, seed: u6
         if events.is_empty() {
             break;
         }
+        probe_every_event(
+            &mut memo,
+            &state,
+            &events,
+            &format!("{name} seed {seed} step {step}"),
+        );
         let event = &events[rng.below(events.len())];
         let what = format!("{name} seed {seed} step {step} {event:?}");
 
@@ -174,6 +237,12 @@ fn walk_checking_hashes<P: Protocol>(proto: &P, start: &GlobalState<P>, seed: u6
         }
         state = child;
     }
+    assert!(
+        memo.hits() > 0 && memo.misses() > MEMO_CAP,
+        "{name} seed {seed}: the memo was hit ({}) and cleared ({} misses)",
+        memo.hits(),
+        memo.misses()
+    );
 }
 
 /// Runs `f` on Ping and on the canonical live state of each protocol.
