@@ -176,6 +176,10 @@ impl<P: Protocol> Hosted for CheckerSrv<P> {
     type Exit = CheckerProcessStats;
 
     fn poll(&mut self, now: Instant, io: IoReadiness) -> PollStatus<CheckerProcessStats> {
+        // Completions before reads: a round this poll submits is collected
+        // by a later poll, never by this one, so its latency on the passed
+        // clock is at least one poll however fast its lane runs.
+        self.push_completed(now);
         if matches!(self.run_state, RunState::Running) {
             if self.poll_ctl() {
                 // Graceful drain: finish in-flight rounds (bounded) and
@@ -191,7 +195,6 @@ impl<P: Protocol> Hosted for CheckerSrv<P> {
                 self.pump_reads(now);
             }
         }
-        self.push_completed(now);
         for conn in &mut self.conns {
             conn.io.flush();
         }
@@ -460,7 +463,7 @@ mod tests {
         let completed = completed.expect("the round completed");
         assert!(
             completed > received,
-            "a search outlasts the poll that queued it"
+            "a round is collected by a later poll than the one that queued it"
         );
         let latency = srv.stats.round_latency;
         assert_eq!(latency.count, 1);

@@ -23,8 +23,8 @@
 //!   form of a sequence of events that leads to an erroneous state" (§3),
 //!   reconstructed from a parent-pointer arena;
 //! * [`SearchStats`] — visited/enqueued counts, per-depth tallies, the
-//!   memory accounting behind Fig. 15/16, and the parallel coordinator's
-//!   `merge_busy`/`merge_wait` split;
+//!   memory accounting behind Fig. 15/16, and the time the parallel
+//!   coordinator spends collecting admitted edges (`merge_busy`);
 //! * [`replay_path`] — re-checks a previously discovered error path against
 //!   a *new* snapshot by replaying only timer/application events and
 //!   following message causality (§4 "Replaying Past Erroneous Paths");
@@ -36,7 +36,7 @@
 //!   threads ([`Searcher::search_on`] / [`Searcher::run_parallel_pooled`]).
 
 pub mod filter;
-pub mod frontier;
+mod frontier;
 pub mod parallel;
 pub mod pool;
 pub mod replay;
@@ -45,7 +45,6 @@ pub mod search;
 pub mod stats;
 
 pub use filter::{EventFilter, FilterSet};
-pub use frontier::{Admission, ExploredBatch, LockFreeExplored};
 pub use parallel::{find_consequences_parallel, find_errors_parallel, ParallelConfig};
 pub use pool::{PoolScope, WorkerPool};
 pub use replay::{replay_path, ReplayOutcome};

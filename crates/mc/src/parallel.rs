@@ -9,7 +9,7 @@
 //! bit-identical to the sequential engine, even though thread scheduling
 //! is nondeterministic.
 //!
-//! # Design: level-synchronous BFS, range tasks, a streamed deterministic merge
+//! # Design: level-synchronous BFS, range tasks, one admission rule
 //!
 //! The engine processes the state graph one BFS level at a time. Each
 //! level runs three phases:
@@ -23,57 +23,53 @@
 //!    performing the `localExplored` claims of Fig. 8 in exactly the order
 //!    the sequential loop would, which pins down *which* state gets to
 //!    expand each fresh local state. Produces the list of expansion jobs.
-//! 3. **Expand + merge** (overlapped): the job list is cut into
-//!    contiguous ranges and every *range* becomes one pool task — for
-//!    each of its jobs enumerate events, hash each successor (a
-//!    transition-memo hit is hashed without being built; a miss runs the
-//!    handler), race a single CAS per successor into the
-//!    [`LockFreeExplored`] table (stamped with the successor level,
-//!    through one [`ExploredBatch`] per range), and build only the
-//!    successors that won. The task deposits
-//!    its successor edges, in canonical (job, event) order, into an
-//!    order-preserving reorder buffer indexed by range. The coordinator
-//!    takes ranges in canonical order *while later ranges are still
-//!    expanding*, so the canonical dedup/merge never waits for — or
-//!    buffers — the whole level; when its next in-order range is not
-//!    ready it helps by executing one of the level's queued ranges
-//!    instead of sleeping.
+//! 3. **Expand, then collect**: the job list is cut into contiguous
+//!    ranges and every range becomes one pool task — for each of its jobs
+//!    enumerate events, hash each successor (a transition-memo hit is
+//!    hashed without being built; a miss runs the handler) and claim the
+//!    hash in the `LockFreeExplored` table at the edge's canonical
+//!    position (through one `ExploredBatch` per range). An edge that
+//!    does not lead its claim is a duplicate on the spot and builds
+//!    nothing; an edge that leads builds its successor then. Once a wave
+//!    of ranges and every earlier one are expanded, the coordinator walks
+//!    the wave's edges in canonical order and enqueues exactly those whose
+//!    claim still holds.
 //!
-//! # Ranges, not jobs
+//! # One admission rule
+//!
+//! The sequential engine enqueues the canonically first edge to each new
+//! hash — first in (level, job, event) order — and drops every later one.
+//! The table keeps that rule by itself: an entry's position word holds
+//! the least position ever claimed for its hash (`frontier::position`
+//! packs level over job, and one task claims a job's edges in event
+//! order), so the canonical edge is the one whose claim still holds once
+//! nothing earlier can claim. An earlier level's positions are smaller than any of this
+//! level's, so a duplicate of an earlier level never leads; within the
+//! level, only an edge of an earlier range can undercut one, so a wave's
+//! claims are final once it and every earlier wave are expanded. The
+//! collect then needs no set of its own, and every edge it enqueues built
+//! its own state — the clone the sequential engine would have built, with
+//! its in-flight `Vec` order, which steers later event enumeration (equal
+//! hashes pin down only the in-flight multiset). Reconstructed paths —
+//! including the canonical shallowest counterexample, tie-broken by
+//! (depth, path-lexicographic order) — and every downstream level then
+//! match the sequential engine exactly. Wall-clock-dependent outcomes
+//! (deadline stops) are the only nondeterminism that survives.
+//!
+//! # Ranges and waves
 //!
 //! One job is a few microseconds of work on states that share most of
 //! their `Arc`'d node slots with their siblings and parent; a pool task
 //! per job costs more than the job and scatters siblings over the cores.
-//! A range pays the task, the deposit guard and the explored batch once
-//! and keeps neighbours on one core. The cut is one fixed rule
-//! (`range_len`); a level that fits one range — the short levels every
-//! search starts with, all of a shallow search — is expanded and merged
-//! on the caller with no scope, channel or worker wake-up. Ranges are
-//! contiguous in job order and consumed in order, so where the cuts fall
-//! cannot reach a result.
-//!
-//! # One merge stream
-//!
-//! The coordinator is the only merge consumer. It sees every successor
-//! edge in canonical order, so it enqueues each admitted edge straight
-//! into the arena and the next level as its range arrives: arena layout,
-//! violations and shallowest paths come out bit-identical to the
-//! sequential engine with nothing to buffer or recombine.
-//!
-//! The merge applies the sequential engine's enqueue-time dedup in
-//! canonical order (job order × event order): the canonically-first edge
-//! to each hash admitted this level becomes its parent. Whether a hash
-//! was admitted this level is read off the table's level stamp, so the
-//! decision needs no level-wide `admitted` set. The surviving clone must
-//! be the canonical edge's, too: equal hashes mean equal node states and
-//! equal in-flight *multisets*, but not equal in-flight `Vec` order, and
-//! that order steers later event enumeration — so when the insert race
-//! was won by a non-canonical edge, the merge re-derives the canonical
-//! clone from its parent. Reconstructed paths — including the canonical
-//! shallowest counterexample, tie-broken by (depth, path-lexicographic
-//! order) — and every downstream level then match the sequential engine
-//! exactly. Wall-clock-dependent outcomes (deadline stops) are the only
-//! nondeterminism that survives.
+//! A range pays the task and the explored batch once and keeps neighbours
+//! on one core. The cut is one fixed rule (`range_len`); ranges run in
+//! waves of `workers × RANGES_PER_WORKER` ranges, one pool scope each, so
+//! the built states held for the collect are a wave's, not the level's.
+//! A wave of one range — every level that fits one range: the short
+//! levels every search starts with, all of a shallow search — runs inline
+//! on the caller with no scope or worker wake-up. Ranges are contiguous
+//! in job order and collected in order, so where the cuts fall cannot
+//! reach a result.
 //!
 //! There is no single-threaded rendering of these phases: one worker (or
 //! none) *is* [`Searcher::run`].
@@ -81,24 +77,18 @@
 //! Differences from the sequential engine, all stats-level: `elapsed` and
 //! `peak_frontier_bytes` reflect this engine's level-at-a-time residency
 //! (the per-level sum of state footprints) rather than a sliding window,
-//! and `merge_busy`/`merge_wait` are populated (split so the
-//! coordinator's reorder-buffer stalls are not double-counted as merge
-//! cost — see [`SearchStats`]).
-//!
-//! [`ExploredBatch`]: crate::ExploredBatch
+//! and `merge_busy` times the coordinator's in-order collects (see
+//! [`SearchStats`]; `merge_wait` has nothing left to time and stays 0).
 
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cb_model::{
-    apply_event, Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation,
-};
+use cb_model::{Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation};
 
-use crate::frontier::{Admission, LockFreeExplored};
-use crate::pool::{PoolScope, WorkerPool};
+use crate::frontier::{position, Claim, LockFreeExplored};
+use crate::pool::WorkerPool;
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
     approx_state_bytes, enumerate_gated, reconstruct, ArenaRec, DigestSet, SearchConfig, Searcher,
@@ -115,7 +105,7 @@ pub struct ParallelConfig {
     /// `<= 1` is the sequential engine: the search returns
     /// [`Searcher::run`]'s outcome, stats included, and touches no pool.
     pub workers: usize,
-    /// Has no effect: phase 3 has one merge consumer, the coordinator.
+    /// Has no effect: phase 3 has one collect, on the coordinator.
     /// Nothing reads this field. Kept only because the benchmark crate
     /// (`benchmark/`) names it in a struct literal; it goes when that
     /// crate stops naming it.
@@ -147,16 +137,17 @@ impl Default for ParallelConfig {
     }
 }
 
-/// Range tasks a level is cut into per worker: a few, so the coordinator
-/// — which also merges — sheds expansion to the pool range by range
-/// instead of being dealt a fixed share up front.
+/// Range tasks a level is cut into per worker: a few, so a slow range
+/// leaves the other workers ranges to take instead of each being dealt a
+/// fixed share up front. `workers ×` this many ranges make one wave.
 const RANGES_PER_WORKER: usize = 4;
 /// Fewest jobs worth a pool task. A level no longer than this runs
 /// inline on the caller: waking a worker would cost more than the
 /// expansion it takes over.
 const MIN_RANGE_JOBS: usize = 64;
 /// Most jobs per range: a range's edges are still cache-resident when
-/// the merge takes them, and the merge never waits long for range 0.
+/// the collect takes them, and a wave holds the built edges of at most
+/// `workers × RANGES_PER_WORKER × MAX_RANGE_JOBS` jobs.
 const MAX_RANGE_JOBS: usize = 256;
 
 /// Length of the contiguous ranges a level of `n` items is cut into at
@@ -168,34 +159,26 @@ fn range_len(n: usize, workers: usize) -> usize {
     n.div_ceil(n.div_ceil(target).max(1)).max(1)
 }
 
+/// The contiguous [`range_len`] ranges a level of `n` jobs is cut into,
+/// in job order.
+fn cut(n: usize, workers: usize) -> Vec<Range<usize>> {
+    let len = range_len(n, workers);
+    (0..n).step_by(len).map(|s| s..n.min(s + len)).collect()
+}
+
 /// One level's states, each with the arena record of the edge that
 /// reached it — all items of one level share a depth.
 type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
 
-/// One successor edge emitted by the expand phase; the merge passes the
-/// edges it admits on as they are, with `state` filled in.
-struct Edge<P: Protocol> {
-    /// Canonical job index within the level.
-    job: u32,
-    /// The successor state — carried only by the edge whose worker won the
-    /// explored-table insertion race for `hash`.
-    ///
-    /// Winning the race is *not* the same as being the canonical
-    /// (first-in-BFS-order) edge: two states with equal hashes hold the
-    /// same in-flight **multiset** but possibly in different `Vec`
-    /// orders, and that order is visible to event enumeration. The merge
-    /// therefore keeps the winner's clone only when the winner *is* the
-    /// canonical edge, and re-derives the canonical clone otherwise.
-    state: Option<GlobalState<P>>,
-    /// Byte footprint of `state`, taken by whoever built it while it was
-    /// cache-hot.
+/// A successor edge that led its hash's claim while its range expanded
+/// it: built then, and enqueued by the collect iff the claim still holds.
+struct Edge<'t, P: Protocol> {
+    /// The arena record of the state the edge leaves.
+    parent: Option<usize>,
+    claim: Claim<'t>,
+    state: GlobalState<P>,
+    /// Byte footprint of `state`, taken while it was cache-hot.
     bytes: usize,
-    hash: u64,
-    /// When the insert race was lost: the level stamp the winner carried.
-    /// Equal to the current successor stamp iff the hash was admitted
-    /// *this* level (by a later-canonical edge); smaller means a true
-    /// duplicate of an earlier level.
-    prior_level: u64,
     event: Event<P>,
     step: TraceStep,
 }
@@ -204,31 +187,24 @@ struct Edge<P: Protocol> {
 #[derive(Default)]
 struct ExpandTally {
     filtered: usize,
+    /// Edges that did not lead their claim, and so built nothing.
+    duplicates: usize,
     memo_hits: usize,
     memo_misses: usize,
 }
 
 impl ExpandTally {
-    fn absorb(&mut self, range: ExpandTally) {
-        self.filtered += range.filtered;
-        self.memo_hits += range.memo_hits;
-        self.memo_misses += range.memo_misses;
-    }
-
     fn add_to(&self, stats: &mut SearchStats) {
         stats.filtered_events += self.filtered;
+        stats.duplicates_hit += self.duplicates;
         stats.memo_hits += self.memo_hits;
         stats.memo_misses += self.memo_misses;
     }
 }
 
-/// What the merge counted while draining its channel.
-#[derive(Default)]
-struct MergeTally {
-    duplicates: usize,
-    busy: Duration,
-    wait: Duration,
-}
+/// One range's expansion: its leading edges in canonical (job, event)
+/// order, and what it counted.
+type Expanded<'t, P> = (Vec<Edge<'t, P>>, ExpandTally);
 
 /// The level under construction: admitted successors in canonical
 /// enqueue order, with their byte footprints (each taken where the state
@@ -239,24 +215,26 @@ struct NextLevel<P: Protocol> {
 }
 
 impl<P: Protocol> NextLevel<P> {
-    /// Enqueues a successor reached from `parent` — the arena record and
-    /// the next-level slot every engine path writes for an admitted edge.
-    fn push(
-        &mut self,
-        arena: &mut Vec<ArenaRec<P>>,
-        parent: Option<usize>,
-        state: GlobalState<P>,
-        bytes: usize,
-        event: Event<P>,
-        step: TraceStep,
-    ) {
-        arena.push(ArenaRec {
-            parent,
-            event,
-            step,
-        });
-        self.bytes += bytes;
-        self.states.push((state, Some(arena.len() - 1)));
+    /// The in-order collect of one range's edges, once no earlier range
+    /// can claim: enqueues each edge whose claim still holds — the
+    /// canonical edge to its hash — with its arena record, and returns how
+    /// many an earlier range undercut after they led.
+    fn collect(&mut self, arena: &mut Vec<ArenaRec<P>>, edges: Vec<Edge<'_, P>>) -> usize {
+        let mut undercut = 0;
+        for e in edges {
+            if !e.claim.holds() {
+                undercut += 1;
+                continue;
+            }
+            arena.push(ArenaRec {
+                parent: e.parent,
+                event: e.event,
+                step: e.step,
+            });
+            self.bytes += e.bytes;
+            self.states.push((e.state, Some(arena.len() - 1)));
+        }
+        undercut
     }
 }
 
@@ -297,100 +275,13 @@ impl Deadline {
     }
 }
 
-/// The order-preserving channel between range tasks and the merge: a
-/// reorder buffer indexed by range, consumed as a contiguous prefix. Peak
-/// residency is the out-of-order window (how far completed ranges run
-/// ahead of the canonical cursor), not the whole level.
-struct MergeChannel<T> {
-    inner: Mutex<MergeBuf<T>>,
-    ready: Condvar,
-}
-
-struct MergeBuf<T> {
-    slots: Vec<Option<T>>,
-    /// Next canonical range index the consumer needs.
-    next: usize,
-}
-
-impl<T> MergeChannel<T> {
-    fn new(ranges: usize) -> Self {
-        MergeChannel {
-            inner: Mutex::new(MergeBuf {
-                slots: (0..ranges).map(|_| None).collect(),
-                next: 0,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Deposits range `r`'s batch; wakes the consumer iff `r` is the
-    /// batch it is waiting on.
-    fn deposit(&self, r: usize, out: T) {
-        let mut b = self.inner.lock().expect("merge buffer poisoned");
-        let wake = r == b.next;
-        b.slots[r] = Some(out);
-        drop(b);
-        if wake {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Takes the next in-canonical-order batch if it is already there.
-    fn try_next(&self) -> Option<T> {
-        let mut b = self.inner.lock().expect("merge buffer poisoned");
-        b.take_next()
-    }
-
-    /// Blocks until the next in-order batch arrives (deposits of that
-    /// index notify) or `stop` is raised by a deadline-hitting task.
-    fn wait_next(&self, stop: &AtomicBool) -> Option<T> {
-        let mut b = self.inner.lock().expect("merge buffer poisoned");
-        loop {
-            if let Some(out) = b.take_next() {
-                return Some(out);
-            }
-            if b.next >= b.slots.len() || stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            b = self.ready.wait(b).expect("merge buffer poisoned");
-        }
-    }
-}
-
-impl<T> MergeBuf<T> {
-    fn take_next(&mut self) -> Option<T> {
-        let out = self.slots.get_mut(self.next)?.take()?;
-        self.next += 1;
-        Some(out)
-    }
-}
-
-/// Ensures the channel sees a deposit for range `r` even if the range
-/// task unwinds: without one the merge would wait forever on a range
-/// whose panic the pool has already captured for re-raising at scope
-/// exit.
-struct DepositGuard<'a, T: Default> {
-    chan: &'a MergeChannel<T>,
-    r: usize,
-    armed: bool,
-}
-
-impl<T: Default> Drop for DepositGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.chan.deposit(self.r, T::default());
-        }
-    }
-}
-
-/// What the range tasks and the merge of one level's phase 3 all read.
+/// What the range tasks of one level's phase 3 all read.
 struct Phase3<'a, P: Protocol> {
     level: &'a [(GlobalState<P>, Option<usize>)],
     jobs: &'a [ExpandJob],
     explored: &'a LockFreeExplored,
-    /// The successor level every insert of this phase is stamped with
-    /// (what `prior_level` readbacks are compared to).
-    stamp: u64,
+    /// The successors' BFS level: the high half of every position.
+    successors: usize,
     deadline: &'a Deadline,
 }
 
@@ -454,7 +345,7 @@ impl<P: Protocol> Searcher<'_, P> {
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
-        explored.batch().insert_leveled(start.state_hash(), 0);
+        explored.batch().claim(start.state_hash(), position(0, 0));
         let mut level: Level<P> = vec![(start.clone(), None)];
         // Byte footprint of `level`, accumulated when the level was built
         // (while each state was cache-hot) instead of re-scanned here.
@@ -476,7 +367,6 @@ impl<P: Protocol> Searcher<'_, P> {
                 .max_states
                 .map_or(level.len(), |max| max.saturating_sub(stats.states_visited))
                 .min(level.len());
-            let stamp = depth as u64 + 1;
             let mut next = NextLevel {
                 // Levels rarely shrink: the previous level's size is a
                 // cheap floor that skips most of the growth reallocations.
@@ -537,15 +427,16 @@ impl<P: Protocol> Searcher<'_, P> {
                 jobs.push(ExpandJob { item: i, allowed });
             }
 
-            // Phase 3: expansion with the merge streamed behind it. The
-            // stamp marks every successor admitted during this level, so
-            // the canonical merge can tell "admitted this level by a
-            // non-canonical edge" from "duplicate of an earlier level"
-            // batch by batch.
-            self.expand_and_merge_level(
-                &level, &jobs, &explored, stamp, workers, &deadline, pool, &mut arena, &mut next,
-                &mut stats,
-            );
+            // Phase 3: expand, claiming each successor at its canonical
+            // position, and collect the edges whose claims hold.
+            let cx = Phase3 {
+                level: &level,
+                jobs: &jobs,
+                explored: &explored,
+                successors: depth + 1,
+                deadline: &deadline,
+            };
+            self.expand_level(&cx, workers, pool, &mut arena, &mut next, &mut stats);
             if deadline.hit() {
                 break 'levels; // the partial level is discarded
             }
@@ -617,19 +508,15 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Executes the contiguous `range` of the level's expansion jobs:
-    /// enumerate, hash, and race each successor into the explored table,
-    /// building it only if it wins (a memo hit is hashed unbuilt) — one
-    /// CAS per successor through one
-    /// [`ExploredBatch`] for the whole range, so the segment snapshot and
-    /// the shared-length update cost one synchronization edge per range.
-    /// Returns the range's successor edges in canonical (job, event)
-    /// order plus what the range counted; cut short (to be discarded)
+    /// enumerate and hash each successor, claim it at its edge's position
+    /// — one claim per successor through one `ExploredBatch` for the whole
+    /// range, so the segment snapshot and the shared-length update cost
+    /// one synchronization edge per range — and build it only if the claim
+    /// leads (a memo hit is hashed unbuilt). Cut short (to be discarded)
     /// once the deadline has passed.
-    ///
-    /// [`ExploredBatch`]: crate::ExploredBatch
-    fn expand_range(&self, cx: &Phase3<'_, P>, range: Range<usize>) -> (Vec<Edge<P>>, ExpandTally) {
+    fn expand_range<'t>(&self, cx: &Phase3<'t, P>, range: Range<usize>) -> Expanded<'t, P> {
         let mut edges = Vec::new();
-        let mut filtered = 0usize;
+        let mut tally = ExpandTally::default();
         let mut batch = cx.explored.batch();
         // One memo per range task: what it holds depends on the range's
         // jobs alone, never on which thread ran it or when.
@@ -639,18 +526,19 @@ impl<P: Protocol> Searcher<'_, P> {
                 break;
             }
             let job = &cx.jobs[j];
-            let state = &cx.level[job.item].0;
+            let (state, parent) = &cx.level[job.item];
+            let pos = position(cx.successors, j);
             let events = enumerate_gated(
                 self.protocol,
                 &self.config,
                 state,
                 |n| job.allowed.as_ref().is_none_or(|nodes| nodes.contains(&n)),
-                &mut filtered,
+                &mut tally.filtered,
             );
             let mut from = memo.expand(state);
             for event in events {
                 // A memo hit is hashed without being built, and built only
-                // if it wins the insert; a miss is built to be hashed.
+                // if it leads its claim; a miss is built to be hashed.
                 let (built, hash, step) = match from.hash_of(&event) {
                     Some(probe) => (None, probe.hash, probe.step),
                     None => {
@@ -659,210 +547,69 @@ impl<P: Protocol> Searcher<'_, P> {
                         (Some(next), hash, step)
                     }
                 };
-                let (state, bytes, prior_level) = match batch.insert_leveled(hash, cx.stamp) {
-                    Admission::Fresh => {
-                        let next = built.unwrap_or_else(|| from.build(&event));
-                        let bytes = approx_state_bytes(&next);
-                        (Some(next), bytes, 0)
-                    }
-                    Admission::Seen { level } => (None, 0, level),
-                };
+                let claim = batch.claim(hash, pos);
+                if !claim.leads {
+                    tally.duplicates += 1;
+                    continue;
+                }
+                let state = built.unwrap_or_else(|| from.build(&event));
                 edges.push(Edge {
-                    job: j as u32,
+                    parent: *parent,
+                    claim,
+                    bytes: approx_state_bytes(&state),
                     state,
-                    bytes,
-                    hash,
-                    prior_level,
                     event,
                     step,
                 });
             }
         }
-        let tally = ExpandTally {
-            filtered,
-            memo_hits: memo.hits(),
-            memo_misses: memo.misses(),
-        };
+        tally.memo_hits = memo.hits();
+        tally.memo_misses = memo.misses();
         (edges, tally)
     }
 
-    /// Applies the canonical enqueue-time dedup to one range's edges, in
-    /// canonical order, emitting every admitted edge — its state filled
-    /// in — into `sink` and returning the duplicates it discarded.
-    /// Exactly the bookkeeping the sequential loop performs at its
-    /// `explored.insert`: the canonically-first edge to a hash admitted
-    /// this level becomes its parent; everything else is a duplicate.
-    fn admit(
+    /// Phase 3: expands the level's jobs range by range in waves of
+    /// `workers × RANGES_PER_WORKER` ranges, one pool scope each, and
+    /// after each wave collects its edges in canonical order — final by
+    /// then, since only an earlier range can undercut an edge. A wave of
+    /// one range runs on the caller. When the deadline fires mid-phase the
+    /// collect is left partial, for the caller to discard.
+    fn expand_level(
         &self,
         cx: &Phase3<'_, P>,
-        edges: Vec<Edge<P>>,
-        seen: &mut DigestSet,
-        mut sink: impl FnMut(Edge<P>),
-    ) -> usize {
-        let mut duplicates = 0usize;
-        for mut edge in edges {
-            // `seen`: a canonically-earlier edge this level already
-            // decided this hash (admitted it or proved it a duplicate).
-            // Otherwise the level stamp tells this level's admissions
-            // from duplicates of an earlier level.
-            if !seen.insert(edge.hash) || !(edge.state.is_some() || edge.prior_level == cx.stamp) {
-                duplicates += 1;
-                continue;
-            }
-            // This edge is canonically first to a hash first reached this
-            // level: it is the parent the sequential engine would record.
-            // Keep its own clone only if it also won the insert race —
-            // equal hashes guarantee equal node states and equal in-flight
-            // *multisets*, but not equal in-flight `Vec` order, and that
-            // order steers downstream event enumeration.
-            if edge.state.is_none() {
-                let mut s = cx.level[cx.jobs[edge.job as usize].item].0.clone();
-                apply_event(self.protocol, &mut s, &edge.event);
-                edge.bytes = approx_state_bytes(&s);
-                edge.state = Some(s);
-            }
-            sink(edge);
-        }
-        duplicates
-    }
-
-    /// The coordinator's merge: takes the channel in canonical range
-    /// order and admits every edge into `sink`. A missing batch makes it
-    /// run one of the level's queued range tasks through `scope` instead
-    /// of sleeping, so starvation never blocks progress and the phase
-    /// completes even on a zero-thread pool.
-    fn merge(
-        &self,
-        cx: &Phase3<'_, P>,
-        chan: &MergeChannel<Vec<Edge<P>>>,
-        scope: &PoolScope<'_, '_>,
-        mut sink: impl FnMut(Edge<P>),
-    ) -> MergeTally {
-        let _span = cb_obs::span("mc.merge", "mc");
-        let mut tally = MergeTally::default();
-        // Hashes the merge already decided this level.
-        let mut seen = DigestSet::default();
-        // Partial results are discarded on deadline stops.
-        while !cx.deadline.passed() {
-            let got = loop {
-                if let Some(edges) = chan.try_next() {
-                    break Some(edges);
-                }
-                // Run a queued range instead of sleeping — expansion
-                // work, attributed to neither timer.
-                if !scope.help_one() {
-                    // The needed range is running on another thread (wait
-                    // for its deposit, which notifies), or every range
-                    // has been merged.
-                    let tw = Instant::now();
-                    let got = chan.wait_next(&cx.deadline.hit);
-                    tally.wait += tw.elapsed();
-                    break got;
-                }
-            };
-            let Some(edges) = got else {
-                break; // level drained, or deadline raised by a range task
-            };
-            let tb = Instant::now();
-            tally.duplicates += self.admit(cx, edges, &mut seen, &mut sink);
-            tally.busy += tb.elapsed();
-        }
-        tally
-    }
-
-    /// Phase 3: expands the level's jobs range by range and merges the
-    /// resulting edges in canonical order, overlapped: every range is a
-    /// pool task depositing into one [`MergeChannel`], and the
-    /// coordinator merges the channel, enqueueing each admitted edge as
-    /// it goes. A level that fits one range is expanded and merged on the
-    /// caller. When the deadline fires mid-phase the merge is left
-    /// partial, for the caller to discard.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_and_merge_level(
-        &self,
-        level: &[(GlobalState<P>, Option<usize>)],
-        jobs: &[ExpandJob],
-        explored: &LockFreeExplored,
-        stamp: u64,
         workers: usize,
-        deadline: &Deadline,
         pool: &WorkerPool,
         arena: &mut Vec<ArenaRec<P>>,
         next: &mut NextLevel<P>,
         stats: &mut SearchStats,
     ) {
         let _span = cb_obs::span("mc.expand", "mc");
-        let len = range_len(jobs.len(), workers);
-        let ranges = jobs.len().div_ceil(len);
-        stats.expand_ranges += ranges;
-        let cx = &Phase3 {
-            level,
-            jobs,
-            explored,
-            stamp,
-            deadline,
-        };
-        // Where every admitted edge ends up, in canonical order.
-        let enqueue = |e: Edge<P>| {
-            let state = e.state.expect("admitted edges carry their state");
-            next.push(
-                arena,
-                level[jobs[e.job as usize].item].1,
-                state,
-                e.bytes,
-                e.event,
-                e.step,
-            )
-        };
-
-        if ranges <= 1 {
-            // Nothing to overlap: expand and merge on the caller, no
-            // scope, channel or worker wake-up. Canonical order *is* the
-            // execution order.
-            let (edges, tally) = self.expand_range(cx, 0..jobs.len());
-            tally.add_to(stats);
-            stats.duplicates_hit += self.admit(cx, edges, &mut DigestSet::default(), enqueue);
-            return;
-        }
-
-        let chan: MergeChannel<Vec<Edge<P>>> = MergeChannel::new(ranges);
-        let expanded = Mutex::new(ExpandTally::default());
-        let merged = pool.scope(|scope: &PoolScope<'_, '_>| {
-            for r in 0..ranges {
-                let (chan, expanded) = (&chan, &expanded);
-                scope.spawn(move || {
-                    // Disarmed once the range has edges of its own to
-                    // deposit.
-                    let mut guard = DepositGuard {
-                        chan,
-                        r,
-                        armed: true,
-                    };
-                    let (edges, tally) =
-                        self.expand_range(cx, r * len..jobs.len().min((r + 1) * len));
-                    expanded
-                        .lock()
-                        .expect("expand tally poisoned")
-                        .absorb(tally);
-                    guard.armed = false;
-                    chan.deposit(r, edges);
+        let ranges = cut(cx.jobs.len(), workers);
+        stats.expand_ranges += ranges.len();
+        for wave in ranges.chunks(workers * RANGES_PER_WORKER) {
+            let expanded = if let [range] = wave {
+                vec![self.expand_range(cx, range.clone())]
+            } else {
+                let mut out: Vec<Expanded<'_, P>> = Vec::new();
+                out.resize_with(wave.len(), Default::default);
+                pool.scope(|scope| {
+                    for (range, out) in wave.iter().zip(&mut out) {
+                        scope.spawn(move || *out = self.expand_range(cx, range.clone()));
+                    }
                 });
+                out
+            };
+            if cx.deadline.hit() {
+                return;
             }
-            self.merge(cx, &chan, scope, enqueue)
-            // Scope exit runs any still-queued tasks (after a deadline
-            // they deposit what little they expanded) and waits for
-            // in-flight ones.
-        });
-        if deadline.hit() {
-            return;
+            let _span = cb_obs::span("mc.merge", "mc");
+            let t = Instant::now();
+            for (edges, tally) in expanded {
+                tally.add_to(stats);
+                stats.duplicates_hit += next.collect(arena, edges);
+            }
+            stats.merge_busy += t.elapsed();
         }
-        expanded
-            .into_inner()
-            .expect("expand tally poisoned")
-            .add_to(stats);
-        stats.duplicates_hit += merged.duplicates;
-        stats.merge_busy += merged.busy;
-        stats.merge_wait += merged.wait;
     }
 }
 
@@ -909,8 +656,10 @@ mod tests {
     use super::*;
     use crate::search::{find_consequences, find_errors};
     use crate::SearchConfig;
+    use cb_model::hashing::combine;
     use cb_model::testproto::{max_pings_property, Ping, PingAction, PingMsg, PingState};
-    use cb_model::{ExploreOptions, NodeId, Outbox, PropertySet};
+    use cb_model::{ExploreOptions, NodeId, Outbox, Property, PropertySet};
+    use std::sync::{Arc, Mutex};
 
     fn sys(n: u32) -> (Ping, GlobalState<Ping>) {
         let cfg = Ping {
@@ -1100,13 +849,15 @@ mod tests {
         assert_eq!(out.stopped, StopReason::Deadline);
     }
 
+    /// `merge_busy` times the phased engine's in-order collects and is 0
+    /// under the sequential loop; `merge_wait` is 0 under both.
     #[test]
     fn merge_timers_populated_only_in_streamed_mode() {
         let (p, gs, pr, base) = wide();
         let seq = find_errors(&p, &pr, &gs, base.clone());
-        assert_eq!(seq.stats.merge_busy, std::time::Duration::ZERO);
-        assert_eq!(seq.stats.merge_wait, std::time::Duration::ZERO);
-        let streamed = find_errors_parallel(
+        assert_eq!(seq.stats.merge_busy, Duration::ZERO);
+        assert_eq!(seq.stats.merge_wait, Duration::ZERO);
+        let phased = find_errors_parallel(
             &p,
             &pr,
             &gs,
@@ -1117,18 +868,20 @@ mod tests {
             },
         );
         assert!(
-            streamed.stats.merge_busy > std::time::Duration::ZERO,
-            "streamed coordinator recorded merge work"
+            phased.stats.merge_busy > Duration::ZERO,
+            "the coordinator's collects were timed"
         );
+        assert_eq!(phased.stats.merge_wait, Duration::ZERO);
+        assert_eq!(phased.stats.merge_shard_busy, vec![phased.stats.merge_busy]);
         assert!(
-            streamed.stats.expand_ranges > streamed.stats.per_depth.len(),
+            phased.stats.expand_ranges > phased.stats.per_depth.len(),
             "some level was cut into several ranges"
         );
     }
 
     /// The phased engine with no pool thread at all: the coordinator
-    /// runs every range task itself through `help_one` while it merges,
-    /// and the result is still the sequential engine's.
+    /// runs every range task itself as each wave's scope exits, and the
+    /// result is still the sequential engine's.
     #[test]
     fn zero_thread_pool_matches_sequential() {
         let (p, gs, pr, base) = wide();
@@ -1238,11 +991,11 @@ mod tests {
         }
     }
 
-    /// A panicking range task must not strand the merge on the batch it
-    /// never deposited: the deposit guard fills the gap, the level drains, and the pool re-raises the
-    /// panic out of `run_parallel`. Four nodes hit the bug in a 9-job
-    /// level (inline, no task at all); six nodes with one pong to spare
-    /// hit it in a 476-job level cut into 8 ranges.
+    /// A panicking range task leaves the engine: its wave's scope waits
+    /// for the sibling ranges and re-raises the panic out of
+    /// `run_parallel`. Four nodes hit the bug in a 9-job level (inline, no
+    /// task at all); six nodes with one pong to spare hit it in a 476-job
+    /// level cut into 8 ranges.
     #[test]
     fn handler_panic_in_expand_task_leaves_the_engine() {
         for (nodes, spare) in [(4, 0), (6, 1)] {
@@ -1302,7 +1055,7 @@ mod tests {
     /// and over the inline limit and the two-range limit, and to the whole
     /// 1135-job level — whose commuting ping/pong deliveries reach one
     /// hash from parents in different ranges, so under real threads the
-    /// insert-race winner and the canonical edge of a same-level
+    /// first claim and the canonical edge of a same-level
     /// duplicate sit in different ranges.
     #[test]
     fn range_boundaries_match_sequential() {
@@ -1339,6 +1092,102 @@ mod tests {
                 assert_eq!(seq.stopped, par.stopped, "{what}");
             }
         }
+    }
+
+    /// Reports no violation, and records the digest of every state it
+    /// checks: its hash folded with its in-flight `Vec` order, which event
+    /// enumeration reads.
+    struct Recorder(Arc<Mutex<Vec<u64>>>);
+
+    impl Property<Ping> for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+
+        fn check(&self, gs: &GlobalState<Ping>) -> Option<Violation> {
+            self.0.lock().unwrap().push(digest(gs));
+            None
+        }
+    }
+
+    fn digest(gs: &GlobalState<Ping>) -> u64 {
+        gs.inflight
+            .iter()
+            .fold(gs.state_hash(), |h, m| combine(h, m.stable_hash()))
+    }
+
+    /// The race a zero-thread pool never shows, made deterministic: each
+    /// level's ranges go through `expand_range` last to first, so a later
+    /// range claims a shared successor before the earlier range it belongs
+    /// to, and only then does the in-order collect run. Every enqueued
+    /// state — in-flight `Vec` order included — and the counts are still
+    /// `Searcher::run`'s.
+    #[test]
+    fn ranges_expanded_in_reverse_match_sequential() {
+        let (p, gs) = sys(5);
+        let base = SearchConfig {
+            max_depth: Some(7),
+            prune_local: false,
+            ..cfg()
+        };
+        let visited = Arc::new(Mutex::new(Vec::new()));
+        let recorder = PropertySet::new().with(Recorder(visited.clone()));
+        let seq = Searcher::new(&p, &recorder, base.clone()).run(&gs);
+        assert_eq!(seq.stopped, StopReason::DepthLimit);
+
+        let none = PropertySet::new();
+        let searcher = Searcher::new(&p, &none, base);
+        let explored = LockFreeExplored::with_capacity(1 << 12);
+        explored.batch().claim(gs.state_hash(), position(0, 0));
+        let deadline = Deadline {
+            search_t0: Instant::now(),
+            limit: None,
+            hit: AtomicBool::new(false),
+        };
+        let (mut arena, mut stats) = (Vec::new(), SearchStats::default());
+        let mut level: Level<Ping> = vec![(gs.clone(), None)];
+        let (mut enqueued, mut undercut, mut order) = (1, 0, Vec::new());
+        for depth in 0..=7 {
+            order.extend(level.iter().map(|(s, _)| digest(s)));
+            if depth == 7 {
+                break;
+            }
+            let jobs: Vec<ExpandJob> = (0..level.len())
+                .map(|item| ExpandJob {
+                    item,
+                    allowed: None,
+                })
+                .collect();
+            let cx = Phase3 {
+                level: &level,
+                jobs: &jobs,
+                explored: &explored,
+                successors: depth + 1,
+                deadline: &deadline,
+            };
+            let mut expanded: Vec<_> = (cut(jobs.len(), 4).into_iter().rev())
+                .map(|range| searcher.expand_range(&cx, range))
+                .collect();
+            expanded.reverse();
+            let mut next = NextLevel {
+                states: Vec::new(),
+                bytes: 0,
+            };
+            for (edges, tally) in expanded {
+                undercut += edges.iter().filter(|e| !e.claim.holds()).count();
+                tally.add_to(&mut stats);
+                stats.duplicates_hit += next.collect(&mut arena, edges);
+            }
+            enqueued += next.states.len();
+            level = next.states;
+        }
+        assert!(
+            undercut > 0,
+            "some later range led a shared successor first"
+        );
+        assert_eq!(order, *visited.lock().unwrap(), "BFS order, states exact");
+        assert_eq!(enqueued, seq.stats.states_enqueued);
+        assert_eq!(stats.duplicates_hit, seq.stats.duplicates_hit);
     }
 
     /// `Engine::Parallel` at one worker (or none) is `Searcher::run`:

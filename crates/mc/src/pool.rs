@@ -31,11 +31,10 @@
 //! worker threads, in which case every scope degrades to sequential
 //! execution on its owner.
 //!
-//! The queue is FIFO. Helping alone keeps the pool deadlock-free — no
-//! waiter ever needs a queued task it could not run itself — so the order
-//! is not a liveness contract; it is what makes [`PoolScope::help_one`]
-//! pop the oldest queued task of a batch, which for the parallel engine's
-//! merge is the range it is waiting for.
+//! Nothing rests on the queue order: no task waits for another task of
+//! its own batch (the parallel engine's range tasks only claim into the
+//! explored table, and its coordinator collects a wave after the wave's
+//! scope has returned), so helping alone keeps every scope live.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -216,35 +215,6 @@ impl<'env> PoolScope<'_, 'env> {
             });
         }
         self.shared.cv.notify_all();
-    }
-
-    /// Pops the oldest still-queued task *of this scope's batch* and runs
-    /// it on the calling thread; returns false when none of the batch's
-    /// tasks are queued (they are running elsewhere or already done).
-    ///
-    /// This is the streamed merge's starvation valve: a coordinator that
-    /// has nothing ready to merge executes its own pending expansion
-    /// instead of sleeping, so — as with the scope-exit work-helping —
-    /// progress never depends on pool capacity, including a zero-thread
-    /// pool or a pool whose every worker is itself a blocked coordinator.
-    /// The pool queue is FIFO, so the popped task is the batch's oldest
-    /// queued one — for the parallel engine's in-order merge, the
-    /// lowest-indexed range still queued, which is the one it is waiting
-    /// for or the next one it will want.
-    pub fn help_one(&self) -> bool {
-        let job = {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            let mine = q
-                .jobs
-                .iter()
-                .position(|j| Arc::ptr_eq(&j.batch, &self.batch));
-            match mine {
-                Some(ix) => q.jobs.remove(ix).expect("indexed job"),
-                None => return false,
-            }
-        };
-        run_job(self.shared, job);
-        true
     }
 }
 
@@ -490,27 +460,6 @@ mod tests {
         );
         gate.store(1, Ordering::Relaxed);
         slow.join().unwrap();
-    }
-
-    #[test]
-    fn help_one_runs_own_queued_tasks_in_fifo_order() {
-        // Zero workers: nothing runs unless the owner helps.
-        let pool = WorkerPool::new(0);
-        let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..4 {
-                let order = &order;
-                s.spawn(move || order.lock().unwrap().push(i));
-            }
-            assert!(s.help_one());
-            assert_eq!(*order.lock().unwrap(), vec![0]);
-            assert!(s.help_one());
-            assert_eq!(*order.lock().unwrap(), vec![0, 1]);
-            // The remaining two run at scope exit via the wait guard.
-        });
-        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3]);
-        // With nothing queued, help_one declines rather than blocking.
-        pool.scope(|s| assert!(!s.help_one()));
     }
 
     #[test]

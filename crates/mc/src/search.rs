@@ -18,12 +18,13 @@
 //!   time, so the frontier never holds duplicates (Fig. 5 as written may
 //!   re-enqueue a state reached along two paths before either is popped;
 //!   semantics are unchanged, memory is strictly better). The sequential
-//!   engine keeps one `HashSet`; the parallel engine uses the lock-free
-//!   concurrent table ([`crate::LockFreeExplored`]) with the same
-//!   enqueue-time discipline — workers race successor hashes in with one
-//!   CAS each, exactly one wins, and a streamed canonical merge assigns
-//!   each newly admitted state its canonical (first-in-BFS-order) parent,
-//!   so the recorded paths match the sequential engine's bit for bit.
+//!   engine keeps one `HashSet`; the parallel engine uses a lock-free
+//!   concurrent table with the same enqueue-time discipline — workers
+//!   claim each successor hash at its edge's canonical (level, job)
+//!   position, the table keeps the least position per hash, and the edge
+//!   holding it is the one enqueued, so each new state gets its canonical
+//!   (first-in-BFS-order) parent and the recorded paths match the
+//!   sequential engine's bit for bit.
 //! * States that violate a property are reported but **not expanded**:
 //!   CrystalBall consumes the shallowest path to a violation (for steering
 //!   and replay), and spending the runtime budget on post-violation suffixes

@@ -53,16 +53,14 @@ pub struct SearchStats {
     pub per_depth: Vec<usize>,
     /// Wall-clock time spent searching.
     pub elapsed: Duration,
-    /// Parallel engine only: time the coordinator spent *performing* the
-    /// canonical dedup/merge on received edge batches. Split from wait
-    /// time because merging overlaps expansion: a single "merge phase"
-    /// timer would count the coordinator's idle waits (for the next
-    /// canonical batch) as merge cost.
+    /// Parallel engine only: time the coordinator spent in its in-order
+    /// collects — walking each wave's leading edges in canonical order and
+    /// enqueueing those whose explored-table claim still holds.
     pub merge_busy: Duration,
-    /// Parallel engine only: time the coordinator spent blocked waiting
-    /// for the next in-canonical-order batch (reorder-buffer stalls). Time
-    /// it spends *helping* expand is attributed to neither counter — it is
-    /// expansion work, not merge cost.
+    /// Always 0: the coordinator collects a wave only after the wave's
+    /// scope has returned, so nothing waits on a merge. Kept only because
+    /// the benchmark crate (`benchmark/`) reads it; it goes when that crate
+    /// stops naming it.
     pub merge_wait: Duration,
     /// Parallel engine only: contiguous job ranges phase 3 expanded,
     /// summed over levels — one pool task each, or one inline pass for a
