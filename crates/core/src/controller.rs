@@ -3,29 +3,32 @@
 //!
 //! The checking half of the controller (replay, consequence prediction,
 //! filter derivation, the filter safety check) lives in
-//! `crate::service::Predictor`; this module owns the *live* half —
-//! installed filters, the immediate safety check, statistics, and the
-//! `Hook` wiring. Every round goes through one `crate::service::CheckerPool`,
-//! handed a shared clone of the snapshot state; the checker mode only
-//! picks where it runs. [`CheckerMode::Synchronous`] is the pool run
-//! inline: the round completes inside `run_round` and its filters
-//! activate after the *modeled* `mc_latency`. [`CheckerMode::Sharded`]
-//! runs it on background lanes: the simulated system keeps executing
-//! while the checker works, and the checker latency is measured rather
-//! than modeled.
+//! `crate::service::Predictor`; the node half (installed filters, the
+//! filter check, snapshot intake, the immediate safety check) is one
+//! [`NodeAgent`] per node. This module owns the rest — when rounds land,
+//! statistics, and the `Hook` wiring. Every round goes through one
+//! `crate::service::CheckerPool`, handed a shared clone of the snapshot
+//! state; the checker mode only picks where it runs. A round's filters
+//! take effect when it lands on its node's agent.
+//! [`CheckerMode::Synchronous`] is the pool run inline: the round completes
+//! inside `run_round` and lands after the *modeled* `mc_latency`.
+//! [`CheckerMode::Sharded`] runs it on background lanes: the simulated
+//! system keeps executing while the checker works, a round lands when it
+//! is drained, and the checker latency is measured rather than modeled.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
 use cb_mc::{Engine, EventFilter, SearchConfig, WorkerPool};
 use cb_model::{
-    apply_event, Decode, Event, EventKey, GlobalState, InFlight, NodeId, NodeSlot, Payload,
-    PropertySet, Protocol, SimDuration, SimTime, TraceStep, Violation,
+    Event, EventKey, GlobalState, InFlight, NodeId, PropertySet, Protocol, SimDuration, SimTime,
+    TraceStep, Violation,
 };
 use cb_runtime::{Decision, Hook};
 use cb_snapshot::Snapshot;
 
+use crate::agent::NodeAgent;
 use crate::service::{CheckerMode, CheckerPool, RoundResult};
 
 /// Operating mode (§3): report-only or actively steering.
@@ -50,16 +53,17 @@ pub struct ControllerConfig {
     pub search: SearchConfig,
     /// Which engine runs prediction: [`Engine::Sequential`] or the
     /// parallel level-synchronous engine ([`Engine::Parallel`]) — both produce
-    /// identical predictions; parallel produces them sooner.
+    /// identical predictions. Parallel is not the faster one so far: every
+    /// recorded `predict_par` benchmark median is below `predict_seq`'s.
     pub engine: Engine,
     /// Where rounds execute: inline (blocking, deterministic) or on the
     /// background checker service.
     pub checker: CheckerMode,
     /// Modeled wall-clock runtime of the checker, used only in
-    /// [`CheckerMode::Synchronous`]: a filter derived from a snapshot at
-    /// time T activates at T + `mc_latency` ("After running the model
-    /// checker for 6 seconds, C successfully predicts...", §5.4.2). The
-    /// immediate safety check covers the gap. In
+    /// [`CheckerMode::Synchronous`]: a round run on a snapshot taken at
+    /// time T lands — its filters replace the node's — at T + `mc_latency`
+    /// ("After running the model checker for 6 seconds, C successfully
+    /// predicts...", §5.4.2). The immediate safety check covers the gap. In
     /// [`CheckerMode::Sharded`] the latency is whatever the checker
     /// thread actually takes (see [`ControllerStats::avg_mc_latency`]).
     pub mc_latency: SimDuration,
@@ -180,12 +184,6 @@ impl ControllerStats {
     }
 }
 
-struct InstalledFilter {
-    owner: NodeId,
-    active_from: SimTime,
-    filter: EventFilter,
-}
-
 /// The worker pool a checker that owns its resources runs `engine` on.
 /// The scope owner always participates, so a parallel engine with `w`
 /// workers needs `w - 1` pool threads; at least one is kept so replays
@@ -199,15 +197,16 @@ pub fn checker_pool(engine: &Engine) -> WorkerPool {
 }
 
 /// The per-deployment CrystalBall controller. One instance serves every
-/// node of the simulation, keeping per-node filter ownership — equivalent
-/// to the paper's one-controller-per-node arrangement, because a filter
-/// only ever inspects events addressed to its owner.
+/// node of the simulation through one [`NodeAgent`] per node — the
+/// paper's one-controller-per-node arrangement, with the checker shared.
 pub struct Controller<P: Protocol> {
     protocol: P,
     props: PropertySet<P>,
     config: Arc<ControllerConfig>,
-    filters: Vec<InstalledFilter>,
-    last_snapshot_hash: HashMap<NodeId, u64>,
+    agents: BTreeMap<NodeId, NodeAgent<P>>,
+    /// Applied rounds whose filters have not landed yet, in submission
+    /// order: landing time, node, filters.
+    landing: VecDeque<(SimTime, NodeId, Vec<EventFilter>)>,
     pool: CheckerPool<P>,
     /// Prediction log (what deep online debugging prints).
     pub reports: Vec<PredictionReport>,
@@ -247,22 +246,17 @@ impl<P: Protocol> Controller<P> {
             protocol,
             props,
             config,
-            filters: Vec::new(),
-            last_snapshot_hash: HashMap::new(),
+            agents: BTreeMap::new(),
+            landing: VecDeque::new(),
             pool,
             reports: Vec::new(),
             stats: ControllerStats::default(),
         }
     }
 
-    /// The active mode.
-    pub fn mode(&self) -> Mode {
-        self.config.mode
-    }
-
-    /// Number of currently installed filters (active or pending).
+    /// Number of installed filters, landed or still landing.
     pub fn installed_filters(&self) -> usize {
-        self.filters.len()
+        self.active_filters().len()
     }
 
     /// Checking rounds submitted to the background pool and not yet
@@ -280,25 +274,21 @@ impl<P: Protocol> Controller<P> {
         self.pool.cache_stats()
     }
 
-    /// The currently installed per-node filters (active or pending),
-    /// exposed for equivalence tests and benches.
+    /// The per-node filters as they stand once every applied round has
+    /// landed, exposed for equivalence tests and benches.
     pub fn active_filters(&self) -> Vec<(NodeId, EventFilter)> {
-        self.filters
+        let mut agents = self.agents.clone();
+        for (_, node, filters) in &self.landing {
+            Self::agent_in(&mut agents, *node).land(filters.iter().cloned());
+        }
+        agents
             .iter()
-            .map(|f| (f.owner, f.filter.clone()))
+            .flat_map(|(&node, agent)| agent.filters().iter().map(move |f| (node, f.clone())))
             .collect()
     }
 
-    /// Decodes a gathered snapshot into a checker-ready global state.
-    /// Nodes whose checkpoints failed to decode are dropped (they become
-    /// the dummy node, §4).
-    pub fn snapshot_to_state(snapshot: &Snapshot) -> GlobalState<P> {
-        let slots = snapshot.states.iter().filter_map(|(&n, bytes)| {
-            NodeSlot::<P::State>::from_bytes(bytes)
-                .ok()
-                .map(|slot| (n, slot))
-        });
-        GlobalState::from_slots(slots)
+    fn agent_in(agents: &mut BTreeMap<NodeId, NodeAgent<P>>, node: NodeId) -> &mut NodeAgent<P> {
+        agents.entry(node).or_insert_with(|| NodeAgent::new(node))
     }
 
     /// Runs one full CrystalBall round for `node` on a decoded snapshot.
@@ -320,57 +310,49 @@ impl<P: Protocol> Controller<P> {
         if self.config.checker != CheckerMode::Synchronous {
             return None;
         }
-        // The round already ran, inline. Its filters activate once the
-        // (modeled) checker run completes; until then the ISC covers.
-        let activation = now + self.config.mc_latency;
+        // The round already ran, inline. It lands once the (modeled)
+        // checker run completes; until then the ISC covers.
         let mut found = None;
         for result in self.pool.take_results(Duration::ZERO) {
-            found = self.apply_result(result, now, activation);
+            found = self.apply_result(result, now + self.config.mc_latency);
         }
+        self.land_due(now);
         found
     }
 
-    /// Applies every checking round the background pool has completed;
-    /// replay filters activate at `now`, predicted-violation filters at
-    /// `now` too (their latency has already elapsed for real). Returns the
-    /// number of rounds applied. No-op in synchronous mode.
+    /// Applies every checking round the background pool has completed,
+    /// landing it at `now` (its latency has already elapsed for real), and
+    /// lands synchronous rounds whose modeled latency has elapsed by `now`.
+    /// Returns the number of background rounds applied.
     pub fn poll_predictions(&mut self, now: SimTime) -> usize {
         self.drain_predictions(now, Duration::ZERO)
     }
 
     /// Blocks until every submitted round has completed (or `timeout`
-    /// expires) and applies the results as of simulated time `now`.
-    /// Returns the number of rounds applied. No-op in synchronous mode.
+    /// expires) and applies the results as of simulated time `now`, like
+    /// [`Controller::poll_predictions`]. Returns the number of background
+    /// rounds applied.
     pub fn drain_predictions(&mut self, now: SimTime, timeout: Duration) -> usize {
         // In submission order, whichever lane finished first.
         let results = self.pool.take_results(timeout);
         let n = results.len();
         for result in results {
-            self.apply_result(result, now, now);
+            self.apply_result(result, now);
         }
+        self.land_due(now);
         n
     }
 
-    /// Folds one completed round into the live state: expire the node's
-    /// previous filters ("CrystalBall removes the filters from the runtime
-    /// after every model checking run", §3.3), reinstate replay filters,
-    /// log the prediction, and install the corrective filter.
-    fn apply_result(
-        &mut self,
-        result: RoundResult<P>,
-        now: SimTime,
-        activation: SimTime,
-    ) -> Option<Violation> {
+    /// Folds one completed round into the statistics and the prediction
+    /// log, and queues its filters — replay reinstatements ("If the problem
+    /// reappears, CrystalBall immediately reinstalls the appropriate
+    /// filter") and the corrective filter — to land at `land_at`.
+    fn apply_result(&mut self, result: RoundResult<P>, land_at: SimTime) -> Option<Violation> {
         self.stats.mc_runs += 1;
         self.stats.mc_latency_total += result.wall;
-        self.filters.retain(|f| f.owner != result.node);
-
         self.stats.replays_rediscovered += result.replays_rediscovered;
-        for filter in result.replay_filters {
-            // "If the problem reappears, CrystalBall immediately
-            // reinstalls the appropriate filter."
-            self.install(result.node, now, filter);
-        }
+        self.landing
+            .push_back((land_at, result.node, result.filters));
 
         let found = result.found?;
         self.stats.predictions += 1;
@@ -383,102 +365,61 @@ impl<P: Protocol> Controller<P> {
             states_visited: result.states_visited,
         });
         if result.steering {
-            match result.filter {
-                Some(filter) => {
-                    self.install(result.node, activation, filter);
-                    self.stats.filters_installed += 1;
-                }
-                None => {
-                    // "65 times concluding that changing the behavior is
-                    // unhelpful" (§5.4.1).
-                    self.stats.steering_unhelpful += 1;
-                }
+            if result.corrective {
+                self.stats.filters_installed += 1;
+            } else {
+                // "65 times concluding that changing the behavior is
+                // unhelpful" (§5.4.1).
+                self.stats.steering_unhelpful += 1;
             }
         }
         Some(found.violation)
     }
 
-    fn install(&mut self, owner: NodeId, active_from: SimTime, filter: EventFilter) {
-        if !self
-            .filters
-            .iter()
-            .any(|f| f.owner == owner && f.filter == filter)
-        {
-            self.filters.push(InstalledFilter {
-                owner,
-                active_from,
-                filter,
-            });
+    /// Lands, in order, every queued round whose landing time has come.
+    fn land_due(&mut self, now: SimTime) {
+        while self.landing.front().is_some_and(|(at, ..)| *at <= now) {
+            let (_, node, filters) = self.landing.pop_front().expect("a due round");
+            Self::agent_in(&mut self.agents, node).land(filters);
         }
     }
 
-    fn active_filter_decision(&mut self, now: SimTime, key: &EventKey) -> Decision {
-        if self.config.mode != Mode::ExecutionSteering {
-            return Decision::Allow;
-        }
-        for f in &self.filters {
-            if f.active_from <= now && f.filter.matches(key) {
-                self.stats.filter_hits += 1;
-                return if f.filter.resets_connection() {
-                    Decision::BlockAndReset
-                } else {
-                    Decision::Block
-                };
-            }
-        }
-        Decision::Allow
-    }
-
-    /// The immediate safety check (§3.3/§4): "speculatively runs the
-    /// handler, checks the consistency properties in the resulting state,
-    /// and prevents actual handler execution if the resulting state is
-    /// inconsistent." The paper forks the process; we clone the state.
-    fn isc_vetoes_delivery(&mut self, gs: &GlobalState<P>, item: &InFlight<P::Message>) -> bool {
-        if !self.config.immediate_safety_check || self.config.mode != Mode::ExecutionSteering {
-            return false;
-        }
-        let mut spec = gs.clone();
-        spec.route_item(item.clone());
-        let index = spec.inflight.len() - 1;
-        apply_event(&self.protocol, &mut spec, &Event::Deliver { index });
-        if self.props.check(&spec).is_some() {
-            self.stats.isc_vetoes += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn isc_vetoes_action(&mut self, gs: &GlobalState<P>, node: NodeId, action: &P::Action) -> bool {
-        if !self.config.immediate_safety_check || self.config.mode != Mode::ExecutionSteering {
-            return false;
-        }
-        let mut spec = gs.clone();
-        apply_event(
-            &self.protocol,
-            &mut spec,
-            &Event::Action {
-                node,
-                action: action.clone(),
-            },
-        );
-        if self.props.check(&spec).is_some() {
-            self.stats.isc_vetoes += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl<P: Protocol> Controller<P> {
-    /// Opportunistic application of completed background rounds from the
-    /// hook entry points — disabled when an external scheduler owns the
-    /// application points ([`ControllerConfig::poll_in_hooks`]).
+    /// The hook entry points' first step: land what is due, applying
+    /// completed background rounds first unless an external scheduler owns
+    /// the application points ([`ControllerConfig::poll_in_hooks`]).
     fn hook_poll(&mut self, now: SimTime) {
         if self.config.poll_in_hooks {
             self.poll_predictions(now);
+        } else {
+            self.land_due(now);
         }
+    }
+
+    /// `node`'s filter check, then — if no filter blocks and the ISC is
+    /// on — the immediate safety check of the event and view `speculate`
+    /// builds.
+    fn decide(
+        &mut self,
+        node: NodeId,
+        key: &EventKey,
+        speculate: impl FnOnce() -> (GlobalState<P>, Event<P>),
+    ) -> Decision {
+        let decision = self
+            .agents
+            .get(&node)
+            .map_or(Decision::Allow, |agent| agent.check(key));
+        if decision != Decision::Allow {
+            self.stats.filter_hits += 1;
+            return decision;
+        }
+        if self.config.immediate_safety_check && self.config.mode == Mode::ExecutionSteering {
+            let (view, event) = speculate();
+            if NodeAgent::isc_vetoes(&self.protocol, &self.props, view, &event) {
+                self.stats.isc_vetoes += 1;
+                return Decision::Block;
+            }
+        }
+        Decision::Allow
     }
 }
 
@@ -489,27 +430,15 @@ impl<P: Protocol> Hook<P> for Controller<P> {
         gs: &GlobalState<P>,
         item: &InFlight<P::Message>,
     ) -> Decision {
-        // Completed background rounds activate before the next event runs.
+        // Due rounds land before the next event runs.
         self.hook_poll(now);
-        let key = match &item.payload {
-            Payload::Msg(m) => EventKey::Message {
-                kind: P::message_kind(m),
-                src: item.src,
-                dst: item.dst,
-            },
-            Payload::Error => EventKey::ErrorNotice {
-                src: item.src,
-                dst: item.dst,
-            },
-        };
-        let decision = self.active_filter_decision(now, &key);
-        if decision != Decision::Allow {
-            return decision;
-        }
-        if self.isc_vetoes_delivery(gs, item) {
-            return Decision::Block;
-        }
-        Decision::Allow
+        let key = EventKey::delivery::<P>(item.src, item.dst, item.payload.msg());
+        self.decide(item.dst, &key, || {
+            let mut view = gs.clone();
+            view.route_item(item.clone());
+            let index = view.inflight.len() - 1;
+            (view, Event::Deliver { index })
+        })
     }
 
     fn filter_action(
@@ -524,14 +453,10 @@ impl<P: Protocol> Hook<P> for Controller<P> {
             kind: P::action_kind(action),
             node,
         };
-        let decision = self.active_filter_decision(now, &key);
-        if decision != Decision::Allow {
-            return decision;
-        }
-        if self.isc_vetoes_action(gs, node, action) {
-            return Decision::Block;
-        }
-        Decision::Allow
+        self.decide(node, &key, || {
+            let action = action.clone();
+            (gs.clone(), Event::Action { node, action })
+        })
     }
 
     fn after_step(&mut self, now: SimTime, gs: &GlobalState<P>, _step: &TraceStep) {
@@ -545,19 +470,11 @@ impl<P: Protocol> Hook<P> for Controller<P> {
 
     fn on_snapshot(&mut self, now: SimTime, node: NodeId, snapshot: &Snapshot) {
         self.hook_poll(now);
-        let start = Self::snapshot_to_state(snapshot);
-        if start.node_count() == 0 {
-            return;
+        // A suppressed snapshot keeps the node's filters in force and saves
+        // the checker budget for fresh states.
+        if let Some(start) = Self::agent_in(&mut self.agents, node).intake(snapshot) {
+            self.run_round(now, node, &start);
         }
-        // A snapshot identical to the previous round's would re-run the
-        // same search to the same conclusion; keep the existing filters in
-        // force and save the checker budget for fresh states.
-        let h = start.state_hash();
-        if self.last_snapshot_hash.get(&node) == Some(&h) {
-            return;
-        }
-        self.last_snapshot_hash.insert(node, h);
-        self.run_round(now, node, &start);
     }
 }
 
@@ -566,7 +483,7 @@ mod tests {
     use super::*;
     use cb_mc::ParallelConfig;
     use cb_model::testproto::{Ping, PingAction, PingMsg, PingState};
-    use cb_model::{node_property, ExploreOptions, Outbox};
+    use cb_model::{apply_event, node_property, ExploreOptions, Outbox, Payload};
     use cb_protocols::randtree::{self, Action as RtAction, Msg as RtMsg, RandTree, RandTreeBugs};
     use cb_runtime::{NoHook, Scenario, SimConfig, Simulation};
 
@@ -708,6 +625,31 @@ mod tests {
         assert_eq!(seq.depth, par.depth);
     }
 
+    /// The delivery the Fig. 2 round's one installed filter blocks (the
+    /// delivery alone is harmless, so the ISC lets it through).
+    fn blocked_delivery(ctl: &Controller<RandTree>, gs: &GlobalState<RandTree>) -> InFlight<RtMsg> {
+        let filters = ctl.active_filters();
+        let [(owner, EventFilter::Message { kind, src, dst, .. })] = filters.as_slice() else {
+            panic!("expected one message filter, got {filters:?}");
+        };
+        assert_eq!(
+            (*owner, *dst),
+            (NodeId(1), NodeId(1)),
+            "owned by the predicting node"
+        );
+        assert_eq!(*kind, "Join");
+        InFlight {
+            src: *src,
+            dst: *dst,
+            src_inc: gs.slot(*src).map_or(0, |s| s.incarnation),
+            dst_inc: gs.slot(*dst).unwrap().incarnation,
+            payload: Payload::Msg(RtMsg::Join {
+                joiner: *src,
+                forwarded_down: false,
+            }),
+        }
+    }
+
     #[test]
     fn installed_filter_blocks_matching_delivery_after_activation() {
         let (proto, gs) = fig2_snapshot(RandTreeBugs::only("R1"));
@@ -717,35 +659,57 @@ mod tests {
             steering_config(),
         );
         ctl.run_round(SimTime::ZERO, NodeId(1), &gs);
-        // Find what was installed; make a matching delivery.
-        let f = ctl.filters.first().expect("installed");
-        let (kind, src, dst) = match &f.filter {
-            EventFilter::Message { kind, src, dst, .. } => (*kind, *src, *dst),
-            other => panic!("expected message filter, got {other}"),
-        };
-        assert_eq!(dst, NodeId(1), "filter owned by the predicting node");
-        let msg = match kind {
-            "Join" => RtMsg::Join {
-                joiner: src,
-                forwarded_down: false,
-            },
-            other => panic!("unexpected kind {other}"),
-        };
-        let item = InFlight {
-            src,
-            dst,
-            src_inc: gs.slot(src).map_or(0, |s| s.incarnation),
-            dst_inc: gs.slot(dst).unwrap().incarnation,
-            payload: Payload::Msg(msg),
-        };
-        // Before activation (mc_latency): allowed (ISC may still veto — use
-        // a state where the delivery alone is harmless).
+        let item = blocked_delivery(&ctl, &gs);
+        // Before the round lands (mc_latency): allowed.
         let d0 = ctl.filter_delivery(SimTime::ZERO, &gs, &item);
-        assert_eq!(d0, Decision::Allow, "not active yet");
-        // After activation: blocked with connection reset.
+        assert_eq!(d0, Decision::Allow, "not landed yet");
+        // After: blocked with connection reset.
         let d1 = ctl.filter_delivery(SimTime::ZERO + SimDuration::from_secs(2), &gs, &item);
         assert_eq!(d1, Decision::BlockAndReset);
         assert!(ctl.stats.filter_hits >= 1);
+    }
+
+    /// A synchronous round lands whole at `at + mc_latency`: two rounds
+    /// 2 s apart with a 6 s latency leave the first round's filter in
+    /// force over [T+6 s, T+8 s), when the second round replaces it.
+    #[test]
+    fn a_round_takes_effect_when_it_lands() {
+        let (proto, gs) = fig2_snapshot(RandTreeBugs::only("R1"));
+        let mut ctl = Controller::new(
+            proto,
+            randtree::properties::all(),
+            ControllerConfig {
+                mc_latency: SimDuration::from_secs(6),
+                // No replay: a round's only filter is its corrective one.
+                replay_known_paths: false,
+                ..steering_config()
+            },
+        );
+        let t = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        ctl.run_round(t(10), NodeId(1), &gs);
+        ctl.run_round(t(12), NodeId(1), &gs);
+        assert_eq!(ctl.stats.filters_installed, 2);
+        let item = blocked_delivery(&ctl, &gs);
+        let mut decide = |secs| ctl.filter_delivery(t(secs), &gs, &item);
+        assert_eq!(decide(15), Decision::Allow, "nothing landed yet");
+        assert_eq!(
+            decide(16),
+            Decision::BlockAndReset,
+            "the first round landed"
+        );
+        assert_eq!(decide(17), Decision::BlockAndReset);
+        assert_eq!(ctl.stats.filter_hits, 2);
+        assert_eq!(ctl.landing.len(), 1, "the second round still landing");
+        assert_eq!(
+            ctl.filter_delivery(t(18), &gs, &item),
+            Decision::BlockAndReset
+        );
+        assert!(ctl.landing.is_empty(), "the second round landed");
+        assert_eq!(
+            ctl.agents[&NodeId(1)].filters().len(),
+            1,
+            "replaced, not added to"
+        );
     }
 
     #[test]
@@ -834,9 +798,10 @@ mod tests {
             ctl.stats.avg_mc_latency().is_some(),
             "latency measured, not modeled"
         );
-        // The installed filter is active (its latency already elapsed).
-        let f = ctl.filters.first().expect("installed");
-        assert!(f.active_from <= SimTime::ZERO + SimDuration::from_secs(1));
+        // The round landed at the drain (its latency already elapsed).
+        let item = blocked_delivery(&ctl, &gs);
+        let at = SimTime::ZERO + SimDuration::from_secs(1);
+        assert_eq!(ctl.filter_delivery(at, &gs, &item), Decision::BlockAndReset);
     }
 
     /// One `CheckerHost` + one `WorkerPool` serving two controllers over

@@ -34,10 +34,12 @@
 //! sim.run_for(cb_model::SimDuration::from_secs(1));
 //! ```
 
+pub mod agent;
 pub mod cache;
 pub mod controller;
 pub mod service;
 
+pub use agent::NodeAgent;
 pub use cache::{CacheStats, PredictionCache};
 pub use controller::{
     checker_pool, Controller, ControllerConfig, ControllerStats, Mode, PredictionReport,

@@ -128,15 +128,15 @@ pub(crate) struct RoundResult<P: Protocol> {
     pub steering: bool,
     /// Known-path replays that re-discovered their violation.
     pub replays_rediscovered: u64,
-    /// Filters reinstated by replay (active immediately on application).
-    pub replay_filters: Vec<EventFilter>,
+    /// Everything the round installs at its node, in application order:
+    /// the filters replay reinstated, then the corrective filter.
+    pub filters: Vec<EventFilter>,
     /// The shallowest predicted violation, if any.
     pub found: Option<FoundViolation<P>>,
     /// States the prediction run visited.
     pub states_visited: usize,
-    /// The derived, safety-checked corrective filter, if steering found
-    /// one.
-    pub filter: Option<EventFilter>,
+    /// Whether steering found a safe corrective filter (last in `filters`).
+    pub corrective: bool,
     /// Measured wall-clock time of the whole round (replay + prediction +
     /// safety check) — the paper's "model checker runs for n seconds",
     /// observed rather than assumed.
@@ -152,10 +152,10 @@ pub(crate) struct RoundResult<P: Protocol> {
 /// run's.
 pub(crate) struct CachedRound<P: Protocol> {
     replays_rediscovered: u64,
-    replay_filters: Vec<EventFilter>,
+    filters: Vec<EventFilter>,
     found: Option<FoundViolation<P>>,
     states_visited: usize,
-    filter: Option<EventFilter>,
+    corrective: bool,
 }
 
 /// One CrystalBall checking round: the checker-side half of the
@@ -335,10 +335,10 @@ impl<P: Protocol> Predictor<P> {
             node: job.node,
             steering: job.steering,
             replays_rediscovered: round.replays_rediscovered,
-            replay_filters: round.replay_filters.clone(),
+            filters: round.filters.clone(),
             found: round.found.clone(),
             states_visited: round.states_visited,
-            filter: round.filter.clone(),
+            corrective: round.corrective,
             wall: t0.elapsed(),
         }
     }
@@ -389,7 +389,7 @@ impl<P: Protocol> Predictor<P> {
         });
 
         let mut replays_rediscovered = 0;
-        let mut replay_filters = Vec::new();
+        let mut filters = Vec::new();
         for (slot, (_, path)) in replay_slots.iter().zip(self.known_paths.iter()) {
             let out = slot
                 .lock()
@@ -400,30 +400,30 @@ impl<P: Protocol> Predictor<P> {
                 replays_rediscovered += 1;
                 if job.steering {
                     if let Some(filter) = self.derive_filter(job.node, start, path) {
-                        replay_filters.push(filter);
+                        filters.push(filter);
                     }
                 }
             }
         }
 
         let found = outcome.first().cloned();
-        let mut filter = None;
-        if let Some(found) = &found {
-            if job.steering {
-                // Stage 3: the safety re-check, on the same shared pool.
-                let _span = cb_obs::span_id("checker.safety", "checker", job.tag);
-                filter = self
-                    .derive_filter(job.node, start, &found.path)
-                    .filter(|f| self.filter_is_safe(start, f, found.depth));
-            }
+        let mut corrective = false;
+        if let Some(found) = found.as_ref().filter(|_| job.steering) {
+            // Stage 3: the safety re-check, on the same shared pool.
+            let _span = cb_obs::span_id("checker.safety", "checker", job.tag);
+            let filter = self
+                .derive_filter(job.node, start, &found.path)
+                .filter(|f| self.filter_is_safe(start, f, found.depth));
+            corrective = filter.is_some();
+            filters.extend(filter);
         }
 
         CachedRound {
             replays_rediscovered,
-            replay_filters,
+            filters,
             found,
             states_visited: outcome.stats.states_visited,
-            filter,
+            corrective,
         }
     }
 
@@ -776,10 +776,10 @@ impl<P: Protocol> CheckerPool<P> {
                             node,
                             steering,
                             replays_rediscovered: 0,
-                            replay_filters: Vec::new(),
+                            filters: Vec::new(),
                             found: None,
                             states_visited: 0,
-                            filter: None,
+                            corrective: false,
                             wall: Duration::ZERO,
                         }
                     });
@@ -990,8 +990,6 @@ impl<P: Protocol> WireChecker<P> {
     }
 
     fn flatten(r: RoundResult<P>) -> WireRound {
-        let mut filters = r.replay_filters;
-        filters.extend(r.filter);
         WireRound {
             seq: r.seq,
             node: r.node,
@@ -999,7 +997,7 @@ impl<P: Protocol> WireChecker<P> {
             violation: r.found.as_ref().map(|f| f.violation.clone()),
             scenario: r.found.as_ref().map(|f| f.scenario()),
             depth: r.found.as_ref().map(|f| f.depth),
-            filters,
+            filters: r.filters,
             replays_rediscovered: r.replays_rediscovered,
             states_visited: r.states_visited,
             wall: r.wall,

@@ -4,13 +4,14 @@
 //!
 //! Each node owns exactly what a deployed CrystalBall node owns (§4):
 //! its protocol state, its timers, its [`cb_snapshot::CheckpointManager`],
-//! its installed event filters, and its sockets (behind a
-//! [`PeerManager`]). Everything it learns about the rest of the system
-//! arrives as bytes — service messages stamped with the sender's
-//! checkpoint number, snapshot requests and replies, and filter-install
-//! pushes from the checker process. The *same handler code* the
-//! simulator and the model checker execute runs here, invoked from the
-//! socket receive path instead of a discrete-event queue.
+//! its [`NodeAgent`] (installed event filters and snapshot intake), and
+//! its sockets (behind a [`PeerManager`]). Everything it learns about
+//! the rest of the system arrives as bytes — service messages stamped
+//! with the sender's checkpoint number, snapshot requests and replies,
+//! and filter-install pushes from the checker process. The *same
+//! handler code* the simulator and the model checker execute runs here,
+//! invoked from the socket receive path instead of a discrete-event
+//! queue.
 //!
 //! One [`LiveNode::poll`] call runs one iteration of what used to be the
 //! thread-per-node loop: accept + drain readable sockets (when the
@@ -37,7 +38,9 @@ use cb_model::{
     Protocol, Schedule, SimTime, WireFrame,
 };
 use cb_net::{decide, FaultDecision, LiveFault};
+use cb_runtime::Decision;
 use cb_snapshot::{CheckpointManager, DeltaEncoder, SnapMsg, SnapshotConfig, SnapshotStats};
+use crystalball::NodeAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -276,12 +279,8 @@ pub struct LiveNode<P: Protocol> {
     listener: TcpListener,
     peers: PeerManager,
     delta_enc: DeltaEncoder,
-    /// Hash of the last submitted neighborhood state: a snapshot identical
-    /// to the previous round's would re-run the same search to the same
-    /// conclusion (the same dedup the in-process controller applies), and
-    /// live it would also *flood* the checker — gathers run on a wall
-    /// clock regardless of whether anything changed.
-    last_submit_hash: Option<u64>,
+    /// Installed filters and snapshot intake.
+    agent: NodeAgent<P>,
     /// Gather-start timestamps of the in-progress gather: node-clock µs
     /// plus obs-clock µs (0 when tracing is off). Claimed by the
     /// completing `poll_snapshot`.
@@ -290,7 +289,6 @@ pub struct LiveNode<P: Protocol> {
     /// the round id the install push echoes back — what turns the
     /// checker's answer into a measured gather→install latency sample.
     round_started: HashMap<u64, (u64, u64)>,
-    filters: Vec<EventFilter>,
     timers: HashMap<P::Action, Instant>,
     /// Fault-delayed frames awaiting their release instant.
     delayed: Vec<Delayed>,
@@ -407,10 +405,9 @@ impl<P: Protocol> LiveNode<P> {
             links,
             listener,
             delta_enc: DeltaEncoder::new(),
-            last_submit_hash: None,
+            agent: NodeAgent::new(id),
             gather_started: None,
             round_started: HashMap::new(),
-            filters: Vec::new(),
             timers: HashMap::new(),
             delayed: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ (0x11EE_u64 << 32) ^ u64::from(id.0)),
@@ -459,13 +456,12 @@ impl<P: Protocol> LiveNode<P> {
         w.max(now)
     }
 
-    fn report(&mut self) -> NodeReport<P> {
-        self.stats.filters_installed = self.filters.len() as u64;
+    fn report(&self) -> NodeReport<P> {
         NodeReport {
             slot: self.slot.clone(),
             stats: self.stats.clone(),
             snapshot: self.mgr.snapshot_stats(),
-            filters: self.filters.clone(),
+            filters: self.agent.filters().iter().cloned().collect(),
         }
     }
 
@@ -630,7 +626,6 @@ impl<P: Protocol> LiveNode<P> {
         )?;
         if new {
             self.delta_enc = DeltaEncoder::new();
-            self.last_submit_hash = None;
         }
         Some(ix)
     }
@@ -675,16 +670,14 @@ impl<P: Protocol> LiveNode<P> {
         let Ok(msg) = P::Message::from_bytes(&frame.body) else {
             return;
         };
-        let key = EventKey::Message {
-            kind: P::message_kind(&msg),
-            src: frame.src,
-            dst: self.me,
-        };
-        if let Some(f) = self.filters.iter().find(|f| f.matches(&key)) {
+        let decision = self
+            .agent
+            .check(&EventKey::delivery::<P>(frame.src, self.me, Some(&msg)));
+        if decision != Decision::Allow {
             // The steering effect: a wire-installed filter blocks the
             // handler before it runs (§3.3/§4).
             self.stats.filter_hits += 1;
-            if f.resets_connection() {
+            if decision == Decision::BlockAndReset {
                 self.close_peer(frame.src);
             }
             return;
@@ -742,19 +735,11 @@ impl<P: Protocol> LiveNode<P> {
         ) else {
             return;
         };
-        // Round semantics (§3.3): every completed checking round replaces
-        // the node's previous filters — including with the empty set.
-        // Replay rounds reinstate one filter per remembered path, so the
-        // push may carry duplicates; installation dedupes.
-        self.filters.clear();
-        for f in filters {
-            if f.install_at() == self.me && !self.filters.contains(&f) {
-                self.filters.push(f);
-            }
-        }
+        // The round lands: its filters replace the node's (§3.3).
+        self.agent.land(filters);
         M_INSTALLS.inc();
         self.stats.installs_received += 1;
-        self.stats.filters_installed = self.filters.len() as u64;
+        self.stats.filters_installed = self.agent.filters().len() as u64;
         let latency = self.elapsed_us().saturating_sub(body.at_us);
         self.stats.install_latency.record(latency);
         cb_obs::instant_id("node.install", "live", body.round);
@@ -922,7 +907,7 @@ impl<P: Protocol> LiveNode<P> {
             kind: P::action_kind(&action),
             node: self.me,
         };
-        if self.filters.iter().any(|f| f.matches(&key)) {
+        if self.agent.check(&key) != Decision::Allow {
             self.stats.filter_hits += 1;
             self.stats.actions_blocked += 1;
             if !injected {
@@ -1081,25 +1066,16 @@ impl<P: Protocol> LiveNode<P> {
                 cb_obs::complete_span("node.gather", "live", round, obs_start);
             }
         }
-        // Decode the wire-gathered checkpoints into a checker-ready
-        // neighborhood state; undecodable checkpoints drop to the dummy
-        // node (§4).
-        let gs: GlobalState<P> = GlobalState::from_slots(
-            snap.states
-                .iter()
-                .filter_map(|(n, b)| NodeSlot::from_bytes(b).ok().map(|s| (*n, s))),
-        );
-        if gs.node_count() == 0 {
-            return;
-        }
-        let h = gs.state_hash();
-        if self.last_submit_hash == Some(h) {
-            return;
-        }
-        let Some(ix) = self.checker_conn() else {
+        // A snapshot hash-identical to the last submitted one is not
+        // submitted again: gathers run on a wall clock whether or not
+        // anything changed, and would flood the checker.
+        let Some(gs) = self.agent.intake(&snap) else {
             return;
         };
-        self.last_submit_hash = Some(h);
+        let Some(ix) = self.checker_conn() else {
+            self.agent.forget();
+            return;
+        };
         let body = SubmitBody {
             node: self.me,
             at_us: self.elapsed_us(),
@@ -1117,7 +1093,7 @@ impl<P: Protocol> LiveNode<P> {
             // encoder re-ships in full (seq 1 = explicit lineage restart,
             // which the checker accepts on a live connection).
             self.delta_enc = DeltaEncoder::new();
-            self.last_submit_hash = None;
+            self.agent.forget();
             return;
         }
         if let Some(started) = started {

@@ -119,6 +119,22 @@ pub enum EventKey {
     },
 }
 
+impl EventKey {
+    /// The key of delivering `msg` from `src` to `dst`, where `None` is a
+    /// transport-error notice: the one delivery key the checker, the
+    /// simulator and the live runtime all filter on.
+    pub fn delivery<P: Protocol>(src: NodeId, dst: NodeId, msg: Option<&P::Message>) -> Self {
+        match msg {
+            Some(m) => EventKey::Message {
+                kind: P::message_kind(m),
+                src,
+                dst,
+            },
+            None => EventKey::ErrorNotice { src, dst },
+        }
+    }
+}
+
 impl fmt::Display for EventKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -150,17 +166,7 @@ impl<P: Protocol> Event<P> {
         Some(match self {
             Event::Deliver { index } | Event::Drop { index } => {
                 let item = gs.inflight.get(*index)?;
-                match &item.payload {
-                    Payload::Msg(m) => EventKey::Message {
-                        kind: P::message_kind(m),
-                        src: item.src,
-                        dst: item.dst,
-                    },
-                    Payload::Error => EventKey::ErrorNotice {
-                        src: item.src,
-                        dst: item.dst,
-                    },
-                }
+                EventKey::delivery::<P>(item.src, item.dst, item.payload.msg())
             }
             Event::Action { node, action } => EventKey::Action {
                 kind: P::action_kind(action),

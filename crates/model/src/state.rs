@@ -159,6 +159,14 @@ impl<M> Payload<M> {
     pub fn is_error(&self) -> bool {
         matches!(self, Payload::Error)
     }
+
+    /// The application message, if this is not an error notice.
+    pub fn msg(&self) -> Option<&M> {
+        match self {
+            Payload::Msg(m) => Some(m),
+            Payload::Error => None,
+        }
+    }
 }
 
 impl<M: Encode> Encode for Payload<M> {

@@ -336,7 +336,7 @@ fn sec541_randtree_steering_under_churn() {
             "{:.2} % of {actions}",
             100.0 * changed as f64 / actions as f64
         ),
-        "1.55 % of 6769",
+        "1.56 % of 7073",
         scale,
     );
 }

@@ -2,7 +2,7 @@
 //! buggy protocols under churn with and without CrystalBall, matching the
 //! structure of §5.4.
 
-use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode};
+use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode, NodeAgent};
 use crystalball_suite::mc::{Engine, ParallelConfig, SearchConfig};
 use crystalball_suite::model::{NodeId, PropertySet, SimDuration};
 use crystalball_suite::protocols::randtree::{self, RandTree, RandTreeBugs};
@@ -233,7 +233,7 @@ fn snapshots_decode_to_live_states() {
             _node: NodeId,
             snap: &cb_snapshot::Snapshot,
         ) {
-            let gs = Controller::<RandTree>::snapshot_to_state(snap);
+            let gs = NodeAgent::<RandTree>::decode(snap);
             // Decoded snapshot states must be internally consistent enough
             // to hash and re-encode identically.
             for (n, slot) in &gs.nodes {
