@@ -12,11 +12,11 @@
 //!    In process the pool takes each state as a shared clone, so there
 //!    are no bytes to report here.
 //!
-//! Emits one JSON line (`CB_BENCH_JSON=pipeline.json cargo bench -p
-//! cb-bench --bench checker_pipeline`) so CI can parse the numbers and
-//! future PRs can track the trajectory.
+//! Gated on its measured values: diff-shipped bytes stay strictly below
+//! full-clone bytes and, in fast mode (`CB_BENCH_FAST=1`, where the byte
+//! count is deterministic), within 15 % of [`FAST_DIFF_BYTES`]; every
+//! submitted round completes at each shard count.
 
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 use cb_bench::harness::{fast_mode, fmt_bytes, fmt_duration, preamble, section};
@@ -26,6 +26,12 @@ use cb_protocols::randtree::{self, Action as RtAction, RandTree, RandTreeBugs};
 use cb_runtime::{NoHook, Scenario, SimConfig, Simulation};
 use cb_snapshot::DeltaEncoder;
 use crystalball::{CheckerMode, Controller, ControllerConfig, Mode};
+
+/// Diff-shipped submission bytes of the fast-mode run, as recorded when
+/// the gate was set. A change that ships more than 15 % above it is a
+/// regression in what a deployed node puts on the wire; one that ships
+/// less may lower it.
+const FAST_DIFF_BYTES: u64 = 541;
 
 /// A multi-node RandTree neighborhood evolving under churn: one snapshot
 /// of the live global state every few simulated seconds — the submission
@@ -108,6 +114,14 @@ fn main() {
         diff < full,
         "diff-shipped bytes ({diff}) must be strictly below full-clone bytes ({full})"
     );
+    if fast_mode() {
+        let limit = FAST_DIFF_BYTES as f64 * 1.15;
+        assert!(
+            diff as f64 <= limit,
+            "diff-shipped bytes regressed: {diff} > {limit:.0} ({FAST_DIFF_BYTES} + 15 %)"
+        );
+        println!("diff-shipped bytes: {diff} <= {limit:.0} ({FAST_DIFF_BYTES} + 15 %) -> ok");
+    }
 
     // ── Part 2: round latency at 1/2/4 shards. ──
     let budget = if fast_mode() { 2_000 } else { 10_000 };
@@ -118,7 +132,6 @@ fn main() {
         "{:>7} {:>10} {:>12} {:>14}",
         "shards", "rounds", "wall", "rounds/sec"
     );
-    let mut shard_rows = Vec::new();
     for shards in [1usize, 2, 4] {
         let mut ctl = Controller::new(
             proto.clone(),
@@ -149,27 +162,5 @@ fn main() {
             "{shards:>7} {rounds:>10} {:>12} {rate:>14.2}",
             fmt_duration(wall)
         );
-        shard_rows.push(format!(
-            "{{\"shards\":{shards},\"rounds\":{rounds},\"elapsed_s\":{:.6},\"rounds_per_sec\":{rate:.3}}}",
-            wall.as_secs_f64()
-        ));
-    }
-
-    let json = format!(
-        "{{\"bench\":\"checker_pipeline\",\"scenario\":\"randtree_under_churn\",\"host_cores\":{cores},\
-         \"neighborhood_nodes\":{node_count},\"rounds\":{rounds},\"budget_states\":{budget},\
-         \"submission\":{{\"full_clone_bytes\":{full},\"diff_bytes\":{diff},\
-         \"unchanged_slots\":{},\"patched_slots\":{},\"full_slots\":{}}},\
-         \"sharded\":[{}]}}",
-        enc.stats.unchanged_slots,
-        enc.stats.patched_slots,
-        enc.stats.full_slots,
-        shard_rows.join(",")
-    );
-    println!("\n{json}");
-    if let Ok(path) = std::env::var("CB_BENCH_JSON") {
-        let mut f = std::fs::File::create(&path).expect("open CB_BENCH_JSON output");
-        writeln!(f, "{json}").expect("write JSON");
-        println!("(written to {path})");
     }
 }

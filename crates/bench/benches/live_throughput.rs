@@ -14,19 +14,14 @@
 //! A second leg measures the reactor's **nodes-per-host ceiling**: a
 //! 100+-node RandTree deployment multiplexed over ≤ 4 reactor threads
 //! (the poll-driven runtime's whole point — PR 5's thread-per-node shape
-//! topped out at a few dozen nodes per host). Its summary lands in the
-//! JSON as `reactor_scale`.
+//! topped out at a few dozen nodes per host).
 //!
 //! Unlike the simulator benches, nothing here is deterministic — counters
-//! depend on real scheduling — so `tools/bench-check` validates structure
-//! and liveness (frames flowed, snapshots moved bytes, installs carried
-//! latency samples, the scale leg held 100+ nodes on its thread budget)
-//! rather than gating numeric regressions.
-//!
-//! Emits one JSON object (`CB_BENCH_JSON=live.json cargo bench -p
-//! cb-bench --bench live_throughput`).
+//! depend on real scheduling — so the bench asserts structure and
+//! liveness (frames flowed, snapshots moved bytes, submissions reached
+//! the checker, installs carried latency samples, the scale leg held
+//! 100+ nodes on its thread budget) rather than numeric regressions.
 
-use std::io::Write;
 use std::time::Duration;
 
 use cb_bench::harness::{fast_mode, fmt_bytes, preamble, section};
@@ -38,10 +33,10 @@ use cb_model::NodeId;
 use cb_protocols::randtree::{Action as RtAction, RandTreeBugs, Status};
 
 /// The scale leg: `nodes` RandTree nodes multiplexed over `threads`
-/// reactor threads for `window_ms`, reporting the fragment spliced into
-/// the bench JSON as `"reactor_scale"`. Stays at 100+ nodes even in fast
-/// mode — the node count *is* the claim; only the window shrinks.
-fn reactor_scale_leg(nodes: usize, threads: usize, window_ms: u64) -> String {
+/// reactor threads for `window_ms`, asserting the deployment held and
+/// ran. Stays at 100+ nodes even in fast mode — the node count *is* the
+/// claim; only the window shrinks.
+fn reactor_scale_leg(nodes: usize, threads: usize, window_ms: u64) {
     let config = LiveConfig {
         seed: 1042,
         node: LiveNodeConfig {
@@ -81,32 +76,30 @@ fn reactor_scale_leg(nodes: usize, threads: usize, window_ms: u64) -> String {
     } else {
         0.0
     };
+    let per_thread = nodes as f64 / threads as f64;
     println!(
-        "reactor_scale: {nodes} nodes / {threads} threads ({:.1} nodes/thread), \
+        "reactor_scale: {nodes} nodes / {threads} threads ({per_thread:.1} nodes/thread), \
          {} joined, {frames} frames ({fps:.0}/sec), {} gathers",
-        nodes as f64 / threads as f64,
         report.states.len(),
         t.snapshots_completed
     );
-    format!(
-        concat!(
-            "\"reactor_scale\": {{\"nodes\": {}, \"reactor_threads\": {}, ",
-            "\"nodes_per_thread\": {:.2}, \"joined\": {}, \"all_joined\": {}, ",
-            "\"wall_seconds\": {:.3}, \"frames_total\": {}, ",
-            "\"frames_per_sec\": {:.1}, \"snapshots_completed\": {}, ",
-            "\"submits_sent\": {}}}"
-        ),
-        nodes,
-        threads,
-        nodes as f64 / threads as f64,
+    assert!(
+        nodes >= 100 && threads <= 4 && per_thread >= 25.0,
+        "reactor_scale: {nodes} nodes on {threads} threads is not 100+ nodes on at most 4"
+    );
+    assert_eq!(
         report.states.len(),
-        joined,
-        report.stats.wall_seconds,
-        frames,
-        fps,
-        t.snapshots_completed,
-        t.submits_sent,
-    )
+        nodes,
+        "reactor_scale lost nodes (all joined: {joined})"
+    );
+    assert!(
+        frames > 0 && fps > 0.0,
+        "reactor_scale deployment moved no frames"
+    );
+    assert!(
+        t.snapshots_completed > 0,
+        "reactor_scale completed no gathers"
+    );
 }
 
 fn main() {
@@ -115,14 +108,6 @@ fn main() {
         "each node gathers its neighborhood snapshot over the wire \
          (§2.3/§3.1) and ships it to the checker process by TCP",
     );
-    let trace = cb_bench::harness::trace_arg();
-    let metrics = cb_bench::harness::metrics_arg();
-    // Scrape dumps for `tools/metrics-check`: `CB_METRICS_DUMP=prefix`
-    // writes `prefix.1.prom` mid-run and `prefix.2.prom` at the end, so
-    // CI can assert counter monotonicity between two live scrapes.
-    let dump_prefix = std::env::var("CB_METRICS_DUMP")
-        .ok()
-        .filter(|_| metrics.is_some());
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -169,15 +154,7 @@ fn main() {
     // submission dedup otherwise idles the checker) without collapsing
     // the tree structure predictions ride on.
     let per_churn = Duration::from_millis(window_ms / churns as u64);
-    for round in 0..churns {
-        if round == churns / 2 {
-            if let (Some(server), Some(prefix)) = (&metrics, &dump_prefix) {
-                cb_bench::harness::dump_metrics(
-                    server,
-                    std::path::Path::new(&format!("{prefix}.1.prom")),
-                );
-            }
-        }
+    for _ in 0..churns {
         let victim = (1..nodes as u32).map(NodeId).find(|&n| {
             dep.is_up(n)
                 && dep
@@ -194,20 +171,6 @@ fn main() {
 
     let report = dep.shutdown();
     let t = report.stats.totals();
-
-    let (scale_nodes, scale_threads, scale_window_ms) = if fast_mode() {
-        // The node count is the claim; fast mode shrinks the window only.
-        (104usize, 4usize, 2_000u64)
-    } else {
-        (104, 4, 6_000)
-    };
-    section(&format!(
-        "reactor scale: {scale_nodes}-node RandTree on {scale_threads} reactor \
-         threads, {scale_window_ms}ms wall window"
-    ));
-    let scale_json = reactor_scale_leg(scale_nodes, scale_threads, scale_window_ms);
-
-    let json = report.stats.to_json_with(&scale_json);
 
     let frames = t.frames_sent + t.frames_received;
     println!(
@@ -228,26 +191,42 @@ fn main() {
         report.stats.checker.installs_sent
     );
     println!(
-        "gather-to-install latency: avg {}µs, max {}µs over {} samples",
+        "install latency: avg {}µs, max {}µs over {} samples; \
+         gather-to-install p50/p95/p99 {}/{}/{}µs",
         t.install_latency.avg_us(),
         t.install_latency.max_us,
-        t.install_latency.count
+        t.install_latency.count,
+        t.gather_to_install.quantile(0.50),
+        t.gather_to_install.quantile(0.95),
+        t.gather_to_install.quantile(0.99)
     );
 
-    println!("\n{json}");
-    if let Ok(path) = std::env::var("CB_BENCH_JSON") {
-        let mut f = std::fs::File::create(&path).expect("open CB_BENCH_JSON output");
-        writeln!(f, "{json}").expect("write JSON");
-        println!("(written to {path})");
-    }
-    if let (Some(server), Some(prefix)) = (&metrics, &dump_prefix) {
-        cb_bench::harness::dump_metrics(server, std::path::Path::new(&format!("{prefix}.2.prom")));
-    }
-    // Stop the endpoint before exporting: scrape-time counter mirrors sit
-    // in the server thread's trace ring, which flushes on thread exit —
-    // exporting first would hand trace-check a trace missing them.
-    drop(metrics);
-    if let Some(path) = trace {
-        cb_bench::harness::export_trace(&path);
-    }
+    // Liveness: the full loop demonstrably ran over real sockets.
+    assert!(frames > 0, "the live deployment moved no frames");
+    assert!(
+        t.snapshot_wire_bytes > 0,
+        "the live snapshot protocol moved no bytes"
+    );
+    assert!(t.snapshots_completed > 0, "no live gathers completed");
+    assert!(t.submits_sent > 0, "no live snapshots reached the checker");
+    assert!(
+        report.stats.checker.rounds_completed > 0,
+        "the live checker completed no rounds"
+    );
+    assert!(
+        t.install_latency.count > 0,
+        "no install pushes round-tripped (prediction-to-install latency unmeasured)"
+    );
+
+    let (scale_nodes, scale_threads, scale_window_ms) = if fast_mode() {
+        // The node count is the claim; fast mode shrinks the window only.
+        (104usize, 4usize, 2_000u64)
+    } else {
+        (104, 4, 6_000)
+    };
+    section(&format!(
+        "reactor scale: {scale_nodes}-node RandTree on {scale_threads} reactor \
+         threads, {scale_window_ms}ms wall window"
+    ));
+    reactor_scale_leg(scale_nodes, scale_threads, scale_window_ms);
 }

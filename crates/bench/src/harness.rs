@@ -1,7 +1,7 @@
 //! Shared helpers for the throughput bench harnesses: section headers,
-//! adaptive units, a micro-benchmark timer and the `--trace`/`--metrics`
-//! flags. Harnesses honor `CB_BENCH_FAST=1` to shrink workloads (used by
-//! CI smoke runs).
+//! adaptive units and a micro-benchmark timer. Harnesses honor
+//! `CB_BENCH_FAST=1` to shrink workloads (used by CI smoke runs) and
+//! assert their own gates, so a run that breaks one exits non-zero.
 
 use std::time::Duration;
 
@@ -25,87 +25,6 @@ pub fn fast_mode() -> bool {
     std::env::var("CB_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Resolves this bench run's trace destination: a `--trace PATH` CLI flag
-/// (cargo passes post-`--` args through to `harness = false` benches).
-/// Enables the `cb-obs` recorder when a destination is set; otherwise the
-/// run pays one relaxed atomic load per instrumentation point.
-pub fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            path = Some(std::path::PathBuf::from(
-                args.next().expect("--trace needs a file path"),
-            ));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            path = Some(std::path::PathBuf::from(p));
-        }
-    }
-    if path.is_some() {
-        cb_obs::enable();
-    }
-    path
-}
-
-/// Resolves this bench run's metrics bind address: a `--metrics ADDR`
-/// (or `--metrics` alone, defaulting to a free loopback port) CLI flag.
-/// Starts the scrape server — which enables the metrics registry — when
-/// an address is set; the returned server carries the bound address and
-/// stops on drop. `--alerts PATH` routes the plane's alerts (health
-/// rules, predicted violations) to a JSONL file as well.
-pub fn metrics_arg() -> Option<cb_obs::MetricsServer> {
-    let mut args = std::env::args().skip(1).peekable();
-    let mut bind: Option<String> = None;
-    while let Some(a) = args.next() {
-        if a == "--metrics" {
-            // The address operand is optional: a bare `--metrics` serves
-            // on an ephemeral loopback port (printed below).
-            bind = Some(match args.peek() {
-                Some(next) if !next.starts_with("--") => args.next().unwrap(),
-                _ => "127.0.0.1:0".to_string(),
-            });
-        } else if let Some(addr) = a.strip_prefix("--metrics=") {
-            bind = Some(addr.to_string());
-        } else if a == "--alerts" {
-            cb_obs::health::set_alert_path(args.next().expect("--alerts needs a file path"));
-        } else if let Some(path) = a.strip_prefix("--alerts=") {
-            cb_obs::health::set_alert_path(path);
-        }
-    }
-    let bind = bind?;
-    let server = cb_obs::MetricsServer::bind(bind.as_str()).expect("bind metrics endpoint");
-    println!(
-        "(metrics: serving Prometheus text on http://{})",
-        server.addr()
-    );
-    Some(server)
-}
-
-/// Scrapes `server` through its real TCP endpoint and writes the
-/// exposition to `path` — how benches produce the scrape files
-/// `tools/metrics-check` diffs for monotonicity.
-pub fn dump_metrics(server: &cb_obs::MetricsServer, path: &std::path::Path) {
-    let body = cb_obs::metrics::fetch(server.addr(), Duration::from_secs(5))
-        .expect("scrape own metrics endpoint");
-    std::fs::write(path, &body).expect("write metrics dump");
-    println!("(metrics: scrape -> {})", path.display());
-}
-
-/// Drains the recorder and writes the chrome-trace JSON (plus the
-/// `.jsonl` event log) to `path` — the bench-side export for runs whose
-/// deployments are built through adapters that hide the builder's
-/// `trace` knob. Call after every deployment in the run has shut down.
-pub fn export_trace(path: &std::path::Path) {
-    let trace = cb_obs::drain();
-    cb_obs::chrome::write_files(&trace, path).expect("write trace files");
-    println!(
-        "(trace: {} events, {} threads -> {})",
-        trace.events.len(),
-        trace.threads.len(),
-        path.display()
-    );
 }
 
 /// Formats a duration in adaptive units.

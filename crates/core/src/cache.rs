@@ -142,18 +142,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Compact JSON via the shared [`cb_obs::json::Writer`] (the one
-    /// escaping-correct emitter every stats surface renders through).
-    pub fn to_json(&self) -> String {
-        let mut w = cb_obs::json::Writer::object(cb_obs::json::Style::Compact);
-        w.field_u64("hits", self.hits)
-            .field_u64("misses", self.misses)
-            .field_u64("inserts", self.inserts)
-            .field_u64("evictions", self.evictions)
-            .field_f64("hit_rate", self.hit_rate(), 4);
-        w.finish()
-    }
 }
 
 struct Entry {
@@ -354,19 +342,5 @@ mod tests {
         }
         assert_eq!(first.hits + first.misses, 4 * 50 * 2);
         assert_eq!(first.inserts, 4 * 50);
-    }
-
-    #[test]
-    fn cache_stats_json_is_valid() {
-        let c = CacheCounters::default();
-        c.hit();
-        c.miss();
-        let json = c.snapshot().to_json();
-        let v = cb_obs::json::parse(&json).expect("valid JSON");
-        assert_eq!(v.get("hits").and_then(cb_obs::json::Value::as_u64), Some(1));
-        assert_eq!(
-            v.get("hit_rate").and_then(cb_obs::json::Value::as_f64),
-            Some(0.5)
-        );
     }
 }

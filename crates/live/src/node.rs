@@ -670,30 +670,37 @@ impl<P: Protocol> LiveNode<P> {
         let Ok(msg) = P::Message::from_bytes(&frame.body) else {
             return;
         };
+        self.deliver_service(frame.src, &msg, frame.cn);
+    }
+
+    /// Delivers one service message from `src`, off the socket or looped
+    /// back: the filter check runs before the handler, as the simulator
+    /// runs it on every delivery, self-sends included.
+    fn deliver_service(&mut self, src: NodeId, msg: &P::Message, cn: u64) {
         let decision = self
             .agent
-            .check(&EventKey::delivery::<P>(frame.src, self.me, Some(&msg)));
+            .check(&EventKey::delivery::<P>(src, self.me, Some(msg)));
         if decision != Decision::Allow {
             // The steering effect: a wire-installed filter blocks the
             // handler before it runs (§3.3/§4).
             self.stats.filter_hits += 1;
             if decision == Decision::BlockAndReset {
-                self.close_peer(frame.src);
+                self.close_peer(src);
             }
             return;
         }
         // §2.3: forced checkpoint *before* the handler processes the
         // message with a higher piggybacked cn. The state encode is paid
         // only when the checkpoint will actually be taken — for the vast
-        // majority of messages `frame.cn ≤ cn` and the bytes would be
+        // majority of messages `cn ≤ self.mgr.cn()` and the bytes would be
         // discarded.
-        if frame.cn > self.mgr.cn() {
+        if cn > self.mgr.cn() {
             let state_bytes = self.slot.to_bytes();
-            self.mgr.note_incoming(frame.cn, &state_bytes);
+            self.mgr.note_incoming(cn, &state_bytes);
         }
         let mut out = Outbox::new();
         self.proto
-            .on_message(self.me, &mut self.slot.state, frame.src, &msg, &mut out);
+            .on_message(self.me, &mut self.slot.state, src, msg, &mut out);
         self.stats.service_delivered += 1;
         self.stats.actions_executed += 1;
         self.apply_outbox(out);
@@ -772,15 +779,8 @@ impl<P: Protocol> LiveNode<P> {
 
     fn send_service(&mut self, dst: NodeId, msg: &P::Message) {
         if dst == self.me {
-            // Loopback delivery without the socket: run the handler now.
-            let mut out = Outbox::new();
-            let m = msg.clone();
-            self.proto
-                .on_message(self.me, &mut self.slot.state, self.me, &m, &mut out);
-            self.stats.service_delivered += 1;
-            self.stats.actions_executed += 1;
-            self.apply_outbox(out);
-            self.self_check();
+            // Loopback delivery without the socket: deliver it now.
+            self.deliver_service(self.me, msg, self.mgr.stamp_out());
             return;
         }
         let frame = frame_of(self.me, dst, self.mgr.stamp_out(), FrameKind::Service, msg);
@@ -1115,7 +1115,7 @@ impl<P: Protocol> LiveNode<P> {
 
 #[cfg(test)]
 mod tests {
-    use cb_model::testproto::{Ping, PingAction};
+    use cb_model::testproto::{Ping, PingAction, PingMsg};
 
     use super::*;
 
@@ -1123,12 +1123,16 @@ mod tests {
     /// microseconds of wall time later — at `t0 + 1 h`. Everything armed
     /// from `t0` must come due on the second poll and be re-armed from the
     /// passed instant.
-    #[test]
-    fn the_passed_now_is_the_only_clock() {
+    /// Node 1 of the test protocol, kicking node 0, built at `t0`. It
+    /// knows nobody: a dial fails at the lookup, without touching the
+    /// network. Keep the returned sender alive for as long as the node.
+    fn lone_node(
+        config: LiveNodeConfig,
+        t0: Instant,
+    ) -> (LiveNode<Ping>, mpsc::Sender<NodeCtl<Ping>>) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
-        let (_ctl, ctl_rx) = mpsc::channel();
-        let config = LiveNodeConfig::default();
+        let (ctl, ctl_rx) = mpsc::channel();
         let seed = NodeSeed {
             protocol: Ping {
                 kick_target: NodeId(0),
@@ -1137,9 +1141,7 @@ mod tests {
             props: PropertySet::new(),
             id: NodeId(1),
             incarnation: 0,
-            config: config.clone(),
-            // Knows nobody: the Kick's dial fails at the lookup, without
-            // touching the network.
+            config,
             registry: Arc::new(Registry::new()),
             links: Arc::new(LinkTable::new()),
             listener,
@@ -1147,8 +1149,14 @@ mod tests {
             seed: 7,
             alive: Arc::new(AtomicBool::new(true)),
         };
+        (LiveNode::new(seed, t0), ctl)
+    }
+
+    #[test]
+    fn the_passed_now_is_the_only_clock() {
+        let config = LiveNodeConfig::default();
         let t0 = Instant::now();
-        let mut node = LiveNode::new(seed, t0);
+        let (mut node, _ctl) = lone_node(config.clone(), t0);
         // Kick: 1 simulated second = 50 ms at the default scale, plus up
         // to 10 % jitter, armed at construction.
         let kick_at = node.timers[&PingAction::Kick];
@@ -1175,5 +1183,25 @@ mod tests {
         assert_eq!(next_wake, node.timers[&PingAction::Kick]);
         assert!(t1 < next_wake && next_wake <= t1 + Duration::from_millis(55));
         assert_eq!(node.next_checkpoint, t1 + config.checkpoint_interval);
+    }
+
+    /// A service message a node sends itself is delivered through the
+    /// same filter check as one off the socket: a filter on the node's
+    /// own delivery of `Pong` blocks the `Pong` its `Ping` handler sends
+    /// back to itself, and counts a filter hit.
+    #[test]
+    fn a_loopback_delivery_is_filtered() {
+        let (mut node, _ctl) = lone_node(LiveNodeConfig::default(), Instant::now());
+        node.agent.land([EventFilter::Message {
+            kind: "Pong",
+            src: NodeId(1),
+            dst: NodeId(1),
+            reset_connection: false,
+        }]);
+        node.send_service(NodeId(1), &PingMsg::Ping);
+        assert_eq!(node.slot.state.pings_seen, 1, "the Ping handler ran");
+        assert_eq!(node.slot.state.pongs_seen, 0, "the filtered Pong did not");
+        assert_eq!(node.stats.filter_hits, 1);
+        assert_eq!(node.stats.service_delivered, 1);
     }
 }

@@ -263,14 +263,6 @@ impl LiveStats {
     /// Renders the roll-up as JSON via the shared
     /// [`cb_obs::json::Writer`] (no serde offline).
     pub fn to_json(&self) -> String {
-        self.to_json_with("")
-    }
-
-    /// [`Self::to_json`] with an extra pre-rendered JSON fragment spliced
-    /// in before `per_node` — e.g. the bench's `"reactor_scale": {...}`
-    /// leg. Pass `""` for none; otherwise pass `"\"key\": value"` pairs
-    /// (comma-joined, no trailing comma).
-    pub fn to_json_with(&self, extra: &str) -> String {
         use cb_obs::json::{self, Style, Writer};
         let t = self.totals();
         let frames = t.frames_sent + t.frames_received;
@@ -340,7 +332,6 @@ impl LiveStats {
             .field_u64("frames_reordered", t.frames_reordered)
             .field_u64("frames_dropped_backpressure", t.frames_dropped_backpressure)
             .field_u64("trace_ring_dropped", self.trace_ring_dropped)
-            .fragment(extra)
             .field_raw("per_node", &json::array(&per_node));
         w.finish()
     }
@@ -390,11 +381,5 @@ mod tests {
         assert!(json.contains("\"gather_to_install_p99\": "), "{json}");
         assert!(json.contains("\"per_node\": [{"), "{json}");
         cb_obs::json::parse(&json).expect("LiveStats JSON parses");
-
-        let with = stats.to_json_with("\"reactor_scale\": {\"nodes\": 104}");
-        assert!(
-            with.contains("\"reactor_scale\": {\"nodes\": 104},"),
-            "{with}"
-        );
     }
 }

@@ -128,35 +128,6 @@ impl SearchStats {
         }
     }
 
-    /// Renders the run's counters as a compact JSON object via the shared
-    /// [`cb_obs::json::Writer`] (durations in seconds, derived metrics
-    /// included) — the machine-readable face the scaling benches report.
-    pub fn to_json(&self) -> String {
-        use cb_obs::json::{self, Style, Writer};
-        let per_depth: Vec<String> = self.per_depth.iter().map(|n| n.to_string()).collect();
-        let mut w = Writer::object(Style::Compact);
-        w.field_usize("states_visited", self.states_visited)
-            .field_usize("states_enqueued", self.states_enqueued)
-            .field_usize("duplicates_hit", self.duplicates_hit)
-            .field_usize("local_prunes", self.local_prunes)
-            .field_usize("filtered_events", self.filtered_events)
-            .field_usize("max_depth", self.max_depth)
-            .field_raw("per_depth", &json::array(&per_depth))
-            .field_f64("elapsed_s", self.elapsed.as_secs_f64(), 6)
-            .field_f64("merge_busy_s", self.merge_busy.as_secs_f64(), 6)
-            .field_f64("merge_wait_s", self.merge_wait.as_secs_f64(), 6)
-            .field_usize("expand_ranges", self.expand_ranges)
-            .field_usize("explored_resident_bytes", self.explored_resident_bytes)
-            .field_usize("tree_bytes", self.tree_bytes)
-            .field_usize("peak_frontier_bytes", self.peak_frontier_bytes)
-            .field_usize("violations_found", self.violations_found)
-            .field_usize("memo_hits", self.memo_hits)
-            .field_usize("memo_misses", self.memo_misses)
-            .field_usize("bytes_per_state", self.bytes_per_state())
-            .field_f64("states_per_sec", self.states_per_sec(), 1);
-        w.finish()
-    }
-
     /// Exposes the search families at zero before any search finishes.
     pub(crate) fn touch_metrics() {
         M_STATES_VISITED.touch();
@@ -210,19 +181,5 @@ mod tests {
         s.elapsed = Duration::from_millis(500);
         assert_eq!(s.bytes_per_state(), 150);
         assert!((s.states_per_sec() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_parses_and_carries_derived_metrics() {
-        let mut s = SearchStats::default();
-        s.record_visit(0);
-        s.record_visit(2);
-        s.tree_bytes = 300;
-        s.elapsed = Duration::from_millis(100);
-        let json = s.to_json();
-        assert!(json.contains("\"per_depth\":[1,0,1]"), "{json}");
-        assert!(json.contains("\"bytes_per_state\":150"), "{json}");
-        let v = cb_obs::json::parse(&json).expect("SearchStats JSON parses");
-        assert_eq!(v.get("states_visited").and_then(|v| v.as_u64()), Some(2));
     }
 }

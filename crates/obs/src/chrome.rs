@@ -10,7 +10,12 @@
 //! can be selected by id across node, wire, and checker tracks.
 //!
 //! The JSONL writer emits the same events one compact object per line —
-//! grep/jq-friendly, and the input format `tools/trace-check` validates.
+//! grep/jq-friendly.
+//!
+//! The format checks (every event's thread is named, every span has a
+//! duration, every counter a value) are this module's unit tests; the
+//! checks of a real run's trace (round ancestry, monotone counter
+//! mirrors) are in `tests/live_metrics.rs`, on the drained [`Trace`].
 
 use std::io;
 use std::path::Path;
@@ -248,11 +253,51 @@ mod tests {
         assert_eq!(meta.get("dropped").and_then(Value::as_u64), Some(3));
         for line in &lines[1..] {
             let v = parse(line).expect("event line parses");
-            assert!(v.get("kind").is_some());
+            let kind = v.get("kind").and_then(Value::as_str);
+            assert!(
+                matches!(kind, Some("span" | "instant" | "counter")),
+                "{line}"
+            );
             assert!(v.get("ts").is_some());
         }
         let span = parse(lines[1]).expect("span line");
         assert_eq!(span.get("id").and_then(Value::as_u64), Some(0x1_0000_0007));
         assert_eq!(span.get("dur").and_then(Value::as_u64), Some(40));
+    }
+
+    /// The trace-event format's structural rules, over every record the
+    /// exporter writes: each event names a thread that has a
+    /// `thread_name` record, carries a name and a numeric `ts`, and has a
+    /// known phase; each span (`X`) has a `dur` and each counter (`C`)
+    /// its value under its own name.
+    #[test]
+    fn every_thread_is_named_and_every_span_has_a_duration() {
+        let doc = parse(&chrome_trace_json(&sample_trace())).expect("valid JSON");
+        let records = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("array");
+        let text = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_owned);
+        let number = |e: Option<&Value>| e.and_then(Value::as_f64).is_some();
+        let (meta, events): (Vec<&Value>, Vec<&Value>) = records
+            .iter()
+            .partition(|e| text(e, "ph").as_deref() == Some("M"));
+        let named: Vec<_> = meta
+            .iter()
+            .filter(|e| text(e, "name").as_deref() == Some("thread_name"))
+            .map(|e| e.get("tid"))
+            .collect();
+        assert!(events.iter().any(|e| text(e, "ph").as_deref() == Some("X")));
+        for ev in events {
+            let name = text(ev, "name").filter(|n| !n.is_empty()).expect("a name");
+            assert!(named.contains(&ev.get("tid")), "{name}: unnamed thread");
+            assert!(number(ev.get("ts")), "{name}: ts");
+            match text(ev, "ph").as_deref() {
+                Some("X") => assert!(number(ev.get("dur")), "{name}: dur"),
+                Some("C") => assert!(number(ev.get("args").and_then(|a| a.get(&name)))),
+                Some("i") => {}
+                other => panic!("{name}: phase {other:?}"),
+            }
+        }
     }
 }

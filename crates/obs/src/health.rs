@@ -8,10 +8,9 @@
 //! emitted when a condition starts holding and re-arms when it clears,
 //! so a persistently-bad deployment does not flood the sink.
 //!
-//! Alerts are structured JSONL, appended to the file set with
-//! [`set_alert_path`] (if any) and retained in a bounded
-//! in-memory tail ([`recent_alerts`]) for tests and probes. Nothing here
-//! is ever read back by deterministic code.
+//! Alerts are structured JSON lines, retained in a bounded in-memory tail
+//! ([`recent_alerts`]) for tests and probes. Nothing here is ever read
+//! back by deterministic code.
 //!
 //! One alert is event-driven rather than rule-evaluated: the
 //! **predicted-violation alert** ([`predicted_violation`]), fired by the
@@ -22,7 +21,6 @@
 //! gather/replay/predict/install spans by id.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
 use crate::json::{Style, Writer};
@@ -313,26 +311,10 @@ pub fn evaluate(snap: &Snapshot) {
 
 // ---- the alert sink ------------------------------------------------------
 
-struct Sink {
-    path: Option<PathBuf>,
-    recent: VecDeque<String>,
-}
+static SINK: OnceLock<Mutex<VecDeque<String>>> = OnceLock::new();
 
-static SINK: OnceLock<Mutex<Sink>> = OnceLock::new();
-
-fn sink() -> &'static Mutex<Sink> {
-    SINK.get_or_init(|| {
-        Mutex::new(Sink {
-            path: None,
-            recent: VecDeque::new(),
-        })
-    })
-}
-
-/// Routes alerts to a JSONL file (appending), in addition to the
-/// in-memory tail. Until this is called alerts reach the tail only.
-pub fn set_alert_path(path: impl Into<PathBuf>) {
-    sink().lock().expect("alert sink poisoned").path = Some(path.into());
+fn sink() -> &'static Mutex<VecDeque<String>> {
+    SINK.get_or_init(|| Mutex::new(VecDeque::new()))
 }
 
 /// The most recent alerts (bounded tail), oldest first.
@@ -340,7 +322,6 @@ pub fn recent_alerts() -> Vec<String> {
     sink()
         .lock()
         .expect("alert sink poisoned")
-        .recent
         .iter()
         .cloned()
         .collect()
@@ -348,26 +329,16 @@ pub fn recent_alerts() -> Vec<String> {
 
 /// Takes (and clears) the in-memory alert tail — test isolation.
 pub fn take_alerts() -> Vec<String> {
-    let mut s = sink().lock().expect("alert sink poisoned");
-    s.recent.drain(..).collect()
+    let mut recent = sink().lock().expect("alert sink poisoned");
+    recent.drain(..).collect()
 }
 
 fn emit(line: String) {
-    let mut s = sink().lock().expect("alert sink poisoned");
-    if let Some(path) = &s.path {
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
+    let mut recent = sink().lock().expect("alert sink poisoned");
+    if recent.len() >= RECENT_CAP {
+        recent.pop_front();
     }
-    if s.recent.len() >= RECENT_CAP {
-        s.recent.pop_front();
-    }
-    s.recent.push_back(line);
+    recent.push_back(line);
 }
 
 // ---- the predicted-violation alert ---------------------------------------

@@ -10,8 +10,9 @@
 //! outputs survive the migration for escape-free inputs.
 //!
 //! [`parse`] is a deliberately small recursive-descent JSON reader used
-//! by the schema round-trip tests and `tools/trace-check`-style
-//! validation in-tree; it is not a general-purpose deserializer.
+//! by the schema round-trip tests (the chrome-trace format checks among
+//! them) and the benchmark's outcome comparison; it is not a
+//! general-purpose deserializer.
 
 use std::fmt::Write as _;
 
@@ -20,9 +21,8 @@ use std::fmt::Write as _;
 pub enum Style {
     /// `{"k":v,"k2":v2}` — the deterministic/stats wire shape.
     Compact,
-    /// `{\n "k": v,\n "k2": v2\n}` — the human-facing bench shape
-    /// (one-space indent per level, matching the workspace's existing
-    /// bench JSON).
+    /// `{\n "k": v,\n "k2": v2\n}` — the human-facing shape
+    /// `LiveStats::to_json` prints (one-space indent per level).
     Pretty,
 }
 
@@ -136,27 +136,6 @@ impl Writer {
     pub fn field_raw(&mut self, k: &str, raw: &str) -> &mut Self {
         self.key(k);
         self.out.push_str(raw);
-        self
-    }
-
-    /// Splices pre-rendered `"k": v[, "k2": v2...]` pairs verbatim (the
-    /// escape hatch for callers assembling fragments out-of-band, e.g.
-    /// `LiveStats::to_json_with`). The caller vouches for validity.
-    pub fn fragment(&mut self, pairs: &str) -> &mut Self {
-        if pairs.is_empty() {
-            return self;
-        }
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        if self.style == Style::Pretty {
-            self.out.push('\n');
-            for _ in 0..self.indent {
-                self.out.push(' ');
-            }
-        }
-        self.out.push_str(pairs);
         self
     }
 
@@ -507,16 +486,5 @@ mod tests {
         assert!(parse(&objects).is_ok());
         let over = format!("[{at_limit}]");
         assert!(parse(&over).is_err());
-    }
-
-    #[test]
-    fn fragment_splices_verbatim() {
-        let mut w = Writer::object(Style::Pretty);
-        w.field_u64("a", 1)
-            .fragment("\"raw\": {\"x\": 2}")
-            .field_u64("b", 3);
-        let out = w.finish();
-        assert_eq!(out, "{\n \"a\": 1,\n \"raw\": {\"x\": 2},\n \"b\": 3\n}");
-        assert!(parse(&out).is_ok());
     }
 }

@@ -293,9 +293,22 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Declares the family. By Prometheus convention `name` should end
-    /// in `_total` (the exposition checkers key monotonicity off it).
+    /// Declares the family. `name` must end in `_total` (Prometheus
+    /// convention; scrape readers key monotonicity off it): a `static`
+    /// declaration with another name does not compile:
+    ///
+    /// ```compile_fail
+    /// static BAD: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new("cb_bad", "");
+    /// ```
+    ///
+    /// ```
+    /// static OK: cb_obs::metrics::Counter = cb_obs::metrics::Counter::new("cb_ok_total", "");
+    /// ```
     pub const fn new(name: &'static str, help: &'static str) -> Counter {
+        assert!(
+            matches!(name.as_bytes(), [.., b'_', b't', b'o', b't', b'a', b'l']),
+            "a counter family is named *_total"
+        );
         Counter {
             name,
             help,
@@ -637,8 +650,8 @@ static SCRAPES: Counter = Counter::new("cb_metrics_scrapes_total", "metrics expo
 
 /// One full scrape: refreshes scrape-time gauges (the trace-ring drop
 /// counter), samples every family, mirrors counter/gauge values into the
-/// trace recorder (so exported traces carry genuine monotone counter
-/// samples `tools/trace-check` can cross-check against scrape files),
+/// trace recorder (so a drained trace carries genuine monotone counter
+/// samples a test can cross-check against the scrapes it took),
 /// evaluates the installed health rules, and renders the exposition.
 pub fn scrape() -> String {
     SCRAPES.inc();
@@ -896,6 +909,7 @@ mod tests {
         assert!(text.contains("cb_test_latency_us_sum 5101"));
         assert!(text.contains("cb_test_latency_us_count 4"));
 
+        assert_exposition_format(&text);
         let parsed = parse_exposition(&text);
         assert_eq!(parsed.family_type("cb_test_hits_total"), Some("counter"));
         assert_eq!(parsed.value("cb_test_hits_total"), Some(7.0));
@@ -933,5 +947,61 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 9);
         assert_eq!(h.quantile(1.0), u64::MAX);
+    }
+
+    /// The exposition's structural rules: every line parses, every
+    /// sampled family has `# HELP` and `# TYPE`, counters are
+    /// `_total`-named, a histogram's buckets are cumulative in ascending
+    /// `le` order and end at `le="+Inf"`, which equals its `_count`, and no
+    /// sample is negative.
+    fn assert_exposition_format(text: &str) {
+        let parsed = parse_exposition(text);
+        let sample_lines = text.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(
+            parsed.samples.len(),
+            sample_lines,
+            "a sample line did not parse"
+        );
+        let helps: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# HELP ")?.split(' ').next())
+            .collect();
+        for (series, v) in &parsed.samples {
+            assert!(*v >= 0.0, "negative sample {series} = {v}");
+            let name = series.split('{').next().unwrap_or(series);
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|s| name.strip_suffix(s))
+                .find(|f| parsed.family_type(f) == Some("histogram"))
+                .unwrap_or(name);
+            assert!(helps.contains(&family), "{name}: no # HELP");
+            match parsed.family_type(family) {
+                Some("counter") => assert!(name.ends_with("_total"), "counter {name}"),
+                Some("gauge" | "histogram") => {}
+                other => panic!("{name}: # TYPE {other:?}"),
+            }
+        }
+        for (family, _) in parsed.types.iter().filter(|(_, t)| t == "histogram") {
+            let bucket = format!("{family}_bucket{{le=\"");
+            let buckets: Vec<(f64, f64)> = parsed
+                .samples
+                .iter()
+                .filter_map(|(s, v)| {
+                    let le = s.strip_prefix(&bucket)?.strip_suffix("\"}")?;
+                    Some((le.parse().expect("le parses, +Inf included"), *v))
+                })
+                .collect();
+            assert!(
+                buckets
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+                "{family}: buckets not cumulative in ascending le: {buckets:?}"
+            );
+            assert!(parsed.value(&format!("{family}_sum")).is_some());
+            let last = buckets.last().expect("a +Inf bucket");
+            assert_eq!(last.0, f64::INFINITY, "{family}: last bucket is not +Inf");
+            let count = parsed.value(&format!("{family}_count"));
+            assert_eq!(Some(last.1), count, "{family}: +Inf bucket != _count");
+        }
     }
 }

@@ -38,4 +38,4 @@ pub mod manager;
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use delta::{DeltaDecoder, DeltaEncoder, DeltaError, DeltaStats, SlotDelta, StateDelta};
 pub use diff::{apply_diff, encode_against, encode_diff, BaseEncoding, Diff};
-pub use manager::{CheckpointManager, SnapMsg, SnapStats, Snapshot, SnapshotConfig, SnapshotStats};
+pub use manager::{CheckpointManager, SnapMsg, Snapshot, SnapshotConfig, SnapshotStats};

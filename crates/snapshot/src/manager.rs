@@ -179,38 +179,11 @@ pub struct Snapshot {
     pub missing: Vec<NodeId>,
 }
 
-/// Counters for the §5.5 overhead measurements.
-#[derive(Clone, Debug, Default)]
-pub struct SnapStats {
-    /// Checkpoints taken (periodic + forced + on-request).
-    pub checkpoints_taken: u64,
-    /// Checkpoints forced by incoming message cns.
-    pub forced_checkpoints: u64,
-    /// Checkpoint payload bytes sent (post compression/diff).
-    pub payload_bytes_sent: u64,
-    /// Raw (pre-compression) checkpoint bytes that were requested.
-    pub raw_bytes_considered: u64,
-    /// Duplicate-suppressed responses.
-    pub duplicates_suppressed: u64,
-    /// Delta responses sent.
-    pub deltas_sent: u64,
-    /// Nacks sent (pruned range or bandwidth limit).
-    pub nacks_sent: u64,
-    /// Nacks received while gathering.
-    pub nacks_received: u64,
-    /// Retry rounds started after a nacked gather (§3.1 allows one).
-    pub retries: u64,
-    /// Gathers started / completed.
-    pub gathers_started: u64,
-    /// Gathers that produced a snapshot.
-    pub gathers_completed: u64,
-}
-
-/// The §3.1 bandwidth-budget counters in JSON-able form: what the
-/// checkpoint manager spent (bytes on the wire), what it refused (Nacks),
-/// and how often the gather protocol's single-retry escape hatch ran.
-/// The live deployment runtime exposes one per node; §5.5's overhead
-/// tables are these numbers aggregated.
+/// A checkpoint manager's counters (§5.5's overhead measurements and the
+/// §3.1 bandwidth budget): what it spent (bytes on the wire), what it
+/// refused (Nacks), and how often the gather protocol's single-retry
+/// escape hatch ran. The live deployment runtime exposes one per node;
+/// §5.5's overhead tables are these numbers aggregated.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Checkpoints taken (periodic + forced + on-request).
@@ -240,40 +213,6 @@ pub struct SnapshotStats {
 }
 
 impl SnapshotStats {
-    /// Renders the counters as a JSON object via the workspace's shared
-    /// [`cb_obs::json::Writer`].
-    pub fn to_json(&self) -> String {
-        use cb_obs::json::{Style, Writer};
-        let SnapshotStats {
-            checkpoints_taken,
-            forced_checkpoints,
-            payload_bytes_sent,
-            raw_bytes_considered,
-            duplicates_suppressed,
-            deltas_sent,
-            nacks_issued,
-            nacks_received,
-            retries,
-            gathers_started,
-            gathers_completed,
-            bandwidth_limit_bps,
-        } = self;
-        let mut w = Writer::object(Style::Compact);
-        w.field_u64("checkpoints_taken", *checkpoints_taken)
-            .field_u64("forced_checkpoints", *forced_checkpoints)
-            .field_u64("payload_bytes_sent", *payload_bytes_sent)
-            .field_u64("raw_bytes_considered", *raw_bytes_considered)
-            .field_u64("duplicates_suppressed", *duplicates_suppressed)
-            .field_u64("deltas_sent", *deltas_sent)
-            .field_u64("nacks_issued", *nacks_issued)
-            .field_u64("nacks_received", *nacks_received)
-            .field_u64("retries", *retries)
-            .field_u64("gathers_started", *gathers_started)
-            .field_u64("gathers_completed", *gathers_completed)
-            .field_opt_u64("bandwidth_limit_bps", *bandwidth_limit_bps);
-        w.finish()
-    }
-
     /// Folds another node's counters into this one (fleet/deployment
     /// aggregation). The limit is kept only when every contributor agrees.
     pub fn merge(&mut self, other: &SnapshotStats) {
@@ -334,12 +273,16 @@ pub struct CheckpointManager {
     bw_window_start: SimTime,
     bw_window_bytes: u64,
     /// Overhead counters.
-    pub stats: SnapStats,
+    pub stats: SnapshotStats,
 }
 
 impl CheckpointManager {
     /// Creates a manager for node `me`.
     pub fn new(me: NodeId, config: SnapshotConfig) -> Self {
+        let stats = SnapshotStats {
+            bandwidth_limit_bps: config.bandwidth_limit_bps,
+            ..SnapshotStats::default()
+        };
         CheckpointManager {
             me,
             cn: 0,
@@ -350,7 +293,7 @@ impl CheckpointManager {
             gather: None,
             bw_window_start: SimTime::ZERO,
             bw_window_bytes: 0,
-            stats: SnapStats::default(),
+            stats,
         }
     }
 
@@ -507,7 +450,7 @@ impl CheckpointManager {
         // Bandwidth limiting (§3.1): over-budget managers respond
         // negatively rather than congest their uplink.
         if !self.bandwidth_allows(now, state_bytes.len()) {
-            self.stats.nacks_sent += 1;
+            self.stats.nacks_issued += 1;
             return vec![(from, SnapMsg::Nack { cn: self.cn })];
         }
         let raw: Vec<u8> = if cr > self.cn {
@@ -521,7 +464,7 @@ impl CheckpointManager {
                 Some(cp) => cp.data.clone(),
                 None => {
                     // Pruned past the requested range (§3.1).
-                    self.stats.nacks_sent += 1;
+                    self.stats.nacks_issued += 1;
                     return vec![(from, SnapMsg::Nack { cn: self.cn })];
                 }
             }
@@ -658,22 +601,9 @@ impl CheckpointManager {
         self.maybe_retry(state_bytes)
     }
 
-    /// The §3.1 bandwidth-budget counters in JSON-able form.
+    /// A copy of the counters.
     pub fn snapshot_stats(&self) -> SnapshotStats {
-        SnapshotStats {
-            checkpoints_taken: self.stats.checkpoints_taken,
-            forced_checkpoints: self.stats.forced_checkpoints,
-            payload_bytes_sent: self.stats.payload_bytes_sent,
-            raw_bytes_considered: self.stats.raw_bytes_considered,
-            duplicates_suppressed: self.stats.duplicates_suppressed,
-            deltas_sent: self.stats.deltas_sent,
-            nacks_issued: self.stats.nacks_sent,
-            nacks_received: self.stats.nacks_received,
-            retries: self.stats.retries,
-            gathers_started: self.stats.gathers_started,
-            gathers_completed: self.stats.gathers_completed,
-            bandwidth_limit_bps: self.config.bandwidth_limit_bps,
-        }
+        self.stats.clone()
     }
 
     /// Rolling 1-second bandwidth budget check.
@@ -855,7 +785,7 @@ mod tests {
         let (_, req) = &reqs[0];
         let replies = limited.handle(SimTime::ZERO, NodeId(0), req, &state(1, 64));
         assert!(matches!(replies[0].1, SnapMsg::Nack { .. }));
-        assert_eq!(limited.stats.nacks_sent, 1);
+        assert_eq!(limited.stats.nacks_issued, 1);
         // Requester handles the nack and issues a retry round.
         let retry = g.handle(SimTime::ZERO, NodeId(1), &replies[0].1, &state(0, 64));
         assert_eq!(retry.len(), 1, "one retry request");
@@ -931,10 +861,6 @@ mod tests {
         assert_eq!(gather_stats.retries, 1);
         assert_eq!(gather_stats.nacks_received, 1);
         assert_eq!(gather_stats.gathers_completed, 1);
-        let json = resp_stats.to_json();
-        assert!(json.contains("\"nacks_issued\":1"), "{json}");
-        assert!(json.contains("\"bandwidth_limit_bps\":600"), "{json}");
-        assert!(g.snapshot_stats().to_json().contains("\"retries\":1"));
     }
 
     /// `timeout_gather` retries once when the stall follows a Nack, then
@@ -970,7 +896,7 @@ mod tests {
     #[test]
     fn snapshot_stats_merge_and_null_limit() {
         let mut a = mgr(0).snapshot_stats();
-        assert!(a.to_json().contains("\"bandwidth_limit_bps\":null"));
+        assert_eq!(a.bandwidth_limit_bps, None);
         let b = SnapshotStats {
             retries: 2,
             nacks_issued: 3,

@@ -10,6 +10,7 @@
 //! alert joinable), never byte-level equality. Every wait is a bounded
 //! poll and the body runs under a watchdog.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -80,8 +81,9 @@ fn fast_node_config() -> LiveNodeConfig {
     }
 }
 
-/// The families `tools/metrics-check` requires — one representative per
-/// instrumented plane. Kept in sync with that tool's `REQUIRED` table.
+/// The families a scrape must serve — one representative per
+/// instrumented plane, plus the scrape and trace-ring meta families. This
+/// is the only list of them.
 const REQUIRED_FAMILIES: &[&str] = &[
     "cb_reactor_polls_total",
     "cb_reactor_wake_lag_us",
@@ -283,6 +285,11 @@ fn live_metrics_scrape_under_faults_and_alert_joins_trace() {
         let mut alert_rounds = Vec::new();
         for line in &predicted_alerts {
             let v = obs::json::parse(line).expect("alert line parses as JSON");
+            assert_eq!(
+                v.get("kind").and_then(obs::json::Value::as_str),
+                Some("alert"),
+                "{line}"
+            );
             let round = v
                 .get("round")
                 .and_then(obs::json::Value::as_u64)
@@ -293,17 +300,20 @@ fn live_metrics_scrape_under_faults_and_alert_joins_trace() {
             alert_rounds.push(round);
         }
 
-        // ... and that round id joins against the cb-obs trace (shutdown
-        // first: thread exit flushes the checker's ring).
+        // ... and every alert's round id joins against the cb-obs trace
+        // (shutdown first: thread exit flushes the checker's ring).
         let report = dep.shutdown();
         assert!(report.stats.checker.predictions > 0);
         let trace = obs::drain();
-        let joined = alert_rounds
+        let traced: BTreeSet<u64> = trace.events.iter().map(|e| e.id).collect();
+        let unjoined: Vec<u64> = alert_rounds
             .iter()
-            .any(|r| trace.events.iter().any(|e| e.id == *r));
+            .copied()
+            .filter(|r| !traced.contains(r))
+            .collect();
         assert!(
-            joined,
-            "an alert round id appears in the trace ({} events, rounds {alert_rounds:?})",
+            unjoined.is_empty(),
+            "alert rounds {unjoined:?} absent from the trace ({} events)",
             trace.events.len()
         );
         // The alert's own trace mirror is there too, under the same id.
@@ -314,7 +324,91 @@ fn live_metrics_scrape_under_faults_and_alert_joins_trace() {
                 .any(|e| e.name == "alert.predicted_violation" && alert_rounds.contains(&e.id)),
             "the alert.predicted_violation instant was mirrored into the trace"
         );
+        check_trace(&trace, &[&parsed1, &parsed2]);
         obs::metrics::disable();
         obs::disable();
     });
+}
+
+/// The run checks of a drained trace, against the scrapes the run took:
+///
+/// * every event's thread is named (the chrome export writes one
+///   `thread_name` record per entry of `threads`);
+/// * when the rings dropped nothing, every round a node received an
+///   install for (`node.install`, `round.gather_to_install`) has the
+///   `node.submit` that started it;
+/// * each `_total` counter mirror never decreases per (name, thread);
+/// * every non-zero `_total` series of a scrape is mirrored in the trace,
+///   and none exceeds the trace's largest mirrored sample (each scrape
+///   mirrors the values it serves).
+fn check_trace(trace: &obs::Trace, scrapes: &[&obs::metrics::ParsedScrape]) {
+    let named: BTreeSet<u64> = trace.threads.iter().map(|&(tid, _)| tid).collect();
+    if let Some(e) = trace.events.iter().find(|e| !named.contains(&e.tid)) {
+        panic!("{} recorded on unnamed thread {}", e.name, e.tid);
+    }
+
+    let rounds_of = |names: &[&str]| -> BTreeSet<u64> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.id != 0 && names.contains(&e.name))
+            .map(|e| e.id)
+            .collect()
+    };
+    let installed = rounds_of(&["node.install", "round.gather_to_install"]);
+    if trace.dropped == 0 {
+        let submitted = rounds_of(&["node.submit"]);
+        let orphans: Vec<&u64> = installed.difference(&submitted).collect();
+        assert!(
+            orphans.is_empty(),
+            "installed rounds without a node.submit: {orphans:x?}"
+        );
+        assert!(!installed.is_empty(), "no install receipt was traced");
+    } else {
+        println!(
+            "round ancestry not checked: the rings dropped {} events",
+            trace.dropped
+        );
+    }
+
+    let mut mirrors: BTreeMap<(&str, u64), Vec<(u64, i64)>> = BTreeMap::new();
+    for e in &trace.events {
+        if let obs::EventKind::Counter { value } = e.kind {
+            if e.name.ends_with("_total") {
+                mirrors
+                    .entry((e.name, e.tid))
+                    .or_default()
+                    .push((e.ts_us, value));
+            }
+        }
+    }
+    let mut largest: BTreeMap<&str, i64> = BTreeMap::new();
+    for ((name, tid), samples) in &mut mirrors {
+        samples.sort_by_key(|&(ts, _)| ts);
+        if let Some(w) = samples.windows(2).find(|w| w[1].1 < w[0].1) {
+            panic!(
+                "mirror {name} on thread {tid} decreased: {:?} -> {:?}",
+                w[0], w[1]
+            );
+        }
+        // Monotone, so the last sample is the series' largest.
+        let last = samples.last().map_or(0, |&(_, v)| v);
+        let peak = largest.entry(name).or_insert(last);
+        *peak = (*peak).max(last);
+    }
+    assert!(!largest.is_empty(), "no scrape was mirrored into the trace");
+    for scrape in scrapes {
+        for (series, v) in &scrape.samples {
+            if !series.ends_with("_total") || series.contains('{') || *v == 0.0 {
+                continue;
+            }
+            let peak = largest
+                .get(series.as_str())
+                .unwrap_or_else(|| panic!("{series} = {v} never mirrored into the trace"));
+            assert!(
+                *v <= *peak as f64,
+                "scrape {series} = {v} exceeds the trace's largest mirror {peak}"
+            );
+        }
+    }
 }

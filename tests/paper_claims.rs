@@ -15,7 +15,8 @@
 //! number moves either way: moving it is a finding to explain, not noise.
 
 use cb_bench::scenarios;
-use crystalball_suite::core::{Controller, ControllerConfig, Mode};
+use crystalball_suite::core::{CheckerMode, Controller, ControllerConfig, Mode};
+use crystalball_suite::fleet::{bullet_member, Fleet, FleetConfig, MemberCommon, MemberStats};
 use crystalball_suite::mc::{find_consequences, find_errors, random_walk, SearchConfig};
 use crystalball_suite::model::{
     Encode, ExploreOptions, GlobalState, NodeId, PropertySet, Protocol, SimDuration, SimTime,
@@ -541,6 +542,69 @@ fn fig17_bullet_slowdown() {
         &format!("{kbps:.1} kbps per node, {bytes} B"),
         "0.3 kbps per node, 10846 B",
         "a 512 kB file, so file maps of 32 blocks",
+    );
+}
+
+/// One fleet of a single Bullet' B1 member, 5 nodes and 120 blocks, as
+/// the benchmark's `fleet_steer` workload builds it (salt, drain interval,
+/// one checker lane, its steering controller), with no fault plan: the
+/// member's stats after `secs` simulated seconds, steered or unsteered.
+fn bullet_fleet_member(steered: bool, secs: u64) -> MemberStats {
+    let controller = ControllerConfig {
+        search: SearchConfig {
+            max_states: Some(300),
+            ..SearchConfig::default()
+        },
+        checker: CheckerMode::Sharded { shards: 1 },
+        mc_latency: SimDuration::from_millis(500),
+        safety_check_states: 300,
+        poll_in_hooks: false,
+        ..ControllerConfig::default()
+    };
+    let mut fleet = Fleet::new(FleetConfig {
+        seed: 1,
+        duration: SimDuration::from_secs(secs),
+        drain_interval: SimDuration::from_millis(500),
+        checker_lanes: 1,
+        pool_threads: 0,
+    });
+    let rt = fleet.runtime().clone();
+    let common = if steered {
+        MemberCommon::steering("bullet", 0xc3, controller)
+    } else {
+        MemberCommon::baseline("bullet", 0xc3)
+    };
+    fleet.add_member(bullet_member(&rt, common, 5, 120, BulletBugs::only("B1")));
+    fleet.run().members.remove(0)
+}
+
+/// §5.5 in the fleet: what steering costs the benchmark's Bullet' B1
+/// member, and which mechanism pays it — installed filters or ISC vetoes,
+/// blocking deliveries or handlers. At the benchmark's 960 s horizon,
+/// without its fault plan: the twin has finished its dissemination, the
+/// steered member stopped early, and every block is a handler filter.
+#[test]
+fn fleet_bullet_steering_throttle() {
+    let secs = 960;
+    let steered = bullet_fleet_member(true, secs);
+    let twin = bullet_fleet_member(false, secs);
+    pinned(
+        "§5.5 fleet Bullet' cost",
+        "< 10 % slowdown (Fig. 17)",
+        &format!(
+            "delivered {}/{} of twin ({:.1} %); filter hits {}, ISC vetoes {}; \
+             blocked {} deliveries, {} actions",
+            steered.messages_delivered,
+            twin.messages_delivered,
+            100.0 * steered.messages_delivered as f64 / twin.messages_delivered as f64,
+            steered.filter_hits,
+            steered.isc_vetoes,
+            steered.deliveries_blocked,
+            steered.actions_blocked
+        ),
+        "delivered 156/1238 of twin (12.6 %); filter hits 1812, ISC vetoes 0; \
+         blocked 0 deliveries, 1812 actions",
+        "a handler filter on the B1 mesh's timers stays installed and blocks every firing",
     );
 }
 

@@ -201,9 +201,10 @@ fn tracing_is_outcome_invisible() {
     obs::enable_with_capacity(1 << 12);
     let mc_on = mc_leg();
     let cache_on = cache_leg();
+    let trace = obs::drain();
     let fleet_on = fleet_leg();
     obs::disable();
-    let trace = obs::drain();
+    let fleet_trace = obs::drain();
 
     // The recorder really collected — this was not a no-op comparison.
     let spans = trace
@@ -213,8 +214,23 @@ fn tracing_is_outcome_invisible() {
         .count();
     assert!(spans > 0, "traced legs produced no spans");
     assert!(
-        trace.events.iter().any(|e| e.name == "fleet.drain"),
+        fleet_trace.events.iter().any(|e| e.name == "fleet.drain"),
         "fleet drain boundaries missing from the trace"
+    );
+    // The fleet leg's trace exports as chrome trace-event JSON with at
+    // least one complete span.
+    let chrome = obs::json::parse(&obs::chrome::chrome_trace_json(&fleet_trace))
+        .expect("the fleet trace exports as valid JSON");
+    let complete_spans = chrome
+        .get("traceEvents")
+        .and_then(obs::json::Value::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(obs::json::Value::as_str) == Some("X"))
+        .count();
+    assert!(
+        complete_spans > 0,
+        "the fleet trace exported no complete span"
     );
 
     assert_eq!(
