@@ -7,6 +7,9 @@
 //! - [`matrix`]: the CI determinism matrix's worker/seed/cache legs;
 //! - [`harness`]: helpers for the `harness = false` throughput benches
 //!   (`cargo bench -p cb-bench --bench <name>`).
+
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod matrix;
 pub mod scenarios;

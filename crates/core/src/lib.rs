@@ -34,6 +34,8 @@
 //! sim.run_for(cb_model::SimDuration::from_secs(1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod cache;
 pub mod controller;

@@ -31,6 +31,8 @@
 //! checker lanes, or host speed (see `scheduler` module docs for the
 //! three legs that carry this).
 
+#![forbid(unsafe_code)]
+
 pub mod deployment;
 pub mod faults;
 pub mod members;

@@ -416,15 +416,6 @@ impl<P: Protocol> LiveDeployment<P> {
         self.links.set_faults(a, b, stack);
     }
 
-    /// Installs (or heals) probabilistic loss on the pair.
-    pub fn set_loss(&self, a: NodeId, b: NodeId, loss: Option<f64>) {
-        let stack = match loss {
-            Some(p) => vec![LiveFault::Loss(p)],
-            None => Vec::new(),
-        };
-        self.links.set_faults(a, b, stack);
-    }
-
     /// Abruptly kills a node: its listener closes, its sockets break, and
     /// peers discover the death through transport errors — SIGKILL
     /// semantics, the churn injector's tool. The node's exit report is

@@ -38,6 +38,8 @@
 //! installed over the wire, filter hits), never trace equality. See
 //! `ARCHITECTURE.md` for the full contract.
 
+#![deny(unsafe_code)]
+
 pub mod adapters;
 pub mod checker;
 pub mod conn;

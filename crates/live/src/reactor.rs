@@ -72,6 +72,7 @@ mod sys {
     /// Blocks until an fd is ready or `timeout` passes. Returns the
     /// number of ready fds (0 on timeout or EINTR); `revents` is filled
     /// in place.
+    #[allow(unsafe_code)]
     pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         let ms = if timeout.is_zero() {
             0

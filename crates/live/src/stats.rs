@@ -247,19 +247,6 @@ impl LiveStats {
         t
     }
 
-    /// Aggregated snapshot/bandwidth counters.
-    pub fn snapshot_totals(&self) -> SnapshotStats {
-        let mut t = SnapshotStats::default();
-        for (i, s) in self.snapshots.values().enumerate() {
-            if i == 0 {
-                t = s.clone();
-            } else {
-                t.merge(s);
-            }
-        }
-        t
-    }
-
     /// Renders the roll-up as JSON via the shared
     /// [`cb_obs::json::Writer`] (no serde offline).
     pub fn to_json(&self) -> String {

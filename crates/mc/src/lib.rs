@@ -13,6 +13,10 @@
 //!   checker can feasibly reach with a limited time budget" (§3.2).
 //! * **Random walk** ([`search::random_walk`]) — the MaceMC random-walk mode
 //!   used as a second baseline in §5.3.
+//! * **Parallel** ([`find_errors_parallel`] / [`find_consequences_parallel`])
+//!   — either BFS level by level over a [`WorkerPool`], admitting through
+//!   the same explored set in the same canonical order as the sequential
+//!   loop, so its results are the sequential engine's.
 //!
 //! Shared machinery:
 //!
@@ -24,7 +28,7 @@
 //!   reconstructed from a parent-pointer arena;
 //! * [`SearchStats`] — visited/enqueued counts, per-depth tallies, the
 //!   memory accounting behind Fig. 15/16, and the time the parallel
-//!   coordinator spends collecting admitted edges (`merge_busy`);
+//!   coordinator spends in its in-order collects (`merge_busy`);
 //! * [`replay_path`] — re-checks a previously discovered error path against
 //!   a *new* snapshot by replaying only timer/application events and
 //!   following message causality (§4 "Replaying Past Erroneous Paths");
@@ -35,8 +39,9 @@
 //!   checker shards all multiplex their independent work over one set of
 //!   threads ([`Searcher::search_on`] / [`Searcher::run_parallel_pooled`]).
 
+#![deny(unsafe_code)]
+
 pub mod filter;
-mod frontier;
 pub mod parallel;
 pub mod pool;
 pub mod replay;

@@ -25,51 +25,49 @@
 //!    expand each fresh local state. Produces the list of expansion jobs.
 //! 3. **Expand, then collect**: the job list is cut into contiguous
 //!    ranges and every range becomes one pool task — for each of its jobs
-//!    enumerate events, hash each successor (a transition-memo hit is
-//!    hashed without being built; a miss runs the handler) and claim the
-//!    hash in the `LockFreeExplored` table at the edge's canonical
-//!    position (through one `ExploredBatch` per range). An edge that
-//!    does not lead its claim is a duplicate on the spot and builds
-//!    nothing; an edge that leads builds its successor then. Once a wave
-//!    of ranges and every earlier one are expanded, the coordinator walks
-//!    the wave's edges in canonical order and enqueues exactly those whose
-//!    claim still holds.
+//!    enumerate events and hash each successor (a transition-memo hit is
+//!    hashed without being built; a miss runs the handler). An edge whose
+//!    hash the explored set already holds, or that an earlier edge of the
+//!    same range reached, is a duplicate on the spot and builds nothing;
+//!    every other edge builds its successor. Once a wave of ranges is
+//!    expanded, the coordinator walks the wave's edges in canonical order,
+//!    inserts each edge's hash into the explored set, and enqueues exactly
+//!    the edges whose insert is fresh.
 //!
-//! # One admission rule
+//! # One explored set, one admission rule
 //!
 //! The sequential engine enqueues the canonically first edge to each new
 //! hash — first in (level, job, event) order — and drops every later one.
-//! The table keeps that rule by itself: an entry's position word holds
-//! the least position ever claimed for its hash (`frontier::position`
-//! packs level over job, and one task claims a job's edges in event
-//! order), so the canonical edge is the one whose claim still holds once
-//! nothing earlier can claim. An earlier level's positions are smaller than any of this
-//! level's, so a duplicate of an earlier level never leads; within the
-//! level, only an edge of an earlier range can undercut one, so a wave's
-//! claims are final once it and every earlier wave are expanded. The
-//! collect then needs no set of its own, and every edge it enqueues built
-//! its own state — the clone the sequential engine would have built, with
-//! its in-flight `Vec` order, which steers later event enumeration (equal
-//! hashes pin down only the in-flight multiset). Reconstructed paths —
-//! including the canonical shallowest counterexample, tie-broken by
-//! (depth, path-lexicographic order) — and every downstream level then
-//! match the sequential engine exactly. Wall-clock-dependent outcomes
-//! (deadline stops) are the only nondeterminism that survives.
+//! This engine keeps the same `DigestSet` and the same rule: the only
+//! inserts are the coordinator's, made in canonical order between waves,
+//! so an edge's insert is fresh exactly when it is the first edge to its
+//! hash. While a wave expands, the set is frozen and the range tasks only
+//! read it. The two tests they apply drop only edges the in-order insert
+//! would drop too, so they save building what cannot be enqueued; an edge
+//! whose hash only an earlier range of the same wave reaches is built and
+//! then dropped by the collect. Every enqueued edge built its own state —
+//! the clone the sequential engine would have built, with its in-flight
+//! `Vec` order, which steers later event enumeration (equal hashes pin
+//! down only the in-flight multiset). Reconstructed paths — including the
+//! canonical shallowest counterexample, tie-broken by (depth,
+//! path-lexicographic order) — and every downstream level then match the
+//! sequential engine exactly. Wall-clock-dependent outcomes (deadline
+//! stops) are the only nondeterminism that survives.
 //!
 //! # Ranges and waves
 //!
 //! One job is a few microseconds of work on states that share most of
 //! their `Arc`'d node slots with their siblings and parent; a pool task
 //! per job costs more than the job and scatters siblings over the cores.
-//! A range pays the task and the explored batch once and keeps neighbours
-//! on one core. The cut is one fixed rule (`range_len`); ranges run in
-//! waves of `workers × RANGES_PER_WORKER` ranges, one pool scope each, so
-//! the built states held for the collect are a wave's, not the level's.
-//! A wave of one range — every level that fits one range: the short
-//! levels every search starts with, all of a shallow search — runs inline
-//! on the caller with no scope or worker wake-up. Ranges are contiguous
-//! in job order and collected in order, so where the cuts fall cannot
-//! reach a result.
+//! A range pays the task and its transition memo once and keeps
+//! neighbours on one core. The cut is one fixed rule (`range_len`);
+//! ranges run in waves of `workers × RANGES_PER_WORKER` ranges, one pool
+//! scope each, so the built states held for the collect are a wave's, not
+//! the level's. A wave of one range — every level that fits one range:
+//! the short levels every search starts with, all of a shallow search —
+//! runs inline on the caller with no scope or worker wake-up. Ranges are
+//! contiguous in job order and collected in order, so where the cuts fall
+//! cannot reach a result.
 //!
 //! There is no single-threaded rendering of these phases: one worker (or
 //! none) *is* [`Searcher::run`].
@@ -87,11 +85,11 @@ use std::time::{Duration, Instant};
 
 use cb_model::{Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation};
 
-use crate::frontier::{position, Claim, LockFreeExplored};
 use crate::pool::WorkerPool;
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
-    approx_state_bytes, enumerate_gated, reconstruct, ArenaRec, DigestSet, SearchConfig, Searcher,
+    approx_state_bytes, digest_set_bytes, enumerate_gated, reconstruct, ArenaRec, DigestSet,
+    SearchConfig, Searcher,
 };
 use crate::stats::SearchStats;
 
@@ -110,12 +108,12 @@ pub struct ParallelConfig {
     /// (`benchmark/`) names it in a struct literal; it goes when that
     /// crate stops naming it.
     pub merge_shards: usize,
-    /// Has no effect: the explored table has one slot layout. Nothing
-    /// reads this field. Kept only because the benchmark crate
+    /// Has no effect: the explored set has one layout. Nothing reads
+    /// this field. Kept only because the benchmark crate
     /// (`benchmark/`) names it in a struct literal; it goes when that
     /// crate stops naming it.
     pub compact_explored: bool,
-    /// Has no effect: the explored table never spills to disk. Nothing
+    /// Has no effect: the explored set never spills to disk. Nothing
     /// reads this field. Kept only because the benchmark crate
     /// (`benchmark/`) names it in a struct literal; it goes when that
     /// crate stops naming it.
@@ -170,12 +168,12 @@ fn cut(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// reached it — all items of one level share a depth.
 type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
 
-/// A successor edge that led its hash's claim while its range expanded
-/// it: built then, and enqueued by the collect iff the claim still holds.
-struct Edge<'t, P: Protocol> {
+/// A successor edge its range did not find to be a duplicate: built
+/// then, and enqueued by the collect iff its `hash` is fresh there.
+struct Edge<P: Protocol> {
     /// The arena record of the state the edge leaves.
     parent: Option<usize>,
-    claim: Claim<'t>,
+    hash: u64,
     state: GlobalState<P>,
     /// Byte footprint of `state`, taken while it was cache-hot.
     bytes: usize,
@@ -187,7 +185,8 @@ struct Edge<'t, P: Protocol> {
 #[derive(Default)]
 struct ExpandTally {
     filtered: usize,
-    /// Edges that did not lead their claim, and so built nothing.
+    /// Edges whose hash the explored set or an earlier edge of the range
+    /// already held, and so built nothing.
     duplicates: usize,
     memo_hits: usize,
     memo_misses: usize,
@@ -202,9 +201,9 @@ impl ExpandTally {
     }
 }
 
-/// One range's expansion: its leading edges in canonical (job, event)
+/// One range's expansion: its built edges in canonical (job, event)
 /// order, and what it counted.
-type Expanded<'t, P> = (Vec<Edge<'t, P>>, ExpandTally);
+type Expanded<P> = (Vec<Edge<P>>, ExpandTally);
 
 /// The level under construction: admitted successors in canonical
 /// enqueue order, with their byte footprints (each taken where the state
@@ -215,15 +214,21 @@ struct NextLevel<P: Protocol> {
 }
 
 impl<P: Protocol> NextLevel<P> {
-    /// The in-order collect of one range's edges, once no earlier range
-    /// can claim: enqueues each edge whose claim still holds — the
-    /// canonical edge to its hash — with its arena record, and returns how
-    /// many an earlier range undercut after they led.
-    fn collect(&mut self, arena: &mut Vec<ArenaRec<P>>, edges: Vec<Edge<'_, P>>) -> usize {
-        let mut undercut = 0;
+    /// The in-order collect of one range's edges, after every earlier
+    /// range's: inserts each edge's hash into the explored set and
+    /// enqueues, with its arena record, each edge whose insert is fresh —
+    /// the canonical edge to its hash. Returns how many edges it dropped
+    /// (built, but an earlier range reached their hash first).
+    fn collect(
+        &mut self,
+        explored: &mut DigestSet,
+        arena: &mut Vec<ArenaRec<P>>,
+        edges: Vec<Edge<P>>,
+    ) -> usize {
+        let mut dropped = 0;
         for e in edges {
-            if !e.claim.holds() {
-                undercut += 1;
+            if !explored.insert(e.hash) {
+                dropped += 1;
                 continue;
             }
             arena.push(ArenaRec {
@@ -234,7 +239,7 @@ impl<P: Protocol> NextLevel<P> {
             self.bytes += e.bytes;
             self.states.push((e.state, Some(arena.len() - 1)));
         }
-        undercut
+        dropped
     }
 }
 
@@ -275,14 +280,14 @@ impl Deadline {
     }
 }
 
-/// What the range tasks of one level's phase 3 all read.
+/// One level's phase 3: what its range tasks all read besides the
+/// explored set (frozen for the length of a wave), and the logical worker
+/// count its jobs are cut for.
 struct Phase3<'a, P: Protocol> {
     level: &'a [(GlobalState<P>, Option<usize>)],
     jobs: &'a [ExpandJob],
-    explored: &'a LockFreeExplored,
-    /// The successors' BFS level: the high half of every position.
-    successors: usize,
     deadline: &'a Deadline,
+    workers: usize,
 }
 
 impl<P: Protocol> Searcher<'_, P> {
@@ -329,23 +334,12 @@ impl<P: Protocol> Searcher<'_, P> {
         let mut stats = SearchStats::default();
         let mut violations: Vec<FoundViolation<P>> = Vec::new();
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
-        // Pre-size the table from the state budget: successor inserts run
-        // a few times the visit budget (duplicates included), and linear
-        // probing wants headroom. The first segment is capped at 2^20
-        // slots because it is allocated and zeroed up front even if a
-        // deadline stops the search early — beyond that, segment chaining
-        // (which doubles from the initial size) grows the table to
-        // whatever the search actually reaches.
-        let cap_slots = self
-            .config
-            .max_states
-            .map_or(1 << 16, |m| m.saturating_mul(4).clamp(1 << 12, 1 << 20));
-        let explored = LockFreeExplored::with_capacity(cap_slots);
+        let mut explored = DigestSet::default();
         let mut local_explored = DigestSet::default();
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
-        explored.batch().claim(start.state_hash(), position(0, 0));
+        explored.insert(start.state_hash());
         let mut level: Level<P> = vec![(start.clone(), None)];
         // Byte footprint of `level`, accumulated when the level was built
         // (while each state was cache-hot) instead of re-scanned here.
@@ -427,16 +421,15 @@ impl<P: Protocol> Searcher<'_, P> {
                 jobs.push(ExpandJob { item: i, allowed });
             }
 
-            // Phase 3: expand, claiming each successor at its canonical
-            // position, and collect the edges whose claims hold.
+            // Phase 3: expand against the frozen explored set, and
+            // collect each wave's edges into it in canonical order.
             let cx = Phase3 {
                 level: &level,
                 jobs: &jobs,
-                explored: &explored,
-                successors: depth + 1,
                 deadline: &deadline,
+                workers,
             };
-            self.expand_level(&cx, workers, pool, &mut arena, &mut next, &mut stats);
+            self.expand_level(&cx, &mut explored, pool, &mut arena, &mut next, &mut stats);
             if deadline.hit() {
                 break 'levels; // the partial level is discarded
             }
@@ -458,10 +451,10 @@ impl<P: Protocol> Searcher<'_, P> {
         };
         stats.elapsed = t0.elapsed();
         stats.merge_shard_busy = vec![stats.merge_busy];
-        stats.explored_resident_bytes = explored.resident_bytes();
+        stats.explored_resident_bytes = digest_set_bytes(&explored);
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
-            + explored.len() * 2 * size_of::<u64>()
-            + local_explored.len() * 2 * size_of::<u64>();
+            + stats.explored_resident_bytes
+            + digest_set_bytes(&local_explored);
         stats.publish();
         SearchOutcome {
             violations,
@@ -508,16 +501,21 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Executes the contiguous `range` of the level's expansion jobs:
-    /// enumerate and hash each successor, claim it at its edge's position
-    /// — one claim per successor through one `ExploredBatch` for the whole
-    /// range, so the segment snapshot and the shared-length update cost
-    /// one synchronization edge per range — and build it only if the claim
-    /// leads (a memo hit is hashed unbuilt). Cut short (to be discarded)
-    /// once the deadline has passed.
-    fn expand_range<'t>(&self, cx: &Phase3<'t, P>, range: Range<usize>) -> Expanded<'t, P> {
+    /// enumerate and hash each successor, and build it unless `explored`
+    /// or an earlier edge of the range already holds its hash (a memo hit
+    /// is hashed unbuilt). Cut short (to be discarded) once the deadline
+    /// has passed.
+    fn expand_range(
+        &self,
+        cx: &Phase3<'_, P>,
+        explored: &DigestSet,
+        range: Range<usize>,
+    ) -> Expanded<P> {
         let mut edges = Vec::new();
         let mut tally = ExpandTally::default();
-        let mut batch = cx.explored.batch();
+        // The hashes this range built: a later edge to one is a duplicate
+        // whatever the collect decides for the first.
+        let mut seen = DigestSet::default();
         // One memo per range task: what it holds depends on the range's
         // jobs alone, never on which thread ran it or when.
         let mut memo = TransitionMemo::new(self.protocol);
@@ -527,7 +525,6 @@ impl<P: Protocol> Searcher<'_, P> {
             }
             let job = &cx.jobs[j];
             let (state, parent) = &cx.level[job.item];
-            let pos = position(cx.successors, j);
             let events = enumerate_gated(
                 self.protocol,
                 &self.config,
@@ -538,7 +535,7 @@ impl<P: Protocol> Searcher<'_, P> {
             let mut from = memo.expand(state);
             for event in events {
                 // A memo hit is hashed without being built, and built only
-                // if it leads its claim; a miss is built to be hashed.
+                // if it is no duplicate; a miss is built to be hashed.
                 let (built, hash, step) = match from.hash_of(&event) {
                     Some(probe) => (None, probe.hash, probe.step),
                     None => {
@@ -547,15 +544,14 @@ impl<P: Protocol> Searcher<'_, P> {
                         (Some(next), hash, step)
                     }
                 };
-                let claim = batch.claim(hash, pos);
-                if !claim.leads {
+                if explored.contains(&hash) || !seen.insert(hash) {
                     tally.duplicates += 1;
                     continue;
                 }
                 let state = built.unwrap_or_else(|| from.build(&event));
                 edges.push(Edge {
                     parent: *parent,
-                    claim,
+                    hash,
                     bytes: approx_state_bytes(&state),
                     state,
                     event,
@@ -569,32 +565,33 @@ impl<P: Protocol> Searcher<'_, P> {
     }
 
     /// Phase 3: expands the level's jobs range by range in waves of
-    /// `workers × RANGES_PER_WORKER` ranges, one pool scope each, and
-    /// after each wave collects its edges in canonical order — final by
-    /// then, since only an earlier range can undercut an edge. A wave of
+    /// `workers × RANGES_PER_WORKER` ranges, one pool scope each, against
+    /// `explored` as the earlier waves left it, and after each wave
+    /// collects its edges into `explored` in canonical order. A wave of
     /// one range runs on the caller. When the deadline fires mid-phase the
     /// collect is left partial, for the caller to discard.
     fn expand_level(
         &self,
         cx: &Phase3<'_, P>,
-        workers: usize,
+        explored: &mut DigestSet,
         pool: &WorkerPool,
         arena: &mut Vec<ArenaRec<P>>,
         next: &mut NextLevel<P>,
         stats: &mut SearchStats,
     ) {
         let _span = cb_obs::span("mc.expand", "mc");
-        let ranges = cut(cx.jobs.len(), workers);
+        let ranges = cut(cx.jobs.len(), cx.workers);
         stats.expand_ranges += ranges.len();
-        for wave in ranges.chunks(workers * RANGES_PER_WORKER) {
+        for wave in ranges.chunks(cx.workers * RANGES_PER_WORKER) {
+            let frozen = &*explored;
             let expanded = if let [range] = wave {
-                vec![self.expand_range(cx, range.clone())]
+                vec![self.expand_range(cx, frozen, range.clone())]
             } else {
-                let mut out: Vec<Expanded<'_, P>> = Vec::new();
+                let mut out: Vec<Expanded<P>> = Vec::new();
                 out.resize_with(wave.len(), Default::default);
                 pool.scope(|scope| {
                     for (range, out) in wave.iter().zip(&mut out) {
-                        scope.spawn(move || *out = self.expand_range(cx, range.clone()));
+                        scope.spawn(move || *out = self.expand_range(cx, frozen, range.clone()));
                     }
                 });
                 out
@@ -606,7 +603,7 @@ impl<P: Protocol> Searcher<'_, P> {
             let t = Instant::now();
             for (edges, tally) in expanded {
                 tally.add_to(stats);
-                stats.duplicates_hit += next.collect(arena, edges);
+                stats.duplicates_hit += next.collect(explored, arena, edges);
             }
             stats.merge_busy += t.elapsed();
         }
@@ -1054,9 +1051,9 @@ mod tests {
     /// 6-node search's last expanded level to exactly one job under, at
     /// and over the inline limit and the two-range limit, and to the whole
     /// 1135-job level — whose commuting ping/pong deliveries reach one
-    /// hash from parents in different ranges, so under real threads the
-    /// first claim and the canonical edge of a same-level
-    /// duplicate sit in different ranges.
+    /// hash from parents in different ranges, so the canonical edge of a
+    /// same-level duplicate and a later, built one sit in different
+    /// ranges.
     #[test]
     fn range_boundaries_match_sequential() {
         let (p, gs) = sys(6);
@@ -1116,10 +1113,10 @@ mod tests {
             .fold(gs.state_hash(), |h, m| combine(h, m.stable_hash()))
     }
 
-    /// The race a zero-thread pool never shows, made deterministic: each
-    /// level's ranges go through `expand_range` last to first, so a later
-    /// range claims a shared successor before the earlier range it belongs
-    /// to, and only then does the in-order collect run. Every enqueued
+    /// Each level's ranges go through `expand_range` last to first, as if
+    /// the later ranges' tasks ran ahead, and only then does the in-order
+    /// collect run. Some later range builds a successor whose hash an
+    /// earlier range reaches too, and the collect drops it. Every enqueued
     /// state — in-flight `Vec` order included — and the counts are still
     /// `Searcher::run`'s.
     #[test]
@@ -1137,8 +1134,8 @@ mod tests {
 
         let none = PropertySet::new();
         let searcher = Searcher::new(&p, &none, base);
-        let explored = LockFreeExplored::with_capacity(1 << 12);
-        explored.batch().claim(gs.state_hash(), position(0, 0));
+        let mut explored = DigestSet::default();
+        explored.insert(gs.state_hash());
         let deadline = Deadline {
             search_t0: Instant::now(),
             limit: None,
@@ -1146,7 +1143,7 @@ mod tests {
         };
         let (mut arena, mut stats) = (Vec::new(), SearchStats::default());
         let mut level: Level<Ping> = vec![(gs.clone(), None)];
-        let (mut enqueued, mut undercut, mut order) = (1, 0, Vec::new());
+        let (mut enqueued, mut dropped, mut order) = (1, 0, Vec::new());
         for depth in 0..=7 {
             order.extend(level.iter().map(|(s, _)| digest(s)));
             if depth == 7 {
@@ -1161,12 +1158,11 @@ mod tests {
             let cx = Phase3 {
                 level: &level,
                 jobs: &jobs,
-                explored: &explored,
-                successors: depth + 1,
                 deadline: &deadline,
+                workers: 4,
             };
-            let mut expanded: Vec<_> = (cut(jobs.len(), 4).into_iter().rev())
-                .map(|range| searcher.expand_range(&cx, range))
+            let mut expanded: Vec<_> = (cut(jobs.len(), cx.workers).into_iter().rev())
+                .map(|range| searcher.expand_range(&cx, &explored, range))
                 .collect();
             expanded.reverse();
             let mut next = NextLevel {
@@ -1174,16 +1170,17 @@ mod tests {
                 bytes: 0,
             };
             for (edges, tally) in expanded {
-                undercut += edges.iter().filter(|e| !e.claim.holds()).count();
                 tally.add_to(&mut stats);
-                stats.duplicates_hit += next.collect(&mut arena, edges);
+                let late = next.collect(&mut explored, &mut arena, edges);
+                dropped += late;
+                stats.duplicates_hit += late;
             }
             enqueued += next.states.len();
             level = next.states;
         }
         assert!(
-            undercut > 0,
-            "some later range led a shared successor first"
+            dropped > 0,
+            "some range built a successor an earlier range reached first"
         );
         assert_eq!(order, *visited.lock().unwrap(), "BFS order, states exact");
         assert_eq!(enqueued, seq.stats.states_enqueued);

@@ -32,8 +32,8 @@
 //! execution on its owner.
 //!
 //! Nothing rests on the queue order: no task waits for another task of
-//! its own batch (the parallel engine's range tasks only claim into the
-//! explored table, and its coordinator collects a wave after the wave's
+//! its own batch (the parallel engine's range tasks only read the
+//! explored set, and its coordinator collects a wave after the wave's
 //! scope has returned), so helping alone keeps every scope live.
 
 use std::any::Any;
@@ -196,6 +196,7 @@ impl<'env> PoolScope<'_, 'env> {
     /// Queues `task` for execution by a pool worker (or by any thread
     /// helping while it waits). The task may borrow anything that outlives
     /// the enclosing [`WorkerPool::scope`] call.
+    #[allow(unsafe_code)]
     pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
         let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
         // SAFETY: the scope's WaitGuard blocks `WorkerPool::scope` (even

@@ -17,14 +17,13 @@
 //! * `explored` hashes are recorded at **enqueue** time rather than dequeue
 //!   time, so the frontier never holds duplicates (Fig. 5 as written may
 //!   re-enqueue a state reached along two paths before either is popped;
-//!   semantics are unchanged, memory is strictly better). The sequential
-//!   engine keeps one `HashSet`; the parallel engine uses a lock-free
-//!   concurrent table with the same enqueue-time discipline — workers
-//!   claim each successor hash at its edge's canonical (level, job)
-//!   position, the table keeps the least position per hash, and the edge
-//!   holding it is the one enqueued, so each new state gets its canonical
-//!   (first-in-BFS-order) parent and the recorded paths match the
-//!   sequential engine's bit for bit.
+//!   semantics are unchanged, memory is strictly better). Both engines
+//!   keep the set as one `DigestSet` of state hashes and insert into it
+//!   in canonical (BFS) order — the parallel engine's coordinator inserts
+//!   each wave's edges in order between waves — so the first edge to a
+//!   hash is the one enqueued, each new state gets its canonical
+//!   (first-in-BFS-order) parent, and the recorded paths match bit for
+//!   bit.
 //! * States that violate a property are reported but **not expanded**:
 //!   CrystalBall consumes the shallowest path to a violation (for steering
 //!   and replay), and spending the runtime budget on post-violation suffixes
@@ -47,7 +46,8 @@
 //!   state, in-flight `Vec` order included — so a state the budget never
 //!   reaches is never built. A memo miss is built at once, since running
 //!   its handler is what hashes it. The parallel engine probes the same
-//!   way and builds only the successors that win the explored-set race.
+//!   way and builds only the successors its range cannot yet rule out as
+//!   duplicates.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -148,6 +148,12 @@ impl SearchConfig {
 /// rotate. These sets are only inserted into and counted, never iterated,
 /// so the bucket layout cannot reach a search outcome.
 pub(crate) type DigestSet = HashSet<u64, BuildHasherDefault<DigestHasher>>;
+
+/// The resident bytes a [`DigestSet`] is reported as: a 64-bit hash plus
+/// about as much table overhead per member.
+pub(crate) fn digest_set_bytes(set: &DigestSet) -> usize {
+    set.len() * 2 * size_of::<u64>()
+}
 
 /// Which exploration engine drives a search run.
 #[derive(Clone, Debug, Default)]
@@ -373,10 +379,10 @@ impl<'a, P: Protocol> Searcher<'a, P> {
         stats.memo_hits = memo.hits();
         stats.memo_misses = memo.misses();
         stats.elapsed = t0.elapsed();
-        stats.explored_resident_bytes = explored.len() * 2 * size_of::<u64>();
+        stats.explored_resident_bytes = digest_set_bytes(&explored);
         stats.tree_bytes = arena.len() * size_of::<ArenaRec<P>>()
             + stats.explored_resident_bytes
-            + local_explored.len() * 2 * size_of::<u64>();
+            + digest_set_bytes(&local_explored);
         stats.publish();
         SearchOutcome {
             violations,

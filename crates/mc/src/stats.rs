@@ -54,8 +54,9 @@ pub struct SearchStats {
     /// Wall-clock time spent searching.
     pub elapsed: Duration,
     /// Parallel engine only: time the coordinator spent in its in-order
-    /// collects — walking each wave's leading edges in canonical order and
-    /// enqueueing those whose explored-table claim still holds.
+    /// collects — walking each wave's built edges in canonical order,
+    /// inserting each hash into the explored set and enqueueing the edges
+    /// whose insert is fresh.
     pub merge_busy: Duration,
     /// Always 0: the coordinator collects a wave only after the wave's
     /// scope has returned, so nothing waits on a merge. Kept only because
@@ -72,9 +73,8 @@ pub struct SearchStats {
     /// Kept only because the benchmark crate (`benchmark/`) reads it; it
     /// goes when that crate stops naming it.
     pub merge_shard_busy: Vec<Duration>,
-    /// Resident bytes of the explored set at search end (the parallel
-    /// engine's open-addressing segments; the sequential loop's hash-set
-    /// entries).
+    /// Resident bytes of the explored set at search end: 16 per state
+    /// hash, the same estimate on every engine.
     pub explored_resident_bytes: usize,
     /// Always 0: the explored set never spills to disk, and nothing writes
     /// this field. Kept only because the benchmark crate (`benchmark/`)

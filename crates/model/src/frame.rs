@@ -22,10 +22,8 @@
 //! Reading is defensive by construction: the stream end is a hostile
 //! input (a churned peer dies mid-frame), so truncated frames, oversize
 //! length prefixes, partial reads across buffer boundaries, and garbage
-//! tag bytes all surface as [`DecodeError`]s (or clean `Ok(None)` EOF) —
+//! tag bytes all surface as [`DecodeError`]s (or `Ok(None)`: feed more) —
 //! never a panic, never an unbounded allocation.
-
-use std::io::{self, Read, Write};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::node::NodeId;
@@ -130,53 +128,11 @@ impl Decode for WireFrame {
     }
 }
 
-/// Writes one length-prefixed frame (`u32` LE length, then the payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
-}
-
-/// Appends one length-prefixed frame to an in-memory buffer (the send-queue
-/// form of [`write_frame`] for non-blocking sockets).
+/// Appends one length-prefixed frame (`u32` LE length, then the payload)
+/// to a non-blocking socket's send queue.
 pub fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-}
-
-/// Reads one length-prefixed frame from a blocking reader.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
-/// between frames), `UnexpectedEof` if the stream ends mid-frame, and
-/// `InvalidData` for an oversize length prefix.
-pub fn read_frame(r: &mut impl Read, max_len: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    // Hand-rolled first read so EOF-before-any-byte is distinguishable
-    // from EOF-inside-the-prefix.
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a frame length prefix",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit {max_len}"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Incremental frame reassembler for non-blocking reads.
@@ -306,50 +262,14 @@ mod tests {
     }
 
     #[test]
-    fn blocking_read_write_roundtrip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"alpha").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, b"beta").unwrap();
-        let mut r = io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"beta");
-        assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn blocking_read_rejects_truncation_and_oversize() {
-        // Truncated inside the length prefix.
-        let mut r = io::Cursor::new(vec![9u8, 0]);
-        assert_eq!(
-            read_frame(&mut r, 64).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        // Truncated inside the payload.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"payload").unwrap();
-        wire.truncate(wire.len() - 3);
-        let mut r = io::Cursor::new(wire);
-        assert_eq!(
-            read_frame(&mut r, 64).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-        // Oversize length prefix: rejected before allocating.
-        let mut r = io::Cursor::new(u32::MAX.to_le_bytes().to_vec());
-        assert_eq!(
-            read_frame(&mut r, 64).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-    }
-
-    #[test]
-    fn push_frame_matches_write_frame() {
-        let mut a = Vec::new();
-        write_frame(&mut a, b"same bytes").unwrap();
-        let mut b = Vec::new();
-        push_frame(&mut b, b"same bytes");
-        assert_eq!(a, b);
+    fn push_frame_writes_le_length_then_payload() {
+        let mut buf = vec![0xEE];
+        push_frame(&mut buf, b"same bytes");
+        push_frame(&mut buf, b"");
+        let mut want = vec![0xEE, 10, 0, 0, 0];
+        want.extend_from_slice(b"same bytes");
+        want.extend_from_slice(&[0, 0, 0, 0]);
+        assert_eq!(buf, want);
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! as transport errors — the "TCP RST" signals that drive the RandTree and
 //! Chord inconsistencies of §1.2 and §5.2.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod event;
 pub mod frame;
@@ -50,9 +52,7 @@ pub use event::{
     apply_event, enumerate_events, enumerate_events_gated, Event, EventKey, ExploreOptions,
     TraceStep,
 };
-pub use frame::{
-    push_frame, read_frame, write_frame, FrameBuffer, FrameKind, WireFrame, MAX_FRAME_LEN,
-};
+pub use frame::{push_frame, FrameBuffer, FrameKind, WireFrame, MAX_FRAME_LEN};
 pub use hashing::{stable_hash, Fnv64, StableHasher};
 pub use memo::{Expansion, Probe, TransitionMemo};
 pub use node::{AddrMap, NodeId};

@@ -27,6 +27,8 @@
 //! Determinism: all randomness comes from the seeded [`rand`] PRNG owned by
 //! the model, so a simulation replays bit-identically from its seed.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod link;
 pub mod topology;

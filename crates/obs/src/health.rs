@@ -35,13 +35,6 @@ const RECENT_CAP: usize = 256;
 /// for the growth conditions).
 #[derive(Clone, Copy, Debug)]
 pub enum Condition {
-    /// The counter family's total exceeds `threshold`.
-    CounterAbove {
-        /// Counter family name.
-        family: &'static str,
-        /// Exclusive threshold.
-        threshold: u64,
-    },
     /// The gauge family's value exceeds `threshold`.
     GaugeAbove {
         /// Gauge family name.
@@ -172,13 +165,6 @@ impl HealthMonitor {
         let mut emitted = Vec::new();
         for (rule, st) in self.rules.iter().zip(self.state.iter_mut()) {
             let triggered = match rule.condition {
-                Condition::CounterAbove { family, threshold } => snap
-                    .counter(family)
-                    .map(|v| {
-                        st.last = v;
-                        v > threshold
-                    })
-                    .unwrap_or(false),
                 Condition::GaugeAbove { family, threshold } => snap
                     .gauge(family)
                     .map(|v| {
@@ -242,8 +228,7 @@ fn rule_alert(rule: &Rule, value: u64) -> String {
         .field_str("rule", rule.name)
         .field_u64("ts_us", crate::now_us());
     match rule.condition {
-        Condition::CounterAbove { family, threshold }
-        | Condition::GaugeAbove { family, threshold } => {
+        Condition::GaugeAbove { family, threshold } => {
             w.field_str("family", family)
                 .field_u64("value", value)
                 .field_u64("threshold", threshold);
@@ -282,13 +267,6 @@ fn monitor_slot() -> &'static Mutex<Option<HealthMonitor>> {
     MONITOR.get_or_init(|| Mutex::new(None))
 }
 
-/// Installs `monitor` as the process-global rule set (replacing any
-/// previous one). [`crate::metrics::scrape`] and the server's timer path
-/// evaluate it.
-pub fn install(monitor: HealthMonitor) {
-    *monitor_slot().lock().expect("health monitor poisoned") = Some(monitor);
-}
-
 /// Installs [`HealthMonitor::with_default_rules`] (50ms wake budget) if
 /// no monitor is installed yet — called from `metrics::enable`.
 pub(crate) fn ensure_default_monitor() {
@@ -325,12 +303,6 @@ pub fn recent_alerts() -> Vec<String> {
         .iter()
         .cloned()
         .collect()
-}
-
-/// Takes (and clears) the in-memory alert tail — test isolation.
-pub fn take_alerts() -> Vec<String> {
-    let mut recent = sink().lock().expect("alert sink poisoned");
-    recent.drain(..).collect()
 }
 
 fn emit(line: String) {

@@ -36,6 +36,8 @@
 //!   turns them into threshold-rule alerts, including the first-class
 //!   predicted-violation alert joinable to the trace by round id.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod health;
 pub mod json;

@@ -18,6 +18,8 @@
 //! behaviour of the Mace implementations the paper studied, `Bugs::none()`
 //! is the corrected code (the "possible corrections" of §5.2).
 
+#![forbid(unsafe_code)]
+
 pub mod bullet;
 pub mod chord;
 pub mod paxos;

@@ -11,6 +11,8 @@
 //! Not cryptographically secure; not a general-purpose RNG. Replace with
 //! the real crate if the environment ever gains registry access.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod rngs {

@@ -25,6 +25,8 @@
 //! so live execution and model checking run literally the same handler
 //! code — the property CrystalBall's predictions depend on (§4).
 
+#![forbid(unsafe_code)]
+
 pub mod hook;
 pub mod scenario;
 pub mod sim;

@@ -29,6 +29,8 @@
 //! so checkpoint bandwidth competes with the application exactly as in
 //! Fig. 17.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod delta;
 pub mod diff;

@@ -622,11 +622,6 @@ impl CheckpointManager {
     pub fn stored_checkpoints(&self) -> usize {
         self.store.len()
     }
-
-    /// Bytes of checkpoint data currently stored.
-    pub fn stored_bytes(&self) -> usize {
-        self.store.bytes()
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! crates; `tests/paper_claims.rs` and `tests/table1_bugs.rs` check the
 //! paper's evaluation claim by claim.
 
+#![forbid(unsafe_code)]
+
 pub use cb_fleet as fleet;
 pub use cb_live as live;
 pub use cb_mc as mc;

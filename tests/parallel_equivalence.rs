@@ -1,5 +1,5 @@
-//! Parallel/sequential equivalence across protocols: the streamed
-//! parallel engine must produce the *identical* violation set and the
+//! Parallel/sequential equivalence across protocols: the
+//! level-synchronous parallel engine must produce the *identical* violation set and the
 //! identical canonical shallowest counterexample path as the sequential
 //! engine — for exhaustive search (Fig. 5) and consequence prediction
 //! (Fig. 8) alike, at any worker count. Scheduling may only affect
@@ -24,8 +24,8 @@ use crystalball_suite::protocols::randtree::{self, RandTreeBugs};
 /// Everything content-level a search produces: every violation with its
 /// full rendered path, plus the visit accounting — including the three
 /// counters the parallel engine tallies somewhere else than the
-/// sequential loop does (duplicates in the merge consumers, prunes in the
-/// visit, filtered events in the range tasks).
+/// sequential loop does (duplicates in the range tasks and the in-order
+/// collect, prunes in the visit, filtered events in the range tasks).
 fn fingerprint<P: Protocol>(out: &SearchOutcome<P>) -> (Vec<String>, Vec<usize>, [usize; 5]) {
     (
         out.violations.iter().map(|v| v.scenario()).collect(),
