@@ -3,15 +3,19 @@
 //! these per OS thread through [`LiveNode::poll`].
 //!
 //! Each node owns exactly what a deployed CrystalBall node owns (§4):
-//! its protocol state, its timers, its [`cb_snapshot::CheckpointManager`],
-//! its [`NodeAgent`] (installed event filters and snapshot intake), and
-//! its sockets (behind a [`PeerManager`]). Everything it learns about
-//! the rest of the system arrives as bytes — service messages stamped
-//! with the sender's checkpoint number, snapshot requests and replies,
-//! and filter-install pushes from the checker process. The *same
-//! handler code* the simulator and the model checker execute runs here,
-//! invoked from the socket receive path instead of a discrete-event
-//! queue.
+//! its protocol state (the one node of a [`GlobalState`]), a
+//! [`NodeHost`] (its timers, its [`cb_snapshot::CheckpointManager`] and
+//! the step sequence every input goes through — the simulator runs each
+//! of its nodes in the same host), its [`NodeAgent`] (installed event
+//! filters and snapshot intake), and its sockets (behind a
+//! [`PeerManager`]). Everything it learns about the rest of the system
+//! arrives as bytes — service messages stamped with the sender's
+//! checkpoint number, snapshot requests and replies, and filter-install
+//! pushes from the checker process. Every handler runs inside
+//! `cb_model::apply_event`, the transition the simulator and the model
+//! checker execute; what a handler sends to another node is parked in
+//! the one-node state and shipped as a frame, and an error notice for a
+//! peer closes the connection to it.
 //!
 //! One [`LiveNode::poll`] call runs one iteration of what used to be the
 //! thread-per-node loop: accept + drain readable sockets (when the
@@ -24,9 +28,12 @@
 //!
 //! The node owns no clock: timers, schedules, backoff and latency stamps
 //! all come from the `now` passed to `new` and to each `poll`, so whoever
-//! drives `poll` decides what time it is.
+//! drives `poll` decides what time it is. The host's clock is wall
+//! microseconds since `new` (the snapshot bandwidth window and the
+//! latency stamps read it as is); only protocol timer periods are scaled
+//! by `time_scale`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{IpAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -34,12 +41,12 @@ use std::time::{Duration, Instant};
 
 use cb_mc::EventFilter;
 use cb_model::{
-    Decode, Encode, EventKey, FrameKind, GlobalState, NodeId, NodeSlot, Outbox, PropertySet,
-    Protocol, Schedule, SimTime, WireFrame,
+    Decode, Encode, Event, EventKey, FrameKind, GlobalState, InFlight, NodeId, NodeSlot, Payload,
+    PropertySet, Protocol, SimDuration, SimTime, TraceStep, WireFrame,
 };
 use cb_net::{decide, FaultDecision, LiveFault};
-use cb_runtime::Decision;
-use cb_snapshot::{CheckpointManager, DeltaEncoder, SnapMsg, SnapshotConfig, SnapshotStats};
+use cb_runtime::{Decision, HostDriver, NodeHost, Outcome, SnapOut, SnapshotRuntime};
+use cb_snapshot::{DeltaEncoder, SnapMsg, Snapshot, SnapshotConfig, SnapshotStats};
 use crystalball::NodeAgent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -266,13 +273,66 @@ struct Delayed {
     stat: ShipStat,
 }
 
+/// The live node as its host's driver: its one-node state, wall
+/// microseconds since adoption, protocol timer periods scaled by
+/// `time_scale`, jitter from the node's own generator, and the agent's
+/// filter check.
+struct NodeDriver<'a, P: Protocol> {
+    me: NodeId,
+    proto: &'a P,
+    gs: &'a mut GlobalState<P>,
+    agent: &'a NodeAgent<P>,
+    now: SimTime,
+    time_scale: f64,
+    rng: &'a mut StdRng,
+}
+
+impl<P: Protocol> HostDriver<P> for NodeDriver<'_, P> {
+    fn parts(&mut self) -> (&P, &mut GlobalState<P>) {
+        (self.proto, self.gs)
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn period(&self, period: SimDuration) -> SimDuration {
+        SimDuration::from_secs_f64((period.as_secs_f64() * self.time_scale).max(1e-4))
+    }
+
+    fn jitter(&mut self, max: SimDuration) -> SimDuration {
+        max.mul_f64(self.rng.gen_range(0.0..1.0))
+    }
+
+    fn filter_delivery(&mut self, item: &InFlight<P::Message>) -> Decision {
+        let key = EventKey::delivery::<P>(item.src, item.dst, item.payload.msg());
+        self.agent.check(&key)
+    }
+
+    fn filter_action(&mut self, action: &P::Action) -> Decision {
+        let kind = P::action_kind(action);
+        self.agent.check(&EventKey::Action {
+            kind,
+            node: self.me,
+        })
+    }
+}
+
+fn sim_duration(d: Duration) -> SimDuration {
+    SimDuration::from_micros(d.as_micros() as u64)
+}
+
 /// One live protocol node as a pollable state machine.
 pub struct LiveNode<P: Protocol> {
     me: NodeId,
     proto: P,
     props: PropertySet<P>,
-    slot: NodeSlot<P::State>,
-    mgr: CheckpointManager,
+    /// The node's own slot, as the one node of a global state: handlers
+    /// run in it through `apply_event`, and what they send to other nodes
+    /// is parked there until shipped.
+    gs: GlobalState<P>,
+    /// Timers, checkpoint manager and step sequence (the simulator's).
+    host: NodeHost<P>,
     cfg: LiveNodeConfig,
     registry: Arc<dyn Addressing>,
     links: Arc<LinkTable>,
@@ -283,22 +343,18 @@ pub struct LiveNode<P: Protocol> {
     agent: NodeAgent<P>,
     /// Gather-start timestamps of the in-progress gather: node-clock µs
     /// plus obs-clock µs (0 when tracing is off). Claimed by the
-    /// completing `poll_snapshot`.
+    /// completing gather.
     gather_started: Option<(u64, u64)>,
     /// Start timestamps of rounds whose submission is in flight, keyed by
     /// the round id the install push echoes back — what turns the
     /// checker's answer into a measured gather→install latency sample.
     round_started: HashMap<u64, (u64, u64)>,
-    timers: HashMap<P::Action, Instant>,
     /// Fault-delayed frames awaiting their release instant.
     delayed: Vec<Delayed>,
     rng: StdRng,
     /// The `now` of the current (or last) `poll` — this node's only clock.
     now: Instant,
     epoch: Instant,
-    next_checkpoint: Instant,
-    next_gather: Instant,
-    gather_deadline: Option<Instant>,
     ctl: mpsc::Receiver<NodeCtl<P>>,
     run_state: RunState,
     alive: Arc<AtomicBool>,
@@ -388,17 +444,21 @@ impl<P: Protocol> LiveNode<P> {
         } = seed;
         let mut slot = NodeSlot::new(protocol.init(id));
         slot.incarnation = incarnation;
-        let mgr = CheckpointManager::new(id, config.snapshot.clone());
+        let snapshots = SnapshotRuntime {
+            config: config.snapshot.clone(),
+            checkpoint_interval: sim_duration(config.checkpoint_interval),
+            gather_interval: sim_duration(config.gather_interval),
+        };
+        let timeout = Some(sim_duration(config.gather_timeout));
+        let host = NodeHost::new(id, Some(snapshots), timeout, 0.1, SimTime::ZERO);
         let mut peer_cfg = config.peer.clone();
         peer_cfg.max_frame_len = config.max_frame_len;
         let mut node = LiveNode {
             me: id,
             proto: protocol,
             props,
-            slot,
-            mgr,
-            next_checkpoint: now + config.checkpoint_interval,
-            next_gather: now + config.gather_interval,
+            gs: GlobalState::from_slots([(id, slot)]),
+            host,
             peers: PeerManager::new(peer_cfg),
             cfg: config,
             registry,
@@ -408,19 +468,18 @@ impl<P: Protocol> LiveNode<P> {
             agent: NodeAgent::new(id),
             gather_started: None,
             round_started: HashMap::new(),
-            timers: HashMap::new(),
             delayed: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ (0x11EE_u64 << 32) ^ u64::from(id.0)),
             now,
             epoch: now,
-            gather_deadline: None,
             ctl,
             run_state: RunState::Running,
             alive,
             stats: NodeStats::default(),
             inbox: Vec::new(),
         };
-        node.reconcile_timers();
+        let (host, mut d) = node.host();
+        host.reconcile(&mut d);
         node
     }
 
@@ -439,13 +498,9 @@ impl<P: Protocol> LiveNode<P> {
     }
 
     fn next_wake(&self, now: Instant) -> Instant {
-        let mut w = self.next_checkpoint.min(self.next_gather);
-        if let Some(d) = self.gather_deadline {
-            w = w.min(d);
-        }
-        for at in self.timers.values() {
-            w = w.min(*at);
-        }
+        let mut w = self.host.next_wake().map_or(now + self.cfg.tick, |t| {
+            self.epoch + Duration::from_micros(t.0)
+        });
         for d in &self.delayed {
             w = w.min(d.release_at);
         }
@@ -456,23 +511,55 @@ impl<P: Protocol> LiveNode<P> {
         w.max(now)
     }
 
+    fn slot(&self) -> &NodeSlot<P::State> {
+        self.gs
+            .slot(self.me)
+            .expect("a live node's state holds its own slot")
+    }
+
+    /// Socket-level bookkeeping on the node's connection table.
+    fn conns(&mut self) -> &mut BTreeMap<NodeId, u32> {
+        let me = self.me;
+        &mut self
+            .gs
+            .slot_mut(me)
+            .expect("a live node's state holds its own slot")
+            .conns
+    }
+
     fn report(&self) -> NodeReport<P> {
         NodeReport {
-            slot: self.slot.clone(),
+            slot: self.slot().clone(),
             stats: self.stats.clone(),
-            snapshot: self.mgr.snapshot_stats(),
+            snapshot: self
+                .host
+                .manager()
+                .map(|m| m.snapshot_stats())
+                .unwrap_or_default(),
             filters: self.agent.filters().iter().cloned().collect(),
         }
     }
 
     /// Microseconds from adoption to the current poll's `now` — the
-    /// node-clock stamp on submissions, installs and gathers.
+    /// node-clock stamp on submissions, installs and gathers, and the
+    /// host's clock.
     fn elapsed_us(&self) -> u64 {
         self.now.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
-    fn wall_of(&self, d: cb_model::SimDuration) -> Duration {
-        Duration::from_secs_f64((d.as_secs_f64() * self.cfg.time_scale).max(1e-4))
+    /// The host, and the node as its driver.
+    fn host(&mut self) -> (&mut NodeHost<P>, NodeDriver<'_, P>) {
+        let now = SimTime(self.elapsed_us());
+        let driver = NodeDriver {
+            me: self.me,
+            proto: &self.proto,
+            gs: &mut self.gs,
+            agent: &self.agent,
+            now,
+            time_scale: self.cfg.time_scale,
+            rng: &mut self.rng,
+        };
+        (&mut self.host, driver)
     }
 
     // ---- control channel ------------------------------------------------
@@ -480,7 +567,7 @@ impl<P: Protocol> LiveNode<P> {
     fn poll_ctl(&mut self) -> LoopOutcome {
         loop {
             match self.ctl.try_recv() {
-                Ok(NodeCtl::Inject(action)) => self.run_action(action, true),
+                Ok(NodeCtl::Inject(action)) => self.inject(action),
                 Ok(NodeCtl::Probe(tx)) => {
                     let report = self.report();
                     let _ = tx.send(report);
@@ -502,7 +589,7 @@ impl<P: Protocol> LiveNode<P> {
             let f = frame_of(
                 self.me,
                 p,
-                self.mgr.stamp_out(),
+                self.host.stamp_out(),
                 FrameKind::Control,
                 &CtrlMsg::Goodbye,
             );
@@ -549,29 +636,36 @@ impl<P: Protocol> LiveNode<P> {
                     // delta stream.
                     self.delta_enc = DeltaEncoder::new();
                 }
-                DeadConn::Peer { peer, draining } => {
-                    self.mgr.peer_failed(peer);
-                    self.poll_snapshot();
-                    if !draining {
-                        // A broken (not drained) connection is the TCP RST
-                        // signal the protocols' failure-handling code
-                        // reacts to (§3.3).
-                        self.stats.errors_observed += 1;
-                        let mut out = Outbox::new();
-                        self.proto
-                            .on_error(self.me, &mut self.slot.state, peer, &mut out);
-                        self.slot.conns.remove(&peer);
-                        self.apply_outbox(out);
-                        self.self_check();
-                        // The failure transition may have enabled actions
-                        // (e.g. a recovery timer after a parent death).
-                        self.reconcile_timers();
-                    } else {
-                        self.slot.conns.remove(&peer);
-                    }
+                // A broken (not drained) connection is the TCP RST
+                // signal the protocols' failure-handling code reacts to
+                // (§3.3).
+                DeadConn::Peer {
+                    peer,
+                    draining: false,
+                } => self.connection_lost(peer),
+                DeadConn::Peer {
+                    peer,
+                    draining: true,
+                } => {
+                    self.conns().remove(&peer);
+                    self.close_peer(peer);
                 }
             }
         }
+    }
+
+    /// The connection to `peer` broke: the model's `PeerError` at this
+    /// node, and an open gather proceeds without the peer.
+    fn connection_lost(&mut self, peer: NodeId) {
+        let event = Event::PeerError {
+            node: self.me,
+            peer,
+        };
+        let (host, mut d) = self.host();
+        let step = host.apply(&mut d, &event);
+        self.settle(Outcome::Applied(step));
+        let done = self.host.peer_failed(peer);
+        self.gathered(done);
     }
 
     /// Queues `frame` to `peer` through the manager, wiring the dial-time
@@ -580,7 +674,7 @@ impl<P: Protocol> LiveNode<P> {
         let now = self.now;
         let registry = &self.registry;
         let me = self.me;
-        let cn = self.mgr.stamp_out();
+        let cn = self.host.stamp_out();
         let outcome = self.peers.queue_to_peer(
             peer,
             frame,
@@ -601,7 +695,7 @@ impl<P: Protocol> LiveNode<P> {
             // Opening a connection registers the peer in the slot's
             // connection table (what the checker's reset exploration and
             // the neighborhood heuristic read).
-            self.slot.conns.entry(peer).or_insert(0);
+            self.conns().entry(peer).or_insert(0);
         }
         outcome
     }
@@ -635,9 +729,8 @@ impl<P: Protocol> LiveNode<P> {
     /// connection" corrective of §3.3.
     fn close_peer(&mut self, peer: NodeId) {
         self.peers.close_peer(peer);
-        self.slot.conns.remove(&peer);
-        self.mgr.peer_failed(peer);
-        self.poll_snapshot();
+        let done = self.host.peer_failed(peer);
+        self.gathered(done);
     }
 
     // ---- frame dispatch -------------------------------------------------
@@ -649,7 +742,7 @@ impl<P: Protocol> LiveNode<P> {
                     match msg {
                         CtrlMsg::Hello { node } => {
                             self.peers.mark_peer(conn_ix, node);
-                            self.slot.conns.entry(node).or_insert(0);
+                            self.conns().entry(node).or_insert(0);
                         }
                         CtrlMsg::Goodbye => self.peers.mark_draining(conn_ix),
                     }
@@ -670,42 +763,24 @@ impl<P: Protocol> LiveNode<P> {
         let Ok(msg) = P::Message::from_bytes(&frame.body) else {
             return;
         };
-        self.deliver_service(frame.src, &msg, frame.cn);
+        // A frame carries no incarnation: the sender's connection is
+        // stamped 0, as the Hello and the dial stamp it.
+        let item = InFlight {
+            src: frame.src,
+            dst: self.me,
+            src_inc: 0,
+            dst_inc: self.slot().incarnation,
+            payload: Payload::Msg(msg),
+        };
+        self.deliver(item, frame.cn);
     }
 
-    /// Delivers one service message from `src`, off the socket or looped
-    /// back: the filter check runs before the handler, as the simulator
-    /// runs it on every delivery, self-sends included.
-    fn deliver_service(&mut self, src: NodeId, msg: &P::Message, cn: u64) {
-        let decision = self
-            .agent
-            .check(&EventKey::delivery::<P>(src, self.me, Some(msg)));
-        if decision != Decision::Allow {
-            // The steering effect: a wire-installed filter blocks the
-            // handler before it runs (§3.3/§4).
-            self.stats.filter_hits += 1;
-            if decision == Decision::BlockAndReset {
-                self.close_peer(src);
-            }
-            return;
-        }
-        // §2.3: forced checkpoint *before* the handler processes the
-        // message with a higher piggybacked cn. The state encode is paid
-        // only when the checkpoint will actually be taken — for the vast
-        // majority of messages `cn ≤ self.mgr.cn()` and the bytes would be
-        // discarded.
-        if cn > self.mgr.cn() {
-            let state_bytes = self.slot.to_bytes();
-            self.mgr.note_incoming(cn, &state_bytes);
-        }
-        let mut out = Outbox::new();
-        self.proto
-            .on_message(self.me, &mut self.slot.state, src, msg, &mut out);
-        self.stats.service_delivered += 1;
-        self.stats.actions_executed += 1;
-        self.apply_outbox(out);
-        self.self_check();
-        self.reconcile_timers();
+    /// Delivers one item to this node, off the socket or looped back,
+    /// through the filter check and the host's step sequence.
+    fn deliver(&mut self, item: InFlight<P::Message>, cn: u64) {
+        let (host, mut d) = self.host();
+        let outcome = host.deliver(&mut d, item, cn);
+        self.settle(outcome);
     }
 
     fn on_snap(&mut self, frame: WireFrame) {
@@ -717,13 +792,9 @@ impl<P: Protocol> LiveNode<P> {
         };
         self.stats.snap_frames += 1;
         self.stats.snapshot_wire_bytes += frame.body.len() as u64;
-        let state_bytes = self.slot.to_bytes();
-        let now = SimTime(self.elapsed_us());
-        let replies = self.mgr.handle(now, frame.src, &msg, &state_bytes);
-        for (dst, m) in replies {
-            self.send_snap(dst, &m);
-        }
-        self.poll_snapshot();
+        let (host, mut d) = self.host();
+        let out = host.snap(&mut d, frame.src, &msg);
+        self.snapped(out);
     }
 
     fn on_install(&mut self, conn_ix: usize, frame: WireFrame) {
@@ -765,31 +836,64 @@ impl<P: Protocol> LiveNode<P> {
         }
     }
 
-    // ---- handlers and timers -------------------------------------------
+    // ---- handler output and timers --------------------------------------
 
-    fn apply_outbox(&mut self, out: Outbox<P::Message>) {
-        let (sends, closes) = out.into_parts();
-        for (dst, msg) in sends {
-            self.send_service(dst, &msg);
+    /// Counts what a host step did, checks node-local properties after a
+    /// handler, and routes what the step sent: items parked for other
+    /// nodes leave as frames (an error notice as a closed connection),
+    /// and items to this node are delivered in turn.
+    fn settle(&mut self, outcome: Outcome) {
+        let step = match outcome {
+            Outcome::Applied(step) => step,
+            Outcome::Blocked(step) => {
+                // The steering effect: an installed filter blocked the
+                // handler before it ran (§3.3/§4).
+                self.stats.filter_hits += 1;
+                let Some(step) = step else {
+                    return;
+                };
+                step
+            }
+            Outcome::Lapsed => {
+                self.stats.timers_lapsed += 1;
+                return;
+            }
+            Outcome::Ignored => return,
+        };
+        match step {
+            TraceStep::Delivered { .. } => {
+                self.stats.service_delivered += 1;
+                self.stats.actions_executed += 1;
+            }
+            TraceStep::ActionRun { .. } => self.stats.actions_executed += 1,
+            TraceStep::ErrorObserved { .. } | TraceStep::ConnectionBroke { .. } => {
+                self.stats.errors_observed += 1;
+            }
+            _ => {}
         }
-        for peer in closes {
-            self.close_peer(peer);
+        let loopback = std::mem::take(&mut self.gs.inflight);
+        let remote = std::mem::take(&mut self.gs.parked);
+        self.self_check();
+        for item in remote {
+            match item.payload {
+                Payload::Msg(msg) => self.send_service(item.dst, &msg),
+                Payload::Error => self.close_peer(item.dst),
+            }
+        }
+        for item in loopback {
+            let cn = self.host.stamp_out();
+            self.deliver(item.into_item(), cn);
         }
     }
 
     fn send_service(&mut self, dst: NodeId, msg: &P::Message) {
-        if dst == self.me {
-            // Loopback delivery without the socket: deliver it now.
-            self.deliver_service(self.me, msg, self.mgr.stamp_out());
-            return;
-        }
-        let frame = frame_of(self.me, dst, self.mgr.stamp_out(), FrameKind::Service, msg);
+        let frame = frame_of(self.me, dst, self.host.stamp_out(), FrameKind::Service, msg);
         self.ship(dst, frame, ShipStat::Service);
     }
 
     fn send_snap(&mut self, dst: NodeId, msg: &SnapMsg) {
         let bytes = msg.encoded_len() as u64;
-        let frame = frame_of(self.me, dst, self.mgr.stamp_out(), FrameKind::Snap, msg);
+        let frame = frame_of(self.me, dst, self.host.stamp_out(), FrameKind::Snap, msg);
         self.ship(dst, frame, ShipStat::Snap { bytes });
     }
 
@@ -816,7 +920,7 @@ impl<P: Protocol> LiveNode<P> {
         }
         if d.delay.is_zero() {
             for _ in 0..d.copies {
-                self.deliver(dst, &frame, stat);
+                self.queue_frame(dst, &frame, stat);
             }
             return;
         }
@@ -856,13 +960,13 @@ impl<P: Protocol> LiveNode<P> {
             .collect();
         self.delayed = held;
         for d in due {
-            self.deliver(d.dst, &d.frame, d.stat);
+            self.queue_frame(d.dst, &d.frame, d.stat);
         }
     }
 
-    /// Queues one frame for real, counting by kind; a failed route runs
-    /// the transport-error path.
-    fn deliver(&mut self, dst: NodeId, frame: &[u8], stat: ShipStat) {
+    /// Queues one frame for real, counting by kind; a failed route is a
+    /// broken connection.
+    fn queue_frame(&mut self, dst: NodeId, frame: &[u8], stat: ShipStat) {
         match self.queue_peer_frame(dst, frame) {
             SendOutcome::Queued | SendOutcome::Dialed => {
                 self.stats.frames_sent += 1;
@@ -881,88 +985,40 @@ impl<P: Protocol> LiveNode<P> {
                 // Dropped under backpressure: the link is up but the peer
                 // is not draining its socket. Not a transport error.
             }
-            SendOutcome::Unreachable => {
-                // Dial failed: the peer is gone. That is a transport
-                // error.
-                self.peer_unreachable(dst);
-            }
+            // Dial failed: the peer is gone. That is a transport error.
+            SendOutcome::Unreachable => self.connection_lost(dst),
         }
     }
 
-    fn peer_unreachable(&mut self, peer: NodeId) {
-        self.stats.errors_observed += 1;
-        let mut out = Outbox::new();
-        self.proto
-            .on_error(self.me, &mut self.slot.state, peer, &mut out);
-        self.slot.conns.remove(&peer);
-        self.mgr.peer_failed(peer);
-        self.apply_outbox(out);
-        self.self_check();
-        self.poll_snapshot();
-        self.reconcile_timers();
-    }
-
-    fn run_action(&mut self, action: P::Action, injected: bool) {
+    /// Runs an application call (workload injection, churn rejoin) through
+    /// the filter check; a blocked call is dropped, not rescheduled.
+    fn inject(&mut self, action: P::Action) {
         let key = EventKey::Action {
             kind: P::action_kind(&action),
             node: self.me,
         };
         if self.agent.check(&key) != Decision::Allow {
-            self.stats.filter_hits += 1;
             self.stats.actions_blocked += 1;
-            if !injected {
-                // Timers are rescheduled, not dropped (§4).
-                if let Schedule::Periodic(d) | Schedule::After(d) = self.proto.schedule(&action) {
-                    let due = self.now + self.wall_of(d);
-                    self.timers.insert(action, due);
-                }
-            }
+            self.settle(Outcome::Blocked(None));
             return;
         }
-        let mut out = Outbox::new();
-        self.proto
-            .on_action(self.me, &mut self.slot.state, &action, &mut out);
-        self.stats.actions_executed += 1;
-        self.apply_outbox(out);
-        self.self_check();
-        self.reconcile_timers();
-    }
-
-    fn reconcile_timers(&mut self) {
-        let mut enabled = Vec::new();
-        self.proto
-            .enabled_actions(self.me, &self.slot.state, &mut enabled);
-        for action in enabled {
-            let d = match self.proto.schedule(&action) {
-                Schedule::Periodic(d) | Schedule::After(d) => d,
-                Schedule::External => continue,
-            };
-            if !self.timers.contains_key(&action) {
-                let base = self.wall_of(d);
-                let jitter = base.mul_f64(self.rng.gen_range(0.0..0.1));
-                self.timers.insert(action, self.now + base + jitter);
-            }
-        }
+        let event = Event::Action {
+            node: self.me,
+            action,
+        };
+        let (host, mut d) = self.host();
+        let step = host.apply(&mut d, &event);
+        self.settle(Outcome::Applied(step));
     }
 
     fn fire_timers(&mut self) {
-        let now = self.now;
-        let due: Vec<P::Action> = self
-            .timers
-            .iter()
-            .filter(|(_, at)| **at <= now)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for action in due {
-            self.timers.remove(&action);
-            let mut enabled = Vec::new();
-            self.proto
-                .enabled_actions(self.me, &self.slot.state, &mut enabled);
-            if !enabled.contains(&action) {
-                self.stats.timers_lapsed += 1;
-                continue;
+        for (action, token) in self.host.due(SimTime(self.elapsed_us())) {
+            let (host, mut d) = self.host();
+            let outcome = host.fire(&mut d, action, token);
+            if matches!(outcome, Outcome::Blocked(_)) {
+                self.stats.actions_blocked += 1;
             }
-            self.run_action(action, false);
+            self.settle(outcome);
         }
     }
 
@@ -970,12 +1026,11 @@ impl<P: Protocol> LiveNode<P> {
         if !self.cfg.self_check {
             return;
         }
-        // Node-local properties evaluated on a single-slot global state;
+        // Node-local properties evaluated on the node's one-slot state;
         // global/pairwise properties trivially pass here (a live node has
         // no authoritative view of its peers — those are the checker's
         // job, fed by snapshots).
-        let gs: GlobalState<P> = GlobalState::from_slots([(self.me, self.slot.clone())]);
-        if let Some(v) = self.props.check(&gs) {
+        if let Some(v) = self.props.check(&self.gs) {
             self.stats.violating_samples += 1;
             *self
                 .stats
@@ -988,71 +1043,41 @@ impl<P: Protocol> LiveNode<P> {
     // ---- snapshot schedule ----------------------------------------------
 
     fn snapshot_schedule(&mut self) {
-        let now = self.now;
-        if now >= self.next_checkpoint {
-            self.next_checkpoint = now + self.cfg.checkpoint_interval;
-            let bytes = self.slot.to_bytes();
-            self.mgr.local_checkpoint(&bytes);
-        }
-        if now >= self.next_gather {
-            self.next_gather = now + self.cfg.gather_interval;
-            if !self.mgr.gathering() {
-                self.start_gather();
-            }
-        }
-        if let Some(deadline) = self.gather_deadline {
-            if now >= deadline && self.mgr.gathering() {
-                self.stats.gather_timeouts += 1;
-                let bytes = self.slot.to_bytes();
-                let retry = self.mgr.timeout_gather(&bytes);
-                if retry.is_empty() {
-                    self.gather_deadline = None;
+        let (host, mut d) = self.host();
+        host.checkpoint(&mut d);
+        let out = host.gather(&mut d);
+        if out.started {
+            self.gather_started = Some((
+                self.elapsed_us(),
+                if cb_obs::enabled() {
+                    cb_obs::now_us()
                 } else {
-                    // One retry round, on a fresh deadline; the next
-                    // timeout gives up for good.
-                    self.gather_deadline = Some(now + self.cfg.gather_timeout);
-                    for (dst, m) in retry {
-                        self.send_snap(dst, &m);
-                    }
-                }
-                self.poll_snapshot();
-            }
+                    0
+                },
+            ));
         }
+        if out.timed_out {
+            self.stats.gather_timeouts += 1;
+        }
+        self.snapped(out);
     }
 
-    fn start_gather(&mut self) {
-        let neighbors: Vec<NodeId> = self
-            .proto
-            .neighborhood(self.me, &self.slot.state)
-            .unwrap_or_else(|| self.slot.conns.keys().copied().collect())
-            .into_iter()
-            .filter(|n| *n != self.me)
-            .collect();
-        let bytes = self.slot.to_bytes();
-        let reqs = self.mgr.start_gather(&neighbors, &bytes);
-        let now = self.now;
-        self.gather_started = Some((
-            self.elapsed_us(),
-            if cb_obs::enabled() {
-                cb_obs::now_us()
-            } else {
-                0
-            },
-        ));
-        self.gather_deadline = Some(now + self.cfg.gather_timeout);
-        for (dst, m) in reqs {
+    /// Sends what a snapshot-side host input produced, then takes a
+    /// completed gather.
+    fn snapped(&mut self, out: SnapOut) {
+        for (dst, m) in out.send {
             self.send_snap(dst, &m);
         }
-        // A neighborhood of one completes immediately.
-        self.poll_snapshot();
+        self.gathered(out.done);
     }
 
-    fn poll_snapshot(&mut self) {
-        let Some(snap) = self.mgr.poll_snapshot() else {
+    /// A completed gather: submitted to the checker unless intake
+    /// suppresses it.
+    fn gathered(&mut self, done: Option<Snapshot>) {
+        let Some(snap) = done else {
             return;
         };
         self.stats.snapshots_completed += 1;
-        self.gather_deadline = None;
         // The round id joining this gather's node/wire/checker spans in a
         // trace: the node is the high half, the gather's checkpoint
         // number the low half — deterministic, unique per node per
@@ -1115,14 +1140,10 @@ impl<P: Protocol> LiveNode<P> {
 
 #[cfg(test)]
 mod tests {
-    use cb_model::testproto::{Ping, PingAction, PingMsg};
+    use cb_model::testproto::{Ping, PingAction, PingMsg, PingState};
 
     use super::*;
 
-    /// A node polled by hand, with no reactor: first at `t0`, then — a few
-    /// microseconds of wall time later — at `t0 + 1 h`. Everything armed
-    /// from `t0` must come due on the second poll and be re-armed from the
-    /// passed instant.
     /// Node 1 of the test protocol, kicking node 0, built at `t0`. It
     /// knows nobody: a dial fails at the lookup, without touching the
     /// network. Keep the returned sender alive for as long as the node.
@@ -1152,6 +1173,25 @@ mod tests {
         (LiveNode::new(seed, t0), ctl)
     }
 
+    fn state(node: &LiveNode<Ping>) -> &PingState {
+        &node.slot().state
+    }
+
+    /// When the node's Kick timer fires, on the node's clock.
+    fn kick_at(node: &LiveNode<Ping>) -> Instant {
+        let due = node.host.timer_due(&PingAction::Kick).expect("Kick armed");
+        node.epoch + Duration::from_micros(due.0)
+    }
+
+    /// A frame from node 0 to node 1, as the socket path hands it over.
+    fn from_node0(kind: FrameKind, body: &impl Encode) -> WireFrame {
+        WireFrame::new(NodeId(0), NodeId(1), 0, kind, body.to_bytes())
+    }
+
+    /// A node polled by hand, with no reactor: first at `t0`, then — a few
+    /// microseconds of wall time later — at `t0 + 1 h`. Everything armed
+    /// from `t0` must come due on the second poll and be re-armed from the
+    /// passed instant.
     #[test]
     fn the_passed_now_is_the_only_clock() {
         let config = LiveNodeConfig::default();
@@ -1159,15 +1199,16 @@ mod tests {
         let (mut node, _ctl) = lone_node(config.clone(), t0);
         // Kick: 1 simulated second = 50 ms at the default scale, plus up
         // to 10 % jitter, armed at construction.
-        let kick_at = node.timers[&PingAction::Kick];
-        assert!(t0 < kick_at && kick_at <= t0 + Duration::from_millis(55));
+        let kick = kick_at(&node);
+        assert!(t0 < kick && kick <= t0 + Duration::from_millis(55));
 
         let PollStatus::Running { next_wake } = node.poll(t0, IoReadiness::all()) else {
             panic!("node exited");
         };
-        assert_eq!(next_wake, kick_at);
+        assert_eq!(next_wake, kick);
         assert_eq!(node.stats.actions_executed, 0);
-        assert_eq!(node.mgr.snapshot_stats().checkpoints_taken, 0);
+        let taken = |node: &LiveNode<Ping>| node.host.manager().unwrap().stats.clone();
+        assert_eq!(taken(&node).checkpoints_taken, 0);
 
         let t1 = t0 + Duration::from_secs(3600);
         let PollStatus::Running { next_wake } = node.poll(t1, IoReadiness::all()) else {
@@ -1175,14 +1216,54 @@ mod tests {
         };
         assert_eq!(node.stats.actions_executed, 1, "the Kick armed at t0 fired");
         assert_eq!(node.stats.dials_failed, 1, "and its ping found no route");
-        let snap = node.mgr.snapshot_stats();
+        let snap = taken(&node);
         assert!(snap.checkpoints_taken >= 1, "the due checkpoint was taken");
         assert_eq!(snap.gathers_started, 1, "the due gather ran");
         assert_eq!(node.elapsed_us(), 3_600_000_000);
         // Re-armed from the passed instant: the next Kick leads again.
-        assert_eq!(next_wake, node.timers[&PingAction::Kick]);
+        assert_eq!(next_wake, kick_at(&node));
         assert!(t1 < next_wake && next_wake <= t1 + Duration::from_millis(55));
-        assert_eq!(node.next_checkpoint, t1 + config.checkpoint_interval);
+        assert_eq!(
+            node.epoch + Duration::from_micros(node.host.next_checkpoint().0),
+            t1 + config.checkpoint_interval
+        );
+    }
+
+    /// Difference (i): a live timer's jitter is the node generator's draw
+    /// from [0, 1) times a tenth of the scaled period (the simulator draws
+    /// from its network model instead).
+    #[test]
+    fn timer_jitter_is_drawn_from_the_node_generator() {
+        let (node, _ctl) = lone_node(LiveNodeConfig::default(), Instant::now());
+        let mut rng = StdRng::seed_from_u64(7 ^ (0x11EE_u64 << 32) ^ 1);
+        let max = SimDuration::from_millis(5);
+        let jitter = max.mul_f64(rng.gen_range(0.0..1.0));
+        assert_eq!(
+            node.host.timer_due(&PingAction::Kick),
+            Some(SimTime::ZERO + SimDuration::from_millis(50) + jitter)
+        );
+    }
+
+    /// Difference (ii): a blocked timer is re-armed at period + jitter, as
+    /// in the simulator (it used to be re-armed at the period alone).
+    #[test]
+    fn a_blocked_timer_is_rearmed_at_period_plus_jitter() {
+        let t0 = Instant::now();
+        let (mut node, _ctl) = lone_node(LiveNodeConfig::default(), t0);
+        node.agent.land([EventFilter::Handler {
+            kind: "Kick",
+            node: NodeId(1),
+        }]);
+        let t1 = t0 + Duration::from_secs(1);
+        node.poll(t1, IoReadiness::all());
+        assert_eq!(node.stats.actions_blocked, 1);
+        assert_eq!(node.stats.filter_hits, 1);
+        let rearmed = kick_at(&node);
+        assert!(
+            t1 + Duration::from_millis(50) < rearmed && rearmed <= t1 + Duration::from_millis(55),
+            "re-armed {:?} after the poll",
+            rearmed - t1
+        );
     }
 
     /// A service message a node sends itself is delivered through the
@@ -1198,10 +1279,63 @@ mod tests {
             dst: NodeId(1),
             reset_connection: false,
         }]);
-        node.send_service(NodeId(1), &PingMsg::Ping);
-        assert_eq!(node.slot.state.pings_seen, 1, "the Ping handler ran");
-        assert_eq!(node.slot.state.pongs_seen, 0, "the filtered Pong did not");
+        let item = InFlight {
+            src: NodeId(1),
+            dst: NodeId(1),
+            src_inc: 0,
+            dst_inc: 0,
+            payload: Payload::Msg(PingMsg::Ping),
+        };
+        node.deliver(item, 0);
+        assert_eq!(state(&node).pings_seen, 1, "the Ping handler ran");
+        assert_eq!(state(&node).pongs_seen, 0, "the filtered Pong did not");
         assert_eq!(node.stats.filter_hits, 1);
         assert_eq!(node.stats.service_delivered, 1);
+    }
+
+    /// Difference (iv), a live bug: a filter that blocks a delivery and
+    /// resets the connection runs the receiver's own error handler, as
+    /// the model's `PeerError` does — closing the socket alone left the
+    /// receiver believing the connection was up.
+    #[test]
+    fn a_reset_filter_runs_the_receivers_error_handler() {
+        let (mut node, _ctl) = lone_node(LiveNodeConfig::default(), Instant::now());
+        node.on_frame(
+            0,
+            from_node0(FrameKind::Control, &CtrlMsg::Hello { node: NodeId(0) }),
+        );
+        assert!(node.slot().conns.contains_key(&NodeId(0)));
+        node.agent.land([EventFilter::Message {
+            kind: "Ping",
+            src: NodeId(0),
+            dst: NodeId(1),
+            reset_connection: true,
+        }]);
+        node.on_frame(0, from_node0(FrameKind::Service, &PingMsg::Ping));
+        assert_eq!(state(&node).pings_seen, 0, "the Ping was blocked");
+        assert_eq!(state(&node).errors_seen, 1, "the reset ran on_error");
+        assert_eq!(node.stats.filter_hits, 1);
+        assert_eq!(node.stats.errors_observed, 1);
+        assert!(
+            !node.slot().conns.contains_key(&NodeId(0)),
+            "connection closed"
+        );
+    }
+
+    /// Difference (vii): handlers run through `apply_event`. A delivery
+    /// stamps the sender's connection, and a break of a connection that
+    /// is not open runs no handler.
+    #[test]
+    fn handlers_run_with_the_models_connection_semantics() {
+        let (mut node, _ctl) = lone_node(LiveNodeConfig::default(), Instant::now());
+        node.connection_lost(NodeId(5));
+        assert_eq!(state(&node).errors_seen, 0, "no connection to 5 was open");
+        node.on_frame(0, from_node0(FrameKind::Service, &PingMsg::Ping));
+        assert_eq!(state(&node).pings_seen, 1);
+        // The Pong found no route to 0: the connection the delivery opened
+        // broke, and the error handler ran on it.
+        assert_eq!(node.stats.dials_failed, 1);
+        assert_eq!(state(&node).errors_seen, 1);
+        assert!(!node.slot().conns.contains_key(&NodeId(0)));
     }
 }

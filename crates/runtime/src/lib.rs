@@ -7,11 +7,15 @@
 //! discrete-event simulator (`cb-net`), the runtime doubles as the
 //! simulation driver for whole-system experiments:
 //!
+//! * [`NodeHost`] — one node's runtime half, sans IO: its timers, its
+//!   [`cb_snapshot::CheckpointManager`] (periodic checkpoints +
+//!   neighborhood gathers) and the step sequence every input goes through
+//!   (filter check, forced checkpoint, `apply_event`, timer reconcile).
+//!   The simulator and `cb-live`'s nodes are its two drivers;
 //! * [`Simulation`] — owns the [`cb_model::GlobalState`], the network
-//!   model, the timer wheel, one [`cb_snapshot::CheckpointManager`] per
-//!   node (periodic checkpoints + neighborhood gathers, with snapshot
-//!   traffic metered through the same access links as service traffic),
-//!   and the scenario script;
+//!   model, the event queue, one [`NodeHost`] per node (snapshot traffic
+//!   metered through the same access links as service traffic), and the
+//!   scenario script;
 //! * [`Hook`] — the interposition interface CrystalBall plugs into: it sees
 //!   every delivery and timer before the handler runs (event filters and
 //!   the immediate safety check veto them there), every applied step, and
@@ -28,11 +32,13 @@
 #![forbid(unsafe_code)]
 
 pub mod hook;
+pub mod host;
 pub mod scenario;
 pub mod sim;
 pub mod stats;
 
 pub use hook::{Decision, Hook, NoHook};
+pub use host::{HostDriver, NodeHost, Outcome, SnapOut, SnapshotRuntime};
 pub use scenario::{Scenario, ScriptEvent};
-pub use sim::{SimConfig, Simulation, SnapshotRuntime};
+pub use sim::{SimConfig, Simulation};
 pub use stats::SimStats;

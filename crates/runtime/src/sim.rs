@@ -1,48 +1,28 @@
 //! The discrete-event simulation driver.
 //!
-//! Every state transition goes through `cb_model::apply_event`, so the
-//! simulator executes exactly the handler code the model checker explores.
-//! The simulator adds what the model deliberately abstracts away: *when*
-//! things happen (network latency and bandwidth from `cb-net`, timer
-//! periods with deterministic jitter, scripted environment events) and the
-//! bookkeeping CrystalBall needs (per-node checkpoint managers whose
-//! snapshot traffic shares the simulated access links).
+//! Each node runs in a [`NodeHost`], the same host a `cb-live` node runs
+//! in, so every state transition goes through `cb_model::apply_event` and
+//! the simulator executes exactly the handler code the model checker
+//! explores. The simulator adds what the model deliberately abstracts
+//! away: *when* things happen (network latency and bandwidth from
+//! `cb-net`, timer jitter drawn from the network model's generator,
+//! scripted environment events), and the routing of snapshot traffic
+//! through the same simulated access links as service traffic.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use cb_model::{
     apply_event, Encode, Event, GlobalState, InFlight, NodeId, Payload, PropertySet, Protocol,
-    Schedule, SimDuration, SimTime, TraceStep,
+    SimDuration, SimTime, TraceStep,
 };
 use cb_net::{NetworkModel, Topology, TopologyConfig, Transport};
-use cb_snapshot::{CheckpointManager, SnapMsg, SnapshotConfig};
+use cb_snapshot::{CheckpointManager, SnapMsg, Snapshot};
 
 use crate::hook::{Decision, Hook};
+use crate::host::{HostDriver, NodeHost, Outcome, SnapOut, SnapshotRuntime};
 use crate::scenario::{Scenario, ScriptEvent};
 use crate::stats::SimStats;
-
-/// Checkpointing schedule for CrystalBall-enabled runs.
-#[derive(Clone, Debug)]
-pub struct SnapshotRuntime {
-    /// Checkpoint-manager tuning (quota, compression, diffs, bandwidth).
-    pub config: SnapshotConfig,
-    /// Period of spontaneous local checkpoints ("the checkpointing
-    /// interval was 10 seconds", §5.5).
-    pub checkpoint_interval: SimDuration,
-    /// Period of neighborhood snapshot gathers.
-    pub gather_interval: SimDuration,
-}
-
-impl Default for SnapshotRuntime {
-    fn default() -> Self {
-        SnapshotRuntime {
-            config: SnapshotConfig::default(),
-            checkpoint_interval: SimDuration::from_secs(10),
-            gather_interval: SimDuration::from_secs(10),
-        }
-    }
-}
 
 /// Simulation-wide configuration.
 #[derive(Clone, Debug)]
@@ -122,6 +102,79 @@ impl<P: Protocol> Ord for Entry<P> {
     }
 }
 
+/// The timed event queue and the clock it advances.
+struct Queue<P: Protocol> {
+    now: SimTime,
+    seq: u64,
+    heap: BinaryHeap<Reverse<Entry<P>>>,
+}
+
+impl<P: Protocol> Queue<P> {
+    fn push(&mut self, at: SimTime, what: Pending<P>) {
+        self.seq += 1;
+        self.heap.push(Reverse(Entry {
+            at: at.max(self.now),
+            seq: self.seq,
+            what,
+        }));
+    }
+}
+
+/// The simulator as one host's driver: the whole global state, simulated
+/// time, jitter drawn from the network model's generator (in the order the
+/// run consumes it), the hook's filter decisions, and one queue entry per
+/// armed timer. A gather asks only neighbors the global state holds.
+struct SimDriver<'a, P: Protocol, H> {
+    node: NodeId,
+    protocol: &'a P,
+    gs: &'a mut GlobalState<P>,
+    hook: &'a mut H,
+    net: &'a mut NetworkModel,
+    queue: &'a mut Queue<P>,
+}
+
+impl<P: Protocol, H: Hook<P>> HostDriver<P> for SimDriver<'_, P, H> {
+    fn parts(&mut self) -> (&P, &mut GlobalState<P>) {
+        (self.protocol, self.gs)
+    }
+
+    fn now(&self) -> SimTime {
+        self.queue.now
+    }
+
+    fn jitter(&mut self, max: SimDuration) -> SimDuration {
+        self.net.jitter(max)
+    }
+
+    fn armed(&mut self, at: SimTime, action: &P::Action, token: u64) {
+        let node = self.node;
+        let action = action.clone();
+        self.queue.push(
+            at,
+            Pending::Timer {
+                node,
+                action,
+                token,
+            },
+        );
+    }
+
+    fn filter_delivery(&mut self, item: &InFlight<P::Message>) -> Decision {
+        // CrystalBall interposition: event filters + immediate safety
+        // check run before the handler is invoked (§3.3/§4).
+        self.hook.filter_delivery(self.queue.now, self.gs, item)
+    }
+
+    fn filter_action(&mut self, action: &P::Action) -> Decision {
+        self.hook
+            .filter_action(self.queue.now, self.gs, self.node, action)
+    }
+
+    fn gather_target(&self, node: NodeId) -> bool {
+        self.gs.nodes.contains_key(&node)
+    }
+}
+
 /// A deterministic whole-system simulation of one protocol instance.
 pub struct Simulation<P: Protocol, H: Hook<P>> {
     /// The protocol configuration (handlers run against it).
@@ -136,14 +189,9 @@ pub struct Simulation<P: Protocol, H: Hook<P>> {
     /// Run counters.
     pub stats: SimStats,
     net: NetworkModel,
-    now: SimTime,
-    queue: BinaryHeap<Reverse<Entry<P>>>,
-    seq: u64,
-    timers: HashMap<(NodeId, P::Action), u64>,
-    managers: HashMap<NodeId, CheckpointManager>,
-    snap_cfg: Option<SnapshotRuntime>,
+    queue: Queue<P>,
+    hosts: HashMap<NodeId, NodeHost<P>>,
     track_violations: bool,
-    jitter_frac: f64,
 }
 
 impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
@@ -169,33 +217,36 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
             props,
             stats: SimStats::default(),
             net,
-            now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            timers: HashMap::new(),
-            managers: HashMap::new(),
-            snap_cfg: config.snapshots.clone(),
+            queue: Queue {
+                now: SimTime::ZERO,
+                seq: 0,
+                heap: BinaryHeap::new(),
+            },
+            hosts: HashMap::new(),
             track_violations: config.track_violations,
-            jitter_frac: config.timer_jitter,
         };
-        if let Some(sr) = &sim.snap_cfg.clone() {
-            for (i, &n) in nodes.iter().enumerate() {
-                sim.managers
-                    .insert(n, CheckpointManager::new(n, sr.config.clone()));
-                // Stagger the periodic ticks so nodes don't synchronize.
-                let offset = SimDuration::from_millis(137 * i as u64);
-                sim.push_at(
-                    sim.now + sr.checkpoint_interval + offset,
-                    Pending::CheckpointTick { node: n },
-                );
-                sim.push_at(
-                    sim.now + sr.gather_interval + offset,
-                    Pending::GatherTick { node: n },
-                );
+        for (i, &n) in nodes.iter().enumerate() {
+            // Stagger the periodic ticks so nodes don't synchronize.
+            let start = sim.queue.now + SimDuration::from_millis(137 * i as u64);
+            // No gather deadline: a gather waits until every neighbor
+            // answers or the network swallows a request.
+            let h = NodeHost::new(
+                n,
+                config.snapshots.clone(),
+                None,
+                config.timer_jitter,
+                start,
+            );
+            if config.snapshots.is_some() {
+                sim.queue
+                    .push(h.next_checkpoint(), Pending::CheckpointTick { node: n });
+                sim.queue
+                    .push(h.next_gather(), Pending::GatherTick { node: n });
             }
+            sim.hosts.insert(n, h);
         }
         for &n in nodes {
-            sim.reconcile_timers(n);
+            sim.reconcile(n);
         }
         sim
     }
@@ -221,14 +272,14 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
             sim.transmit(item.into_item());
         }
         for &n in &nodes {
-            sim.reconcile_timers(n);
+            sim.reconcile(n);
         }
         sim
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.now
     }
 
     /// Bandwidth counters of the underlying network.
@@ -243,13 +294,13 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
 
     /// A node's checkpoint manager (snapshot runs only).
     pub fn manager(&self, node: NodeId) -> Option<&CheckpointManager> {
-        self.managers.get(&node)
+        self.hosts.get(&node).and_then(NodeHost::manager)
     }
 
     /// Loads a scenario script into the event queue.
     pub fn load_scenario(&mut self, scenario: Scenario<P>) {
         for (t, ev) in scenario.into_sorted() {
-            self.push_at(t, Pending::Script { ev });
+            self.queue.push(t, Pending::Script { ev });
         }
     }
 
@@ -263,17 +314,18 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
     pub fn run_until(&mut self, end: SimTime) {
         while self
             .queue
+            .heap
             .peek()
             .is_some_and(|Reverse(head)| head.at <= end)
         {
             self.step_next();
         }
-        self.now = end.max(self.now);
+        self.queue.now = end.max(self.queue.now);
     }
 
     /// Runs for a span of simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let end = self.now + d;
+        let end = self.queue.now + d;
         self.run_until(end);
     }
 
@@ -281,7 +333,8 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
     /// external scheduler (the fleet harness) uses to interleave several
     /// co-deployed simulations in one global time order.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(head)| head.at.max(self.now))
+        let now = self.queue.now;
+        self.queue.heap.peek().map(|Reverse(head)| head.at.max(now))
     }
 
     /// Dispatches exactly one queued event, advancing time to it; returns
@@ -289,9 +342,9 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
     /// [`Simulation::next_event_at`] this is the single-step driving
     /// surface for external schedulers; `run_until` is a loop over it.
     pub fn step_next(&mut self) -> Option<SimTime> {
-        let Reverse(entry) = self.queue.pop()?;
-        self.now = entry.at.max(self.now);
-        let at = self.now;
+        let Reverse(entry) = self.queue.heap.pop()?;
+        self.queue.now = entry.at.max(self.queue.now);
+        let at = self.queue.now;
         self.dispatch(entry.what);
         Some(at)
     }
@@ -300,16 +353,7 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
     /// scheduler closing a run out to its horizon). Time never moves
     /// backwards.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
-
-    fn push_at(&mut self, at: SimTime, what: Pending<P>) {
-        self.seq += 1;
-        self.queue.push(Reverse(Entry {
-            at: at.max(self.now),
-            seq: self.seq,
-            what,
-        }));
+        self.queue.now = self.queue.now.max(t);
     }
 
     fn dispatch(&mut self, what: Pending<P>) {
@@ -327,97 +371,64 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
         }
     }
 
+    /// `node`'s host, and the simulator as its driver.
+    fn host(&mut self, node: NodeId) -> Option<(&mut NodeHost<P>, SimDriver<'_, P, H>)> {
+        let host = self.hosts.get_mut(&node)?;
+        let driver = SimDriver {
+            node,
+            protocol: &self.protocol,
+            gs: &mut self.gs,
+            hook: &mut self.hook,
+            net: &mut self.net,
+            queue: &mut self.queue,
+        };
+        Some((host, driver))
+    }
+
     fn do_deliver(&mut self, item: InFlight<P::Message>, m_cn: u64) {
-        if !self.gs.nodes.contains_key(&item.dst) {
+        let Some((host, mut d)) = self.host(item.dst) else {
             return;
+        };
+        let outcome = host.deliver(&mut d, item, m_cn);
+        if matches!(outcome, Outcome::Blocked(_)) {
+            self.stats.deliveries_blocked += 1;
         }
-        // CrystalBall interposition: event filters + immediate safety check
-        // run before the handler is invoked (§3.3/§4).
-        match self.hook.filter_delivery(self.now, &self.gs, &item) {
-            Decision::Allow => {}
-            Decision::Block => {
-                self.stats.deliveries_blocked += 1;
-                return;
-            }
-            Decision::BlockAndReset => {
-                self.stats.deliveries_blocked += 1;
-                let ev = Event::PeerError {
-                    node: item.dst,
-                    peer: item.src,
-                };
-                self.apply_and_follow(ev);
-                return;
-            }
-        }
-        // Snapshot bookkeeping: forced checkpoint *before* processing (§2.3).
-        if self.managers.contains_key(&item.dst) {
-            let bytes = self.state_bytes(item.dst);
-            if let Some(mgr) = self.managers.get_mut(&item.dst) {
-                mgr.note_incoming(m_cn, &bytes);
-            }
-        }
-        self.gs.route_item(item);
-        let index = self.gs.inflight.len() - 1;
-        self.apply_and_follow(Event::Deliver { index });
+        self.settle(outcome);
     }
 
     fn do_timer(&mut self, node: NodeId, action: P::Action, token: u64) {
-        // Stale timer entries (rescheduled, reset, superseded) are ignored.
-        if self.timers.get(&(node, action.clone())) != Some(&token) {
-            return;
-        }
-        self.timers.remove(&(node, action.clone()));
-        let Some(slot) = self.gs.nodes.get(&node) else {
+        let Some((host, mut d)) = self.host(node) else {
             return;
         };
-        let mut enabled = Vec::new();
-        self.protocol
-            .enabled_actions(node, &slot.state, &mut enabled);
-        if !enabled.contains(&action) {
-            self.stats.timers_lapsed += 1;
-            self.reconcile_timers(node);
-            return;
+        let outcome = host.fire(&mut d, action, token);
+        match outcome {
+            Outcome::Blocked(_) => self.stats.actions_blocked += 1,
+            Outcome::Lapsed => self.stats.timers_lapsed += 1,
+            _ => {}
         }
-        match self.hook.filter_action(self.now, &self.gs, node, &action) {
-            Decision::Allow => {}
-            Decision::Block | Decision::BlockAndReset => {
-                // "The timer events are rescheduled" (§4).
-                self.stats.actions_blocked += 1;
-                if let Schedule::Periodic(d) | Schedule::After(d) = self.protocol.schedule(&action)
-                {
-                    self.schedule_timer(node, action, d);
-                }
-                return;
-            }
-        }
-        self.apply_and_follow(Event::Action { node, action });
+        self.settle(outcome);
     }
 
     fn do_script(&mut self, ev: ScriptEvent<P>) {
         match ev {
             ScriptEvent::Action { node, action } => {
                 if self.gs.nodes.contains_key(&node) {
-                    match self.hook.filter_action(self.now, &self.gs, node, &action) {
-                        Decision::Allow => {
-                            self.apply_and_follow(Event::Action { node, action });
-                        }
+                    let now = self.queue.now;
+                    match self.hook.filter_action(now, &self.gs, node, &action) {
+                        Decision::Allow => self.apply(node, Event::Action { node, action }),
                         _ => self.stats.actions_blocked += 1,
                     }
                 }
             }
             ScriptEvent::Reset { node, notify } => {
                 self.stats.resets_applied += 1;
-                self.apply_and_follow(Event::Reset { node, notify });
-                // A reboot loses the checkpoint manager's volatile state.
-                if let Some(sr) = &self.snap_cfg {
-                    self.managers
-                        .insert(node, CheckpointManager::new(node, sr.config.clone()));
+                self.apply(node, Event::Reset { node, notify });
+                if let Some((host, mut d)) = self.host(node) {
+                    host.restart(&mut d);
                 }
-                self.timers.retain(|(n, _), _| *n != node);
-                self.reconcile_timers(node);
             }
             ScriptEvent::PeerError { node, peer } => {
-                self.apply_and_follow(Event::PeerError { node, peer });
+                self.apply(node, Event::PeerError { node, peer });
             }
             ScriptEvent::Connectivity { a, b, up } => {
                 self.net.set_partitioned(a, b, !up);
@@ -429,76 +440,51 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
     }
 
     fn do_checkpoint_tick(&mut self, node: NodeId) {
-        if self.gs.nodes.contains_key(&node) && self.managers.contains_key(&node) {
-            let bytes = self.state_bytes(node);
-            if let Some(mgr) = self.managers.get_mut(&node) {
-                mgr.local_checkpoint(&bytes);
-            }
-        }
-        if let Some(sr) = &self.snap_cfg {
-            let interval = sr.checkpoint_interval;
-            self.push_at(self.now + interval, Pending::CheckpointTick { node });
-        }
+        let Some((host, mut d)) = self.host(node) else {
+            return;
+        };
+        host.checkpoint(&mut d);
+        let next = host.next_checkpoint();
+        self.queue.push(next, Pending::CheckpointTick { node });
     }
 
     fn do_gather_tick(&mut self, node: NodeId) {
-        if let Some(slot) = self.gs.nodes.get(&node) {
-            // Developer-provided snapshot neighborhood, falling back to the
-            // open-connection heuristic (§3.1).
-            let neighbors: Vec<NodeId> = self
-                .protocol
-                .neighborhood(node, &slot.state)
-                .unwrap_or_else(|| slot.conns.keys().copied().collect())
-                .into_iter()
-                .filter(|n| self.gs.nodes.contains_key(n))
-                .collect();
-            if self.managers.get(&node).is_some_and(|m| !m.gathering()) {
-                let bytes = self.state_bytes(node);
-                let reqs = self
-                    .managers
-                    .get_mut(&node)
-                    .map(|m| m.start_gather(&neighbors, &bytes))
-                    .unwrap_or_default();
-                for (dst, msg) in reqs {
-                    self.send_snap(node, dst, msg);
-                }
-                self.poll_snapshot(node);
-            }
-        }
-        if let Some(sr) = &self.snap_cfg {
-            let interval = sr.gather_interval;
-            self.push_at(self.now + interval, Pending::GatherTick { node });
-        }
+        let Some((host, mut d)) = self.host(node) else {
+            return;
+        };
+        let out = host.gather(&mut d);
+        let next = host.next_gather();
+        self.snapped(node, out);
+        self.queue.push(next, Pending::GatherTick { node });
     }
 
     fn do_snap(&mut self, from: NodeId, to: NodeId, msg: SnapMsg) {
-        if !self.gs.nodes.contains_key(&to) || !self.managers.contains_key(&to) {
-            return;
+        if let Some((host, mut d)) = self.host(to) {
+            let out = host.snap(&mut d, from, &msg);
+            self.snapped(to, out);
         }
-        let bytes = self.state_bytes(to);
-        let replies = self
-            .managers
-            .get_mut(&to)
-            .map(|m| m.handle(self.now, from, &msg, &bytes))
-            .unwrap_or_default();
-        for (dst, m) in replies {
-            self.send_snap(to, dst, m);
-        }
-        self.poll_snapshot(to);
     }
 
-    fn poll_snapshot(&mut self, node: NodeId) {
-        if let Some(snap) = self.managers.get_mut(&node).and_then(|m| m.poll_snapshot()) {
+    fn snapped(&mut self, node: NodeId, out: SnapOut) {
+        for (dst, msg) in out.send {
+            self.send_snap(node, dst, msg);
+        }
+        self.gathered(node, out.done);
+    }
+
+    fn gathered(&mut self, node: NodeId, done: Option<Snapshot>) {
+        if let Some(snap) = done {
             self.stats.snapshots_completed += 1;
-            self.hook.on_snapshot(self.now, node, &snap);
+            self.hook.on_snapshot(self.queue.now, node, &snap);
         }
     }
 
     fn send_snap(&mut self, src: NodeId, dst: NodeId, msg: SnapMsg) {
         let bytes = msg.encoded_len() + 8;
         self.stats.snapshot_bytes_sent += bytes as u64;
-        match self.net.schedule(self.now, src, dst, bytes, Transport::Tcp) {
-            Some(at) => self.push_at(
+        let now = self.queue.now;
+        match self.net.schedule(now, src, dst, bytes, Transport::Tcp) {
+            Some(at) => self.queue.push(
                 at,
                 Pending::Snap {
                     from: src,
@@ -510,54 +496,57 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
                 // The network swallowed it (partition): the gather treats
                 // the peer as failed rather than waiting forever.
                 self.stats.messages_lost += 1;
-                if let Some(mgr) = self.managers.get_mut(&src) {
-                    mgr.peer_failed(dst);
-                }
-                self.poll_snapshot(src);
+                let done = self.hosts.get_mut(&src).and_then(|h| h.peer_failed(dst));
+                self.gathered(src, done);
             }
         }
     }
 
-    /// Applies a model event, transmits the handler's output through the
-    /// simulated network, reconciles timers, and updates statistics.
-    fn apply_and_follow(&mut self, event: Event<P>) {
-        let step = apply_event(&self.protocol, &mut self.gs, &event);
+    /// Applies a model event at `node` through its host (reconciling its
+    /// timers), then follows the step.
+    fn apply(&mut self, node: NodeId, event: Event<P>) {
+        let step = match self.host(node) {
+            Some((host, mut d)) => host.apply(&mut d, &event),
+            None => apply_event(&self.protocol, &mut self.gs, &event),
+        };
+        self.follow(step);
+    }
+
+    /// Follows a host outcome that applied a step.
+    fn settle(&mut self, outcome: Outcome) {
+        if let Outcome::Applied(step) | Outcome::Blocked(Some(step)) = outcome {
+            self.follow(step);
+        }
+    }
+
+    /// Counts an applied step, transmits the handler's output through the
+    /// simulated network, and updates violation tracking and the hook.
+    fn follow(&mut self, step: TraceStep) {
         match &step {
-            TraceStep::Delivered { dst, .. } => {
+            TraceStep::Delivered { .. } => {
                 self.stats.messages_delivered += 1;
                 self.stats.actions_executed += 1;
-                let dst = *dst;
-                self.after_state_change(dst);
             }
-            TraceStep::ErrorObserved { node, .. } | TraceStep::ConnectionBroke { node, .. } => {
+            TraceStep::ErrorObserved { .. } | TraceStep::ConnectionBroke { .. } => {
                 self.stats.errors_observed += 1;
                 self.stats.actions_executed += 1;
-                let node = *node;
-                self.after_state_change(node);
             }
             TraceStep::Bounced { .. } => self.stats.stale_bounced += 1,
-            TraceStep::Stale => {}
+            TraceStep::Stale | TraceStep::ResetDone { .. } => {}
             TraceStep::Lost { .. } => self.stats.messages_lost += 1,
-            TraceStep::ActionRun { node, .. } => {
-                self.stats.actions_executed += 1;
-                let node = *node;
-                self.after_state_change(node);
-            }
-            TraceStep::ResetDone { node, .. } => {
-                let node = *node;
-                self.after_state_change(node);
-            }
+            TraceStep::ActionRun { .. } => self.stats.actions_executed += 1,
         }
         // New sends (and RSTs) leave through the simulated network.
         for item in std::mem::take(&mut self.gs.inflight) {
             self.transmit(item.into_item());
         }
+        let now = self.queue.now;
         if self.track_violations {
             if let Some(v) = self.props.check(&self.gs) {
-                self.stats.record_violation(self.now, v);
+                self.stats.record_violation(now, v);
             }
         }
-        self.hook.after_step(self.now, &self.gs, &step);
+        self.hook.after_step(now, &self.gs, &step);
     }
 
     fn transmit(&mut self, item: InFlight<P::Message>) {
@@ -565,68 +554,25 @@ impl<P: Protocol, H: Hook<P>> Simulation<P, H> {
             Payload::Msg(m) => self.protocol.wire_size(m) + 8,
             Payload::Error => 40, // a RST/FIN exchange
         };
-        let m_cn = self
-            .managers
-            .get(&item.src)
-            .map(|m| m.stamp_out())
-            .unwrap_or(0);
+        let m_cn = self.hosts.get(&item.src).map_or(0, NodeHost::stamp_out);
+        let now = self.queue.now;
         match self
             .net
-            .schedule(self.now, item.src, item.dst, bytes, Transport::Tcp)
+            .schedule(now, item.src, item.dst, bytes, Transport::Tcp)
         {
-            Some(at) => self.push_at(at, Pending::Deliver { item, m_cn }),
+            Some(at) => self.queue.push(at, Pending::Deliver { item, m_cn }),
             // Partitioned (or, for UDP traffic, dropped): the network
             // layer accounted the lost bytes.
             None => self.stats.messages_lost += 1,
         }
     }
 
-    fn after_state_change(&mut self, node: NodeId) {
-        self.reconcile_timers(node);
-    }
-
-    /// Ensures every enabled, runtime-scheduled action of `node` has a
-    /// pending timer entry.
-    fn reconcile_timers(&mut self, node: NodeId) {
-        let Some(slot) = self.gs.nodes.get(&node) else {
-            return;
-        };
-        let mut enabled = Vec::new();
-        self.protocol
-            .enabled_actions(node, &slot.state, &mut enabled);
-        for action in enabled {
-            let delay = match self.protocol.schedule(&action) {
-                Schedule::Periodic(d) | Schedule::After(d) => d,
-                Schedule::External => continue,
-            };
-            if !self.timers.contains_key(&(node, action.clone())) {
-                self.schedule_timer(node, action, delay);
-            }
+    /// Arms every enabled, runtime-scheduled action of `node` that has no
+    /// pending timer.
+    fn reconcile(&mut self, node: NodeId) {
+        if let Some((host, mut d)) = self.host(node) {
+            host.reconcile(&mut d);
         }
-    }
-
-    fn schedule_timer(&mut self, node: NodeId, action: P::Action, period: SimDuration) {
-        let jitter = self.net.jitter(period.mul_f64(self.jitter_frac));
-        self.seq += 1;
-        let token = self.seq;
-        self.timers.insert((node, action.clone()), token);
-        let at = self.now + period + jitter;
-        self.push_at(
-            at,
-            Pending::Timer {
-                node,
-                action,
-                token,
-            },
-        );
-    }
-
-    /// Checkpoint payload for `node`: the full slot (protocol state plus
-    /// incarnation and connection table), so a checker fed with the
-    /// snapshot sees the same connection-level environment the live node
-    /// had.
-    fn state_bytes(&self, node: NodeId) -> Vec<u8> {
-        self.gs.slot(node).map(|s| s.to_bytes()).unwrap_or_default()
     }
 }
 
@@ -1035,6 +981,94 @@ mod tests {
             sim.stats.actions_blocked >= 5,
             "the blocked timer keeps re-firing ({} blocks)",
             sim.stats.actions_blocked
+        );
+    }
+
+    /// Difference (i): the simulator's timer jitter is drawn from the
+    /// network model's generator, uniform on [0, 0.1 × period], in node
+    /// order at construction (a live node draws from its own generator).
+    #[test]
+    fn timer_jitter_is_drawn_from_the_network_generator() {
+        let sim = ping_sim(7);
+        let mut cfg = SimConfig::default().topology;
+        cfg.participants = cfg.participants.max(3);
+        let mut net = NetworkModel::new(Topology::generate(cfg, 7), 7);
+        let period = SimDuration::from_secs(1);
+        for node in [NodeId(1), NodeId(2)] {
+            let jitter = net.jitter(period.mul_f64(0.1));
+            assert_eq!(
+                sim.hosts[&node].timer_due(&PingAction::Kick),
+                Some(SimTime::ZERO + period + jitter)
+            );
+        }
+    }
+
+    /// Records, per node, the times its gathers completed.
+    #[derive(Default)]
+    struct GatherTimes(HashMap<NodeId, Vec<SimTime>>);
+    impl Hook<Ping> for GatherTimes {
+        fn on_snapshot(&mut self, now: SimTime, node: NodeId, _snap: &cb_snapshot::Snapshot) {
+            self.0.entry(node).or_default().push(now);
+        }
+    }
+
+    /// The simulator arms no gather deadline. A partition that swallows a
+    /// snapshot *reply* fails the gather on the responder only, so the
+    /// requester's gather stays open — and every later gather tick of that
+    /// node is skipped — until the node resets. Arming the host's gather
+    /// deadline in the simulator fixes it, and moves the `fleet_steer`
+    /// benchmark digest.
+    #[test]
+    #[ignore = "the simulator arms no gather deadline: a swallowed snapshot reply leaves the requester's gather open until it resets"]
+    fn a_swallowed_snapshot_reply_does_not_stall_the_requester() {
+        let cfg = Ping {
+            kick_target: NodeId(0),
+            kick_enabled: true,
+        };
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let gather_interval = SimDuration::from_secs(3);
+        let mut sim = Simulation::new(
+            cfg,
+            &nodes,
+            PropertySet::new(),
+            GatherTimes::default(),
+            SimConfig {
+                seed: 5,
+                snapshots: Some(SnapshotRuntime {
+                    checkpoint_interval: SimDuration::from_secs(2),
+                    gather_interval,
+                    ..SnapshotRuntime::default()
+                }),
+                ..SimConfig::default()
+            },
+        );
+        // Node 1's first gather asks node 0 (its Kick opened the
+        // connection); cut the link while the request is in flight, so
+        // node 0's reply is swallowed, and heal it half a second later.
+        let first = SimTime::ZERO + gather_interval + SimDuration::from_millis(137);
+        sim.run_until(first);
+        assert!(
+            sim.manager(NodeId(1)).unwrap().gathering(),
+            "node 1 asks node 0"
+        );
+        let cut = |up| ScriptEvent::Connectivity {
+            a: NodeId(0),
+            b: NodeId(1),
+            up,
+        };
+        sim.inject(cut(false));
+        sim.run_for(SimDuration::from_millis(500));
+        sim.inject(cut(true));
+        assert!(sim.stats.messages_lost > 0, "the reply was swallowed");
+        sim.run_for(SimDuration::from_secs(12));
+        let done = sim
+            .hook
+            .0
+            .get(&NodeId(1))
+            .map_or(0, |t| t.iter().filter(|at| **at > first).count());
+        assert!(
+            done >= 2,
+            "node 1 kept gathering after the swallowed reply ({done})"
         );
     }
 }

@@ -256,7 +256,6 @@ struct Gather {
     nack_max_cn: u64,
     saw_nack: bool,
     retried: bool,
-    neighbors: Vec<NodeId>,
 }
 
 /// Per-node checkpoint manager. Operates on raw encoded state bytes; the
@@ -369,7 +368,6 @@ impl CheckpointManager {
             nack_max_cn: 0,
             saw_nack: false,
             retried: false,
-            neighbors: neighbors.clone(),
         });
         neighbors
             .into_iter()
@@ -390,9 +388,7 @@ impl CheckpointManager {
         match msg {
             SnapMsg::Request { cr } => self.answer_request(now, from, *cr, state_bytes),
             SnapMsg::Full {
-                cn,
-                compressed,
-                data,
+                compressed, data, ..
             } => {
                 let raw = if *compressed {
                     match lzw::decompress(data) {
@@ -405,23 +401,23 @@ impl CheckpointManager {
                 } else {
                     data.clone()
                 };
-                self.accept_response(from, *cn, raw);
+                self.accept_response(from, raw);
                 Vec::new()
             }
-            SnapMsg::Delta { cn, diff } => {
+            SnapMsg::Delta { diff, .. } => {
                 let prev = self.recv_from.get(&from).cloned().unwrap_or_default();
                 let applied = Diff::from_bytes(diff)
                     .ok()
                     .and_then(|d| apply_diff(&prev, &d));
                 match applied {
-                    Some(raw) => self.accept_response(from, *cn, raw),
+                    Some(raw) => self.accept_response(from, raw),
                     None => self.peer_failed(from),
                 }
                 Vec::new()
             }
-            SnapMsg::Duplicate { cn } => {
+            SnapMsg::Duplicate { .. } => {
                 match self.recv_from.get(&from).cloned() {
-                    Some(raw) => self.accept_response(from, *cn, raw),
+                    Some(raw) => self.accept_response(from, raw),
                     None => self.peer_failed(from),
                 }
                 Vec::new()
@@ -501,7 +497,7 @@ impl CheckpointManager {
         }
     }
 
-    fn accept_response(&mut self, from: NodeId, _cn: u64, raw: Vec<u8>) {
+    fn accept_response(&mut self, from: NodeId, raw: Vec<u8>) {
         self.recv_from.insert(from, raw.clone());
         if let Some(g) = self.gather.as_mut() {
             if g.waiting.remove(&from) {
@@ -534,7 +530,6 @@ impl CheckpointManager {
         // "The requestor chooses the greatest among the R.cn received, and
         // initiates another snapshot round." (§3.1)
         let cr = g.nack_max_cn.max(g.cr).saturating_add(1);
-        let _neighbors = g.neighbors.clone();
         self.stats.retries += 1;
         self.cn = self.cn.max(cr);
         self.take_checkpoint(self.cn, state_bytes);
