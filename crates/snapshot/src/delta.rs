@@ -1,5 +1,5 @@
-//! Diff-shipped global states: the checker-submission counterpart of the
-//! per-peer checkpoint diffs in [`crate::manager`].
+//! Diff-shipped global states: [`SlotDelta`], the one diff entry both
+//! snapshot hops ship, and the checker hop's codec pair.
 //!
 //! The paper applies diffs on the *gather* path ("it can employ 'diffs'
 //! that enable a node to transmit only parts of state that are different
@@ -8,35 +8,36 @@
 //! checker process: consecutive snapshots of a neighborhood differ in a
 //! handful of fields, yet a naive submission ships the entire decoded
 //! `GlobalState` per prediction round. A [`DeltaEncoder`]/[`DeltaDecoder`]
-//! pair replaces those bytes with a [`StateDelta`]: per node, the
-//! canonical slot encoding is diffed (via [`crate::diff`]) against the
-//! last state shipped on the same connection, falling back to an
-//! (optionally LZW-compressed) full payload for new nodes or diverged
-//! slots — exactly the duplicate < delta < full ladder the checkpoint
-//! manager uses on the wire. (Inside one address space there is nothing
-//! to ship: the checker takes a shared clone of the state.)
+//! pair replaces those bytes with a [`StateDelta`]: one `SlotDelta` per
+//! node and one for the message bags, each against the last state shipped
+//! on the same connection — the entry a gather reply
+//! ([`crate::SnapMsg::Reply`]) carries, kept in the same crate-private
+//! `BaseMap`. (Inside one address space there is nothing to ship: the
+//! checker takes a shared clone of the state.)
 //!
 //! The pair is stateful and ordered: the encoder and decoder each maintain
 //! the base (last shipped bytes per node) and advance in lockstep, so the
 //! transport between them must be FIFO — which the node→checker TCP
 //! connection is. A sequence number catches misuse.
 
-use std::collections::BTreeMap;
-
 use cb_model::codec::varint_len;
 use cb_model::{
     Decode, DecodeError, Encode, GlobalState, InFlight, NodeId, NodeSlot, Protocol, Queued, Reader,
 };
 
-use crate::diff::{apply_diff, encode_against, BaseEncoding, Diff};
-use crate::lzw;
+use crate::base::{BaseMap, Refused};
 
-/// One node's (or the message bag's) entry in a [`StateDelta`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One diff entry: a value against the base its receiver holds for the
+/// same key (a gather peer, or one part of a [`StateDelta`]).
+///
+/// Wire layout: a tag byte — 1 `Full`, 2 `Patch`, 3 `Unchanged` — then
+/// the body. `SnapMsg` writes its reply's `cn` between the two, so both
+/// hops share the tags and the body codec.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SlotDelta {
     /// Identical bytes to the base — ship nothing.
     Unchanged,
-    /// An encoded [`Diff`] against the base bytes.
+    /// An encoded [`crate::Diff`] against the base bytes.
     Patch(Vec<u8>),
     /// A full payload (no base, or the diff would not have been smaller).
     Full {
@@ -47,45 +48,44 @@ pub enum SlotDelta {
     },
 }
 
-impl Encode for SlotDelta {
-    /// Arithmetic size — submission-cost accounting calls this per round,
-    /// and the default (serialize, measure, discard) would copy every
-    /// payload a second time.
-    fn encoded_len(&self) -> usize {
+impl SlotDelta {
+    /// The wire tag written before the body.
+    pub(crate) fn tag(&self) -> u8 {
         match self {
-            SlotDelta::Unchanged => 1,
-            SlotDelta::Patch(diff) => 1 + varint_len(diff.len() as u64) + diff.len(),
-            SlotDelta::Full { data, .. } => 2 + varint_len(data.len() as u64) + data.len(),
+            SlotDelta::Full { .. } => 1,
+            SlotDelta::Patch(_) => 2,
+            SlotDelta::Unchanged => 3,
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    /// Arithmetic length of the body (everything after the tag).
+    pub(crate) fn body_len(&self) -> usize {
         match self {
-            SlotDelta::Unchanged => buf.push(0),
+            SlotDelta::Unchanged => 0,
+            SlotDelta::Patch(diff) => varint_len(diff.len() as u64) + diff.len(),
+            SlotDelta::Full { data, .. } => 1 + varint_len(data.len() as u64) + data.len(),
+        }
+    }
+
+    pub(crate) fn encode_body(&self, buf: &mut Vec<u8>) {
+        match self {
+            SlotDelta::Unchanged => {}
             SlotDelta::Patch(diff) => {
-                buf.push(1);
                 diff.len().encode(buf);
                 buf.extend_from_slice(diff);
             }
             SlotDelta::Full { compressed, data } => {
-                buf.push(2);
                 compressed.encode(buf);
                 data.len().encode(buf);
                 buf.extend_from_slice(data);
             }
         }
     }
-}
 
-impl Decode for SlotDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => SlotDelta::Unchanged,
+    /// Decodes the body of the entry whose tag was `tag`.
+    pub(crate) fn decode_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match tag {
             1 => {
-                let n = r.length()?;
-                SlotDelta::Patch(r.take(n)?.to_vec())
-            }
-            2 => {
                 let compressed = bool::decode(r)?;
                 let n = r.length()?;
                 SlotDelta::Full {
@@ -93,8 +93,33 @@ impl Decode for SlotDelta {
                     data: r.take(n)?.to_vec(),
                 }
             }
+            2 => {
+                let n = r.length()?;
+                SlotDelta::Patch(r.take(n)?.to_vec())
+            }
+            3 => SlotDelta::Unchanged,
             t => return Err(DecodeError::BadTag(t)),
         })
+    }
+}
+
+impl Encode for SlotDelta {
+    /// Arithmetic size — submission-cost accounting calls this per round,
+    /// and the default (serialize, measure, discard) would copy every
+    /// payload a second time.
+    fn encoded_len(&self) -> usize {
+        1 + self.body_len()
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.tag());
+        self.encode_body(buf);
+    }
+}
+
+impl Decode for SlotDelta {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        SlotDelta::decode_body(r.byte()?, r)
     }
 }
 
@@ -207,49 +232,11 @@ pub struct DeltaStats {
     pub full_slots: u64,
 }
 
-/// Chooses the cheapest representation of `raw` against `base` (the
-/// shared [`encode_against`] ladder, mapped onto [`SlotDelta`]).
-fn encode_entry(base: Option<&Vec<u8>>, raw: &[u8], stats: &mut DeltaStats) -> SlotDelta {
-    match encode_against(base.map(Vec::as_slice), raw, true, true) {
-        BaseEncoding::Unchanged => {
-            stats.unchanged_slots += 1;
-            SlotDelta::Unchanged
-        }
-        BaseEncoding::Patch(diff) => {
-            stats.patched_slots += 1;
-            SlotDelta::Patch(diff)
-        }
-        BaseEncoding::Full { compressed, data } => {
-            stats.full_slots += 1;
-            SlotDelta::Full { compressed, data }
-        }
-    }
-}
-
-/// Failure of one entry application, before it is attributed to a node.
-enum EntryError {
-    /// `Unchanged`/`Patch` had no base bytes to work from.
-    MissingBase,
-    /// The patch, compressed payload, or reconstruction was invalid.
-    Corrupt,
-}
-
-fn apply_entry(base: Option<&Vec<u8>>, delta: &SlotDelta) -> Result<Vec<u8>, EntryError> {
-    match delta {
-        SlotDelta::Unchanged => base.cloned().ok_or(EntryError::MissingBase),
-        SlotDelta::Patch(diff) => {
-            let prev = base.ok_or(EntryError::MissingBase)?;
-            let d = Diff::from_bytes(diff).map_err(|_| EntryError::Corrupt)?;
-            apply_diff(prev, &d).ok_or(EntryError::Corrupt)
-        }
-        SlotDelta::Full { compressed, data } => {
-            if *compressed {
-                lzw::decompress(data).map_err(|_| EntryError::Corrupt)
-            } else {
-                Ok(data.clone())
-            }
-        }
-    }
+/// What a checker-hop base belongs to: a node's slot, or the message bags.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Part {
+    Slot(NodeId),
+    Bags,
 }
 
 type Bags<P> = (
@@ -270,8 +257,7 @@ fn bag_bytes<P: Protocol>(gs: &GlobalState<P>) -> Vec<u8> {
 /// [`StateDelta`]s against the last state it shipped.
 #[derive(Debug, Default)]
 pub struct DeltaEncoder {
-    base: BTreeMap<NodeId, Vec<u8>>,
-    base_bags: Option<Vec<u8>>,
+    bases: BaseMap<Part>,
     seq: u64,
     /// Submission-cost counters.
     pub stats: DeltaStats,
@@ -288,22 +274,17 @@ impl DeltaEncoder {
     pub fn encode_state<P: Protocol>(&mut self, gs: &GlobalState<P>) -> StateDelta {
         self.seq += 1;
         let mut slots = Vec::with_capacity(gs.nodes.len());
-        let mut next_base = BTreeMap::new();
         let mut raw_total = 0usize;
         for (&node, slot) in &gs.nodes {
             let raw = slot.to_bytes();
             raw_total += raw.len();
-            slots.push((
-                node,
-                encode_entry(self.base.get(&node), &raw, &mut self.stats),
-            ));
-            next_base.insert(node, raw);
+            slots.push((node, self.encode_part(Part::Slot(node), raw)));
         }
         let bags_raw = bag_bytes(gs);
         raw_total += bags_raw.len();
-        let bags = encode_entry(self.base_bags.as_ref(), &bags_raw, &mut self.stats);
-        self.base = next_base;
-        self.base_bags = Some(bags_raw);
+        let bags = self.encode_part(Part::Bags, bags_raw);
+        self.bases
+            .forget(|p| matches!(p, Part::Slot(n) if !gs.nodes.contains_key(n)));
         let delta = StateDelta {
             seq: self.seq,
             slots,
@@ -314,14 +295,23 @@ impl DeltaEncoder {
         self.stats.shipped_bytes += delta.encoded_len() as u64;
         delta
     }
+
+    fn encode_part(&mut self, part: Part, raw: Vec<u8>) -> SlotDelta {
+        let entry = self.bases.encode(part, raw, true, true);
+        match entry {
+            SlotDelta::Unchanged => self.stats.unchanged_slots += 1,
+            SlotDelta::Patch(_) => self.stats.patched_slots += 1,
+            SlotDelta::Full { .. } => self.stats.full_slots += 1,
+        }
+        entry
+    }
 }
 
 /// The checker side: reconstructs `GlobalState`s from the delta stream of
 /// one [`DeltaEncoder`].
 #[derive(Debug, Default)]
 pub struct DeltaDecoder {
-    base: BTreeMap<NodeId, Vec<u8>>,
-    base_bags: Option<Vec<u8>>,
+    bases: BaseMap<Part>,
     seq: u64,
 }
 
@@ -332,7 +322,12 @@ impl DeltaDecoder {
     }
 
     /// Applies `delta` to the current base, returning the reconstructed
-    /// state and advancing the base. On error the decoder is unchanged.
+    /// state and advancing the base.
+    ///
+    /// On error the stream's position does not move, so every later delta
+    /// of the same encoder is refused as out of order. Bases the failed
+    /// delta already advanced hold what it sets them to, so the same delta
+    /// applied again fails or succeeds exactly as the first time did.
     pub fn decode_state<P: Protocol>(
         &mut self,
         delta: &StateDelta,
@@ -343,26 +338,29 @@ impl DeltaDecoder {
                 got: delta.seq,
             });
         }
-        let mut next_base = BTreeMap::new();
         let mut slots = Vec::with_capacity(delta.slots.len());
         for (node, entry) in &delta.slots {
-            let raw = apply_entry(self.base.get(node), entry).map_err(|e| match e {
-                EntryError::MissingBase => DeltaError::MissingBase(*node),
-                EntryError::Corrupt => DeltaError::Corrupt,
-            })?;
-            let slot = NodeSlot::<P::State>::from_bytes(&raw).map_err(|_| DeltaError::Corrupt)?;
+            let raw = self
+                .bases
+                .apply(Part::Slot(*node), entry)
+                .map_err(|e| match e {
+                    Refused::NoBase => DeltaError::MissingBase(*node),
+                    Refused::Corrupt => DeltaError::Corrupt,
+                })?;
+            let slot = NodeSlot::<P::State>::from_bytes(raw).map_err(|_| DeltaError::Corrupt)?;
             slots.push((*node, slot));
-            next_base.insert(*node, raw);
         }
-        let bags_raw =
-            apply_entry(self.base_bags.as_ref(), &delta.bags).map_err(|_| DeltaError::Corrupt)?;
+        let bags_raw = self
+            .bases
+            .apply(Part::Bags, &delta.bags)
+            .map_err(|_| DeltaError::Corrupt)?;
         let (inflight, parked) =
-            Bags::<P>::from_bytes(&bags_raw).map_err(|_| DeltaError::Corrupt)?;
+            Bags::<P>::from_bytes(bags_raw).map_err(|_| DeltaError::Corrupt)?;
         let mut gs = GlobalState::from_slots(slots);
         gs.inflight = inflight;
         gs.parked = parked;
-        self.base = next_base;
-        self.base_bags = Some(bags_raw);
+        self.bases
+            .forget(|p| matches!(p, Part::Slot(n) if !gs.nodes.contains_key(n)));
         self.seq = delta.seq;
         Ok(gs)
     }
@@ -371,6 +369,8 @@ impl DeltaDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::Diff;
+    use crate::lzw;
     use cb_model::testproto::{Ping, PingMsg};
     use cb_model::Payload;
 

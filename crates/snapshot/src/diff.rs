@@ -4,8 +4,10 @@
 //! use a number of techniques. First, it can employ 'diffs' that enable a
 //! node to transmit only parts of state that are different from the last
 //! sent checkpoint" (§3.1). The encoding is a list of `(offset, bytes)`
-//! patches against the previous checkpoint plus the new total length;
-//! senders fall back to a full transfer when the diff would be larger.
+//! patches against the previous checkpoint plus the new total length.
+//! This module is the patch format alone: which base a diff is taken
+//! against, and when a sender ships it at all instead of a full payload,
+//! is the crate-private `BaseMap`'s business, for both snapshot hops.
 
 use cb_model::{Decode, DecodeError, Encode, Reader};
 
@@ -89,61 +91,6 @@ pub fn encode_diff(old: &[u8], new: &[u8]) -> Diff {
     }
 }
 
-/// One value encoded against an optional base — the
-/// unchanged < patch < full ladder shared by the checkpoint-gather wire
-/// (`SnapMsg::Duplicate`/`Delta`/`Full`) and the checker-submission
-/// channel (`SlotDelta`). Both map this enum onto their own wire types,
-/// so the threshold logic lives in exactly one place.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BaseEncoding {
-    /// Identical bytes to the base.
-    Unchanged,
-    /// An encoded [`Diff`] against the base.
-    Patch(Vec<u8>),
-    /// A full payload, optionally LZW-compressed.
-    Full {
-        /// Whether `data` is LZW-compressed.
-        compressed: bool,
-        /// The (possibly compressed) raw bytes.
-        data: Vec<u8>,
-    },
-}
-
-/// Chooses the cheapest representation of `raw` against `base`:
-/// unchanged < patch (if `try_diff` and smaller than raw) < full
-/// (LZW-compressed if `try_compress` and smaller).
-pub fn encode_against(
-    base: Option<&[u8]>,
-    raw: &[u8],
-    try_diff: bool,
-    try_compress: bool,
-) -> BaseEncoding {
-    if let Some(prev) = base {
-        if prev == raw {
-            return BaseEncoding::Unchanged;
-        }
-        if try_diff {
-            let diff = encode_diff(prev, raw).to_bytes();
-            if diff.len() < raw.len() {
-                return BaseEncoding::Patch(diff);
-            }
-        }
-    }
-    if try_compress {
-        let compressed = lzw::compress(raw);
-        if compressed.len() < raw.len() {
-            return BaseEncoding::Full {
-                compressed: true,
-                data: compressed,
-            };
-        }
-    }
-    BaseEncoding::Full {
-        compressed: false,
-        data: raw.to_vec(),
-    }
-}
-
 /// Applies a patch set to `old`, producing the new value.
 ///
 /// Returns `None` if the diff is inconsistent with `old` (e.g. a patch
@@ -154,10 +101,13 @@ pub fn encode_against(
 ///
 /// The tighter rule `new_len <= old.len() + Σ patch bytes`, which every
 /// [`encode_diff`] output satisfies against the base it was computed
-/// from, is deliberately not enforced: a gather responder diffs against
-/// the last checkpoint it *sent*, and a receiver that lost that one (a
-/// dropped response, a failed peer) applies an honest diff to a shorter
-/// base — zero-filled where nothing backs it, as it always was.
+/// from, is deliberately not enforced: a gather reply names no base, so a
+/// receiver whose base for the sender differs from the responder's (a
+/// dropped reply, a failed peer) applies an honest diff to a shorter base
+/// — zero-filled where nothing backs it. `CheckpointManager::handle`
+/// even applies a patch from a peer it holds no base for to an empty one
+/// (counted in `SnapshotStats::patches_without_base`). Both are ROADMAP
+/// item 1's hazard; the bound returns once a delta names its base.
 pub fn apply_diff(old: &[u8], diff: &Diff) -> Option<Vec<u8>> {
     if diff.new_len > lzw::MAX_DECOMPRESSED_LEN {
         return None;

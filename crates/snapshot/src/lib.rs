@@ -13,9 +13,11 @@
 //! * [`SnapMsg`] — the snapshot-protocol wire messages (corresponding to
 //!   the code the modified Mace compiler generates for `snapshot_on`
 //!   services, §4);
-//! * [`lzw`] — the LZW compressor the paper's checkpoint manager uses (§4);
-//! * [`diff`] — byte-level diffs against the last checkpoint sent to the
-//!   same peer (§3.1's bandwidth reduction);
+//! * [`SlotDelta`] — the one diff entry both hops ship, unchanged <
+//!   patch < full against the last bytes sent for the same key (§3.1's
+//!   diffs and duplicate suppression), tracked by one crate-private
+//!   `BaseMap` per side — the only caller of [`diff`] and [`lzw`], the
+//!   patch format and the LZW compressor the paper uses (§4);
 //! * [`delta`] — the same diff idea one hop later, on a deployed node's
 //!   (FIFO) connection to the checker: a [`DeltaEncoder`]/[`DeltaDecoder`]
 //!   pair ships `GlobalState`s as [`StateDelta`]s against the last one sent;
@@ -31,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+mod base;
 pub mod checkpoint;
 pub mod delta;
 pub mod diff;
@@ -39,5 +42,5 @@ pub mod manager;
 
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use delta::{DeltaDecoder, DeltaEncoder, DeltaError, DeltaStats, SlotDelta, StateDelta};
-pub use diff::{apply_diff, encode_against, encode_diff, BaseEncoding, Diff};
+pub use diff::{apply_diff, encode_diff, Diff};
 pub use manager::{CheckpointManager, SnapMsg, Snapshot, SnapshotConfig, SnapshotStats};

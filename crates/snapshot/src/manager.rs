@@ -18,17 +18,19 @@
 //!   bandwidth budget, §3.1) answers `Nack(cn)`, triggering one retry round
 //!   at the highest nacked `cn`.
 //!
-//! Checkpoint payloads are optionally LZW-compressed and diffed against the
-//! previous checkpoint sent to the same peer, with per-peer duplicate
-//! suppression — the three bandwidth reductions of §3.1/§4.
+//! A reply carries one [`SlotDelta`] against the last checkpoint sent to
+//! the same peer: unchanged (duplicate suppression), a patch (diffs), or a
+//! full payload, optionally LZW-compressed — the three bandwidth
+//! reductions of §3.1/§4. One `BaseMap` per direction tracks those bases.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
+use cb_model::codec::varint_len;
 use cb_model::{Decode, DecodeError, Encode, NodeId, Reader, SimTime};
 
+use crate::base::{BaseMap, Refused};
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::diff::{apply_diff, encode_against, BaseEncoding, Diff};
-use crate::lzw;
+use crate::delta::SlotDelta;
 
 /// Checkpoint-manager tuning knobs.
 #[derive(Clone, Debug)]
@@ -63,27 +65,13 @@ pub enum SnapMsg {
         /// The checkpoint request number.
         cr: u64,
     },
-    /// A full checkpoint payload.
-    Full {
+    /// A checkpoint, as an entry against the last one this sender sent
+    /// to this peer.
+    Reply {
         /// Checkpoint number.
         cn: u64,
-        /// Whether `data` is LZW-compressed.
-        compressed: bool,
-        /// Encoded (possibly compressed) node state.
-        data: Vec<u8>,
-    },
-    /// A diff against the previous checkpoint this sender sent to this
-    /// peer.
-    Delta {
-        /// Checkpoint number.
-        cn: u64,
-        /// Encoded [`Diff`].
-        diff: Vec<u8>,
-    },
-    /// The checkpoint is identical to the last one sent to this peer.
-    Duplicate {
-        /// Checkpoint number.
-        cn: u64,
+        /// The checkpoint's bytes against that base.
+        entry: SlotDelta,
     },
     /// Negative response: requested range pruned or bandwidth exceeded;
     /// carries the responder's current `cn` so the requester can retry
@@ -94,33 +82,26 @@ pub enum SnapMsg {
     },
 }
 
+/// Wire layout: `Request` is tag 0 then `cr`, `Nack` tag 4 then `cn`, and
+/// `Reply` the entry's tag (1–3), then `cn`, then the entry's body.
 impl Encode for SnapMsg {
+    fn encoded_len(&self) -> usize {
+        match self {
+            SnapMsg::Request { cr: n } | SnapMsg::Nack { cn: n } => 1 + varint_len(*n),
+            SnapMsg::Reply { cn, entry } => 1 + varint_len(*cn) + entry.body_len(),
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             SnapMsg::Request { cr } => {
                 buf.push(0);
                 cr.encode(buf);
             }
-            SnapMsg::Full {
-                cn,
-                compressed,
-                data,
-            } => {
-                buf.push(1);
+            SnapMsg::Reply { cn, entry } => {
+                buf.push(entry.tag());
                 cn.encode(buf);
-                compressed.encode(buf);
-                data.len().encode(buf);
-                buf.extend_from_slice(data);
-            }
-            SnapMsg::Delta { cn, diff } => {
-                buf.push(2);
-                cn.encode(buf);
-                diff.len().encode(buf);
-                buf.extend_from_slice(diff);
-            }
-            SnapMsg::Duplicate { cn } => {
-                buf.push(3);
-                cn.encode(buf);
+                entry.encode_body(buf);
             }
             SnapMsg::Nack { cn } => {
                 buf.push(4);
@@ -136,26 +117,9 @@ impl Decode for SnapMsg {
             0 => SnapMsg::Request {
                 cr: u64::decode(r)?,
             },
-            1 => {
-                let cn = u64::decode(r)?;
-                let compressed = bool::decode(r)?;
-                let n = r.length()?;
-                SnapMsg::Full {
-                    cn,
-                    compressed,
-                    data: r.take(n)?.to_vec(),
-                }
-            }
-            2 => {
-                let cn = u64::decode(r)?;
-                let n = r.length()?;
-                SnapMsg::Delta {
-                    cn,
-                    diff: r.take(n)?.to_vec(),
-                }
-            }
-            3 => SnapMsg::Duplicate {
+            tag @ 1..=3 => SnapMsg::Reply {
                 cn: u64::decode(r)?,
+                entry: SlotDelta::decode_body(tag, r)?,
             },
             4 => SnapMsg::Nack {
                 cn: u64::decode(r)?,
@@ -198,6 +162,10 @@ pub struct SnapshotStats {
     pub duplicates_suppressed: u64,
     /// Delta responses sent.
     pub deltas_sent: u64,
+    /// Patches received from a peer this node held no base for, and
+    /// applied to an empty one (zero-filled): the snapshot-base hazard,
+    /// counted where it happens.
+    pub patches_without_base: u64,
     /// Nacks issued (pruned range or over the bandwidth budget).
     pub nacks_issued: u64,
     /// Nacks received while gathering.
@@ -223,6 +191,7 @@ impl SnapshotStats {
             raw_bytes_considered,
             duplicates_suppressed,
             deltas_sent,
+            patches_without_base,
             nacks_issued,
             nacks_received,
             retries,
@@ -236,6 +205,7 @@ impl SnapshotStats {
         self.raw_bytes_considered += raw_bytes_considered;
         self.duplicates_suppressed += duplicates_suppressed;
         self.deltas_sent += deltas_sent;
+        self.patches_without_base += patches_without_base;
         self.nacks_issued += nacks_issued;
         self.nacks_received += nacks_received;
         self.retries += retries;
@@ -266,8 +236,10 @@ pub struct CheckpointManager {
     cn: u64,
     store: CheckpointStore,
     config: SnapshotConfig,
-    sent_to: HashMap<NodeId, Vec<u8>>,
-    recv_from: HashMap<NodeId, Vec<u8>>,
+    /// The last checkpoint sent to each peer.
+    sent: BaseMap<NodeId>,
+    /// The last checkpoint received from each peer.
+    received: BaseMap<NodeId>,
     gather: Option<Gather>,
     bw_window_start: SimTime,
     bw_window_bytes: u64,
@@ -287,8 +259,8 @@ impl CheckpointManager {
             cn: 0,
             store: CheckpointStore::new(config.store_quota_bytes),
             config,
-            sent_to: HashMap::new(),
-            recv_from: HashMap::new(),
+            sent: BaseMap::default(),
+            received: BaseMap::default(),
             gather: None,
             bw_window_start: SimTime::ZERO,
             bw_window_bytes: 0,
@@ -387,36 +359,26 @@ impl CheckpointManager {
     ) -> Vec<(NodeId, SnapMsg)> {
         match msg {
             SnapMsg::Request { cr } => self.answer_request(now, from, *cr, state_bytes),
-            SnapMsg::Full {
-                compressed, data, ..
-            } => {
-                let raw = if *compressed {
-                    match lzw::decompress(data) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            self.peer_failed(from);
-                            return Vec::new();
-                        }
+            SnapMsg::Reply { entry, .. } => {
+                let raw = match self.received.apply(from, entry) {
+                    Ok(raw) => Some(raw.to_vec()),
+                    // The snapshot-base hazard (ROADMAP item 1), kept as it
+                    // always was: a patch from a peer this node holds no
+                    // base for is applied over zeros — adopt an empty
+                    // base, then patch it. The fix refuses it in
+                    // `BaseMap::apply` and deletes this arm.
+                    Err(Refused::NoBase) if matches!(entry, SlotDelta::Patch(_)) => {
+                        self.stats.patches_without_base += 1;
+                        let empty = SlotDelta::Full {
+                            compressed: false,
+                            data: Vec::new(),
+                        };
+                        let _ = self.received.apply(from, &empty);
+                        self.received.apply(from, entry).ok().map(<[u8]>::to_vec)
                     }
-                } else {
-                    data.clone()
+                    Err(_) => None,
                 };
-                self.accept_response(from, raw);
-                Vec::new()
-            }
-            SnapMsg::Delta { diff, .. } => {
-                let prev = self.recv_from.get(&from).cloned().unwrap_or_default();
-                let applied = Diff::from_bytes(diff)
-                    .ok()
-                    .and_then(|d| apply_diff(&prev, &d));
-                match applied {
-                    Some(raw) => self.accept_response(from, raw),
-                    None => self.peer_failed(from),
-                }
-                Vec::new()
-            }
-            SnapMsg::Duplicate { .. } => {
-                match self.recv_from.get(&from).cloned() {
+                match raw {
                     Some(raw) => self.accept_response(from, raw),
                     None => self.peer_failed(from),
                 }
@@ -467,38 +429,22 @@ impl CheckpointManager {
         };
         let cn = self.cn.max(cr);
         self.stats.raw_bytes_considered += raw.len() as u64;
-        let reply = self.encode_payload(from, cn, &raw);
+        let entry = self
+            .sent
+            .encode(from, raw, self.config.diffs, self.config.compression);
+        match entry {
+            SlotDelta::Unchanged => self.stats.duplicates_suppressed += 1,
+            SlotDelta::Patch(_) => self.stats.deltas_sent += 1,
+            SlotDelta::Full { .. } => {}
+        }
+        let reply = SnapMsg::Reply { cn, entry };
         let bytes = reply.encoded_len();
         self.stats.payload_bytes_sent += bytes as u64;
         self.bw_window_bytes += bytes as u64;
-        self.sent_to.insert(from, raw);
         vec![(from, reply)]
     }
 
-    /// Chooses the cheapest representation: duplicate < delta < full, with
-    /// optional compression for full payloads (the shared
-    /// [`encode_against`] ladder, mapped onto the snapshot wire).
-    fn encode_payload(&mut self, peer: NodeId, cn: u64, raw: &[u8]) -> SnapMsg {
-        let base = self.sent_to.get(&peer).map(Vec::as_slice);
-        match encode_against(base, raw, self.config.diffs, self.config.compression) {
-            BaseEncoding::Unchanged => {
-                self.stats.duplicates_suppressed += 1;
-                SnapMsg::Duplicate { cn }
-            }
-            BaseEncoding::Patch(diff) => {
-                self.stats.deltas_sent += 1;
-                SnapMsg::Delta { cn, diff }
-            }
-            BaseEncoding::Full { compressed, data } => SnapMsg::Full {
-                cn,
-                compressed,
-                data,
-            },
-        }
-    }
-
     fn accept_response(&mut self, from: NodeId, raw: Vec<u8>) {
-        self.recv_from.insert(from, raw.clone());
         if let Some(g) = self.gather.as_mut() {
             if g.waiting.remove(&from) {
                 g.collected.insert(from, raw);
@@ -516,8 +462,8 @@ impl CheckpointManager {
                 g.missing.push(peer);
             }
         }
-        self.sent_to.remove(&peer);
-        self.recv_from.remove(&peer);
+        self.sent.forget(|&n| n == peer);
+        self.received.forget(|&n| n == peer);
     }
 
     fn maybe_retry(&mut self, state_bytes: &[u8]) -> Vec<(NodeId, SnapMsg)> {
@@ -622,6 +568,8 @@ impl CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{encode_diff, Diff};
+    use crate::lzw;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -716,8 +664,9 @@ mod tests {
         );
         assert_eq!(replies.len(), 1);
         match &replies[0].1 {
-            SnapMsg::Full {
-                data, compressed, ..
+            SnapMsg::Reply {
+                entry: SlotDelta::Full { data, compressed },
+                ..
             } => {
                 let raw = if *compressed {
                     lzw::decompress(data).unwrap()
@@ -756,7 +705,10 @@ mod tests {
         let replies = responder.handle(SimTime::ZERO, NodeId(0), req, &state(99, 16));
         assert!(matches!(
             replies[0].1,
-            SnapMsg::Full { .. } | SnapMsg::Delta { .. }
+            SnapMsg::Reply {
+                entry: SlotDelta::Full { .. } | SlotDelta::Patch(_),
+                ..
+            }
         ));
         let _ = dst;
     }
@@ -819,7 +771,16 @@ mod tests {
             &SnapMsg::Request { cr: 1 },
             &pstate,
         );
-        assert!(matches!(warm[0].1, SnapMsg::Full { .. }), "budget spent");
+        assert!(
+            matches!(
+                warm[0].1,
+                SnapMsg::Reply {
+                    entry: SlotDelta::Full { .. },
+                    ..
+                }
+            ),
+            "budget spent"
+        );
         // The gather's request lands in the same window: Nack.
         let reqs = g.start_gather(&[NodeId(1)], &state(0, 32));
         let replies = limited.handle(SimTime::ZERO, NodeId(0), &reqs[0].1, &pstate);
@@ -833,7 +794,13 @@ mod tests {
         let t2 = SimTime::ZERO + cb_model::SimDuration::from_secs(2);
         let replies2 = limited.handle(t2, NodeId(0), &retry[0].1, &pstate);
         assert!(
-            matches!(replies2[0].1, SnapMsg::Full { .. } | SnapMsg::Delta { .. }),
+            matches!(
+                replies2[0].1,
+                SnapMsg::Reply {
+                    entry: SlotDelta::Full { .. } | SlotDelta::Patch(_),
+                    ..
+                }
+            ),
             "retry served in the next bandwidth window: {:?}",
             replies2[0].1
         );
@@ -924,7 +891,7 @@ mod tests {
         let mut peers = vec![(peer, pstate.clone())];
         let snap1 = run_gather(&mut g, &mut peers, &state(0, 64));
         assert_eq!(snap1.states[&NodeId(1)], pstate);
-        // Round 2: identical state → Duplicate on the wire.
+        // Round 2: identical state → an Unchanged reply on the wire.
         let snap2 = run_gather(&mut g, &mut peers, &state(0, 64));
         assert_eq!(snap2.states[&NodeId(1)], pstate);
         peer = std::mem::replace(&mut peers[0].0, mgr(99));
@@ -933,7 +900,7 @@ mod tests {
             "duplicate suppressed"
         );
         peers[0].0 = peer;
-        // Round 3: slightly changed state → Delta on the wire.
+        // Round 3: slightly changed state → a Patch reply on the wire.
         let mut changed = pstate.clone();
         changed[128] = 9;
         peers[0].1 = changed.clone();
@@ -970,17 +937,14 @@ mod tests {
             new_len: 1 << 40,
             patches: Vec::new(),
         };
-        for hostile in [
-            SnapMsg::Delta {
-                cn: 1,
-                diff: inflated.to_bytes(),
-            },
-            SnapMsg::Full {
-                cn: 1,
+        for entry in [
+            SlotDelta::Patch(inflated.to_bytes()),
+            SlotDelta::Full {
                 compressed: true,
                 data: lzw::kwkwk_bomb(),
             },
         ] {
+            let hostile = SnapMsg::Reply { cn: 1, entry };
             let mut g = mgr(0);
             g.start_gather(&[NodeId(1)], &state(0, 16));
             assert!(g
@@ -997,20 +961,116 @@ mod tests {
     fn snapmsg_codec_roundtrip() {
         for m in [
             SnapMsg::Request { cr: 7 },
-            SnapMsg::Full {
+            SnapMsg::Reply {
                 cn: 3,
-                compressed: true,
-                data: vec![1, 2, 3],
+                entry: SlotDelta::Full {
+                    compressed: true,
+                    data: vec![1, 2, 3],
+                },
             },
-            SnapMsg::Delta {
+            SnapMsg::Reply {
                 cn: 4,
-                diff: vec![9, 9],
+                entry: SlotDelta::Patch(vec![9, 9]),
             },
-            SnapMsg::Duplicate { cn: 5 },
+            SnapMsg::Reply {
+                cn: 5,
+                entry: SlotDelta::Unchanged,
+            },
             SnapMsg::Nack { cn: 6 },
         ] {
-            assert_eq!(SnapMsg::from_bytes(&m.to_bytes()).unwrap(), m);
+            let bytes = m.to_bytes();
+            assert_eq!(m.encoded_len(), bytes.len());
+            assert_eq!(SnapMsg::from_bytes(&bytes).unwrap(), m);
         }
+    }
+
+    /// The gather wire's exact bytes, as they were when a reply was three
+    /// variants (`Full` 1, `Delta` 2, `Duplicate` 3): the simulator times
+    /// links by message size, so a layout change would move every
+    /// simulated and fleet outcome.
+    #[test]
+    fn snapmsg_golden_bytes() {
+        let reply = |cn, entry| SnapMsg::Reply { cn, entry };
+        for (m, bytes) in [
+            (SnapMsg::Request { cr: 7 }, vec![0, 7]),
+            (SnapMsg::Nack { cn: 300 }, vec![4, 172, 2]),
+            (
+                reply(
+                    300,
+                    SlotDelta::Full {
+                        compressed: true,
+                        data: vec![0x61, 0x62, 0x00, 0x01],
+                    },
+                ),
+                vec![1, 172, 2, 1, 4, 0x61, 0x62, 0x00, 0x01],
+            ),
+            (
+                reply(
+                    5,
+                    SlotDelta::Full {
+                        compressed: false,
+                        data: vec![9, 8, 7],
+                    },
+                ),
+                vec![1, 5, 0, 3, 9, 8, 7],
+            ),
+            (
+                reply(6, SlotDelta::Patch(vec![4, 1, 2, 3, 2, 0xaa, 0xbb])),
+                vec![2, 6, 7, 4, 1, 2, 3, 2, 0xaa, 0xbb],
+            ),
+            (reply(128, SlotDelta::Unchanged), vec![3, 128, 1]),
+        ] {
+            assert_eq!(m.to_bytes(), bytes, "{m:?}");
+            assert_eq!(SnapMsg::from_bytes(&bytes).unwrap(), m);
+        }
+    }
+
+    /// A patch from a peer this node holds no base for is applied over
+    /// zeros, and counted.
+    #[test]
+    fn patch_without_base_is_zero_filled_and_counted() {
+        let mut g = mgr(0);
+        g.start_gather(&[NodeId(1)], &state(0, 16));
+        let patch = SlotDelta::Patch(encode_diff(b"abcd", b"abXY").to_bytes());
+        g.handle(
+            SimTime::ZERO,
+            NodeId(1),
+            &SnapMsg::Reply {
+                cn: 1,
+                entry: patch,
+            },
+            &state(0, 16),
+        );
+        assert_eq!(g.stats.patches_without_base, 1);
+        let snap = g.poll_snapshot().expect("gather complete");
+        assert_eq!(snap.states[&NodeId(1)], b"\0\0XY");
+        let mut total = SnapshotStats::default();
+        total.merge(&g.stats);
+        total.merge(&g.stats);
+        assert_eq!(total.patches_without_base, 2);
+    }
+
+    /// A responder diffs against what it last *sent*: when that reply is
+    /// lost, the requester's base for it is not the responder's, and the
+    /// next patch rebuilds the wrong bytes.
+    #[test]
+    #[ignore = "ROADMAP item 1: a snapshot delta must name its base"]
+    fn lost_reply_keeps_gathered_bytes_equal_to_the_checkpoint() {
+        let mut g = mgr(0);
+        let mut responder = mgr(1);
+        let own = state(0, 64);
+        let first = state(7, 256);
+        let reqs = g.start_gather(&[NodeId(1)], &own);
+        let lost = responder.handle(SimTime::ZERO, NodeId(0), &reqs[0].1, &first);
+        assert_eq!(lost.len(), 1, "answered, never delivered");
+        let mut second = first.clone();
+        second[128] = 9;
+        let reqs = g.start_gather(&[NodeId(1)], &own);
+        for (_, reply) in responder.handle(SimTime::ZERO, NodeId(0), &reqs[0].1, &second) {
+            g.handle(SimTime::ZERO, NodeId(1), &reply, &own);
+        }
+        let snap = g.poll_snapshot().expect("gather complete");
+        assert_eq!(snap.states.get(&NodeId(1)), Some(&second));
     }
 
     // The consistency property of §2.3: a message sent after the sender's

@@ -31,8 +31,8 @@ use crystalball_suite::protocols::chord::ChordBugs;
 use crystalball_suite::protocols::paxos::PaxosBugs;
 use crystalball_suite::protocols::randtree::RandTreeBugs;
 use crystalball_suite::snapshot::{
-    apply_diff, encode_diff, lzw, CheckpointManager, DeltaDecoder, DeltaEncoder, Diff, SnapMsg,
-    SnapshotConfig, StateDelta,
+    apply_diff, encode_diff, lzw, CheckpointManager, DeltaDecoder, DeltaEncoder, Diff, SlotDelta,
+    SnapMsg, SnapshotConfig, StateDelta,
 };
 
 /// Live bytes and their high-water mark, counted around [`System`].
@@ -251,8 +251,8 @@ fn delta_cases<P: Protocol + 'static>(name: &str, proto: &P, gs: &GlobalState<P>
 }
 
 /// A `SnapMsg` row: decode, then hand a well-formed message to a manager
-/// that is gathering from its sender (where `Full` is decompressed and
-/// `Delta` applied), which then checkpoints and gathers again on whatever
+/// that is gathering from its sender (where a reply's `Full` entry is
+/// decompressed and its `Patch` applied), which then checkpoints and gathers again on whatever
 /// checkpoint number the message left it with.
 fn snap_case(name: &str, msg: &SnapMsg) -> Case {
     Case::new(format!("SnapMsg/{name}"), msg.to_bytes(), |bytes| {
@@ -465,29 +465,39 @@ fn table() -> Vec<Case> {
     for (name, msg) in [
         ("Request", SnapMsg::Request { cr: 5 }),
         (
-            "Full",
-            SnapMsg::Full {
+            "Reply/Full",
+            SnapMsg::Reply {
                 cn: 5,
-                compressed: false,
-                data: checkpoint.clone(),
+                entry: SlotDelta::Full {
+                    compressed: false,
+                    data: checkpoint.clone(),
+                },
             },
         ),
         (
-            "Full/lzw",
-            SnapMsg::Full {
+            "Reply/Full/lzw",
+            SnapMsg::Reply {
                 cn: 5,
-                compressed: true,
-                data: lzw::compress(&checkpoint),
+                entry: SlotDelta::Full {
+                    compressed: true,
+                    data: lzw::compress(&checkpoint),
+                },
             },
         ),
         (
-            "Delta",
-            SnapMsg::Delta {
+            "Reply/Patch",
+            SnapMsg::Reply {
                 cn: 6,
-                diff: encode_diff(b"", &changed).to_bytes(),
+                entry: SlotDelta::Patch(encode_diff(b"", &changed).to_bytes()),
             },
         ),
-        ("Duplicate", SnapMsg::Duplicate { cn: 6 }),
+        (
+            "Reply/Unchanged",
+            SnapMsg::Reply {
+                cn: 6,
+                entry: SlotDelta::Unchanged,
+            },
+        ),
         ("Nack", SnapMsg::Nack { cn: 7 }),
     ] {
         cases.push(snap_case(name, &msg));

@@ -28,7 +28,7 @@ use crystalball_suite::protocols::randtree::{self, RandTree, RandTreeBugs};
 use crystalball_suite::runtime::{
     Hook, NoHook, Scenario, ScriptEvent, SimConfig, SimStats, Simulation, SnapshotRuntime,
 };
-use crystalball_suite::snapshot::{encode_against, BaseEncoding};
+use crystalball_suite::snapshot::{CheckpointManager, SlotDelta, SnapMsg, SnapshotConfig};
 
 /// Prints one ledger record and fails the test if its bound does not hold.
 fn claim(id: &str, paper: &str, ours: &str, bound: &str, holds: bool) {
@@ -611,8 +611,16 @@ fn fleet_bullet_steering_throttle() {
 /// The bytes the snapshot wire ships for a checkpoint with no base: LZW
 /// output when that is smaller, raw otherwise.
 fn wire_bytes(raw: &[u8]) -> usize {
-    match encode_against(None, raw, false, true) {
-        BaseEncoding::Full { data, .. } => data.len(),
+    let mut responder = CheckpointManager::new(NodeId(1), SnapshotConfig::default());
+    let request = SnapMsg::Request { cr: 1 };
+    match &responder.handle(SimTime::ZERO, NodeId(0), &request, raw)[..] {
+        [(
+            _,
+            SnapMsg::Reply {
+                entry: SlotDelta::Full { data, .. },
+                ..
+            },
+        )] => data.len(),
         other => panic!("no base, yet {other:?}"),
     }
 }
