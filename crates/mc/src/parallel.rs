@@ -14,9 +14,13 @@
 //! The engine processes the state graph one BFS level at a time. Each
 //! level runs three phases:
 //!
-//! 1. **Check** (parallel): property-check every state of the level, one
-//!    pool task per contiguous range of items, each writing its own
-//!    chunk of one pre-sized result vector.
+//! 1. **Build and check** (parallel): for the prefix of the level the
+//!    state budget still reaches, build every successor the previous
+//!    level's ranges left unbuilt and property-check every state, one pool
+//!    task per contiguous range of items, each writing its own chunk of
+//!    the level and of one pre-sized result vector. The previous level is
+//!    dropped after this phase; a successor past the budget is never
+//!    built.
 //! 2. **Visit** (sequential, cheap): walk the level in canonical order
 //!    (the order the sequential engine would dequeue), applying stop
 //!    criteria, recording violations, and — under consequence prediction —
@@ -28,11 +32,15 @@
 //!    enumerate events and hash each successor (a transition-memo hit is
 //!    hashed without being built; a miss runs the handler). An edge whose
 //!    hash the explored set already holds, or that an earlier edge of the
-//!    same range reached, is a duplicate on the spot and builds nothing;
-//!    every other edge builds its successor. Once a wave of ranges is
-//!    expanded, the coordinator walks the wave's edges in canonical order,
-//!    inserts each edge's hash into the explored set, and enqueues exactly
-//!    the edges whose insert is fresh.
+//!    same range reached, is a duplicate on the spot. Every other edge is
+//!    kept: a miss with the state it built, a hit unbuilt — its parent's
+//!    index in the level and the memo entry's result by value
+//!    ([`cb_model::Deferred`]), which phase 1 of the next level builds if
+//!    the budget reaches it, as [`Searcher::run`] builds a hit when it
+//!    dequeues it. Once a wave of ranges is expanded, the coordinator
+//!    walks the wave's edges in canonical order, inserts each edge's hash
+//!    into the explored set, and enqueues exactly the edges whose insert
+//!    is fresh.
 //!
 //! # One explored set, one admission rule
 //!
@@ -43,12 +51,13 @@
 //! so an edge's insert is fresh exactly when it is the first edge to its
 //! hash. While a wave expands, the set is frozen and the range tasks only
 //! read it. The two tests they apply drop only edges the in-order insert
-//! would drop too, so they save building what cannot be enqueued; an edge
-//! whose hash only an earlier range of the same wave reaches is built and
-//! then dropped by the collect. Every enqueued edge built its own state —
-//! the clone the sequential engine would have built, with its in-flight
-//! `Vec` order, which steers later event enumeration (equal hashes pin
-//! down only the in-flight multiset). Reconstructed paths — including the
+//! would drop too, so they save keeping what cannot be enqueued; an edge
+//! whose hash only an earlier range of the same wave reaches is kept and
+//! then dropped by the collect. Every enqueued edge builds its own state,
+//! from its own parent — the clone the sequential engine would have
+//! built, with its in-flight `Vec` order, which steers later event
+//! enumeration (equal hashes pin down only the in-flight multiset).
+//! Reconstructed paths — including the
 //! canonical shallowest counterexample, tie-broken by (depth,
 //! path-lexicographic order) — and every downstream level then match the
 //! sequential engine exactly. Wall-clock-dependent outcomes (deadline
@@ -59,37 +68,52 @@
 //! One job is a few microseconds of work on states that share most of
 //! their `Arc`'d node slots with their siblings and parent; a pool task
 //! per job costs more than the job and scatters siblings over the cores.
-//! A range pays the task and its transition memo once and keeps
-//! neighbours on one core. The cut is one fixed rule (`range_len`);
-//! ranges run in waves of `workers × RANGES_PER_WORKER` ranges, one pool
-//! scope each, so the built states held for the collect are a wave's, not
-//! the level's. A wave of one range — every level that fits one range:
-//! the short levels every search starts with, all of a shallow search —
-//! runs inline on the caller with no scope or worker wake-up. Ranges are
-//! contiguous in job order and collected in order, so where the cuts fall
-//! cannot reach a result.
+//! A range pays the task once and keeps neighbours on one core. The cut
+//! is one fixed rule (`range_len`); ranges run in waves of
+//! `workers × RANGES_PER_WORKER` ranges, one pool scope each, so the kept
+//! edges held for the collect are a wave's, not the level's. A wave of
+//! one range — every level that fits one range: the short levels every
+//! search starts with, all of a shallow search — runs inline on the
+//! caller with no scope or worker wake-up. Ranges are contiguous in job
+//! order and collected in order, so where the cuts fall cannot reach a
+//! result.
+//!
+//! # One memo per worker
+//!
+//! A range task takes a transition memo from the search's free list and
+//! puts it back when done, so a memo lives across ranges, waves and
+//! levels and there are never more of them than tasks that ran at once —
+//! in effect one per worker. Which memo a range gets depends on
+//! scheduling, so `memo_hits`/`memo_misses` do too; a hit builds the
+//! successor a miss would, so nothing else does.
 //!
 //! There is no single-threaded rendering of these phases: one worker (or
 //! none) *is* [`Searcher::run`].
 //!
-//! Differences from the sequential engine, all stats-level: `elapsed` and
-//! `peak_frontier_bytes` reflect this engine's level-at-a-time residency
-//! (the per-level sum of state footprints) rather than a sliding window,
-//! and `merge_busy` times the coordinator's in-order collects (see
-//! [`SearchStats`]; `merge_wait` has nothing left to time and stays 0).
+//! Differences from the sequential engine, all stats-level: `elapsed`;
+//! `peak_frontier_bytes`, which is the largest per-level sum of successor
+//! footprints — an unbuilt one counted at the size it will have, as
+//! [`Searcher::run`] counts it — rather than a sliding window's (what is
+//! resident is the level being expanded and its successors as kept,
+//! mostly unbuilt); `memo_hits`/`memo_misses` (above); and `merge_busy`,
+//! which times the coordinator's in-order collects (see [`SearchStats`];
+//! `merge_wait` has nothing left to time and stays 0).
 
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cb_model::{Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation};
+use cb_model::{
+    Deferred, Event, GlobalState, NodeId, Protocol, TraceStep, TransitionMemo, Violation,
+};
 
 use crate::pool::WorkerPool;
 use crate::report::{FoundViolation, SearchOutcome, StopReason};
 use crate::search::{
-    approx_state_bytes, digest_set_bytes, enumerate_gated, reconstruct, ArenaRec, DigestSet,
-    SearchConfig, Searcher,
+    approx_bytes, approx_state_bytes, digest_set_bytes, enumerate_gated, reconstruct, ArenaRec,
+    DigestSet, SearchConfig, Searcher,
 };
 use crate::stats::SearchStats;
 
@@ -144,7 +168,7 @@ const RANGES_PER_WORKER: usize = 4;
 /// expansion it takes over.
 const MIN_RANGE_JOBS: usize = 64;
 /// Most jobs per range: a range's edges are still cache-resident when
-/// the collect takes them, and a wave holds the built edges of at most
+/// the collect takes them, and a wave holds the kept edges of at most
 /// `workers × RANGES_PER_WORKER × MAX_RANGE_JOBS` jobs.
 const MAX_RANGE_JOBS: usize = 256;
 
@@ -168,14 +192,57 @@ fn cut(n: usize, workers: usize) -> Vec<Range<usize>> {
 /// reached it — all items of one level share a depth.
 type Level<P> = Vec<(GlobalState<P>, Option<usize>)>;
 
-/// A successor edge its range did not find to be a duplicate: built
-/// then, and enqueued by the collect iff its `hash` is fresh there.
+/// A level as the collect enqueued it: its successors, each with the arena
+/// record of the edge that reached it, not all built yet.
+type Frontier<P> = Vec<(Succ<P>, Option<usize>)>;
+
+/// A successor as its range left it: built — a memo miss, whose handler
+/// run is what hashed it, and the start state — or, for a memo hit, its
+/// parent's index in the level it was expanded from and the memo entry's
+/// result, which the next level's phase 1 builds if the budget reaches it.
+enum Succ<P: Protocol> {
+    Built(GlobalState<P>),
+    Deferred { parent: usize, recipe: Deferred<P> },
+}
+
+impl<P: Protocol> Succ<P> {
+    /// The state, building a deferred one in place from its parent in
+    /// `parents`, with the event and step of its edge (`rec`) in `arena`.
+    fn build(
+        &mut self,
+        protocol: &P,
+        parents: &[(GlobalState<P>, Option<usize>)],
+        arena: &[ArenaRec<P>],
+        rec: Option<usize>,
+    ) -> &GlobalState<P> {
+        if let Succ::Deferred { parent, recipe } = self {
+            let edge = &arena[rec.expect("the start state is built")];
+            let state = recipe.build(protocol, &parents[*parent].0, &edge.event, &edge.step);
+            *self = Succ::Built(state);
+        }
+        match self {
+            Succ::Built(state) => state,
+            Succ::Deferred { .. } => unreachable!("built above"),
+        }
+    }
+
+    fn into_built(self) -> GlobalState<P> {
+        match self {
+            Succ::Built(state) => state,
+            Succ::Deferred { .. } => unreachable!("phase 1 builds the budget prefix"),
+        }
+    }
+}
+
+/// A successor edge its range did not find to be a duplicate, enqueued by
+/// the collect iff its `hash` is fresh there.
 struct Edge<P: Protocol> {
     /// The arena record of the state the edge leaves.
     parent: Option<usize>,
     hash: u64,
-    state: GlobalState<P>,
-    /// Byte footprint of `state`, taken while it was cache-hot.
+    succ: Succ<P>,
+    /// Byte footprint of the successor, built or not (as `Searcher::run`
+    /// counts a frontier entry).
     bytes: usize,
     event: Event<P>,
     step: TraceStep,
@@ -201,15 +268,14 @@ impl ExpandTally {
     }
 }
 
-/// One range's expansion: its built edges in canonical (job, event)
-/// order, and what it counted.
+/// One range's expansion: its kept edges in canonical (job, event) order,
+/// and what it counted.
 type Expanded<P> = (Vec<Edge<P>>, ExpandTally);
 
 /// The level under construction: admitted successors in canonical
-/// enqueue order, with their byte footprints (each taken where the state
-/// was built) summed.
+/// enqueue order, with their byte footprints summed.
 struct NextLevel<P: Protocol> {
-    states: Level<P>,
+    items: Frontier<P>,
     bytes: usize,
 }
 
@@ -218,7 +284,8 @@ impl<P: Protocol> NextLevel<P> {
     /// range's: inserts each edge's hash into the explored set and
     /// enqueues, with its arena record, each edge whose insert is fresh —
     /// the canonical edge to its hash. Returns how many edges it dropped
-    /// (built, but an earlier range reached their hash first).
+    /// (kept by their range, but an earlier range reached their hash
+    /// first).
     fn collect(
         &mut self,
         explored: &mut DigestSet,
@@ -237,9 +304,38 @@ impl<P: Protocol> NextLevel<P> {
                 step: e.step,
             });
             self.bytes += e.bytes;
-            self.states.push((e.state, Some(arena.len() - 1)));
+            self.items.push((e.succ, Some(arena.len() - 1)));
         }
         dropped
+    }
+}
+
+/// The search's transition memos that no range task holds. A task takes
+/// one — a new one when every memo is taken — and puts it back when done,
+/// so a memo lives across ranges, waves and levels, and a search holds no
+/// more memos than it ran range tasks at once. Which memo a range gets
+/// depends on scheduling: what it holds moves the hit count, never a
+/// successor.
+struct Memos<'p, P: Protocol> {
+    protocol: &'p P,
+    free: Mutex<Vec<TransitionMemo<'p, P>>>,
+}
+
+impl<'p, P: Protocol> Memos<'p, P> {
+    fn new(protocol: &'p P) -> Self {
+        Memos {
+            protocol,
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn take(&self) -> TransitionMemo<'p, P> {
+        let free = self.free.lock().expect("memo list poisoned").pop();
+        free.unwrap_or_else(|| TransitionMemo::new(self.protocol))
+    }
+
+    fn put(&self, memo: TransitionMemo<'p, P>) {
+        self.free.lock().expect("memo list poisoned").push(memo);
     }
 }
 
@@ -281,12 +377,13 @@ impl Deadline {
 }
 
 /// One level's phase 3: what its range tasks all read besides the
-/// explored set (frozen for the length of a wave), and the logical worker
-/// count its jobs are cut for.
-struct Phase3<'a, P: Protocol> {
+/// explored set (frozen for the length of a wave), the memos they take,
+/// and the logical worker count its jobs are cut for.
+struct Phase3<'a, 'p, P: Protocol> {
     level: &'a [(GlobalState<P>, Option<usize>)],
     jobs: &'a [ExpandJob],
     deadline: &'a Deadline,
+    memos: &'a Memos<'p, P>,
     workers: usize,
 }
 
@@ -336,43 +433,46 @@ impl<P: Protocol> Searcher<'_, P> {
         let mut arena: Vec<ArenaRec<P>> = Vec::new();
         let mut explored = DigestSet::default();
         let mut local_explored = DigestSet::default();
+        let memos = Memos::new(self.protocol);
         let mut depth_truncated = false;
         let mut stopped: Option<StopReason> = None;
 
         explored.insert(start.state_hash());
-        let mut level: Level<P> = vec![(start.clone(), None)];
-        // Byte footprint of `level`, accumulated when the level was built
-        // (while each state was cache-hot) instead of re-scanned here.
-        let mut level_bytes = approx_state_bytes(start);
+        // The level the frontier was expanded from: deferred successors
+        // are built from it.
+        let mut parents: Level<P> = Vec::new();
+        let mut frontier: Frontier<P> = vec![(Succ::Built(start.clone()), None)];
+        // Byte footprint of `frontier`, accumulated as the collect
+        // enqueued it, each deferred successor counted as if built.
+        let mut frontier_bytes = approx_state_bytes(start);
         stats.states_enqueued = 1;
         let mut depth = 0usize;
 
-        'levels: while !level.is_empty() {
+        'levels: while !frontier.is_empty() {
             if deadline.passed() {
                 break 'levels;
             }
-            stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(level_bytes);
+            stats.peak_frontier_bytes = stats.peak_frontier_bytes.max(frontier_bytes);
 
             // Only the prefix the visit loop can still afford to dequeue
-            // is checked/expanded — the final BFS level is typically the
-            // largest, and work beyond the budget would be discarded.
+            // is built, checked and expanded — the final BFS level is
+            // typically the largest, and work beyond the budget would be
+            // discarded. A deferred successor past it is never built.
+            let enqueued = frontier.len();
             let budget_left = self
                 .config
                 .max_states
-                .map_or(level.len(), |max| max.saturating_sub(stats.states_visited))
-                .min(level.len());
-            let mut next = NextLevel {
-                // Levels rarely shrink: the previous level's size is a
-                // cheap floor that skips most of the growth reallocations.
-                states: Vec::with_capacity(level.len()),
-                bytes: 0,
-            };
+                .map_or(enqueued, |max| max.saturating_sub(stats.states_visited))
+                .min(enqueued);
+            frontier.truncate(budget_left);
 
-            // Phase 1: parallel property check over the budget prefix.
-            let checks = self.check_level(&level[..budget_left], workers, &deadline, pool);
-            if deadline.hit() {
+            // Phase 1: parallel build and property check of the budget
+            // prefix; the level it was expanded from goes with it.
+            let Some((level, checks)) =
+                self.check_level(frontier, parents, &arena, workers, &deadline, pool)
+            else {
                 break 'levels;
-            }
+            };
 
             // Phase 2: sequential visit, in canonical (sequential-dequeue)
             // order — exactly what the sequential loop does between
@@ -382,14 +482,9 @@ impl<P: Protocol> Searcher<'_, P> {
             // expansion (which runs later, on other threads), so they land
             // in canonical item order regardless of scheduling.
             let mut jobs: Vec<ExpandJob> = Vec::with_capacity(budget_left);
-            let mut checks = checks.into_iter();
-            for (i, (state, rec)) in level.iter().enumerate() {
-                if i >= budget_left {
-                    stopped = Some(StopReason::StateLimit);
-                    break;
-                }
+            for (i, ((state, rec), check)) in level.iter().zip(checks).enumerate() {
                 stats.record_visit(depth);
-                if let Some(violation) = checks.next().expect("budget prefix was checked") {
+                if let Some(violation) = check {
                     stats.violations_found += 1;
                     violations.push(FoundViolation {
                         violation,
@@ -420,25 +515,38 @@ impl<P: Protocol> Searcher<'_, P> {
                 });
                 jobs.push(ExpandJob { item: i, allowed });
             }
+            if stopped.is_none() && budget_left < enqueued {
+                // The sequential loop dequeues the first state past the
+                // budget and stops there.
+                stopped = Some(StopReason::StateLimit);
+            }
 
             // Phase 3: expand against the frozen explored set, and
             // collect each wave's edges into it in canonical order.
+            let mut next = NextLevel {
+                // Levels rarely shrink: the previous level's size is a
+                // cheap floor that skips most of the growth reallocations.
+                items: Vec::with_capacity(enqueued),
+                bytes: 0,
+            };
             let cx = Phase3 {
                 level: &level,
                 jobs: &jobs,
                 deadline: &deadline,
+                memos: &memos,
                 workers,
             };
             self.expand_level(&cx, &mut explored, pool, &mut arena, &mut next, &mut stats);
             if deadline.hit() {
                 break 'levels; // the partial level is discarded
             }
-            stats.states_enqueued += next.states.len();
+            stats.states_enqueued += next.items.len();
             if stopped.is_some() {
                 break 'levels;
             }
-            level = next.states;
-            level_bytes = next.bytes;
+            parents = level;
+            frontier = next.items;
+            frontier_bytes = next.bytes;
             depth += 1;
         }
 
@@ -463,62 +571,74 @@ impl<P: Protocol> Searcher<'_, P> {
         }
     }
 
-    /// Phase 1: property-checks every level item, one pool task per
-    /// contiguous range ([`range_len`]), each writing its own chunk of the
-    /// result; a level that fits one range is checked on the caller. The
-    /// checks are incomplete (and to be discarded) when the deadline fired
+    /// Phase 1: builds each deferred successor of the budget prefix
+    /// `frontier` from its parent in `parents` and property-checks every
+    /// item, one pool task per contiguous range ([`range_len`]), each
+    /// writing its own chunk of the items and of the result; a level that
+    /// fits one range runs on the caller. Returns the built level and its
+    /// checks, and drops `parents`; `None` when the deadline fired
     /// mid-phase.
     fn check_level(
         &self,
-        level: &[(GlobalState<P>, Option<usize>)],
+        mut frontier: Frontier<P>,
+        parents: Level<P>,
+        arena: &[ArenaRec<P>],
         workers: usize,
         deadline: &Deadline,
         pool: &WorkerPool,
-    ) -> Vec<Option<Violation>> {
+    ) -> Option<(Level<P>, Vec<Option<Violation>>)> {
         let mut checks: Vec<Option<Violation>> = Vec::new();
-        checks.resize_with(level.len(), || None);
-        let check_range = |items: &[(GlobalState<P>, Option<usize>)],
+        checks.resize_with(frontier.len(), || None);
+        let check_range = |items: &mut [(Succ<P>, Option<usize>)],
                            out: &mut [Option<Violation>]| {
-            for ((state, _), slot) in items.iter().zip(out) {
+            for ((succ, rec), slot) in items.iter_mut().zip(out) {
                 if deadline.passed() {
                     return;
                 }
+                let state = succ.build(self.protocol, &parents, arena, *rec);
                 *slot = self.props.check(state);
             }
         };
-        let len = range_len(level.len(), workers);
-        if level.len() <= len {
-            check_range(level, &mut checks);
+        let len = range_len(frontier.len(), workers);
+        if frontier.len() <= len {
+            check_range(&mut frontier, &mut checks);
         } else {
             pool.scope(|scope| {
-                for (items, out) in level.chunks(len).zip(checks.chunks_mut(len)) {
+                for (items, out) in frontier.chunks_mut(len).zip(checks.chunks_mut(len)) {
                     let check_range = &check_range;
                     scope.spawn(move || check_range(items, out));
                 }
             });
         }
-        checks
+        if deadline.hit() {
+            return None;
+        }
+        let level = frontier
+            .into_iter()
+            .map(|(succ, rec)| (succ.into_built(), rec))
+            .collect();
+        Some((level, checks))
     }
 
-    /// Executes the contiguous `range` of the level's expansion jobs:
-    /// enumerate and hash each successor, and build it unless `explored`
-    /// or an earlier edge of the range already holds its hash (a memo hit
-    /// is hashed unbuilt). Cut short (to be discarded) once the deadline
-    /// has passed.
+    /// Executes the contiguous `range` of the level's expansion jobs on a
+    /// memo taken from `cx.memos`: enumerate and hash each successor, and
+    /// keep it unless `explored` or an earlier edge of the range already
+    /// holds its hash. A memo hit is hashed and kept unbuilt; a miss is
+    /// built, since running its handler is what hashes it. Cut short (to
+    /// be discarded) once the deadline has passed.
     fn expand_range(
         &self,
-        cx: &Phase3<'_, P>,
+        cx: &Phase3<'_, '_, P>,
         explored: &DigestSet,
         range: Range<usize>,
     ) -> Expanded<P> {
         let mut edges = Vec::new();
         let mut tally = ExpandTally::default();
-        // The hashes this range built: a later edge to one is a duplicate
+        // The hashes this range kept: a later edge to one is a duplicate
         // whatever the collect decides for the first.
         let mut seen = DigestSet::default();
-        // One memo per range task: what it holds depends on the range's
-        // jobs alone, never on which thread ran it or when.
-        let mut memo = TransitionMemo::new(self.protocol);
+        let mut memo = cx.memos.take();
+        let (hits, misses) = (memo.hits(), memo.misses());
         for j in range {
             if cx.deadline.passed() {
                 break;
@@ -534,33 +654,42 @@ impl<P: Protocol> Searcher<'_, P> {
             );
             let mut from = memo.expand(state);
             for event in events {
-                // A memo hit is hashed without being built, and built only
-                // if it is no duplicate; a miss is built to be hashed.
-                let (built, hash, step) = match from.hash_of(&event) {
-                    Some(probe) => (None, probe.hash, probe.step),
+                let (built, hash, step, bytes) = match from.hash_of(&event) {
+                    Some(probe) => {
+                        let bytes =
+                            approx_bytes::<P>(state.nodes.len(), probe.conns, probe.inflight);
+                        (None, probe.hash, probe.step, bytes)
+                    }
                     None => {
                         let (next, step) = from.successor(&event);
-                        let hash = next.state_hash();
-                        (Some(next), hash, step)
+                        let (hash, bytes) = (next.state_hash(), approx_state_bytes(&next));
+                        (Some(next), hash, step, bytes)
                     }
                 };
                 if explored.contains(&hash) || !seen.insert(hash) {
                     tally.duplicates += 1;
                     continue;
                 }
-                let state = built.unwrap_or_else(|| from.build(&event));
+                let succ = match built {
+                    Some(next) => Succ::Built(next),
+                    None => Succ::Deferred {
+                        parent: job.item,
+                        recipe: from.defer(&event).expect("a probed hit is held"),
+                    },
+                };
                 edges.push(Edge {
                     parent: *parent,
                     hash,
-                    bytes: approx_state_bytes(&state),
-                    state,
+                    succ,
+                    bytes,
                     event,
                     step,
                 });
             }
         }
-        tally.memo_hits = memo.hits();
-        tally.memo_misses = memo.misses();
+        tally.memo_hits = memo.hits() - hits;
+        tally.memo_misses = memo.misses() - misses;
+        cx.memos.put(memo);
         (edges, tally)
     }
 
@@ -572,7 +701,7 @@ impl<P: Protocol> Searcher<'_, P> {
     /// collect is left partial, for the caller to discard.
     fn expand_level(
         &self,
-        cx: &Phase3<'_, P>,
+        cx: &Phase3<'_, '_, P>,
         explored: &mut DigestSet,
         pool: &WorkerPool,
         arena: &mut Vec<ArenaRec<P>>,
@@ -799,6 +928,56 @@ mod tests {
         );
         assert_eq!(seq.stopped, StopReason::StateLimit);
         assert_eq!(outcome_fingerprint(&seq), outcome_fingerprint(&par));
+    }
+
+    /// The state budget cuts wide()'s system at depth 11 midway: 9000 of
+    /// its 10872 states are visited, and their expansion spans several
+    /// waves at every worker count, as does the expansion of the level
+    /// before it. Successors past the budget are never built.
+    #[test]
+    fn state_budget_cutting_a_multi_wave_level_matches_sequential() {
+        let (p, gs, pr, base) = wide();
+        let below: usize = [1, 4, 14, 40, 101, 232, 498, 1004, 1930, 3556, 6318]
+            .iter()
+            .sum();
+        let base = SearchConfig {
+            max_depth: Some(12),
+            max_states: Some(below + 9000),
+            ..base
+        };
+        let seq = find_errors(&p, &pr, &gs, base.clone());
+        assert_eq!(seq.stopped, StopReason::StateLimit);
+        assert_eq!(
+            seq.stats.per_depth[10..],
+            [6318, 9000],
+            "the level sizes moved"
+        );
+        for workers in [2, 4, 7] {
+            for jobs in [6318, 9000] {
+                assert!(
+                    cut(jobs, workers).len() > workers * RANGES_PER_WORKER,
+                    "{jobs} jobs span several waves at {workers} workers"
+                );
+            }
+            let par = find_errors_parallel(
+                &p,
+                &pr,
+                &gs,
+                base.clone(),
+                &ParallelConfig {
+                    workers,
+                    ..ParallelConfig::default()
+                },
+            );
+            let what = format!("workers={workers}");
+            assert_eq!(par.stopped, StopReason::StateLimit, "{what}");
+            assert_eq!(
+                outcome_fingerprint(&seq),
+                outcome_fingerprint(&par),
+                "{what}"
+            );
+            assert_eq!(seq.stats.per_depth, par.stats.per_depth, "{what}");
+        }
     }
 
     #[test]
@@ -1114,10 +1293,11 @@ mod tests {
     }
 
     /// Each level's ranges go through `expand_range` last to first, as if
-    /// the later ranges' tasks ran ahead, and only then does the in-order
-    /// collect run. Some later range builds a successor whose hash an
-    /// earlier range reaches too, and the collect drops it. Every enqueued
-    /// state — in-flight `Vec` order included — and the counts are still
+    /// the later ranges' tasks ran ahead, on one memo carried across every
+    /// range and level, and only then does the in-order collect run. Some
+    /// later range keeps a successor whose hash an earlier range reaches
+    /// too, and the collect drops it. Every enqueued state — built by phase
+    /// 1, in-flight `Vec` order included — and the counts are still
     /// `Searcher::run`'s.
     #[test]
     fn ranges_expanded_in_reverse_match_sequential() {
@@ -1141,10 +1321,15 @@ mod tests {
             limit: None,
             hit: AtomicBool::new(false),
         };
+        let (pool, memos) = (WorkerPool::new(0), Memos::new(&p));
         let (mut arena, mut stats) = (Vec::new(), SearchStats::default());
-        let mut level: Level<Ping> = vec![(gs.clone(), None)];
+        let mut parents: Level<Ping> = Vec::new();
+        let mut frontier: Frontier<Ping> = vec![(Succ::Built(gs.clone()), None)];
         let (mut enqueued, mut dropped, mut order) = (1, 0, Vec::new());
         for depth in 0..=7 {
+            let (level, _) = searcher
+                .check_level(frontier, parents, &arena, 4, &deadline, &pool)
+                .expect("no deadline");
             order.extend(level.iter().map(|(s, _)| digest(s)));
             if depth == 7 {
                 break;
@@ -1159,6 +1344,7 @@ mod tests {
                 level: &level,
                 jobs: &jobs,
                 deadline: &deadline,
+                memos: &memos,
                 workers: 4,
             };
             let mut expanded: Vec<_> = (cut(jobs.len(), cx.workers).into_iter().rev())
@@ -1166,7 +1352,7 @@ mod tests {
                 .collect();
             expanded.reverse();
             let mut next = NextLevel {
-                states: Vec::new(),
+                items: Vec::new(),
                 bytes: 0,
             };
             for (edges, tally) in expanded {
@@ -1175,16 +1361,24 @@ mod tests {
                 dropped += late;
                 stats.duplicates_hit += late;
             }
-            enqueued += next.states.len();
-            level = next.states;
+            enqueued += next.items.len();
+            frontier = next.items;
+            parents = level;
         }
         assert!(
             dropped > 0,
-            "some range built a successor an earlier range reached first"
+            "some range kept a successor an earlier range reached first"
         );
         assert_eq!(order, *visited.lock().unwrap(), "BFS order, states exact");
         assert_eq!(enqueued, seq.stats.states_enqueued);
         assert_eq!(stats.duplicates_hit, seq.stats.duplicates_hit);
+        let free = memos.free.lock().unwrap();
+        assert_eq!(free.len(), 1, "every range ran on the one memo");
+        assert_eq!(
+            (free[0].hits(), free[0].misses()),
+            (stats.memo_hits, stats.memo_misses)
+        );
+        assert!(stats.memo_hits > stats.memo_misses, "the memo was reused");
     }
 
     /// `Engine::Parallel` at one worker (or none) is `Searcher::run`:

@@ -35,8 +35,9 @@
 //!   recorded slot in and appends the recorded messages. The successor is
 //!   bit-identical to `apply_event`'s (debug builds re-derive every hit and
 //!   compare), so only the time per successor differs; the parallel engine
-//!   keeps one memo per range task. `SearchStats::memo_hits`/`memo_misses`
-//!   report the split.
+//!   keeps one memo per worker, which its range tasks take from a free list
+//!   and keep across levels. `SearchStats::memo_hits`/`memo_misses` report
+//!   the split.
 //! * A successor is **built when it is dequeued**, not when it is
 //!   generated: on a memo hit, [`cb_model::Expansion::hash_of`] folds the
 //!   successor's `state_hash` from its parent's, the explored set is
@@ -46,8 +47,9 @@
 //!   state, in-flight `Vec` order included — so a state the budget never
 //!   reaches is never built. A memo miss is built at once, since running
 //!   its handler is what hashes it. The parallel engine probes the same
-//!   way and builds only the successors its range cannot yet rule out as
-//!   duplicates.
+//!   way; it keeps a surviving hit as its parent's index in the level and
+//!   the memo entry's result ([`cb_model::Deferred`]), and builds it in
+//!   the next level's check phase only if the budget reaches it.
 
 use std::collections::{HashSet, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -570,7 +572,7 @@ pub(crate) fn approx_state_bytes<P: Protocol>(gs: &GlobalState<P>) -> usize {
 /// [`approx_state_bytes`] of a state with `nodes` slots holding `conns`
 /// open connections and `inflight` items in flight — all it reads, so a
 /// successor that is not built yet is counted the same.
-fn approx_bytes<P: Protocol>(nodes: usize, conns: usize, inflight: usize) -> usize {
+pub(crate) fn approx_bytes<P: Protocol>(nodes: usize, conns: usize, inflight: usize) -> usize {
     let per_node = size_of::<cb_model::NodeSlot<P::State>>() + 2 * size_of::<u64>();
     size_of::<GlobalState<P>>()
         + nodes * per_node

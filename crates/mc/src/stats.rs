@@ -99,13 +99,16 @@ pub struct SearchStats {
     /// duplicate is never built; a survivor is built when visited, and
     /// counts once), or built from it. Engine-dependent, like `merge_busy`:
     /// the sequential loop keeps one table per search, the parallel
-    /// engine one per range task, so the split between hits and misses —
-    /// never their effect — differs between engines and worker counts.
+    /// engine one per worker, handed to whichever range task asks next,
+    /// so on the parallel engine the split between hits and misses
+    /// depends on scheduling and can differ from run to run. Outcomes do
+    /// not: a hit and a miss make the same successor.
     pub memo_hits: usize,
     /// Keyed successors the memo did not hold, which ran their handler
     /// (unkeyed events — drops, deliveries to absent nodes — count as
     /// neither). Each keyed successor counts once, as a hit or a miss;
-    /// the memo's recording rule reads these same two counters.
+    /// the memo's recording rule reads these same two counters. Like
+    /// `memo_hits`, scheduling-dependent on the parallel engine.
     pub memo_misses: usize,
 }
 

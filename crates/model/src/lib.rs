@@ -54,7 +54,7 @@ pub use event::{
 };
 pub use frame::{push_frame, FrameBuffer, FrameKind, WireFrame, MAX_FRAME_LEN};
 pub use hashing::{stable_hash, Fnv64, StableHasher};
-pub use memo::{Expansion, Probe, TransitionMemo};
+pub use memo::{Deferred, Expansion, Probe, TransitionMemo};
 pub use node::{AddrMap, NodeId};
 pub use property::{
     global_property, node_property, pairwise_property, Property, PropertySet, Violation,

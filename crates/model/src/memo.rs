@@ -47,6 +47,15 @@
 //! builds build every probed successor with [`apply_event`] and compare
 //! hashes.
 //!
+//! A search that visits the survivor on another thread, or after its memo
+//! has moved on, takes the entry's result by value instead
+//! ([`Expansion::defer`]): a [`Deferred`] holds what a hit's rebuild
+//! applies besides the event — the acting node, the entry's slot handle
+//! and the items it queued and parked — and builds the same state from the
+//! parent and the event whenever it is asked ([`Deferred::build`]),
+//! whatever the memo holds by then. Debug builds re-derive that build with [`apply_event`]
+//! as they do every hit.
+//!
 //! `Drop` (no handler, no slot) and events whose acting node is absent
 //! from the state are never keyed; they go straight to [`apply_event`].
 //!
@@ -168,8 +177,8 @@ impl Run {
 /// result — see the [module docs](self).
 ///
 /// A memo is bound to the protocol configuration it was created with, and
-/// is meant to live and die with one search (or one range task of the
-/// parallel engine): it shares nothing, takes no lock, and is bounded.
+/// is meant to live and die with one search (or one worker of the parallel
+/// engine): it shares nothing, takes no lock, and is bounded.
 pub struct TransitionMemo<'a, P: Protocol> {
     config: &'a P,
     table: HashMap<Key, Entry<P>, BuildHasherDefault<DigestHasher>>,
@@ -394,6 +403,20 @@ impl<P: Protocol> Expansion<'_, '_, P> {
         next
     }
 
+    /// The successor [`Expansion::hash_of`] found held, as a value that
+    /// builds it later ([`Deferred::build`]) without this memo; `None` when
+    /// the table does not hold `event`'s entry. Counts nothing.
+    pub fn defer(&self, event: &Event<P>) -> Option<Deferred<P>> {
+        let key = self.key(event)?;
+        let entry = self.memo.table.get(&key)?;
+        Some(Deferred {
+            node: key.node,
+            slot: entry.slot.clone(),
+            queued: entry.queued.of(&self.memo.queued).into(),
+            parked: entry.parked.of(&self.memo.parked).into(),
+        })
+    }
+
     /// The memo key of `event` at the parent, or `None` for the events
     /// that are never keyed (`Drop`, an absent acting node, a stale index
     /// — which [`apply_event`] panics on).
@@ -441,9 +464,8 @@ fn fold_parent<P: Protocol>(
     (bag, conns)
 }
 
-/// The successor `entry` records for `event` at `parent`: clone the
-/// parent, `swap_remove` the delivered item, swap the slot handle in,
-/// append the stored items — `apply_event`'s state, `Vec` order included.
+/// The successor `entry` records for `event` at `parent`
+/// ([`apply_recorded`]), re-derived in debug builds.
 fn rebuild<P: Protocol>(
     memo: &TransitionMemo<'_, P>,
     parent: &GlobalState<P>,
@@ -451,21 +473,79 @@ fn rebuild<P: Protocol>(
     key: Key,
     entry: &Entry<P>,
 ) -> GlobalState<P> {
-    let mut next = parent.clone();
-    if let Event::Deliver { index } = event {
-        next.inflight.swap_remove(*index);
-    }
-    *next
-        .nodes
-        .get_mut(&key.node)
-        .expect("keyed node is present") = entry.slot.clone();
-    next.inflight
-        .extend_from_slice(entry.queued.of(&memo.queued));
-    next.parked.extend_from_slice(entry.parked.of(&memo.parked));
+    let next = apply_recorded(
+        parent,
+        event,
+        key.node,
+        &entry.slot,
+        entry.queued.of(&memo.queued),
+        entry.parked.of(&memo.parked),
+    );
     if cfg!(debug_assertions) {
         assert_rederives(memo.config, parent, event, &next, &entry.step);
     }
     next
+}
+
+/// A transition recorded for `event` applied to `parent`: clone it,
+/// `swap_remove` the delivered item, swap `node`'s slot handle in, append
+/// the stored items — `apply_event`'s state, `Vec` order included.
+fn apply_recorded<P: Protocol>(
+    parent: &GlobalState<P>,
+    event: &Event<P>,
+    node: NodeId,
+    slot: &SharedSlot<P::State>,
+    queued: &[Queued<P::Message>],
+    parked: &[InFlight<P::Message>],
+) -> GlobalState<P> {
+    let mut next = parent.clone();
+    if let Event::Deliver { index } = event {
+        next.inflight.swap_remove(*index);
+    }
+    *next.nodes.get_mut(&node).expect("keyed node is present") = slot.clone();
+    next.inflight.extend_from_slice(queued);
+    next.parked.extend_from_slice(parked);
+    next
+}
+
+/// A memo hit's successor held unbuilt: the entry's result by value
+/// ([`Expansion::defer`]), independent of the memo it came from.
+pub struct Deferred<P: Protocol> {
+    /// The acting node.
+    node: NodeId,
+    /// The acting node's slot afterwards: the entry's handle.
+    slot: SharedSlot<P::State>,
+    /// The entry's queued items, in emission order.
+    queued: Box<[Queued<P::Message>]>,
+    /// The entry's parked items, in emission order.
+    parked: Box<[InFlight<P::Message>]>,
+}
+
+impl<P: Protocol> Deferred<P> {
+    /// The successor of `parent` under `event`, the state and event this
+    /// was deferred from — exactly [`apply_event`]'s, as a hit's rebuild
+    /// makes it. `step` is the probe's; `config` and `step` serve the
+    /// debug-build re-derivation alone.
+    pub fn build(
+        &self,
+        config: &P,
+        parent: &GlobalState<P>,
+        event: &Event<P>,
+        step: &TraceStep,
+    ) -> GlobalState<P> {
+        let next = apply_recorded(
+            parent,
+            event,
+            self.node,
+            &self.slot,
+            &self.queued,
+            &self.parked,
+        );
+        if cfg!(debug_assertions) {
+            assert_rederives(config, parent, event, &next, step);
+        }
+        next
+    }
 }
 
 /// The debug-build check behind every hit: `next`/`step` must be what

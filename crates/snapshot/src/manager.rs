@@ -359,7 +359,7 @@ impl CheckpointManager {
     ) -> Vec<(NodeId, SnapMsg)> {
         match msg {
             SnapMsg::Request { cr } => self.answer_request(now, from, *cr, state_bytes),
-            SnapMsg::Reply { entry, .. } => {
+            SnapMsg::Reply { cn, entry } => {
                 let raw = match self.received.apply(from, entry) {
                     Ok(raw) => Some(raw.to_vec()),
                     // The snapshot-base hazard (ROADMAP item 1), kept as it
@@ -379,6 +379,12 @@ impl CheckpointManager {
                     Err(_) => None,
                 };
                 match raw {
+                    // A reply below the open gather's `cr` answers an
+                    // earlier request. Applying it keeps the base in step
+                    // with the responder's `sent`, but it is no checkpoint
+                    // with `C.cn ≥ cr` (§2.3), and `from`'s answer to the
+                    // current request is still to come.
+                    Some(_) if self.gather.as_ref().is_some_and(|g| *cn < g.cr) => {}
                     Some(raw) => self.accept_response(from, raw),
                     None => self.peer_failed(from),
                 }
@@ -1048,6 +1054,44 @@ mod tests {
         total.merge(&g.stats);
         total.merge(&g.stats);
         assert_eq!(total.patches_without_base, 2);
+    }
+
+    /// A reply to an earlier gather arrives after the next one started:
+    /// it does not complete the gather it does not belong to, but its
+    /// entry still becomes the base the responder's next reply patches.
+    #[test]
+    fn a_late_reply_does_not_complete_a_later_gather() {
+        let mut g = mgr(0);
+        let mut responder = mgr(1);
+        let own = state(0, 64);
+        let first = state(7, 256);
+        let reqs = g.start_gather(&[NodeId(1)], &own);
+        let held = responder.handle(SimTime::ZERO, NodeId(0), &reqs[0].1, &first);
+        assert!(matches!(held[..], [(_, SnapMsg::Reply { cn: 1, .. })]));
+        let mut second = first.clone();
+        second[128] = 9;
+        let reqs = g.start_gather(&[NodeId(1)], &own);
+        assert!(matches!(reqs[..], [(_, SnapMsg::Request { cr: 2 })]));
+        let current = responder.handle(SimTime::ZERO, NodeId(0), &reqs[0].1, &second);
+        assert!(matches!(
+            current[..],
+            [(
+                _,
+                SnapMsg::Reply {
+                    cn: 2,
+                    entry: SlotDelta::Patch(_)
+                }
+            )]
+        ));
+
+        g.handle(SimTime::ZERO, NodeId(1), &held[0].1, &own);
+        assert!(g.poll_snapshot().is_none(), "cn 1 < cr 2: still waiting");
+        assert_eq!(g.waiting_on(), [NodeId(1)]);
+        g.handle(SimTime::ZERO, NodeId(1), &current[0].1, &own);
+        let snap = g.poll_snapshot().expect("gather complete");
+        assert_eq!(snap.cr, 2);
+        assert_eq!(snap.states.get(&NodeId(1)), Some(&second));
+        assert_eq!(g.stats.patches_without_base, 0);
     }
 
     /// A responder diffs against what it last *sent*: when that reply is

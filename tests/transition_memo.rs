@@ -7,6 +7,10 @@
 //! transition that reads, outside its own slot, whether a node is present
 //! and which incarnation it is in.
 //!
+//! A hit can also be taken by value and built later, after the memo has
+//! moved on (`Expansion::defer`, as the parallel engine takes it); that
+//! build must be the same state.
+//!
 //! Debug builds re-derive every hit inside the memo and panic on a
 //! difference; the comparisons here are what is left of that check in
 //! `--release`, where CI runs this suite a second time.
@@ -157,6 +161,59 @@ fn memo_equals_apply_event_on_every_enabled_event_along_seeded_walks() {
         );
     }
     for seed in 0..4 {
+        on_every_protocol!(walk(seed));
+    }
+}
+
+/// A hit taken by value ([`Expansion::defer`]) and built only after the
+/// walk has moved on — through a memo capped at a handful of entries, so
+/// that most of those entries have been cleared away by then — is
+/// `apply_event`'s successor: node slots, in-flight `Vec` order, parked
+/// items, state hash and trace step.
+#[test]
+fn a_deferred_successor_built_later_equals_apply_event() {
+    fn walk<P: Protocol>(proto: &P, start: &GlobalState<P>, seed: u64) {
+        let mut rng = XorShift::new(seed);
+        let mut memo = TransitionMemo::with_max_entries(proto, 8);
+        let mut held = Vec::new();
+        let mut state = start.clone();
+        for _ in 0..40 {
+            let events = enumerate_events(proto, &state, &ExploreOptions::full());
+            if events.is_empty() {
+                break;
+            }
+            for event in &events {
+                let mut from = memo.expand(&state);
+                from.successor(event);
+                if let Some(probe) = from.hash_of(event) {
+                    let deferred = from.defer(event).expect("a probed hit is held");
+                    held.push((state.clone(), event.clone(), probe, deferred));
+                }
+            }
+            let event = &events[rng.below(events.len())];
+            apply_event(proto, &mut state, event);
+        }
+        let mut cleared = 0;
+        for (parent, event, probe, deferred) in &held {
+            let what = format!("{} seed {seed} {event:?}", proto.name());
+            cleared += usize::from(memo.expand(parent).defer(event).is_none());
+            let next = deferred.build(proto, parent, event, &probe.step);
+            let mut plain = parent.clone();
+            assert_eq!(probe.step, apply_event(proto, &mut plain, event), "{what}");
+            assert!(next.nodes == plain.nodes, "{what}: node slots");
+            assert_eq!(next.inflight, plain.inflight, "{what}: in-flight, in order");
+            assert_eq!(next.parked, plain.parked, "{what}: parked, in order");
+            assert_eq!(next.state_hash(), plain.state_hash(), "{what}: state hash");
+            assert_eq!(probe.hash, plain.state_hash(), "{what}: probed hash");
+        }
+        assert!(
+            cleared > 0 && cleared < held.len(),
+            "{} seed {seed}: {cleared} of {} entries cleared before the build",
+            proto.name(),
+            held.len()
+        );
+    }
+    for seed in 0..2 {
         on_every_protocol!(walk(seed));
     }
 }
